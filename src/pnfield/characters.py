@@ -21,8 +21,8 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ResourceLimitError
 from .field import FieldCtx
-from .numtheory import euler_phi
-from .polyfq import Poly, poly_deg, poly_divmod, x_pow_n_minus_1
+from .numtheory import euler_phi, mobius
+from .polyfq import ONE, Poly, poly_deg, poly_divmod, poly_mul, x_pow_n_minus_1
 from .seeds import rng_for
 
 
@@ -41,9 +41,9 @@ def discrete_log(ctx: FieldCtx, a: int) -> int:
     """
     if a == 0:
         raise ValueError("discrete log of 0 is undefined")
-    ctx.ensure_tables()
-    if ctx._log is not None:
-        return ctx._log[a]
+    log = ctx.log_table
+    if log is not None:
+        return log[a]
     return discrete_log_bsgs(ctx, a)
 
 
@@ -55,7 +55,7 @@ def discrete_log_bsgs(ctx: FieldCtx, a: int) -> int:
     if m == 1:
         return 0
     tau = ctx.reference_tau
-    if ctx._bsgs is None:
+    if "bsgs" not in ctx.char_cache:
         t = math.isqrt(m - 1) + 1
         baby = {}
         cur = 1
@@ -63,8 +63,8 @@ def discrete_log_bsgs(ctx: FieldCtx, a: int) -> int:
             baby.setdefault(cur, j)
             cur = ctx._mul_poly(cur, tau)
         giant = ctx.pow(tau, (m - t) % m)  # τ^(-t)
-        ctx._bsgs = (t, baby, giant)
-    t, baby, giant = ctx._bsgs
+        ctx.char_cache["bsgs"] = (t, baby, giant)
+    t, baby, giant = ctx.char_cache["bsgs"]
     y = a
     for i in range(t + 1):
         j = baby.get(y)
@@ -180,7 +180,7 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
 
 def _ensure_prim_dd_data(ctx: FieldCtx):
     """Squarefree divisors d of q^n - 1 with (d, μ(d), φ(d), prime list)."""
-    if getattr(ctx, "_prim_dd", None) is None:
+    if "prim_dd" not in ctx.char_cache:
         primes = ctx.mult_factorization.primes()
         rows = []
         for mask in range(1 << len(primes)):
@@ -194,8 +194,8 @@ def _ensure_prim_dd_data(ctx: FieldCtx):
                     sel.append(r)
             rows.append((d, -1 if bits % 2 else 1, phi, tuple(sel)))
         rows.sort()
-        ctx._prim_dd = rows
-    return ctx._prim_dd
+        ctx.char_cache["prim_dd"] = rows
+    return ctx.char_cache["prim_dd"]
 
 
 def ramanujan_sum(d_primes, big_l: int) -> int:
@@ -246,8 +246,6 @@ def indicator_primitive_dd_literal(ctx: FieldCtx, a: int) -> int:
         d = m // math.gcd(b, m)
         by_order[d] = by_order.get(d, 0) + zm[b * big_l % m]
     total = 0j
-    from .numtheory import mobius
-
     for d, inner in by_order.items():
         mu = mobius(d)
         if mu:
@@ -315,8 +313,8 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
     squarefree since p does not divide n), caches deg(e), Φ_q(e), and an
     F_p-spanning set of the kernel K_e = {c : e∘c = 0}.
     """
-    if getattr(ctx, "_norm_dd", None) is not None:
-        return ctx._norm_dd
+    if "norm_dd" in ctx.char_cache:
+        return ctx.char_cache["norm_dd"]
     fq = ctx.fq
     factors = ctx.add_factorization.distinct_factors()
     t = len(factors)
@@ -357,7 +355,7 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
                 "kernel_size": q**deg_e,
             }
         )
-    ctx._norm_dd = subsets
+    ctx.char_cache["norm_dd"] = subsets
     return subsets
 
 
@@ -416,8 +414,6 @@ def indicator_normal_dd_literal(ctx: FieldCtx, a: int) -> int | None:
         return None
     fq = ctx.fq
     factors = ctx.add_factorization.distinct_factors()
-    from .polyfq import ONE, poly_mul
-
     # every monic divisor of the squarefree x^n - 1 is a subset product
     div_data = {}
     for mask in range(1 << len(factors)):
@@ -625,19 +621,17 @@ def primitive_exp_sum_direct(ctx: FieldCtx, a: int) -> int:
     qn = ctx.order
     m = qn - 1
     big_l = discrete_log(ctx, a)
-    key = getattr(ctx, "_expsum_inner", None)
-    if key is None:
-        zq = _roots_of_unity(qn)
+    zq = _roots_of_unity(qn)
+    if "expsum_inner" not in ctx.char_cache:
         s_list = [s for s in range(1, qn) if math.gcd(s, m) == 1]
         inner = [0j] * qn
         for t in range(1, qn):
             inner[t] = sum(zq[(-s * t) % qn] for s in s_list)
-        ctx._expsum_inner = inner
-        key = inner
-    zq = _roots_of_unity(qn)
+        ctx.char_cache["expsum_inner"] = inner
+    inner = ctx.char_cache["expsum_inner"]
     total = 0j
     for t in range(1, qn):
-        total += key[t] * zq[big_l * t % qn]
+        total += inner[t] * zq[big_l * t % qn]
     if abs(total.imag) > 1e-5:
         raise ConsistencyError("direct exponential sum has an imaginary part")
     out = round(total.real)

@@ -10,6 +10,9 @@ cmdVerify exits nonzero only on FAIL.
 
 from __future__ import annotations
 
+import cmath
+import itertools
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -17,7 +20,7 @@ from fractions import Fraction
 from . import characters as ch
 from . import counting as ct
 from . import subsets as sb
-from .errors import ResourceLimitError
+from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .field import FieldCtx, get_field
 from .numtheory import (
     divisors,
@@ -26,6 +29,7 @@ from .numtheory import (
     is_prime,
     mertens_report,
     mobius_sieve,
+    multiplicative_order,
     phi_sieve,
 )
 from .polyfq import (
@@ -33,11 +37,15 @@ from .polyfq import (
     factor_x_n_minus_1,
     format_poly,
     monic_divisors,
+    phi_from_degrees,
     poly_deg,
+    poly_divmod,
+    poly_mod,
     poly_mul,
     poly_phi,
-    poly_sigma,
+    poly_trim,
     sigma_phi_identity_check,
+    x_pow_n_minus_1,
 )
 from .seeds import rng_for
 
@@ -182,9 +190,7 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
             prod *= 1 + Fraction(1, r - 1)
         if Fraction(euler_phi(m), m) * prod != 1:
             holds_m = False
-        if Fraction(euler_phi(m), q**n) * prod == 1:
-            holds_qn = True  # would be surprising
-        else:
+        if Fraction(euler_phi(m), q**n) * prod != 1:
             holds_qn = False
     out.append(_report("exercise-phi-product-normalization", "5 sample (q,n)",
                        f"denominator q^n-1 holds: {holds_m}; denominator q^n holds: {holds_qn}"))
@@ -216,11 +222,12 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
     fq = fact.fq
     qn = q**n
 
-    divs = monic_divisors(fact)
-    total = 0
-    for d in divs:
-        sub = _factorization_of_divisor(fact, d)
-        total += _phi_of_entries(q, sub)
+    # Σ Φ_q(d) over the monic divisors d, one exponent vector per divisor
+    degrees = [poly_deg(f) for f, _ in fact.entries]
+    total = sum(
+        phi_from_degrees(q, zip(degrees, exps))
+        for exps in itertools.product(*(range(e + 1) for _, e in fact.entries))
+    )
     out.append(_assert("poly-totient-divisor-sum", subject, total == qn,
                        f"Σ_(d|x^n-1) Φ_q(d) = {total}, q^n = {qn}"))
     phi_full = poly_phi(fact)
@@ -244,7 +251,7 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
                            f"Ω_q = {profile.omega} <= φ({n}) = {euler_phi(n)}: "
                            f"{'holds' if holds else 'fails'}"))
     p = fq.p
-    if is_prime(n) and n % p and _order_of(q, n) == n - 1:
+    if is_prime(n) and n % p and multiplicative_order(q, n) == n - 1:
         out.append(_assert("omega-prime-case", subject, profile.omega == 2,
                            f"n prime with ord_n q = n-1 gives Ω_q = {profile.omega}"))
 
@@ -264,39 +271,6 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
     out.append(_assert("exercise-poly-phi-product-normalization", subject, lhs_qn == 1,
                        f"q^n denominator gives {lhs_qn}; q^n-1 variant gives {lhs_m}"))
     return out
-
-
-def _order_of(q, n):
-    from .numtheory import multiplicative_order
-
-    return multiplicative_order(q, n) if math.gcd(q, n) == 1 and n > 1 else 0
-
-
-def _factorization_of_divisor(fact, d):
-    """(factor, exponent) entries of a monic divisor d of fact.value."""
-    from .polyfq import poly_divmod
-
-    entries = []
-    rest = d
-    for factor, _ in fact.entries:
-        e = 0
-        while True:
-            quot, rem = poly_divmod(fact.fq, rest, factor)
-            if rem:
-                break
-            rest = quot
-            e += 1
-        if e:
-            entries.append((factor, e))
-    return entries
-
-
-def _phi_of_entries(q, entries):
-    result = 1
-    for factor, e in entries:
-        nr = q ** poly_deg(factor)
-        result *= nr ** (e - 1) * (nr - 1)
-    return result
 
 
 # -- per-field claims ----------------------------------------------------------------
@@ -351,8 +325,6 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
         r = tuple(rng.randrange(ctx.q) for _ in range(ctx.n))
         s = tuple(rng.randrange(ctx.q) for _ in range(ctx.n))
         a = rng.randrange(qn)
-        from .polyfq import poly_trim
-
         r, s = poly_trim(r), poly_trim(s)
         lhs = ctx.apply_linearized(poly_mul(ctx.fq, r, s), a)
         rhs = ctx.apply_linearized(r, ctx.apply_linearized(s, a))
@@ -364,8 +336,6 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
 
     if heavy:
         # additive order: divides x^n - 1, annihilates, and is minimal
-        from .polyfq import poly_divmod
-
         ok = True
         for a in range(qn):
             d = ctx.additive_order(a)
@@ -400,8 +370,6 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
         ok = sum(census_m.values()) == m and census_m.get(m, 0) == rec.num_primitive
         ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m)) if m > 1 else ok
         census_a = ct.additive_order_census(ctx)
-        from .polyfq import x_pow_n_minus_1
-
         full_poly = x_pow_n_minus_1(ctx.fq, ctx.n)
         ok = ok and sum(census_a.values()) == qn
         ok = ok and census_a.get(full_poly, 0) == rec.num_normal
@@ -417,7 +385,7 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
         ok = sum(by_order.values()) == qn
         for d in monic_divisors(fact):
             covered = sum(cnt for dd, cnt in by_order.items()
-                          if _poly_divides(ctx.fq, dd, d))
+                          if not poly_mod(ctx.fq, d, dd))
             if covered != ctx.q ** poly_deg(d):
                 ok = False
                 break
@@ -434,13 +402,11 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
             for c in range(qn):
                 d = ctx.additive_order(c)
                 zp_sums.setdefault(d, []).append(c)
-            import cmath as _cmath
-
             for factor, _ in ctx.add_factorization.entries:
                 params = zp_sums.get(factor, [])
                 for a in range(1, min(qn, 9)):
                     total = sum(
-                        _cmath.exp(2j * _cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p)
+                        cmath.exp(2j * cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p)
                         for c in params
                     )
                     ord_a = ctx.additive_order(a)
@@ -527,18 +493,16 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
 
     # incomplete character sum bounds; details carry the wire-format entries
     if qn <= 2**12 and m > 1:
-        import json as _json
-
         suite = ch.char_sum_bound_suite(ctx, trials=100, seed=seed)
         ent = {e["lemma-id"]: e for e in suite["entries"]}
         out.append(_assert("char-sum-product-bound", subject,
                            ent["product-double-sum"]["pass"],
-                           _json.dumps(ent["product-double-sum"], sort_keys=True)))
+                           json.dumps(ent["product-double-sum"], sort_keys=True)))
         out.append(_assert("char-sum-shifted-bound", subject,
                            ent["shifted-double-sum"]["pass"],
-                           _json.dumps(ent["shifted-double-sum"], sort_keys=True)))
+                           json.dumps(ent["shifted-double-sum"], sort_keys=True)))
         out.append(_report("char-sum-units-bound", subject,
-                           _json.dumps(ent["units-group-sum"], sort_keys=True)))
+                           json.dumps(ent["units-group-sum"], sort_keys=True)))
 
     # exponential sum over coprime residues
     if qn <= 1024 and m > 1:
@@ -578,8 +542,6 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
     # metric axioms for the weight and height distances
     rng5 = rng_for(seed, "metrics", subject)
     ok = True
-    from .polyfq import poly_trim
-
     for _ in range(300):
         r = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
         s = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
@@ -606,14 +568,6 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
                            f"({'equal' if equal else 'different'}), "
                            f"average formula = {rec.predicted!r}"))
     return out
-
-
-def _poly_divides(fq, a, b):
-    from .polyfq import poly_divmod
-
-    if not a:
-        return not b
-    return not poly_divmod(fq, b, a)[1]
 
 
 _density_cache: dict = {}
@@ -662,7 +616,7 @@ def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
 # -- the full verify run ---------------------------------------------------------
 
 
-def run_verify(lo: int, hi: int, seed: int, budget: int = ct.DEFAULT_BUDGET) -> list[ClaimResult]:
+def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> list[ClaimResult]:
     """Run every claim suite over all fields with lo <= q^n <= hi."""
     results: list[ClaimResult] = []
     specs = enumerate_field_specs(lo, hi)
@@ -712,8 +666,6 @@ def format_report(results, seed: int) -> str:
 
 
 def report_json(results, seed: int) -> str:
-    import json
-
     payload = {
         "schema": "pnfield/1",
         "kind": "verify",

@@ -17,12 +17,11 @@ import sys
 from . import claims
 from . import counting as ct
 from . import subsets as sb
-from .errors import FieldSpecError, ResourceLimitError
+from .characters import discrete_log
+from .errors import DEFAULT_BUDGET, FieldSpecError, ResourceLimitError
 from .field import format_field_moduli, get_field, parse_field_spec
-from .numtheory import euler_phi, factorize
+from .numtheory import euler_phi, is_prime_power
 from .polyfq import cyclotomic_factor_counts, format_poly, poly_phi
-
-DEFAULT_BUDGET = 2**24
 
 
 def _budget(args) -> int:
@@ -94,19 +93,12 @@ def _parse_sweep_range(text: str) -> list[tuple[int, int, int]]:
     specs = []
     for q in range(max(2, q_lo), q_hi + 1):
         try:
-            p, k = _prime_power(q)
+            p, k = is_prime_power(q)
         except ValueError:
             continue
         for n in range(max(1, n_lo), n_hi + 1):
             specs.append((p, k, n))
     return specs
-
-
-def _prime_power(q: int) -> tuple[int, int]:
-    fact = factorize(q)
-    if len(fact.entries) != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return fact.entries[0]
 
 
 def cmd_sweep(args) -> int:
@@ -198,8 +190,6 @@ def _check_conjecture_hypotheses(ctx, alpha: int):
         raise ValueError("conjecture hypothesis violated: α = -1")
     if ctx.p != 2:
         # a square iff its discrete log is even
-        from .characters import discrete_log
-
         if discrete_log(ctx, alpha) % 2 == 0:
             raise ValueError("conjecture hypothesis violated: α is a square")
     if ctx.trace(alpha) == 0:
@@ -282,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="density sweep over a (q, n) grid")
     common(p_sweep, rng="grid QLO..QHI,NLO..NHI")
-    p_sweep.set_defaults(func=cmd_sweep, format_default="csv")
+    p_sweep.set_defaults(func=cmd_sweep)
 
     p_search = sub.add_parser("search", help="scan a subset for primitive normal elements")
     common(p_search, field=True)

@@ -14,12 +14,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, ConsistencyError, ResourceLimitError
 from .field import FieldCtx, get_field
 from .numtheory import euler_phi
 from .polyfq import factor_x_n_minus_1, poly_phi
-
-DEFAULT_BUDGET = 2**24
 
 SWEEP_COLUMNS = ["q", "k", "n", "numPrimitive", "numNormal", "numPN", "predicted", "delta"]
 

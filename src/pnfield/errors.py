@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types and the default resource budget shared across the package."""
+
+# Default element-count budget; the CLI overrides it with --budget or the
+# PNFIELD_BUDGET environment variable.
+DEFAULT_BUDGET = 2**24
 
 
 class FieldSpecError(ValueError):

@@ -24,15 +24,19 @@ from .polyfq import (
     Poly,
     PolyFactorization,
     factor_x_n_minus_1_over,
+    first_irreducible,
     format_poly,
     is_irreducible,
-    monic_polys,
+    parse_coeff,
     parse_poly,
     poly_deg,
     poly_divmod,
+    poly_gcd,
+    poly_mod,
+    poly_trim,
     x_pow_n_minus_1,
 )
-from .smallfield import SmallField
+from .smallfield import SmallField, _add_digits
 
 _TABLE_CAP = 2**20
 
@@ -67,7 +71,6 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._tau = None
-        self._bsgs = None
         self._trace_table = None
         self._trace_basis = None
         m = max(self.order - 1, 1)
@@ -75,6 +78,11 @@ class FieldCtx:
         self._cofactors = None
         self._coprime_s = None
         self._normal_image = {}
+        # Data the characters layer derives once per field, by key: "bsgs"
+        # (baby-step/giant-step tables), "prim_dd" and "norm_dd" (divisor
+        # data of the divisor-dependent indicators), "expsum_inner" (the
+        # inner sums of the direct exponential-sum oracle).
+        self.char_cache: dict = {}
         self._mod_bits = None
         if self.p == 2 and self.k == 1:
             bits = 0
@@ -111,40 +119,23 @@ class FieldCtx:
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        q = self.q
-        fq = self.fq
-        val, mult = 0, 1
-        for _ in range(self.n):
-            val += fq.add(a % q, b % q) * mult
-            a //= q
-            b //= q
-            mult *= q
-        return val
+        return _add_digits(self.p, a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
-        q = self.q
-        fq = self.fq
-        val, mult = 0, 1
-        for _ in range(self.n):
-            val += fq.neg(a % q) * mult
-            a //= q
-            mult *= q
-        return val
+        return _add_digits(self.p, 0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return _add_digits(self.p, a, b, -1)
 
     # -- multiplicative arithmetic ------------------------------------------
 
     def _ensure_red(self):
         if self._red is not None:
             return
-        from .polyfq import poly_mod
-
         # rows[j] = x^(n+j) mod ext_modulus, padded to n coefficients
         rows = []
         cur = poly_mod(self.fq, (0,) * self.n + (1,), self.ext_modulus)
@@ -341,7 +332,6 @@ class FieldCtx:
     def apply_linearized(self, r: Poly, a: int) -> int:
         """r∘α = Σ r_i·α^(q^i): the F_q[x]-module action via q-power Frobenius."""
         total = 0
-        cur = a
         for i, coeff in enumerate(r):
             if coeff:
                 term = self.mul(self.embed_base(coeff), self.frobenius(a, i) if i else a)
@@ -454,8 +444,6 @@ class FieldCtx:
     def coprime_s_polys(self) -> list[Poly]:
         """Units of F_q[x]/(x^n - 1), as polynomials of degree < n."""
         if self._coprime_s is None:
-            from .polyfq import poly_gcd, poly_trim
-
             xn1 = x_pow_n_minus_1(self.fq, self.n)
             out = []
             for enc in range(1, self.order):
@@ -479,10 +467,7 @@ class FieldCtx:
         return f"{self.p}^{self.k}:{self.n}"
 
     def format_element(self, a: int) -> str:
-        coords = self.decode(a)
-        if self.k == 1:
-            return ",".join(str(c) for c in coords)
-        return ",".join("/".join(str(d) for d in self.fq.digits(c)) for c in coords)
+        return format_poly(self.fq, self.decode(a))
 
     def parse_element(self, text: str) -> int:
         parts = [s.strip() for s in text.strip().split(",")]
@@ -493,23 +478,11 @@ class FieldCtx:
         coords = []
         for pos, part in enumerate(parts):
             try:
-                if "/" in part:
-                    digits = [int(x) % self.p for x in part.split("/")]
-                    if len(digits) > self.k:
-                        raise ValueError("too many F_p coordinates")
-                    coords.append(self.fq.from_digits(digits + [0] * (self.k - len(digits))))
-                else:
-                    val = int(part)
-                    if self.k == 1:
-                        val %= self.p
-                    elif not 0 <= val < self.q:
-                        raise ValueError("coordinate encoding out of range")
-                    coords.append(val)
+                coords.append(parse_coeff(self.fq, part))
             except ValueError as exc:
                 raise FieldSpecError(
                     f"bad coordinate {part!r}: {exc}", text=text, position=pos
                 ) from None
-        coords += [0] * (self.n - len(coords))
         return self.encode(coords)
 
     def __repr__(self):
@@ -539,7 +512,7 @@ def build_field(
         raise ResourceLimitError(f"field F_{p}^{k * n} exceeds the 2^63 cap")
     fq = SmallField(p, k, modulus=base_modulus)
     if ext_modulus is None:
-        ext_modulus = _canonical_ext_modulus(fq, n)
+        ext_modulus = first_irreducible(fq, n)
     else:
         if fq.k == 1:
             ext_modulus = tuple(c % fq.q for c in ext_modulus)
@@ -554,13 +527,6 @@ def build_field(
     mult_fact = factorize(order - 1) if order > 2 else Factorization(entries=(), value=1)
     add_fact = factor_x_n_minus_1_over(fq, n)
     return FieldCtx(fq, n, ext_modulus, mult_fact, add_fact)
-
-
-def _canonical_ext_modulus(fq: SmallField, n: int) -> Poly:
-    for f in monic_polys(fq, n):
-        if is_irreducible(fq, f):
-            return f
-    raise ConsistencyError(f"no irreducible of degree {n} over F_{fq.q}")
 
 
 @functools.lru_cache(maxsize=None)

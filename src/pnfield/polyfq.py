@@ -13,11 +13,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
+from . import smallfield
 from .errors import ConsistencyError, FieldSpecError
-from .numtheory import divisors, euler_phi, is_prime_power, multiplicative_order
+from .numtheory import divisors, euler_phi, factorize, is_prime_power, multiplicative_order
 from .seeds import rng_for
-from .smallfield import SmallField, canonical_field
+
+if TYPE_CHECKING:
+    from .smallfield import SmallField
 
 Poly = tuple
 
@@ -188,8 +192,6 @@ def is_irreducible(fq: SmallField, f: Poly) -> bool:
 
 
 def _rabin_irreducible(fq: SmallField, f: Poly) -> bool:
-    from .numtheory import factorize
-
     d = poly_deg(f)
     x_poly: Poly = (0, 1)
     x_mod = poly_mod(fq, x_poly, f)
@@ -202,6 +204,15 @@ def _rabin_irreducible(fq: SmallField, f: Poly) -> bool:
             if poly_deg(g) != 0:
                 return False
     return cur == x_mod
+
+
+def first_irreducible(fq: SmallField, d: int) -> Poly:
+    """First monic irreducible of degree d in monic_polys order: the
+    lexicographically smallest, coefficients compared low-to-high."""
+    for f in monic_polys(fq, d):
+        if is_irreducible(fq, f):
+            return f
+    raise ConsistencyError(f"no irreducible of degree {d} over F_{fq.q}")
 
 
 @dataclass(frozen=True)
@@ -324,7 +335,7 @@ def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
 
 def factor_x_n_minus_1(q: int, n: int) -> PolyFactorization:
     """Factor x^n - 1 over the canonical F_q."""
-    return factor_x_n_minus_1_over(canonical_field(q), n)
+    return factor_x_n_minus_1_over(smallfield.canonical_field(q), n)
 
 
 @dataclass(frozen=True)
@@ -370,18 +381,23 @@ def cyclotomic_factor_counts(q: int, n: int) -> CyclotomicProfile:
     return CyclotomicProfile(q=q, n=n, m=m, p_exponent=pv, rows=tuple(rows))
 
 
-def poly_phi(fact: PolyFactorization) -> int:
-    """Φ_q(f) = N(f)·Π(1 - N(r)^-1) over distinct irreducible factors r.
+def phi_from_degrees(q: int, degree_exponents) -> int:
+    """Φ_q of the polynomial Π r_i^(e_i) with deg r_i given as (deg, e) pairs.
 
     Exact integers throughout: multiplicatively, Φ_q(r^e) counts
-    N(r)^e - N(r)^(e-1) residues coprime to r^e.
+    N(r)^e - N(r)^(e-1) residues coprime to r^e; pairs with e = 0 add nothing.
     """
-    q = fact.fq.q
     result = 1
-    for factor, exp in fact.entries:
-        nr = q ** poly_deg(factor)
-        result *= nr ** (exp - 1) * (nr - 1)
+    for deg, exp in degree_exponents:
+        if exp:
+            nr = q**deg
+            result *= nr ** (exp - 1) * (nr - 1)
     return result
+
+
+def poly_phi(fact: PolyFactorization) -> int:
+    """Φ_q(f) = N(f)·Π(1 - N(r)^-1) over distinct irreducible factors r."""
+    return phi_from_degrees(fact.fq.q, ((poly_deg(f), e) for f, e in fact.entries))
 
 
 def poly_mobius(fact: PolyFactorization) -> int:
@@ -452,6 +468,22 @@ def format_poly(fq: SmallField, f: Poly) -> str:
     return ",".join("/".join(str(d) for d in fq.digits(c)) for c in f)
 
 
+def parse_coeff(fq: SmallField, part: str) -> int:
+    """One F_q coefficient: slashed F_p digits, or a plain integer encoding
+    (reduced mod p when k = 1); raises ValueError on malformed text."""
+    if "/" in part:
+        digits = [int(x) for x in part.split("/")]
+        if len(digits) > fq.k:
+            raise ValueError("too many F_p coordinates")
+        return fq.from_digits(digits)
+    val = int(part)
+    if fq.k == 1:
+        return val % fq.p
+    if not 0 <= val < fq.q:
+        raise ValueError("coordinate encoding out of range")
+    return val
+
+
 def parse_poly(fq: SmallField, text: str) -> Poly:
     """Inverse of format_poly; accepts plain integer encodings for any k."""
     text = text.strip()
@@ -461,18 +493,7 @@ def parse_poly(fq: SmallField, text: str) -> Poly:
     for pos, part in enumerate(text.split(",")):
         part = part.strip()
         try:
-            if "/" in part:
-                digits = [int(x) for x in part.split("/")]
-                if len(digits) > fq.k:
-                    raise ValueError("too many coordinates")
-                coeffs.append(fq.from_digits(digits + [0] * (fq.k - len(digits))))
-            else:
-                val = int(part)
-                if fq.k == 1:
-                    val %= fq.p
-                elif not 0 <= val < fq.q:
-                    raise ValueError("encoding out of range")
-                coeffs.append(val)
+            coeffs.append(parse_coeff(fq, part))
         except ValueError as exc:
             raise FieldSpecError(
                 f"bad coefficient {part!r}: {exc}", text=text, position=pos

@@ -2,75 +2,37 @@
 
 Elements are integers in [0, q) encoding the F_p coordinate vector in base p
 (low coordinate in the low digit).  Prime fields (k = 1) use direct modular
-arithmetic; proper extensions precompute q x q multiplication tables, which
-caps them at q <= 512 — ample for desk scale.
+arithmetic.  For proper extensions the polynomial work (the modulus search,
+the irreducibility check of a supplied modulus, and the powers of the first
+primitive element g) is done by polyfq over the prime field; the q x q
+multiplication and inverse tables are then read off the exp/log tables of g.
+The tables cap proper extensions at q <= 512, ample for desk scale.
 """
 
 from __future__ import annotations
 
 import functools
 
+from . import polyfq
 from .errors import ConsistencyError, ResourceLimitError
-from .numtheory import is_prime, is_prime_power
+from .numtheory import factorize, is_prime, is_prime_power
 
 _TABLE_CAP = 512
 
 
-def _fp_trim(f):
-    while f and f[-1] == 0:
-        f.pop()
-    return f
+def _add_digits(p: int, a: int, b: int, sign: int = 1) -> int:
+    """Digit-wise a + sign·b mod p of two base-p digit vectors (sign is ±1).
 
-
-def _fp_mul(p, a, b):
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _fp_trim(out)
-
-
-def _fp_divmod(p, a, b):
-    a = list(a)
-    db = len(b) - 1
-    inv_lead = pow(b[-1], p - 2, p)
-    quot = [0] * max(0, len(a) - db)
-    while len(a) - 1 >= db and a:
-        shift = len(a) - 1 - db
-        c = a[-1] * inv_lead % p
-        quot[shift] = c
-        for i, bi in enumerate(b):
-            a[shift + i] = (a[shift + i] - c * bi) % p
-        _fp_trim(a)
-    return _fp_trim(quot), a
-
-
-def _fp_monic_polys(p, d):
-    """Monic degree-d polynomials over F_p, low coefficients cycling fastest."""
-    for enc in range(p**d):
-        coeffs = []
-        e = enc
-        for _ in range(d):
-            coeffs.append(e % p)
-            e //= p
-        coeffs.append(1)
-        yield coeffs
-
-
-def _fp_is_irreducible(p, f):
-    d = len(f) - 1
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    for dd in range(1, d // 2 + 1):
-        for g in _fp_monic_polys(p, dd):
-            if not _fp_divmod(p, f, g)[1]:
-                return False
-    return True
+    Elements of F_q and of F_{q^n} are both base-p digit vectors, so this one
+    loop serves add, sub and neg on every floor of the tower.
+    """
+    val, mult = 0, 1
+    while a or b:
+        val += (a + sign * b) % p * mult
+        a //= p
+        b //= p
+        mult *= p
+    return val
 
 
 class SmallField:
@@ -88,12 +50,14 @@ class SmallField:
         self.k = k
         self.q = p**k
         if modulus is None:
-            modulus = self._canonical_modulus(p, k)
+            # lexicographically smallest monic irreducible, coefficients
+            # compared low-to-high as integers; for k = 1 the polynomial y
+            modulus = (0, 1) if k == 1 else polyfq.first_irreducible(canonical_field(p), k)
         else:
             modulus = tuple(c % p for c in modulus)
             if len(modulus) != k + 1 or modulus[-1] != 1:
                 raise ValueError(f"base modulus must be monic of degree {k}")
-            if not _fp_is_irreducible(p, list(modulus)):
+            if not polyfq.is_irreducible(canonical_field(p), modulus):
                 raise ValueError(f"base modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
         self._mul_table = None
@@ -102,15 +66,6 @@ class SmallField:
             raise ResourceLimitError(
                 f"F_{self.q} coefficient field exceeds the table cap {_TABLE_CAP}"
             )
-
-    @staticmethod
-    def _canonical_modulus(p, k):
-        # Lexicographically smallest monic irreducible, coefficients compared
-        # low-to-high as integers; for k = 1 this is the polynomial y itself.
-        for f in _fp_monic_polys(p, k):
-            if _fp_is_irreducible(p, f):
-                return tuple(f)
-        raise ConsistencyError(f"no irreducible of degree {k} over F_{p}")
 
     def __repr__(self):
         return f"SmallField(p={self.p}, k={self.k})"
@@ -133,52 +88,54 @@ class SmallField:
             return a ^ b
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        val, mult = 0, 1
-        for _ in range(self.k):
-            val += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return val
+        return _add_digits(self.p, a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.k == 1:
             return (-a) % self.p
-        p = self.p
-        val, mult = 0, 1
-        for _ in range(self.k):
-            val += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return val
+        return _add_digits(self.p, 0, a, -1)
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
     def _ensure_tables(self):
-        if self._mul_table is not None:
-            return
-        q, p = self.q, self.p
-        mod = list(self.modulus)
-        table = [0] * (q * q)
-        for a in range(q):
-            pa = _fp_trim(self.digits(a))
-            for b in range(a, q):
-                pb = _fp_trim(self.digits(b))
-                prod = _fp_mul(p, pa, pb)
-                _, rem = _fp_divmod(p, prod, mod) if len(prod) > self.k else ([], prod)
-                v = self.from_digits(rem + [0] * (self.k - len(rem)))
-                table[a * q + b] = v
-                table[b * q + a] = v
-        inv = [0] * q
+        if self._mul_table is None:
+            self._build_tables()
+
+    def _build_tables(self):
+        """q x q products and inverses from the powers of the first primitive
+        element g: a·b = g^(log a + log b) and a^-1 = g^(-log a).
+
+        Kept apart from _ensure_tables, which runs on every product: the
+        closures here would cost it a cell allocation per variable per call.
+        """
+        q, m = self.q, self.q - 1
+        fp = canonical_field(self.p)
+        mod = self.modulus
+        primes = factorize(m).primes()
+        for g in range(1, q):
+            gpoly = polyfq.poly_trim(self.digits(g))
+            if all(polyfq.poly_pow_mod(fp, gpoly, m // r, mod) != polyfq.ONE for r in primes):
+                break
+        else:
+            raise ConsistencyError(f"no primitive element in F_{q}")
+        exp = [0] * (2 * m)
+        log = [0] * q
+        cur = polyfq.ONE
+        for i in range(m):
+            a = self.from_digits(cur)
+            exp[i] = exp[i + m] = a
+            log[a] = i
+            cur = polyfq.poly_mod(fp, polyfq.poly_mul(fp, cur, gpoly), mod)
+        logs = log[1:]
+        table = [0] * q
         for a in range(1, q):
-            row = table[a * q : a * q + q]
-            inv[a] = row.index(1)
+            la = log[a]
+            table += [0] + [exp[la + lb] for lb in logs]
         self._mul_table = table
-        self._inv_table = inv
+        self._inv_table = [0] + [exp[m - la] for la in logs]
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:

@@ -11,12 +11,10 @@ import json
 import math
 from dataclasses import dataclass
 
-from .errors import ConsistencyError, ResourceLimitError
+from .errors import DEFAULT_BUDGET, ConsistencyError, ResourceLimitError
 from .field import FieldCtx
-from .polyfq import Poly
+from .polyfq import Poly, poly_sub
 from .seeds import rng_for
-
-DEFAULT_BUDGET = 2**24
 
 
 def hamming_weight(r: Poly) -> int:
@@ -40,14 +38,10 @@ def height(ctx: FieldCtx, r: Poly) -> int:
 
 
 def poly_distance_weight(ctx: FieldCtx, r: Poly, s: Poly) -> int:
-    from .polyfq import poly_sub
-
     return hamming_weight(poly_sub(ctx.fq, s, r))
 
 
 def poly_distance_height(ctx: FieldCtx, r: Poly, s: Poly) -> int:
-    from .polyfq import poly_sub
-
     return height(ctx, poly_sub(ctx.fq, s, r))
 
 
@@ -189,10 +183,15 @@ def materialize(ctx: FieldCtx, spec: SubsetSpec, budget: int = DEFAULT_BUDGET) -
     return elems
 
 
+def _threshold(ctx: FieldCtx, epsilon: float, multiplier: float) -> float:
+    """multiplier · log(q^n) · (loglog q^n)^(1+ε), unrounded."""
+    logqn = math.log(ctx.order)
+    return multiplier * logqn * math.log(logqn) ** (1.0 + epsilon)
+
+
 def threshold_size(ctx: FieldCtx, epsilon: float, multiplier: float = 1.0) -> int:
     """ceil(multiplier · log(q^n) · (loglog q^n)^(1+ε)), clamped to >= 1."""
-    logqn = math.log(ctx.order)
-    return max(1, math.ceil(multiplier * logqn * math.log(logqn) ** (1.0 + epsilon)))
+    return max(1, math.ceil(_threshold(ctx, epsilon, multiplier)))
 
 
 @dataclass(frozen=True)
@@ -239,12 +238,11 @@ def search_primitive_normal(
     ops_before = ctx.op_count
     witnesses = tuple(a for a in members if a and ctx.is_primitive_normal(a))
     ops = ctx.op_count - ops_before
-    threshold = multiplier * math.log(ctx.order) * math.log(math.log(ctx.order)) ** (1.0 + epsilon)
     return SearchReport(
         field=ctx.spec_string(),
         subset_size=len(members),
         witnesses=witnesses,
-        threshold_size=threshold,
+        threshold_size=_threshold(ctx, epsilon, multiplier),
         hit=bool(witnesses),
         op_count=ops,
     )

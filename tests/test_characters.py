@@ -7,7 +7,7 @@ import math
 import pytest
 
 from pnfield import characters as ch
-from pnfield.field import get_field
+from pnfield.field import build_field, get_field
 from pnfield.numtheory import euler_phi
 
 
@@ -312,3 +312,20 @@ def test_subsum_partition_matches_literal_quadruple_sum():
             assert abs(got.imag) < 1e-6
             assert got.real == pytest.approx(want, abs=1e-6)
         assert sum(p.real for p in parts) == pytest.approx(pn, abs=1e-6)
+
+
+def test_character_caches_stay_in_the_context_cache():
+    ctx = build_field(3, 1, 2)
+    before = set(vars(ctx))
+    tau = ctx.reference_tau
+    for a in range(1, ctx.order):
+        ch.indicator_primitive_dd(ctx, a)
+        ch.indicator_primitive_df(ctx, a)
+        ch.indicator_normal_dd(ctx, a)
+        ch.indicator_normal_df(ctx, a, tau)
+        ch.discrete_log_bsgs(ctx, a)
+        if not ctx.is_primitive(a):
+            ch.primitive_exp_sum_direct(ctx, a)
+    ch.gauss_sum(ctx, 1, 1)
+    assert set(vars(ctx)) == before
+    assert set(ctx.char_cache) == {"bsgs", "prim_dd", "norm_dd", "expsum_inner"}

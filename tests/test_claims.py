@@ -27,6 +27,15 @@ def test_integer_claims_all_pass():
     assert "fails" in by_id["exercise-phi-subfield-sum"].detail
 
 
+def test_phi_product_normalization_folds_every_sample():
+    # φ(m)/D·Π(1 + 1/(r-1)) over primes r | m = q^n - 1 equals m/D: 1 with
+    # D = q^n - 1 on every sample, and never 1 with D = q^n
+    results = claims.integer_claims(seed=1, phi_limit=100, pair_trials=10)
+    rec = {r.claim_id: r for r in results}["exercise-phi-product-normalization"]
+    assert rec.status == claims.REPORTED
+    assert rec.detail == "denominator q^n-1 holds: True; denominator q^n holds: False"
+
+
 def test_poly_claims_statuses():
     results = claims.poly_claims(5, 4)
     by_id = {r.claim_id: r for r in results}

@@ -1,5 +1,6 @@
 """Polynomial arithmetic over F_q and the polynomial-side totients."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -145,18 +146,34 @@ def test_monic_divisor_enumeration_matches_sigma():
         assert pf.poly_sigma(fact) == sum(q ** pf.poly_deg(d) for d in divs)
 
 
+def _divisor_factorization(fact, d):
+    """Certified factorization of a monic divisor d, found by trial division."""
+    entries = []
+    for factor, _ in fact.entries:
+        rest, e = d, 0
+        quot, rem = pf.poly_divmod(fact.fq, rest, factor)
+        while not rem:
+            rest, e = quot, e + 1
+            quot, rem = pf.poly_divmod(fact.fq, rest, factor)
+        if e:
+            entries.append((factor, e))
+    return pf.PolyFactorization(fq=fact.fq, entries=tuple(entries), value=d)
+
+
 def test_phi_divisor_sum_is_q_to_n():
     # Σ over monic d | x^n-1 of Φ_q(d) = q^n  (the exercise's Φ(x^n-1) variant fails)
-    from pnfield.claims import _factorization_of_divisor, _phi_of_entries
-
     for q, n in [(2, 4), (2, 6), (3, 4), (5, 3), (4, 4), (2, 12)]:
         fact = pf.factor_x_n_minus_1(q, n)
-        total = sum(
-            _phi_of_entries(q, _factorization_of_divisor(fact, d))
-            for d in pf.monic_divisors(fact)
-        )
+        total = sum(pf.poly_phi(_divisor_factorization(fact, d)) for d in pf.monic_divisors(fact))
         assert total == q**n
         assert total != pf.poly_phi(fact)  # the conjectured self-sum identity is false
+        # the exponent-vector form the claim suite uses gives the same sum
+        degrees = [pf.poly_deg(f) for f, _ in fact.entries]
+        by_exponents = sum(
+            pf.phi_from_degrees(q, zip(degrees, exps))
+            for exps in itertools.product(*(range(e + 1) for _, e in fact.entries))
+        )
+        assert by_exponents == total
 
 
 def test_poly_phi_integer_formula():

@@ -1,5 +1,7 @@
 """Coefficient-field arithmetic and the canonical modulus choice."""
 
+import random
+
 import pytest
 
 from pnfield.smallfield import SmallField, canonical_field
@@ -33,8 +35,6 @@ def test_extension_field_axioms():
             if a:
                 assert fq.mul(a, fq.inv(a)) == 1
         # spot associativity/distributivity
-        import random
-
         rng = random.Random(1)
         for _ in range(200):
             a, b, c = (rng.randrange(q) for _ in range(3))
@@ -61,3 +61,47 @@ def test_digit_roundtrip():
     f9 = SmallField(3, 2)
     for a in range(9):
         assert f9.from_digits(f9.digits(a)) == a
+
+
+def _small_extensions():
+    """Every (p, k) with k >= 2 and p^k within the 512 table cap."""
+    return [(p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19) for k in range(2, 10) if p**k <= 512]
+
+
+@pytest.mark.parametrize("p,k", _small_extensions())
+def test_tables_match_sympy(p, k):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    zz = pytest.importorskip("sympy.polys.domains").ZZ
+
+    fq = SmallField(p, k)
+    q = fq.q
+    mod = list(reversed(fq.modulus))  # sympy lists run high to low
+
+    def to_gf(a):
+        return gt.gf_strip(list(reversed(fq.digits(a))))
+
+    assert gt.gf_irreducible_p(mod, p, zz)
+    if q <= 64:
+        # every monic degree-k polynomial, in enumeration order: supplied
+        # moduli are accepted exactly when irreducible, and the canonical
+        # modulus is the first irreducible one
+        first = fq.from_digits(fq.modulus[:-1])
+        for enc in range(q):
+            coeffs = tuple(fq.digits(enc)) + (1,)
+            irreducible = gt.gf_irreducible_p(list(reversed(coeffs)), p, zz)
+            if enc < first:
+                assert not irreducible
+            if irreducible:
+                assert SmallField(p, k, modulus=coeffs).modulus == coeffs
+            else:
+                with pytest.raises(ValueError):
+                    SmallField(p, k, modulus=coeffs)
+        pairs = [(a, b) for a in range(q) for b in range(q)]
+    else:
+        rng = random.Random(p * 1000 + k)
+        pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    for a, b in pairs:
+        expected = gt.gf_rem(gt.gf_mul(to_gf(a), to_gf(b), p, zz), mod, p, zz)
+        assert to_gf(fq.mul(a, b)) == expected
+        if a:
+            assert gt.gf_rem(gt.gf_mul(to_gf(a), to_gf(fq.inv(a)), p, zz), mod, p, zz) == [1]
