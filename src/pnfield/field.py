@@ -7,15 +7,25 @@ over F_q in base q (low coordinate in the low digit); each F_q coordinate is
 itself a base-p digit vector.  Enumeration order is plain integer order, which
 makes every "first witness" deterministic.
 
-Multiplication runs through exp/log tables built from the reference primitive
-normal element once the context is warmed up; before that (and above the
-table cap) a schoolbook polynomial product with cached reduction rows is used,
-with a carry-less fast path for prime binary fields.
+Up to the table cap a whole-field pass classifies every element at once: the
+powers of the first primitive element g give the primitive mask by a sieve on
+exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the normal mask is
+the complement of the union of the kernels of the cofactors (x^n - 1)/r(x),
+each found by linear algebra over F_p.  The reference primitive normal element
+τ is the first element set in both masks, and the exp/log tables of τ are read
+off the powers of g.  Above the cap τ is found by testing one element at a
+time.
+
+Multiplication runs through the exp/log tables of τ once the context is warmed
+up; before that (and above the table cap) a schoolbook polynomial product with
+cached reduction rows is used, with a carry-less fast path for prime binary
+fields.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 
 from .errors import ConsistencyError, FieldSpecError, ResourceLimitError
@@ -39,6 +49,11 @@ from .polyfq import (
 from .smallfield import SmallField, _add_digits
 
 _TABLE_CAP = 2**20
+
+
+def _mask_int(mask: bytearray) -> int:
+    """A 0/1 byte mask as one integer: byte a holds bit 8a."""
+    return int.from_bytes(mask, "little")
 
 
 class FieldCtx:
@@ -71,6 +86,12 @@ class FieldCtx:
         self._exp = None
         self._log = None
         self._tau = None
+        # left by the whole-field pass: the powers of the first primitive
+        # element (until ensure_tables turns them into the tables of τ) and
+        # the primitive and normal masks over all elements
+        self._exp_g = None
+        self._prim_mask = None
+        self._norm_mask = None
         self._trace_table = None
         self._trace_basis = None
         m = max(self.order - 1, 1)
@@ -165,13 +186,14 @@ class FieldCtx:
         fq = self.fq
         n = self.n
         da = self.decode(a)
-        db = self.decode(b)
+        # zero coordinates of either factor cost nothing in the inner loop,
+        # so a sparse b (such as g) is as cheap as a sparse a
+        nz_b = [(j, bj) for j, bj in enumerate(self.decode(b)) if bj]
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(da):
             if ai:
-                for j, bj in enumerate(db):
-                    if bj:
-                        prod[i + j] = fq.add(prod[i + j], fq.mul(ai, bj))
+                for j, bj in nz_b:
+                    prod[i + j] = fq.add(prod[i + j], fq.mul(ai, bj))
         for j in range(2 * n - 2, n - 1, -1):
             c = prod[j]
             if c:
@@ -214,40 +236,142 @@ class FieldCtx:
     # -- reference element and tables ----------------------------------------
 
     def find_reference_primitive_normal(self) -> int:
-        """First element in enumeration order passing both tests."""
-        if self._tau is not None:
-            return self._tau
-        for a in range(1, self.order):
-            if self.is_normal(a) and self.is_primitive(a):
-                self._tau = a
-                return a
-        raise ConsistencyError(
-            f"no primitive normal element found in F_{self.q}^{self.n}"
-        )
+        """First element in enumeration order passing both tests.
+
+        Up to the table cap it is the first element set in both masks of the
+        whole-field pass; above the cap elements are tested one at a time.
+        """
+        if self._tau is None:
+            if self.order <= _TABLE_CAP:
+                self._whole_field_pass()
+            else:
+                self._tau = next(
+                    (a for a in range(1, self.order)
+                     if self.is_normal(a) and self.is_primitive(a)), None)
+            if self._tau is None:
+                raise ConsistencyError(
+                    f"no primitive normal element found in F_{self.q}^{self.n}"
+                )
+        return self._tau
+
+    def _whole_field_pass(self):
+        """Classify every element at once and set τ (order <= table cap).
+
+        The normal mask comes first so that the kernel lists are freed before
+        the powers of g are built.
+        """
+        order, m = self.order, self.order - 1
+        norm = bytearray([1]) * order
+        norm[0] = 0
+        self._ensure_cofactors()
+        for _, cof in self._cofactors:
+            for a in self._kernel(cof):
+                norm[a] = 0
+        g = next(a for a in range(1, order) if self.is_primitive(a))
+        exp_g = [0] * m
+        cur = 1
+        for i in range(m):
+            exp_g[i] = cur
+            cur = self._mul_poly(cur, g)
+        if cur != 1:
+            raise ConsistencyError(f"first primitive element {g} has order below {m}")
+        sieve = bytearray([1]) * m
+        for r in self.mult_factorization.primes():
+            sieve[::r] = bytes(len(range(0, m, r)))
+        prim = bytearray(order)
+        for e in itertools.compress(range(m), sieve):
+            prim[exp_g[e]] = 1
+        both = _mask_int(prim) & _mask_int(norm)
+        if both:
+            self._tau = ((both & -both).bit_length() - 1) // 8
+        self._exp_g = exp_g
+        self._prim_mask = prim
+        self._norm_mask = norm
+
+    def _kernel(self, r: Poly) -> list[int]:
+        """Every α with r∘α = 0, by Gaussian elimination over F_p on the
+        images of the kn base-p unit vectors."""
+        p, dim = self.p, self.k * self.n
+        images = [self.apply_linearized(r, p**j) for j in range(dim)]
+        rows = [[img // p**i % p for img in images] for i in range(dim)]
+        pivots = []
+        for col in range(dim):
+            rank = len(pivots)
+            piv = next((i for i in range(rank, dim) if rows[i][col]), None)
+            if piv is None:
+                continue
+            rows[rank], rows[piv] = rows[piv], rows[rank]
+            inv = pow(rows[rank][col], p - 2, p)
+            top = rows[rank] = [v * inv % p for v in rows[rank]]
+            for i in range(dim):
+                c = rows[i][col]
+                if c and i != rank:
+                    rows[i] = [(v - c * t) % p for v, t in zip(rows[i], top)]
+            pivots.append(col)
+        span = [0]
+        for free in range(dim):
+            if free in pivots:
+                continue
+            v = p**free
+            for i, col in enumerate(pivots):
+                v += -rows[i][free] % p * p**col
+            if p == 2:
+                span += [s ^ v for s in span]
+                continue
+            multiples = [v]
+            for _ in range(p - 2):
+                multiples.append(_add_digits(p, multiples[-1], v))
+            span += [_add_digits(p, s, w) for w in multiples for s in span]
+        return span
 
     @property
     def reference_tau(self) -> int:
         return self.find_reference_primitive_normal()
 
     def ensure_tables(self):
-        """Build exp/log tables from the reference element."""
+        """Build the exp/log tables of the reference element τ, up to the cap.
+
+        exp[i] = τ^i and log[τ^i] = i.  With t = log_g τ for the first
+        primitive element g of the whole-field pass, τ^i = g^(i·t mod m), so
+        the tables are read off the powers of g, which are then dropped.
+        """
         if self._log is not None:
             return
         if self.order > _TABLE_CAP:
             return
         tau = self.reference_tau
+        exp_g, self._exp_g = self._exp_g, None
         m = self.order - 1
-        exp = [0] * m
-        log = [0] * self.order
-        cur = 1
-        for i in range(m):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_poly(cur, tau)
-        if cur != 1:
+        t = exp_g.index(tau)
+        if math.gcd(t, m) != 1:
             raise ConsistencyError("reference element is not primitive")
+        exp = [exp_g[i * t % m] for i in range(m)]
+        del exp_g
+        log = [0] * self.order
+        for i, a in enumerate(exp):
+            log[a] = i
         self._exp = exp
         self._log = log
+
+    def class_counts(self) -> tuple[int, int, int]:
+        """(#primitive, #normal, #primitive normal) over the whole field.
+
+        Up to the table cap they are read off the masks of the whole-field
+        pass; above it every element is tested.
+        """
+        if self.order <= _TABLE_CAP:
+            self.find_reference_primitive_normal()
+            prim, norm = self._prim_mask, self._norm_mask
+            both = _mask_int(prim) & _mask_int(norm)
+            return prim.count(1), norm.count(1), both.bit_count()
+        num_prim = num_norm = num_pn = 0
+        for a in range(1, self.order):
+            prim = self.is_primitive(a)
+            norm = self.is_normal(a)
+            num_prim += prim
+            num_norm += norm
+            num_pn += prim and norm
+        return num_prim, num_norm, num_pn
 
     @property
     def log_table(self):

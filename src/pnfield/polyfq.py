@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from . import smallfield
 from .errors import ConsistencyError, FieldSpecError
-from .numtheory import divisors, euler_phi, factorize, is_prime_power, multiplicative_order
+from .numtheory import divisors, euler_phi, is_prime_power, multiplicative_order
 from .seeds import rng_for
 
 if TYPE_CHECKING:
@@ -171,8 +171,8 @@ def is_irreducible(fq: SmallField, f: Poly) -> bool:
 
     Exhaustive divisor scan up to degree deg(f)/2 while the candidate count
     stays desk-sized (this covers every degree <= 3 case); above that, the
-    Rabin criterion: x^(q^d) = x mod f and gcd(x^(q^(d/r)) - x, f) = 1 for
-    every prime r | d.  Both routes are exact, never probabilistic.
+    Ben-Or distinct-degree test: gcd(x^(q^j) - x, f) = 1 for every
+    j <= deg(f)/2.  Both routes are exact, never probabilistic.
     """
     d = poly_deg(f)
     if d <= 0:
@@ -188,22 +188,20 @@ def is_irreducible(fq: SmallField, f: Poly) -> bool:
                 if not poly_divmod(fq, f, g)[1]:
                     return False
         return True
-    return _rabin_irreducible(fq, f)
+    return _ben_or_irreducible(fq, f)
 
 
-def _rabin_irreducible(fq: SmallField, f: Poly) -> bool:
-    d = poly_deg(f)
+def _ben_or_irreducible(fq: SmallField, f: Poly) -> bool:
+    """f (degree >= 1) is irreducible iff no x^(q^j) - x with j <= deg(f)/2
+    shares a factor with it; a reducible f is rejected at the smallest degree
+    of its irreducible factors."""
     x_poly: Poly = (0, 1)
-    x_mod = poly_mod(fq, x_poly, f)
-    need = {d // r for r in factorize(d).primes()}
-    cur = x_mod
-    for j in range(1, d + 1):
+    cur = poly_mod(fq, x_poly, f)
+    for _ in range(poly_deg(f) // 2):
         cur = poly_pow_mod(fq, cur, fq.q, f)
-        if j in need:
-            g = poly_gcd(fq, poly_sub(fq, cur, x_poly), f)
-            if poly_deg(g) != 0:
-                return False
-    return cur == x_mod
+        if poly_deg(poly_gcd(fq, poly_sub(fq, cur, x_poly), f)) != 0:
+            return False
+    return True
 
 
 def first_irreducible(fq: SmallField, d: int) -> Poly:

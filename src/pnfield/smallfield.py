@@ -100,16 +100,12 @@ class SmallField:
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
 
-    def _ensure_tables(self):
-        if self._mul_table is None:
-            self._build_tables()
-
     def _build_tables(self):
         """q x q products and inverses from the powers of the first primitive
         element g: a·b = g^(log a + log b) and a^-1 = g^(-log a).
 
-        Kept apart from _ensure_tables, which runs on every product: the
-        closures here would cost it a cell allocation per variable per call.
+        Built on the first product or inverse; mul and inv read the tables
+        directly afterwards, so a product costs no further call.
         """
         q, m = self.q, self.q - 1
         fp = canonical_field(self.p)
@@ -140,15 +136,19 @@ class SmallField:
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        self._ensure_tables()
-        return self._mul_table[a * self.q + b]
+        table = self._mul_table
+        if table is None:
+            self._build_tables()
+            table = self._mul_table
+        return table[a * self.q + b]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("0 has no inverse")
         if self.k == 1:
             return pow(a, self.p - 2, self.p)
-        self._ensure_tables()
+        if self._inv_table is None:
+            self._build_tables()
         return self._inv_table[a]
 
     def pow(self, a: int, e: int) -> int:

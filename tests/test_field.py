@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+from pnfield.claims import enumerate_field_specs
+from pnfield.counting import exact_counts
 from pnfield.errors import ResourceLimitError
 from pnfield.field import build_field, get_field, parse_field_spec
 from pnfield.numtheory import euler_phi
@@ -227,6 +229,44 @@ def test_exp_log_table_consistency():
             a = rng.randrange(ctx.order)
             b = rng.randrange(ctx.order)
             assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+
+
+def test_whole_field_pass_matches_per_element_tests():
+    # the pass runs on one fresh context, the per-element oracle on another
+    for p, k, n in enumerate_field_specs(4, 4096):
+        ctx = build_field(p, k, n)
+        oracle = build_field(p, k, n)
+        tau = ctx.reference_tau
+        prim, norm = ctx._prim_mask, ctx._norm_mask
+        assert len(prim) == len(norm) == ctx.order
+        assert prim[0] == norm[0] == 0
+        first = None
+        for a in range(1, ctx.order):
+            is_prim = oracle.is_primitive(a)
+            is_norm = oracle.is_normal(a, method="rank")
+            assert prim[a] == is_prim, (ctx, a)
+            assert norm[a] == is_norm, (ctx, a)
+            if first is None and is_prim and is_norm:
+                first = a
+        assert tau == first, ctx
+        ctx.ensure_tables()
+        cur = 1
+        for i in range(ctx.order - 1):
+            assert ctx._exp[i] == cur and ctx._log[cur] == i, (ctx, i)
+            cur = oracle._mul_poly(cur, tau)
+        assert cur == 1
+
+
+@pytest.mark.parametrize("spec,counts,tau", [
+    ((5, 1, 6), (9216, 2568), 6),
+    ((3, 3, 3), (18954, 8748), 732),
+])
+def test_exact_counts_pinned(spec, counts, tau):
+    ctx = build_field(*spec)
+    rec = exact_counts(ctx)
+    assert rec.num_primitive == euler_phi(ctx.order - 1)
+    assert (rec.num_normal, rec.num_primitive_normal) == counts
+    assert ctx.reference_tau == tau
 
 
 def test_element_text_roundtrip():

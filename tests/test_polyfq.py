@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from pnfield import polyfq as pf
-from pnfield.numtheory import euler_phi
+from pnfield.numtheory import divisors, euler_phi, mobius
 from pnfield.smallfield import SmallField, canonical_field
 
 
@@ -211,3 +211,42 @@ def test_irreducibility_check():
     assert not pf.is_irreducible(f2, (1, 0, 1))  # (x+1)^2
     assert pf.is_irreducible(f2, (1, 1, 0, 0, 1))  # x^4+x+1
     assert not pf.is_irreducible(f2, (1,))
+
+
+@pytest.mark.parametrize("q", [3, 4])
+def test_ben_or_counts_degree_six(q):
+    # the helper directly, past the exhaustive shortcut for small candidate
+    # counts: irreducible monic sextics number (1/6)·Σ_{e|6} μ(6/e)·q^e
+    fq = canonical_field(q)
+    found = [f for f in pf.monic_polys(fq, 6) if pf._ben_or_irreducible(fq, f)]
+    assert len(found) == sum(mobius(6 // e) * q**e for e in divisors(6)) // 6
+    if q == 3:
+        gt = pytest.importorskip("sympy.polys.galoistools")
+        zz = pytest.importorskip("sympy.polys.domains").ZZ
+        expected = [f for f in pf.monic_polys(fq, 6)
+                    if gt.gf_irreducible_p(list(reversed(f)), 3, zz)]
+        assert found == expected
+
+
+# (p, k, n) -> the extension modulus first_irreducible picked before the
+# Ben-Or test replaced Rabin's: the benchmark's big fields, then its census
+FIRST_IRREDUCIBLES = {
+    (2, 1, 24): (1, 1, 0, 1, 1) + (0,) * 19 + (1,),
+    (2, 1, 40): (1, 0, 0, 1, 1, 1) + (0,) * 34 + (1,),
+    (3, 1, 14): (2, 1) + (0,) * 12 + (1,),
+    (5, 1, 10): (3, 1, 1) + (0,) * 7 + (1,),
+    (2, 4, 8): (2, 1, 0, 1, 0, 0, 0, 0, 1),
+    (7, 1, 8): (3, 1, 0, 0, 0, 0, 0, 0, 1),
+    (13, 1, 4): (2, 0, 0, 0, 1),
+    (2, 1, 14): (1, 0, 0, 0, 0, 1) + (0,) * 8 + (1,),
+    (3, 3, 3): (9, 2, 0, 1),
+    (2, 2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (5, 1, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 1, 5): (3, 1, 0, 0, 0, 1),
+}
+
+
+@pytest.mark.parametrize("spec", list(FIRST_IRREDUCIBLES), ids=lambda s: "%d^%d:%d" % s)
+def test_first_irreducible_unchanged(spec):
+    p, k, n = spec
+    assert pf.first_irreducible(SmallField(p, k), n) == FIRST_IRREDUCIBLES[spec]
