@@ -89,11 +89,6 @@ class CharSpec:
         if self.kind not in ("additive", "multiplicative"):
             raise ValueError(f"unknown character kind {self.kind!r}")
 
-    def is_trivial(self, ctx: FieldCtx) -> bool:
-        if self.kind == "additive":
-            return self.parameter == 0
-        return self.parameter % (ctx.order - 1) == 0
-
 
 @dataclass(frozen=True)
 class UnitComplex:
@@ -319,7 +314,7 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
     factors = ctx.add_factorization.distinct_factors()
     t = len(factors)
     full = x_pow_n_minus_1(fq, ctx.n)
-    n, k, q = ctx.n, ctx.k, ctx.q
+    q, p, dim = ctx.q, ctx.p, ctx.k * ctx.n
     subsets = []
     for mask in range(1 << t):
         deg_e = 0
@@ -331,19 +326,10 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
                 deg_e += di
                 phi_e *= q**di - 1
                 cof = poly_divmod(fq, cof, factors[i])[0]
-        # K_e = image of cofactor∘; span it over F_p via y^j·(cof∘basis).
-        span = []
-        seen = set()
-        if deg_e:
-            for i in range(n):
-                img = ctx.apply_linearized(cof, q**i)
-                if img == 0:
-                    continue
-                for j in range(k):
-                    scaled = ctx.mul(ctx.embed_base(_y_power(fq, j)), img)
-                    if scaled and scaled not in seen:
-                        seen.add(scaled)
-                        span.append(scaled)
+        # K_e = image of cofactor∘, spanned over F_p by the images of the
+        # base-p unit vectors
+        images = (ctx.apply_linearized(cof, p**d) for d in range(dim))
+        span = [img for img in dict.fromkeys(images) if img]
         bits = bin(mask).count("1")
         subsets.append(
             {
@@ -357,11 +343,6 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
         )
     ctx.char_cache["norm_dd"] = subsets
     return subsets
-
-
-def _y_power(fq, j: int) -> int:
-    """Encoding of y^j in F_q (the j-th F_p-basis monomial)."""
-    return fq.p**j
 
 
 def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:

@@ -23,6 +23,8 @@ from . import subsets as sb
 from .errors import DEFAULT_BUDGET, ResourceLimitError
 from .field import FieldCtx, get_field
 from .numtheory import (
+    EULER_GAMMA,
+    RS_EXCEPTIONAL_N,
     divisors,
     euler_phi,
     factorize,
@@ -167,14 +169,14 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
                        f"{tuple(round(r, 6) for r in rep.bound_ratios)}"))
 
     # extreme-value bounds on φ(n)/n
-    gamma_e = math.exp(0.57721566490153286)
+    gamma_e = math.exp(EULER_GAMMA)
     ok_lower = True
     ok_upper = True
     for n in range(5, phi_limit + 1):
         ll = math.log(math.log(n))
         if phis[n] / n < (3.0 / (gamma_e * math.pi**2)) / ll:
             ok_lower = False
-        if n / phis[n] >= gamma_e * ll + 2.5 / ll and n != 223092870:
+        if n / phis[n] >= gamma_e * ll + 2.5 / ll and n != RS_EXCEPTIONAL_N:
             ok_upper = False
     out.append(_assert("phi-lower-bound", f"5<=n<={phi_limit}", ok_lower,
                        "φ(n)/n >= (3/(e^γ·π²))/loglog n"))
@@ -276,9 +278,9 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
 # -- per-field claims ----------------------------------------------------------------
 
 
-def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResult]:
-    """Every per-field invariant suite; `heavy` gates the full-enumeration
-    checks (they are all bounded by the enumeration budget anyway)."""
+def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
+    """Every per-field invariant suite (the full-enumeration checks are
+    bounded by the enumeration budget)."""
     out = []
     subject = ctx.spec_string()
     ctx.ensure_tables()
@@ -334,113 +336,107 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
     out.append(_assert("linearized-module-action", subject, ok,
                        "apply(r·s, α) = apply(r, apply(s, α))"))
 
-    if heavy:
-        # additive order: divides x^n - 1, annihilates, and is minimal
-        ok = True
-        for a in range(qn):
-            d = ctx.additive_order(a)
-            if ctx.apply_linearized(d, a) != 0:
+    # additive order: divides x^n - 1, annihilates, and is minimal
+    ok = True
+    for a in range(qn):
+        d = ctx.additive_order(a)
+        if ctx.apply_linearized(d, a) != 0:
+            ok = False
+            break
+        for factor, _ in ctx.add_factorization.entries:
+            quot, rem = poly_divmod(ctx.fq, d, factor)
+            if not rem and ctx.apply_linearized(quot, a) == 0:
                 ok = False
                 break
-            for factor, _ in ctx.add_factorization.entries:
-                quot, rem = poly_divmod(ctx.fq, d, factor)
-                if not rem and ctx.apply_linearized(quot, a) == 0:
-                    ok = False
-                    break
-            if not ok:
-                break
-        out.append(_assert("additive-order-minimal", subject, ok,
-                           "d∘α = 0 and no proper divisor annihilates α"))
+        if not ok:
+            break
+    out.append(_assert("additive-order-minimal", subject, ok,
+                       "d∘α = 0 and no proper divisor annihilates α"))
 
-        # the two normality tests agree everywhere
-        ok = all(ctx.is_normal(a) == ctx.is_normal(a, method="rank") for a in range(qn))
-        out.append(_assert("normal-test-agreement", subject, ok,
-                           "divisor test ≡ rank test on all elements"))
+    # the two normality tests agree everywhere
+    ok = all(ctx.is_normal(a) == ctx.is_normal(a, method="rank") for a in range(qn))
+    out.append(_assert("normal-test-agreement", subject, ok,
+                       "divisor test ≡ rank test on all elements"))
 
-        # marginal counts match the closed formulas (enforced inside exact_counts)
-        rec = _density_record(ctx)
-        out.append(_assert("marginal-counts", subject, True,
-                           f"#primitive = {rec.num_primitive} = φ, #normal = {rec.num_normal} = Φ"))
-        if qn >= 4:
-            out.append(_assert("pn-exists", subject, rec.num_primitive_normal > 0,
-                               f"numPN = {rec.num_primitive_normal}"))
+    # marginal counts match the closed formulas (enforced inside exact_counts)
+    rec = ct.exact_counts(ctx)
+    out.append(_assert("marginal-counts", subject, True,
+                       f"#primitive = {rec.num_primitive} = φ, #normal = {rec.num_normal} = Φ"))
+    if qn >= 4:
+        out.append(_assert("pn-exists", subject, rec.num_primitive_normal > 0,
+                           f"numPN = {rec.num_primitive_normal}"))
 
-        # order censuses
-        census_m = ct.multiplicative_order_census(ctx)
-        ok = sum(census_m.values()) == m and census_m.get(m, 0) == rec.num_primitive
-        ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m)) if m > 1 else ok
-        census_a = ct.additive_order_census(ctx)
-        full_poly = x_pow_n_minus_1(ctx.fq, ctx.n)
-        ok = ok and sum(census_a.values()) == qn
-        ok = ok and census_a.get(full_poly, 0) == rec.num_normal
-        out.append(_assert("order-censuses", subject, ok,
-                           "order class sizes: φ(d) per divisor, Φ for the maximal class"))
+    # order censuses
+    census_m = ct.multiplicative_order_census(ctx)
+    ok = sum(census_m.values()) == m and census_m.get(m, 0) == rec.num_primitive
+    ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m)) if m > 1 else ok
+    census_a = ct.additive_order_census(ctx)
+    full_poly = x_pow_n_minus_1(ctx.fq, ctx.n)
+    ok = ok and sum(census_a.values()) == qn
+    ok = ok and census_a.get(full_poly, 0) == rec.num_normal
+    out.append(_assert("order-censuses", subject, ok,
+                       "order class sizes: φ(d) per divisor, Φ for the maximal class"))
 
-        # additive character group counts
-        fact = ctx.add_factorization
-        by_order: dict = {}
+    # additive character group counts: Ord ψ_c is the additive order of c
+    ok = True
+    for d in monic_divisors(ctx.add_factorization):
+        covered = sum(cnt for dd, cnt in census_a.items()
+                      if not poly_mod(ctx.fq, d, dd))
+        if covered != ctx.q ** poly_deg(d):
+            ok = False
+            break
+    out.append(_assert("additive-character-counts", subject, ok,
+                       "#{c : Ord ψ_c | d} = q^deg(d) for every monic divisor d"))
+
+    # the order-r(x) character-sum dichotomy: the claimed value
+    # q^deg(r) - 1 whenever r | Ord(α) does not match direct summation;
+    # the kernel-orthogonality evaluation (which does) drives the
+    # divisor-dependent normal indicator
+    if ctx.n % ctx.p != 0 and qn <= 512:
+        dichotomy_fails = []
+        zp_sums = {}
         for c in range(qn):
             d = ctx.additive_order(c)
-            by_order[d] = by_order.get(d, 0) + 1
-        ok = sum(by_order.values()) == qn
-        for d in monic_divisors(fact):
-            covered = sum(cnt for dd, cnt in by_order.items()
-                          if not poly_mod(ctx.fq, d, dd))
-            if covered != ctx.q ** poly_deg(d):
-                ok = False
-                break
-        out.append(_assert("additive-character-counts", subject, ok,
-                           "#{c : Ord ψ_c | d} = q^deg(d) for every monic divisor d"))
+            zp_sums.setdefault(d, []).append(c)
+        for factor, _ in ctx.add_factorization.entries:
+            params = zp_sums.get(factor, [])
+            for a in range(1, min(qn, 9)):
+                total = sum(
+                    cmath.exp(2j * cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p)
+                    for c in params
+                )
+                ord_a = ctx.additive_order(a)
+                divides = not poly_divmod(ctx.fq, ord_a, factor)[1]
+                predicted = ctx.q ** poly_deg(factor) - 1 if divides else -1
+                if abs(total - predicted) > 1e-6:
+                    dichotomy_fails.append(
+                        (format_poly(ctx.fq, factor), a, round(total.real, 3), predicted))
+        out.append(_report(
+            "exercise-order-r-char-sum", subject,
+            f"claimed q^deg(r)-1 / -1 split by r | Ord(α): "
+            f"{'holds on sampled α' if not dichotomy_fails else f'fails, e.g. {dichotomy_fails[0]}'}"))
 
-        # the order-r(x) character-sum dichotomy: the claimed value
-        # q^deg(r) - 1 whenever r | Ord(α) does not match direct summation;
-        # the kernel-orthogonality evaluation (which does) drives the
-        # divisor-dependent normal indicator
-        if ctx.n % ctx.p != 0 and qn <= 512:
-            dichotomy_fails = []
-            zp_sums = {}
-            for c in range(qn):
-                d = ctx.additive_order(c)
-                zp_sums.setdefault(d, []).append(c)
-            for factor, _ in ctx.add_factorization.entries:
-                params = zp_sums.get(factor, [])
-                for a in range(1, min(qn, 9)):
-                    total = sum(
-                        cmath.exp(2j * cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p)
-                        for c in params
-                    )
-                    ord_a = ctx.additive_order(a)
-                    divides = not poly_divmod(ctx.fq, ord_a, factor)[1]
-                    predicted = ctx.q ** poly_deg(factor) - 1 if divides else -1
-                    if abs(total - predicted) > 1e-6:
-                        dichotomy_fails.append(
-                            (format_poly(ctx.fq, factor), a, round(total.real, 3), predicted))
-            out.append(_report(
-                "exercise-order-r-char-sum", subject,
-                f"claimed q^deg(r)-1 / -1 split by r | Ord(α): "
-                f"{'holds on sampled α' if not dichotomy_fails else f'fails, e.g. {dichotomy_fails[0]}'}"))
+    # indicator equivalence across the whole field
+    tau = ctx.reference_tau
+    mism = 0
+    dd_applicable = ctx.n % ctx.p != 0
+    for a in range(1, qn):
+        prim = ctx.is_primitive(a)
+        norm = ctx.is_normal(a)
+        if ch.indicator_primitive_dd(ctx, a) != prim:
+            mism += 1
+        if ch.indicator_primitive_df(ctx, a) != prim:
+            mism += 1
+        if ch.indicator_normal_df(ctx, a, tau) != norm:
+            mism += 1
+        if dd_applicable and ch.indicator_normal_dd(ctx, a) != norm:
+            mism += 1
+    out.append(_assert("indicator-equivalence", subject, mism == 0,
+                       f"mismatches = {mism} (DD/DF primitive, DF normal"
+                       f"{', DD normal' if dd_applicable else '; DD normal n/a'})"))
 
-        # indicator equivalence across the whole field
-        tau = ctx.reference_tau
-        mism = 0
-        dd_applicable = ctx.n % ctx.p != 0
-        for a in range(1, qn):
-            prim = ctx.is_primitive(a)
-            norm = ctx.is_normal(a)
-            if ch.indicator_primitive_dd(ctx, a) != prim:
-                mism += 1
-            if ch.indicator_primitive_df(ctx, a) != prim:
-                mism += 1
-            if ch.indicator_normal_df(ctx, a, tau) != norm:
-                mism += 1
-            if dd_applicable and ch.indicator_normal_dd(ctx, a) != norm:
-                mism += 1
-        out.append(_assert("indicator-equivalence", subject, mism == 0,
-                           f"mismatches = {mism} (DD/DF primitive, DF normal"
-                           f"{', DD normal' if dd_applicable else '; DD normal n/a'})"))
-
-        # N00..N11 subsum partition (exact rationals)
-        out.extend(subsum_partition_claims(ctx))
+    # N00..N11 subsum partition (exact rationals)
+    out.extend(subsum_partition_claims(ctx))
 
     # DF periodicity under rotation of the s-enumeration
     if qn <= 256:
@@ -560,24 +556,14 @@ def field_claims(ctx: FieldCtx, seed: int, heavy: bool = True) -> list[ClaimResu
                        "weight and height distances: identity, symmetry, triangle"))
 
     # quadratic-field exercise data: PN_2(q) vs φ(q²-1) vs the average formula
-    if ctx.n == 2 and heavy:
-        rec = _density_record(ctx)
+    if ctx.n == 2:
+        rec = ct.exact_counts(ctx)
         equal = rec.num_primitive_normal == rec.num_primitive
         out.append(_report("exercise-pn2-count", subject,
                            f"PN_2 = {rec.num_primitive_normal}, φ(q²-1) = {rec.num_primitive} "
                            f"({'equal' if equal else 'different'}), "
                            f"average formula = {rec.predicted!r}"))
     return out
-
-
-_density_cache: dict = {}
-
-
-def _density_record(ctx: FieldCtx):
-    key = (ctx.p, ctx.k, ctx.n, ctx.base_modulus, ctx.ext_modulus)
-    if key not in _density_cache:
-        _density_cache[key] = ct.exact_counts(ctx)
-    return _density_cache[key]
 
 
 def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
@@ -588,7 +574,7 @@ def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
     primitive-normal count.
     """
     subject = ctx.spec_string()
-    rec = _density_record(ctx)
+    rec = ct.exact_counts(ctx)
     qn = ctx.order
     a_size = qn - 1
     phi = rec.num_primitive
@@ -629,7 +615,7 @@ def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> lis
         # the F4 example discrepancy is a fixed global claim
         fact = factor_x_n_minus_1(2, 2)
         phi2 = poly_phi(fact)
-        rec = _density_record(get_field(2, 1, 2))
+        rec = ct.exact_counts(get_field(2, 1, 2))
         results.append(_report(
             "example-f4-normal-count", "q=2, n=2",
             f"brute force finds {rec.num_normal} normal elements, Φ on (x+1)^2 gives {phi2}; "

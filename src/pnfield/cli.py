@@ -21,7 +21,7 @@ from .characters import discrete_log
 from .errors import DEFAULT_BUDGET, FieldSpecError, ResourceLimitError
 from .field import format_field_moduli, get_field, parse_field_spec
 from .numtheory import euler_phi, is_prime_power
-from .polyfq import cyclotomic_factor_counts, format_poly, poly_phi
+from .polyfq import cyclotomic_factor_counts, format_poly, poly_eval, poly_mul, poly_phi
 
 
 def _budget(args) -> int:
@@ -149,7 +149,10 @@ def cmd_conjecture(args) -> int:
                          "normal": None, "primitiveNormal": None, "opCount": None})
             continue
         target = get_field(home.p, home.k, n)
-        root = _first_root(target, min_poly)
+        # the first root in enumeration order, evaluated with the ops of F_{q^n}
+        root = next((a for a in target.elements() if poly_eval(target, min_poly, a) == 0), None)
+        if root is None:
+            raise ValueError("the element does not embed in the target field")
         ops_before = target.op_count
         prim = target.is_primitive(root)
         norm = target.is_normal(root)
@@ -208,7 +211,7 @@ def _minimal_polynomial(ctx, alpha: int):
         cur = ctx.frobenius(cur, 1)
     poly = (1,)
     for root in orbit:
-        poly = poly_mul_ext(ctx, poly, root)
+        poly = poly_mul(ctx, poly, (ctx.neg(root), 1))
     coeffs = []
     for c in poly:
         vec = ctx.decode(c)
@@ -216,29 +219,6 @@ def _minimal_polynomial(ctx, alpha: int):
             raise ValueError("minimal polynomial has coefficients outside F_q")
         coeffs.append(vec[0])
     return tuple(coeffs)
-
-
-def poly_mul_ext(ctx, poly, root):
-    """poly(x) * (x - root) with coefficients in the extension field."""
-    out = [0] * (len(poly) + 1)
-    neg_root = ctx.neg(root)
-    for i, c in enumerate(poly):
-        out[i + 1] = ctx.add(out[i + 1], c)
-        out[i] = ctx.add(out[i], ctx.mul(c, neg_root))
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _first_root(ctx, min_poly):
-    """First root of the F_q-polynomial in enumeration order."""
-    for a in range(ctx.order):
-        acc = 0
-        for c in reversed(min_poly):
-            acc = ctx.add(ctx.mul(acc, a), ctx.embed_base(c))
-        if acc == 0:
-            return a
-    raise ValueError("the element does not embed in the target field")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -75,15 +75,15 @@ def exact_counts(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> DensityRecord:
     """Count primitive, normal and primitive-normal elements exhaustively.
 
     Up to the table cap the counts are read off the masks of the whole-field
-    pass (FieldCtx.class_counts); above it every element is tested.  Either
-    way the marginals must equal φ(q^n - 1) and Φ_q(x^n - 1), which checks
-    the exponent sieve and the union of the cofactor kernels.
+    pass (FieldCtx.class_counts), which leaves the context on the polynomial
+    path; above the cap every element is tested.  Either way the marginals
+    must equal φ(q^n - 1) and Φ_q(x^n - 1), which checks the exponent sieve
+    and the union of the images r∘F that mark the non-normal elements.
     """
     if ctx.order > budget:
         raise ResourceLimitError(
             f"enumeration of {ctx.order} elements exceeds budget {budget}"
         )
-    ctx.ensure_tables()
     num_prim, num_norm, num_pn = ctx.class_counts()
     phi_m = euler_phi(ctx.order - 1)
     phi_poly = poly_phi(ctx.add_factorization)

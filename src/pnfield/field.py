@@ -9,12 +9,13 @@ makes every "first witness" deterministic.
 
 Up to the table cap a whole-field pass classifies every element at once: the
 powers of the first primitive element g give the primitive mask by a sieve on
-exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the normal mask is
-the complement of the union of the kernels of the cofactors (x^n - 1)/r(x),
-each found by linear algebra over F_p.  The reference primitive normal element
-τ is the first element set in both masks, and the exp/log tables of τ are read
-off the powers of g.  Above the cap τ is found by testing one element at a
-time.
+exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
+elements are the union of the images r∘F_{q^n} over the irreducible factors
+r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace) is fixed by
+its images of the kn base-p unit vectors p^d, which are elements themselves.
+The reference primitive normal element τ is the first element set in both
+masks, and the exp/log tables of τ are read off the powers of g.  Above the
+cap τ is found by testing one element at a time.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
 up; before that (and above the table cap) a schoolbook polynomial product with
@@ -257,15 +258,33 @@ class FieldCtx:
     def _whole_field_pass(self):
         """Classify every element at once and set τ (order <= table cap).
 
-        The normal mask comes first so that the kernel lists are freed before
-        the powers of g are built.
+        α is non-normal iff (x^n - 1)/r kills it for some irreducible r, and
+        that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
+        Each image is grown greedily from the span of these generators; the
+        normal mask comes first so that the spans are freed before the powers
+        of g are built.
         """
         order, m = self.order, self.order - 1
+        p, add = self.p, self.add
         norm = bytearray([1]) * order
         norm[0] = 0
-        self._ensure_cofactors()
-        for _, cof in self._cofactors:
-            for a in self._kernel(cof):
+        for r, _ in self.add_factorization.entries:
+            span = [0]
+            member = bytearray(order)
+            member[0] = 1
+            for d in range(self.k * self.n):
+                v = self.apply_linearized(r, p**d)
+                if member[v]:
+                    continue
+                grown = []
+                w = v
+                for _ in range(p - 1):
+                    grown += [add(s, w) for s in span]
+                    w = add(w, v)
+                for a in grown:
+                    member[a] = 1
+                span += grown
+            for a in span:
                 norm[a] = 0
         g = next(a for a in range(1, order) if self.is_primitive(a))
         exp_g = [0] * m
@@ -287,42 +306,6 @@ class FieldCtx:
         self._exp_g = exp_g
         self._prim_mask = prim
         self._norm_mask = norm
-
-    def _kernel(self, r: Poly) -> list[int]:
-        """Every α with r∘α = 0, by Gaussian elimination over F_p on the
-        images of the kn base-p unit vectors."""
-        p, dim = self.p, self.k * self.n
-        images = [self.apply_linearized(r, p**j) for j in range(dim)]
-        rows = [[img // p**i % p for img in images] for i in range(dim)]
-        pivots = []
-        for col in range(dim):
-            rank = len(pivots)
-            piv = next((i for i in range(rank, dim) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[rank], rows[piv] = rows[piv], rows[rank]
-            inv = pow(rows[rank][col], p - 2, p)
-            top = rows[rank] = [v * inv % p for v in rows[rank]]
-            for i in range(dim):
-                c = rows[i][col]
-                if c and i != rank:
-                    rows[i] = [(v - c * t) % p for v, t in zip(rows[i], top)]
-            pivots.append(col)
-        span = [0]
-        for free in range(dim):
-            if free in pivots:
-                continue
-            v = p**free
-            for i, col in enumerate(pivots):
-                v += -rows[i][free] % p * p**col
-            if p == 2:
-                span += [s ^ v for s in span]
-                continue
-            multiples = [v]
-            for _ in range(p - 2):
-                multiples.append(_add_digits(p, multiples[-1], v))
-            span += [_add_digits(p, s, w) for w in multiples for s in span]
-        return span
 
     @property
     def reference_tau(self) -> int:
@@ -403,42 +386,31 @@ class FieldCtx:
         return coords[0]
 
     def _ensure_trace_basis(self):
-        if self._trace_basis is not None:
-            return
-        basis = []
-        for i in range(self.n):
-            row = []
-            for j in range(self.k):
-                elem = (self.p**j) * (self.q**i)
-                row.append(self._trace_slow(elem))
-            basis.append(row)
-        self._trace_basis = basis
+        if self._trace_basis is None:
+            self._trace_basis = [self._trace_slow(self.p**d) for d in range(self.k * self.n)]
 
     def trace(self, a: int) -> int:
         """Absolute trace Σ α^(p^j) over j < kn, landing in F_p."""
         if self._trace_table is not None:
             return self._trace_table[a]
         self._ensure_trace_basis()
-        p, q = self.p, self.q
+        p = self.p
         total = 0
-        i = 0
-        while a:
-            c = a % q
-            a //= q
-            row = self._trace_basis[i]
-            j = 0
-            while c:
-                d = c % p
-                if d:
-                    total += d * row[j]
-                c //= p
-                j += 1
-            i += 1
+        for t in self._trace_basis:
+            total += a % p * t
+            a //= p
         return total % p
 
     def ensure_trace_table(self):
+        """Trace of every element up to the cap, built one base-p digit at a
+        time: the element c·p^d + x with x < p^d sits at that index."""
         if self._trace_table is None and self.order <= _TABLE_CAP:
-            self._trace_table = [self.trace(a) for a in range(self.order)]
+            self._ensure_trace_basis()
+            p = self.p
+            table = [0]
+            for t in self._trace_basis:
+                table = [(c * t + x) % p for c in range(p) for x in table]
+            self._trace_table = table
 
     def norm(self, a: int) -> int:
         """Absolute norm α^((p^(kn)-1)/(p-1)), landing in F_p; N(0) = 0."""

@@ -168,13 +168,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def euler_phi_from_factorization(fact: Factorization) -> int:
-    result = fact.value
-    for p, _ in fact.entries:
-        result -= result // p
-    return result
-
-
 def divisors(n: int) -> list[int]:
     """All divisors of n, ascending."""
     if n < 1:

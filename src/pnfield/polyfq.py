@@ -167,12 +167,10 @@ def monic_polys(fq: SmallField, d: int):
 
 
 def is_irreducible(fq: SmallField, f: Poly) -> bool:
-    """Deterministic irreducibility certification.
-
-    Exhaustive divisor scan up to degree deg(f)/2 while the candidate count
-    stays desk-sized (this covers every degree <= 3 case); above that, the
-    Ben-Or distinct-degree test: gcd(x^(q^j) - x, f) = 1 for every
-    j <= deg(f)/2.  Both routes are exact, never probabilistic.
+    """Deterministic irreducibility certification by the Ben-Or
+    distinct-degree test: f is irreducible iff no x^(q^j) - x with
+    j <= deg(f)/2 shares a factor with it.  A reducible f is rejected at the
+    smallest degree of its irreducible factors; never probabilistic.
     """
     d = poly_deg(f)
     if d <= 0:
@@ -181,23 +179,9 @@ def is_irreducible(fq: SmallField, f: Poly) -> bool:
         return True
     if f[0] == 0:
         return False
-    candidates = sum(fq.q**dd for dd in range(1, d // 2 + 1))
-    if candidates <= 4096:
-        for dd in range(1, d // 2 + 1):
-            for g in monic_polys(fq, dd):
-                if not poly_divmod(fq, f, g)[1]:
-                    return False
-        return True
-    return _ben_or_irreducible(fq, f)
-
-
-def _ben_or_irreducible(fq: SmallField, f: Poly) -> bool:
-    """f (degree >= 1) is irreducible iff no x^(q^j) - x with j <= deg(f)/2
-    shares a factor with it; a reducible f is rejected at the smallest degree
-    of its irreducible factors."""
     x_poly: Poly = (0, 1)
     cur = poly_mod(fq, x_poly, f)
-    for _ in range(poly_deg(f) // 2):
+    for _ in range(d // 2):
         cur = poly_pow_mod(fq, cur, fq.q, f)
         if poly_deg(poly_gcd(fq, poly_sub(fq, cur, x_poly), f)) != 0:
             return False
@@ -218,7 +202,7 @@ class PolyFactorization:
     """Factorization of `value` into monic irreducibles with exponents.
 
     Every factor is re-certified irreducible on construction by the
-    exhaustive divisor check, and the product is verified to equal `value`.
+    Ben-Or test (is_irreducible), and the product is verified to equal `value`.
     """
 
     fq: SmallField

@@ -78,6 +78,16 @@ def test_trace_norm_examples():
             assert ctx.trace(ctx.add(a, b)) == (ctx.trace(a) + ctx.trace(b)) % p
 
 
+@pytest.mark.parametrize("spec", [(3, 2, 2), (3, 2, 3), (2, 3, 3), (5, 1, 3)],
+                         ids=lambda s: "%d^%d:%d" % s)
+def test_trace_table_matches_definition(spec):
+    # the digit-grown table against Σ α^(p^j) summed element by element
+    ctx = build_field(*spec)
+    ctx.ensure_trace_table()
+    assert len(ctx._trace_table) == ctx.order
+    assert all(ctx._trace_table[a] == ctx._trace_slow(a) for a in range(ctx.order))
+
+
 def test_apply_linearized_examples():
     f4 = get_field(2, 1, 2)
     assert f4.apply_linearized((1, 1), 2) == 1  # α² + α = 1

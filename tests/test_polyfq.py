@@ -215,17 +215,17 @@ def test_irreducibility_check():
 
 @pytest.mark.parametrize("q", [3, 4])
 def test_ben_or_counts_degree_six(q):
-    # the helper directly, past the exhaustive shortcut for small candidate
-    # counts: irreducible monic sextics number (1/6)·Σ_{e|6} μ(6/e)·q^e
+    # irreducible monic polynomials of degree d number (1/d)·Σ_{e|d} μ(d/e)·q^e
     fq = canonical_field(q)
-    found = [f for f in pf.monic_polys(fq, 6) if pf._ben_or_irreducible(fq, f)]
-    assert len(found) == sum(mobius(6 // e) * q**e for e in divisors(6)) // 6
-    if q == 3:
-        gt = pytest.importorskip("sympy.polys.galoistools")
-        zz = pytest.importorskip("sympy.polys.domains").ZZ
-        expected = [f for f in pf.monic_polys(fq, 6)
-                    if gt.gf_irreducible_p(list(reversed(f)), 3, zz)]
-        assert found == expected
+    for d in range(2, 7):
+        found = [f for f in pf.monic_polys(fq, d) if pf.is_irreducible(fq, f)]
+        assert len(found) == sum(mobius(d // e) * q**e for e in divisors(d)) // d
+        if q == 3:
+            gt = pytest.importorskip("sympy.polys.galoistools")
+            zz = pytest.importorskip("sympy.polys.domains").ZZ
+            expected = [f for f in pf.monic_polys(fq, d)
+                        if gt.gf_irreducible_p(list(reversed(f)), 3, zz)]
+            assert found == expected
 
 
 # (p, k, n) -> the extension modulus first_irreducible picked before the
