@@ -474,8 +474,9 @@ def double_product_sum_ratio(ctx: FieldCtx, c: int, u_set, v_set) -> float:
     zp = _roots_of_unity(ctx.p)
     total = 0j
     for u in u_set:
+        cu = ctx.mul(c, u)  # c·(u·v) = (c·u)·v: the same terms in the same order
         for v in v_set:
-            total += zp[ctx.trace(ctx.mul(c, ctx.mul(u, v)))]
+            total += zp[ctx.trace(ctx.mul(cu, v))]
     bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
     return abs(total) / bound
 

@@ -18,9 +18,14 @@ masks, and the exp/log tables of τ are read off the powers of g.  Above the
 cap τ is found by testing one element at a time.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
-up; before that (and above the table cap) a schoolbook polynomial product with
-cached reduction rows is used, with a carry-less fast path for prime binary
-fields.
+up.  Before that, and above the table cap, products run on the polynomial path,
+one of three by the coefficient field: a carry-less product for q = 2; for odd
+prime q a packed product, in which both factors are packed into integers with
+spare bits per coefficient, multiplied once, and folded back with the packed
+reduction rows x^(n+j) mod f before each coordinate is reduced mod p; and for
+k > 1 a schoolbook product over F_q's product table.  On that path Frobenius
+is one F_p-linear combination of the images of the base-p unit vectors,
+precomputed per power on first use.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 
 from .errors import ConsistencyError, FieldSpecError, ResourceLimitError
 from .numtheory import Factorization, factorize, is_prime
@@ -50,6 +56,58 @@ from .polyfq import (
 from .smallfield import SmallField, _add_digits
 
 _TABLE_CAP = 2**20
+
+
+def _pack(a: int, p: int, bits: int) -> int:
+    """The base-p digits of a, one per bits-wide slot, low digit lowest.
+
+    For p = 2 nothing is summed in integers (sums are XORs), so a stays as
+    it is.
+    """
+    if p == 2:
+        return a
+    out = shift = 0
+    while a:
+        a, c = divmod(a, p)
+        out |= c << shift
+        shift += bits
+    return out
+
+
+def _unpack(t: int, p: int, bits: int) -> int:
+    """Inverse of _pack for slots holding any nonnegative value below
+    2^bits: each slot is reduced mod p once and becomes a base-p digit."""
+    if p == 2:
+        return t
+    mask = (1 << bits) - 1
+    val, mult = 0, 1
+    while t:
+        val += (t & mask) % p * mult
+        t >>= bits
+        mult *= p
+    return val
+
+
+def _combine(cols: list[int], a: int, p: int) -> int:
+    """Σ a_d·cols[d] over the base-p digits a_d of a, left packed: the
+    F_p-linear map with packed columns cols, before _unpack.  XOR of columns
+    for p = 2, an integer sum otherwise."""
+    total = 0
+    if p == 2:
+        for col in cols:
+            if not a:
+                break
+            if a & 1:
+                total ^= col
+            a >>= 1
+        return total
+    for col in cols:
+        if not a:
+            break
+        a, c = divmod(a, p)
+        if c:
+            total += c * col
+    return total
 
 
 def _mask_int(mask: bytearray) -> int:
@@ -82,8 +140,15 @@ class FieldCtx:
         self.mult_factorization = mult_factorization
         self.add_factorization = add_factorization
         self.op_count = 0
-        # reduction rows: x^(n+j) mod ext_modulus as full coefficient lists
+        # reduction rows x^(n+j) mod ext_modulus: packed for k = 1 (odd p),
+        # coefficient lists for k > 1; unused for q = 2
         self._red = None
+        self._fq_products = None
+        # slot width of _pack: a slot sums at most 2kn products of two
+        # digits, the bound met by the packed product and by Frobenius
+        self._bits = (2 * self.k * n * (self.p - 1) ** 2).bit_length()
+        # _frob[i] holds the packed columns of Frob^i, grown on first use
+        self._frob = [None]
         self._exp = None
         self._log = None
         self._tau = None
@@ -156,15 +221,18 @@ class FieldCtx:
     # -- multiplicative arithmetic ------------------------------------------
 
     def _ensure_red(self):
-        if self._red is not None:
-            return
-        # rows[j] = x^(n+j) mod ext_modulus, padded to n coefficients
+        # the state of the q > 2 products: row j is x^(n+j) mod ext_modulus,
+        # padded to n coefficients; for k > 1 also F_q's product table
         rows = []
         cur = poly_mod(self.fq, (0,) * self.n + (1,), self.ext_modulus)
         rows.append(list(cur) + [0] * (self.n - len(cur)))
         for _ in range(self.n - 2):
             cur = poly_mod(self.fq, (0,) + cur, self.ext_modulus)
             rows.append(list(cur) + [0] * (self.n - len(cur)))
+        if self.k == 1:
+            rows = [_pack(self.encode(row), self.p, self._bits) for row in rows]
+        else:
+            self._fq_products = self.fq.product_table()
         self._red = rows
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -183,9 +251,21 @@ class FieldCtx:
                 if a & top:
                     a ^= mod
             return r
-        self._ensure_red()
-        fq = self.fq
-        n = self.n
+        if self._red is None:
+            self._ensure_red()
+        p, n = self.p, self.n
+        if self.k == 1:
+            # packed product: the slots of prod are the integer coefficients
+            # of a(x)·b(x); those of x^(n+j) are reduced mod p and folded
+            # back in with the packed row x^(n+j) mod f
+            bits = self._bits
+            prod = _pack(a, p, bits) * _pack(b, p, bits)
+            low = prod & ((1 << n * bits) - 1)
+            high = _unpack(prod >> n * bits, p, bits)
+            return _unpack(low + _combine(self._red, high, p), p, bits)
+        # k > 1: schoolbook product over F_q's product table
+        q, table = self.q, self._fq_products
+        add = operator.xor if p == 2 else functools.partial(_add_digits, p)
         da = self.decode(a)
         # zero coordinates of either factor cost nothing in the inner loop,
         # so a sparse b (such as g) is as cheap as a sparse a
@@ -193,15 +273,16 @@ class FieldCtx:
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(da):
             if ai:
+                row = ai * q
                 for j, bj in nz_b:
-                    prod[i + j] = fq.add(prod[i + j], fq.mul(ai, bj))
+                    prod[i + j] = add(prod[i + j], table[row + bj])
         for j in range(2 * n - 2, n - 1, -1):
             c = prod[j]
             if c:
-                row = self._red[j - n]
-                for i, ri in enumerate(row):
+                row = c * q
+                for i, ri in enumerate(self._red[j - n]):
                     if ri:
-                        prod[i] = fq.add(prod[i], fq.mul(c, ri))
+                        prod[i] = add(prod[i], table[row + ri])
         return self.encode(prod[:n])
 
     def mul(self, a: int, b: int) -> int:
@@ -220,12 +301,15 @@ class FieldCtx:
         e %= m
         if self._log is not None:
             return self._exp[self._log[a] * e % m]
+        return self._pow_poly(a, e)
+
+    def _pow_poly(self, a: int, e: int) -> int:
+        """a^e by square and multiply on the polynomial path, uncounted."""
         result = 1
-        base = a
         while e:
             if e & 1:
-                result = self._mul_poly(result, base)
-            base = self._mul_poly(base, base)
+                result = self._mul_poly(result, a)
+            a = self._mul_poly(a, a)
             e >>= 1
         return result
 
@@ -364,14 +448,35 @@ class FieldCtx:
     # -- Frobenius, trace, norm ----------------------------------------------
 
     def frobenius(self, a: int, i: int = 1) -> int:
-        """α^(q^i); the map fixes F_q pointwise and has order n."""
+        """α^(q^i); the map fixes F_q pointwise and has order n.
+
+        With tables it is one lookup.  On the polynomial path it is one
+        F_p-linear combination of the precomputed images of the base-p unit
+        vectors (see _frob_cols), and it counts as the one operation that
+        the power it stands for would have counted.
+        """
         i %= self.n
         if a == 0 or i == 0:
             return a
-        m = self.order - 1
         if self._log is not None:
-            return self._exp[self._log[a] * self._qpow[i] % m]
-        return self.pow(a, pow(self.q, i))
+            return self._exp[self._log[a] * self._qpow[i] % (self.order - 1)]
+        self.op_count += 1
+        return _unpack(_combine(self._frob_cols(i), a, self.p), self.p, self._bits)
+
+    def _frob_cols(self, i: int) -> list[int]:
+        """The packed images Frob^i(p^d) for d < kn, 1 <= i < n.
+
+        Frob^1 comes from q-th powers and Frob^(i+1) is Frob^1 applied to
+        the images of Frob^i; each power is built on first use.
+        """
+        frob, p, bits = self._frob, self.p, self._bits
+        if len(frob) == 1:
+            images = [self._pow_poly(p**d, self.q) for d in range(self.k * self.n)]
+            frob.append([_pack(v, p, bits) for v in images])
+        while len(frob) <= i:
+            images = [_unpack(_combine(frob[1], _unpack(c, p, bits), p), p, bits) for c in frob[-1]]
+            frob.append([_pack(v, p, bits) for v in images])
+        return frob[i]
 
     def _trace_slow(self, a: int) -> int:
         total = 0

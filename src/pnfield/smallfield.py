@@ -133,6 +133,16 @@ class SmallField:
         self._mul_table = table
         self._inv_table = [0] + [exp[m - la] for la in logs]
 
+    def product_table(self) -> list[int]:
+        """The q x q products of a proper extension (k > 1): a·b sits at
+        index a·q + b.  For loops that multiply many coefficients without a
+        method call each."""
+        if self.k == 1:
+            raise ValueError("prime fields have no product table; use a * b % p")
+        if self._mul_table is None:
+            self._build_tables()
+        return self._mul_table
+
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p

@@ -96,3 +96,79 @@ def dlog_by_scan(ctx, a: int) -> int:
             return e
         cur = ctx._mul_poly(cur, tau)
     raise AssertionError("element not in the cyclic group")
+
+
+def _mulmod(f, g, mod, add, mul, neg, zero):
+    """f·g mod the monic mod, schoolbook, for coefficient lists (low first)
+    over a ring given by its add, mul and neg."""
+    prod = [zero] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            prod[i + j] = add(prod[i + j], mul(fi, gj))
+    d = len(mod) - 1
+    for top in range(len(prod) - 1, d - 1, -1):
+        c = neg(prod[top])
+        for i, mi in enumerate(mod):
+            prod[top - d + i] = add(prod[top - d + i], mul(c, mi))
+    return (prod + [zero] * d)[:d]
+
+
+def schoolbook_mul(ctx, a: int, b: int) -> int:
+    """a·b in F_{q^n} from integer coefficient lists: an F_q element is an
+    integer mod p when k = 1 and otherwise a list of k integers mod p reduced
+    mod the base modulus m(y); an element of F_{q^n} is a list of n of those
+    reduced mod the extension modulus f(x).  Uses nothing of the library but
+    the two moduli and the integer encoding."""
+    p, k, n, q = ctx.p, ctx.k, ctx.n, ctx.q
+
+    def split(v, base, count):
+        out = []
+        for _ in range(count):
+            v, r = divmod(v, base)
+            out.append(r)
+        return out
+
+    def fp_add(x, y):
+        return (x + y) % p
+
+    def fp_mul(x, y):
+        return x * y % p
+
+    def fp_neg(x):
+        return -x % p
+
+    if k == 1:
+        zero, to_fq, from_fq = 0, int, int
+        fq_add, fq_mul, fq_neg = fp_add, fp_mul, fp_neg
+    else:
+        zero = [0] * k
+
+        def to_fq(c):
+            return split(c, p, k)
+
+        def from_fq(x):
+            return sum(d * p**t for t, d in enumerate(x))
+
+        def fq_add(x, y):
+            return [(s + t) % p for s, t in zip(x, y)]
+
+        def fq_mul(x, y):
+            return _mulmod(x, y, ctx.base_modulus, fp_add, fp_mul, fp_neg, 0)
+
+        def fq_neg(x):
+            return [-s % p for s in x]
+
+    coords = _mulmod([to_fq(c) for c in split(a, q, n)], [to_fq(c) for c in split(b, q, n)],
+                     [to_fq(c) for c in ctx.ext_modulus], fq_add, fq_mul, fq_neg, zero)
+    return sum(from_fq(c) * q**j for j, c in enumerate(coords))
+
+
+def frobenius_by_powering(ctx, a: int, i: int) -> int:
+    """α^(q^i) by i rounds of raising to the q-th power, each by q - 1
+    schoolbook multiplications."""
+    for _ in range(i):
+        cur = a
+        for _ in range(ctx.q - 1):
+            cur = schoolbook_mul(ctx, cur, a)
+        a = cur
+    return a

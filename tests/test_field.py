@@ -13,10 +13,12 @@ from pnfield.polyfq import poly_mul, poly_phi, poly_trim
 
 from bruteforce import (
     dlog_by_scan,
+    frobenius_by_powering,
     normal_by_det_n2,
     normal_by_span,
     order_by_powering,
     primitive_by_powering,
+    schoolbook_mul,
 )
 
 SMALL_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2)]
@@ -239,6 +241,65 @@ def test_exp_log_table_consistency():
             a = rng.randrange(ctx.order)
             b = rng.randrange(ctx.order)
             assert ctx.mul(a, b) == ctx._mul_poly(a, b)
+
+
+# fresh contexts, so that no table built by another test takes over: the
+# carry-less, packed and F_q-table products and the Frobenius images
+POLY_PATH_FIELDS = [
+    build_field(2, 1, 24), build_field(2, 1, 40), build_field(2, 4, 8), build_field(3, 1, 14),
+    build_field(5, 1, 10), build_field(7, 1, 8), build_field(13, 1, 4), build_field(3, 2, 5),
+    # x^5 - x - 1, Artin–Schreier irreducible over F_5
+    build_field(5, 1, 5, ext_modulus=(4, 4, 0, 0, 0, 1)),
+]
+
+
+def test_user_modulus_field_is_not_default():
+    assert POLY_PATH_FIELDS[-1].ext_modulus != get_field(5, 1, 5).ext_modulus
+
+
+@pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
+def test_frobenius_matches_powering(ctx):
+    assert ctx._log is None  # no tables: Frobenius runs on the images
+    rng = random.Random(5)
+    for a in [1, ctx.q, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(3)]:
+        cur = a
+        for i in range(ctx.n + 1):
+            assert ctx.frobenius(a, i) == cur, (a, i)
+            cur = frobenius_by_powering(ctx, cur, 1)
+
+
+@pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
+def test_mul_poly_matches_schoolbook(ctx):
+    rng = random.Random(6)
+    top = ctx.order - 1
+    pairs = [(top, top), (top, 1), (ctx.q, ctx.q ** (ctx.n - 1))]
+    pairs += [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(400)]
+    for a, b in pairs:
+        assert ctx._mul_poly(a, b) == schoolbook_mul(ctx, a, b), (a, b)
+    if ctx.k > 1:
+        return
+    # prime coefficient fields: also against sympy's dense (high first) lists
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    zz = pytest.importorskip("sympy.polys.domains").ZZ
+    p, n = ctx.p, ctx.n
+    f = list(reversed(ctx.ext_modulus))
+    for a, b in pairs:
+        fa, fb = ctx.decode(a)[::-1], ctx.decode(b)[::-1]
+        rem = gt.gf_rem(gt.gf_mul(fa, fb, p, zz), f, p, zz)
+        coords = [int(c) for c in reversed(rem)] + [0] * n
+        assert ctx._mul_poly(a, b) == ctx.encode(coords[:n]), (a, b)
+
+
+def test_is_primitive_normal_op_count_pinned():
+    # pnfield op counts are part of the search output: a polynomial-path
+    # Frobenius counts as the one power it replaces, and the precomputed
+    # images and packed rows count nothing
+    for spec, ops, hits in (((3, 1, 14), 702, 6), ((2, 1, 40), 1040, 5)):
+        ctx = build_field(*spec)
+        elements = random.Random(20261018).sample(range(1, ctx.order), 25)
+        before = ctx.op_count
+        assert sum(ctx.is_primitive_normal(a) for a in elements) == hits
+        assert ctx.op_count - before == ops, spec
 
 
 def test_whole_field_pass_matches_per_element_tests():
