@@ -10,6 +10,21 @@ to the reference primitive normal element: χ_b(α) = e(b·log α / (q^n - 1)).
 Additive characters ψ_c(α) = e(tr(c·α)/p) are indexed by c, and the order of
 ψ_c is the additive order of c, the unique choice that makes the subgroup
 counts #{c : Ord ψ_c | d} = q^deg(d) come out right.
+
+The complex sums read their character values from integer tables indexed by
+exponents of τ, built once per field (up to the exp/log table cap) from the
+public log table, trace and add, and kept in ``FieldCtx.char_cache``:
+
+- ``tr_exp[i] = tr(τ^i)``, so tr(c·α) = tr_exp[(log c + log α) mod m];
+- Zech logarithms ``zech[i] = log(1 + τ^i)``, None where 1 + τ^i = 0, so
+  log(u + v) = log u + zech[(log v - log u) mod m];
+- the roots of unity e(j/N) per order N, and the divisor-free inner sums
+  Σ_t e(d·t/q^n) per d.
+
+The tables change only how a term is found, never which terms are added or
+in what order: each sum adds the same floats in the same sequence as the
+per-term definition (tests/bruteforce.py), so every float result, and the
+verify report that prints them, is unchanged to the last bit.
 """
 
 from __future__ import annotations
@@ -26,8 +41,55 @@ from .polyfq import ONE, Poly, poly_deg, poly_divmod, poly_mul, x_pow_n_minus_1
 from .seeds import rng_for
 
 
-def _roots_of_unity(order: int) -> list[complex]:
-    return [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
+def _roots_of_unity(ctx: FieldCtx, order: int) -> list[complex]:
+    """e(j/order) for j < order, built once per field and order."""
+    roots = ctx.char_cache.setdefault("roots", {})
+    if order not in roots:
+        roots[order] = [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
+    return roots[order]
+
+
+def _log_table(ctx: FieldCtx) -> list[int]:
+    log = ctx.log_table
+    if log is None:
+        raise ResourceLimitError("character tables need the exp/log tables of the field")
+    return log
+
+
+def _tr_exp(ctx: FieldCtx) -> list[int]:
+    """tr_exp[i] = tr(τ^i) for i < q^n - 1."""
+    if "tr_exp" not in ctx.char_cache:
+        log = _log_table(ctx)
+        ctx.ensure_trace_table()
+        tr_exp = [0] * (ctx.order - 1)
+        for a in range(1, ctx.order):
+            tr_exp[log[a]] = ctx.trace(a)
+        ctx.char_cache["tr_exp"] = tr_exp
+    return ctx.char_cache["tr_exp"]
+
+
+def _zech(ctx: FieldCtx) -> list[int | None]:
+    """Zech logarithms: zech[i] = log(1 + τ^i), None where 1 + τ^i = 0."""
+    if "zech" not in ctx.char_cache:
+        log = _log_table(ctx)
+        zech: list[int | None] = [None] * (ctx.order - 1)
+        for a in range(1, ctx.order):
+            w = ctx.add(1, a)
+            if w:
+                zech[log[a]] = log[w]
+        ctx.char_cache["zech"] = zech
+    return ctx.char_cache["zech"]
+
+
+def _df_inner(ctx: FieldCtx, d: int) -> complex:
+    """Σ_{t < q^n} e(d·t/q^n), the inner sum of both divisor-free literals."""
+    qn = ctx.order
+    d %= qn
+    cache = ctx.char_cache.setdefault("df_inner", {})
+    if d not in cache:
+        zq = _roots_of_unity(ctx, qn)
+        cache[d] = sum(zq[d * t % qn] for t in range(qn))
+    return cache[d]
 
 
 # -- discrete logarithm -------------------------------------------------------
@@ -134,9 +196,8 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
     m = ctx.order - 1
     b %= m
     if b == 0 and c == 0:
-        return complex(sum(1 for _ in range(1, ctx.order)))
-    ctx.ensure_tables()
-    log = ctx.log_table
+        return complex(m)
+    log = _log_table(ctx)
     if c == 0:
         # Σ χ_b(ρ) over ρ≠0: exponents b·log ρ hit every multiple of
         # gcd(b, m) uniformly; a uniform histogram sums to 0 exactly.
@@ -147,26 +208,29 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
         values = set(counts.values())
         if len(values) == 1 and len(counts) > 1:
             return complex(0)
-        zm = _roots_of_unity(m)
+        zm = _roots_of_unity(ctx, m)
         return sum(cnt * zm[e] for e, cnt in counts.items())
+    # tr(c·ρ) = tr_exp[(log c + log ρ) mod m], with ρ in enumeration order
+    tr_exp = _tr_exp(ctx)
+    lc = log[c]
     if b == 0:
         # Σ ψ_c(ρ) over ρ≠0: the histogram of tr(c·ρ) over the whole field
         # is uniform, so dropping ρ=0 leaves count_0 - count_j = -1 exactly.
-        ctx.ensure_trace_table()
         counts = {}
         for a in range(1, ctx.order):
-            t = ctx.trace(ctx.mul(c, a))
+            t = tr_exp[(lc + log[a]) % m]
             counts[t] = counts.get(t, 0) + 1
         nonzero = {counts.get(j, 0) for j in range(1, ctx.p)}
         if len(nonzero) == 1:
             return complex(counts.get(0, 0) - nonzero.pop())
-        zp = _roots_of_unity(ctx.p)
+        zp = _roots_of_unity(ctx, ctx.p)
         return sum(cnt * zp[t] for t, cnt in counts.items())
-    zm = _roots_of_unity(m)
-    zp = _roots_of_unity(ctx.p)
+    zm = _roots_of_unity(ctx, m)
+    zp = _roots_of_unity(ctx, ctx.p)
     total = 0j
     for a in range(1, ctx.order):
-        total += zm[b * log[a] % m] * zp[ctx.trace(ctx.mul(c, a))]
+        la = log[a]
+        total += zm[b * la % m] * zp[tr_exp[(lc + la) % m]]
     return total
 
 
@@ -234,7 +298,7 @@ def indicator_primitive_dd_literal(ctx: FieldCtx, a: int) -> int:
         raise ValueError("indicator undefined at 0")
     m = ctx.order - 1
     big_l = discrete_log(ctx, a)
-    zm = _roots_of_unity(m)
+    zm = _roots_of_unity(ctx, m)
     phi_m = euler_phi(m)
     by_order: dict[int, complex] = {}
     for b in range(m):
@@ -285,11 +349,9 @@ def indicator_primitive_df_literal(ctx: FieldCtx, a: int, rotation: int = 0) -> 
     if rotation:
         r = rotation % len(s_list)
         s_list = s_list[r:] + s_list[:r]
-    zq = _roots_of_unity(qn)
     total = 0j
     for s in s_list:
-        inner = sum(zq[(s - big_l) * t % qn] for t in range(qn))
-        total += inner / qn
+        total += _df_inner(ctx, s - big_l) / qn
     if abs(total.imag) > 1e-6:
         raise ConsistencyError("literal DF indicator has an imaginary part")
     out = round(total.real)
@@ -405,7 +467,7 @@ def indicator_normal_dd_literal(ctx: FieldCtx, a: int) -> int | None:
                 phi *= ctx.q ** poly_deg(f) - 1
                 bits += 1
         div_data[d] = (-1 if bits % 2 else 1, phi)
-    zp = _roots_of_unity(ctx.p)
+    zp = _roots_of_unity(ctx, ctx.p)
     sums: dict[Poly, complex] = {d: 0j for d in div_data}
     for c in range(ctx.order):
         d = ctx.additive_order(c)
@@ -446,13 +508,10 @@ def indicator_normal_df_literal(ctx: FieldCtx, a: int, eta: int) -> int:
     qn = ctx.order
     log = ctx.log_table
     la = discrete_log(ctx, a)
-    zq = _roots_of_unity(qn)
     total = 0j
     for s in ctx.coprime_s_polys():
         w = ctx.apply_linearized(s, eta)
-        diff = log[w] - la
-        inner = sum(zq[diff * t % qn] for t in range(qn))
-        total += inner / qn
+        total += _df_inner(ctx, log[w] - la) / qn
     if abs(total.imag) > 1e-6:
         raise ConsistencyError("literal DF normal indicator has an imaginary part")
     out = round(total.real)
@@ -471,12 +530,20 @@ def double_product_sum_ratio(ctx: FieldCtx, c: int, u_set, v_set) -> float:
     """
     if c == 0:
         raise ValueError("ψ must be nontrivial")
-    zp = _roots_of_unity(ctx.p)
+    log, tr_exp = _log_table(ctx), _tr_exp(ctx)
+    m = ctx.order - 1
+    zp = _roots_of_unity(ctx, ctx.p)
+    logs_v = [log[v] if v else None for v in v_set]
     total = 0j
     for u in u_set:
-        cu = ctx.mul(c, u)  # c·(u·v) = (c·u)·v: the same terms in the same order
-        for v in v_set:
-            total += zp[ctx.trace(ctx.mul(cu, v))]
+        if u == 0:
+            for _ in v_set:
+                total += zp[0]
+            continue
+        # ψ_c(u·v) = e(tr(τ^(log c + log u + log v))/p), and 1 where v = 0
+        lcu = log[c] + log[u]
+        for lv in logs_v:
+            total += zp[0 if lv is None else tr_exp[(lcu + lv) % m]]
     bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
     return abs(total) / bound
 
@@ -489,10 +556,12 @@ def units_sum_ratio(ctx: FieldCtx, c: int, eta: int | None = None) -> float:
         raise ValueError("ψ must be nontrivial")
     if eta is None:
         eta = ctx.reference_tau
-    zp = _roots_of_unity(ctx.p)
+    log, tr_exp = _log_table(ctx), _tr_exp(ctx)
+    m = ctx.order - 1
+    zp = _roots_of_unity(ctx, ctx.p)
     total = 0j
     for w in ctx.normal_image(eta):
-        total += zp[ctx.trace(ctx.mul(c, w))]
+        total += zp[tr_exp[(log[c] + log[w]) % m]]
     return abs(total) / ctx.order**0.5
 
 
@@ -502,15 +571,25 @@ def shifted_sum_ratio(ctx: FieldCtx, b: int, u_set, v_set) -> float:
     m = ctx.order - 1
     if b % m == 0:
         raise ValueError("χ must be nontrivial")
-    ctx.ensure_tables()
-    log = ctx.log_table
-    zm = _roots_of_unity(m)
+    log, zech = _log_table(ctx), _zech(ctx)
+    zm = _roots_of_unity(ctx, m)
+    logs_v = [log[v] if v else None for v in v_set]
     total = 0j
     for u in u_set:
-        for v in v_set:
-            w = ctx.add(u, v)
-            if w:
-                total += zm[b * log[w] % m]
+        if u == 0:
+            for lv in logs_v:
+                if lv is not None:
+                    total += zm[b * lv % m]
+            continue
+        lu = log[u]
+        for lv in logs_v:
+            if lv is None:
+                total += zm[b * lu % m]
+                continue
+            # log(u + v) = log u + zech[log v - log u]; u + v = 0 adds nothing
+            z = zech[(lv - lu) % m]
+            if z is not None:
+                total += zm[b * (lu + z) % m]
     bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
     return abs(total) / bound
 
@@ -527,8 +606,6 @@ def char_sum_bound_suite(ctx: FieldCtx, trials: int, seed: int) -> dict:
         raise ValueError("trials must be >= 1")
     if ctx.order > 2**14:
         raise ResourceLimitError("field too large for direct double sums")
-    ctx.ensure_tables()
-    ctx.ensure_trace_table()
     m = ctx.order - 1
     cap = min(64, m)
     max_prod = 0.0
@@ -603,7 +680,7 @@ def primitive_exp_sum_direct(ctx: FieldCtx, a: int) -> int:
     qn = ctx.order
     m = qn - 1
     big_l = discrete_log(ctx, a)
-    zq = _roots_of_unity(qn)
+    zq = _roots_of_unity(ctx, qn)
     if "expsum_inner" not in ctx.char_cache:
         s_list = [s for s in range(1, qn) if math.gcd(s, m) == 1]
         inner = [0j] * qn
@@ -636,20 +713,20 @@ def fourier_identity_max_residuals(ctx: FieldCtx, b: int, c: int) -> tuple[float
     """
     qn = ctx.order
     m = qn - 1
-    ctx.ensure_tables()
-    log = ctx.log_table
-    zm = _roots_of_unity(m)
-    zp = _roots_of_unity(ctx.p)
+    log, tr_exp = _log_table(ctx), _tr_exp(ctx)
+    zm = _roots_of_unity(ctx, m)
+    zp = _roots_of_unity(ctx, ctx.p)
     g_add = [gauss_sum(ctx, -bb, c) for bb in range(m)]
     g_mult = [gauss_sum(ctx, b, ctx.neg(cc)) for cc in range(qn)]
     res_add = 0.0
     res_mult = 0.0
     for a in range(1, qn):
+        # tr(c·α) = tr_exp[(log c + log α) mod m], and 0 where c = 0
         la = log[a]
-        psi_val = zp[ctx.trace(ctx.mul(c, a))]
+        psi_val = zp[tr_exp[(log[c] + la) % m] if c else 0]
         total = sum(zm[bb * la % m] * g_add[bb] for bb in range(m))
         res_add = max(res_add, abs(psi_val - total / m))
         chi_val = zm[b * la % m]
-        total = sum(zp[ctx.trace(ctx.mul(cc, a))] * g_mult[cc] for cc in range(qn))
+        total = sum(zp[tr_exp[(log[cc] + la) % m] if cc else 0] * g_mult[cc] for cc in range(qn))
         res_mult = max(res_mult, abs(chi_val - total / qn))
     return res_add, res_mult

@@ -4,7 +4,8 @@ Subcommands: field-info, verify, sweep, search, conjecture.  All randomness
 flows from --seed through labelled child streams, so identical invocations
 produce byte-identical output files.  The element-count budget comes from
 --budget or the PNFIELD_BUDGET environment variable (default 2^24) and is
-enforced before any enumeration begins.
+enforced before any enumeration begins: search is charged for the members of
+its subset, the other commands for the fields they walk.
 """
 
 from __future__ import annotations
@@ -117,9 +118,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_search(args) -> int:
     ctx = parse_field_spec(args.field)
-    budget = _budget(args)
-    if ctx.order > budget:
-        raise ResourceLimitError(f"field order {ctx.order} exceeds budget {budget}")
+    budget = _budget(args)  # charged by materialize for the subset's members
     subset_text = args.subset
     if subset_text.startswith("@"):
         with open(subset_text[1:], encoding="utf-8") as fh:

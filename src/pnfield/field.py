@@ -168,7 +168,10 @@ class FieldCtx:
         # Data the characters layer derives once per field, by key: "bsgs"
         # (baby-step/giant-step tables), "prim_dd" and "norm_dd" (divisor
         # data of the divisor-dependent indicators), "expsum_inner" (the
-        # inner sums of the direct exponential-sum oracle).
+        # inner sums of the direct exponential-sum oracle), "roots" (the
+        # roots of unity per order), "tr_exp" (tr(τ^i) per exponent i),
+        # "zech" (Zech logarithms log(1 + τ^i)), "df_inner" (the inner sums
+        # of the literal divisor-free indicators, per exponent difference).
         self.char_cache: dict = {}
         self._mod_bits = None
         if self.p == 2 and self.k == 1:

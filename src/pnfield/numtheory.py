@@ -13,9 +13,23 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ResourceLimitError
 
-# Deterministic witness set: Miller-Rabin with these bases is exact below
-# 3.3·10^24, far above the 2^63-1 input cap.
+# Deterministic witness sets: Miller-Rabin with the first j primes as bases
+# is exact below ψ_j, the least strong pseudoprime to all of them
+# (Pomerance-Selfridge-Wagstaff 1980, Jaeschke 1993, Sorenson-Webster 2015).
+# (ψ_j, j) in increasing order; ψ_8 = ψ_7 and ψ_10 = ψ_11 = ψ_9.  All 12
+# bases 2..37 are proven below ψ_12 ≈ 3.2·10^23, far above the 2^63-1 input
+# cap of factorize; beyond ψ_12 the answer is unproven.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_PSI = (
+    (2047, 1),
+    (1373653, 2),
+    (25326001, 3),
+    (3215031751, 4),
+    (2152302898747, 5),
+    (3474749660383, 6),
+    (341550071728321, 7),
+    (3825123056546413051, 9),
+)
 
 _TRIAL_LIMIT = 10**6
 
@@ -30,15 +44,18 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin primality test."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:
+        return True  # no prime factor <= 37, so none at all
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in _MR_BASES:
+    count = next((j for psi, j in _MR_PSI if n < psi), len(_MR_BASES))
+    for a in _MR_BASES[:count]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

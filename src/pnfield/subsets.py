@@ -7,6 +7,7 @@ Subsets materialize to sorted lists of integer-encoded elements, so scans and
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -60,7 +61,7 @@ def enumerate_hamming_ball(ctx: FieldCtx, center: int, radius: int) -> list[int]
     return sorted(out)
 
 
-def enumerate_height_box(ctx: FieldCtx, d: int, h: int) -> list[int]:
+def enumerate_height_box(ctx: FieldCtx, d: int, h: int, budget: int = DEFAULT_BUDGET) -> list[int]:
     """The family A_d(H): polynomials Σ a_i x^i of degree <= d with integer
     coefficients |a_i| <= H and gcd(a_0, ..., a_d) = 1, mapped into the field.
 
@@ -72,7 +73,7 @@ def enumerate_height_box(ctx: FieldCtx, d: int, h: int) -> list[int]:
         raise ValueError("height bound must be >= 1")
     out = set()
     tuple_count = (2 * h + 1) ** (d + 1)
-    if tuple_count > DEFAULT_BUDGET:
+    if tuple_count > budget:
         raise ResourceLimitError(f"height box of {tuple_count} tuples exceeds budget")
     rng = range(-h, h + 1)
 
@@ -174,7 +175,7 @@ def materialize(ctx: FieldCtx, spec: SubsetSpec, budget: int = DEFAULT_BUDGET) -
             raise ResourceLimitError("hamming ball exceeds budget")
         return enumerate_hamming_ball(ctx, spec.center or 0, spec.radius)
     if spec.kind == "heightBox":
-        return enumerate_height_box(ctx, spec.degree, spec.height)
+        return enumerate_height_box(ctx, spec.degree, spec.height, budget)
     elems = sorted(set(spec.elements))
     if any(not 0 <= e < ctx.order for e in elems):
         raise ValueError("explicit elements out of range")
@@ -262,9 +263,10 @@ def _draw_subset(ctx: FieldCtx, family: str, size: int, rng) -> list[int]:
             radius += 1
             ball = enumerate_hamming_ball(ctx, center, radius)
         if len(ball) < size:
-            # p too small for the ball alone; pad deterministically
-            pad = [a for a in range(ctx.order) if a not in set(ball)]
-            ball = ball + pad[: size - len(ball)]
+            # p too small for the ball alone; pad with the least non-members
+            members = set(ball)
+            pad = (a for a in range(ctx.order) if a not in members)
+            ball = ball + list(itertools.islice(pad, size - len(ball)))
         return ball[:size]
     if family == "heightBox":
         if ctx.n < 3:

@@ -5,6 +5,7 @@ check: primitivity by naive repeated multiplication, normality by exhaustive
 span enumeration, totients by literal gcd counting.
 """
 
+import cmath
 import math
 from itertools import product
 
@@ -172,3 +173,130 @@ def frobenius_by_powering(ctx, a: int, i: int) -> int:
             cur = schoolbook_mul(ctx, cur, a)
         a = cur
     return a
+
+
+# -- per-term character sums ----------------------------------------------------
+# The character sums as they read before the exponent-indexed tables: one
+# field mul/trace/add per term, the same terms in the same order, so the
+# library's table-driven sums must equal them exactly, float for float.
+
+
+def roots_of_unity(order: int) -> list:
+    return [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
+
+
+def gauss_sum_per_term(ctx, b: int, c: int) -> complex:
+    m = ctx.order - 1
+    b %= m
+    if b == 0 and c == 0:
+        return complex(sum(1 for _ in range(1, ctx.order)))
+    ctx.ensure_tables()
+    log = ctx.log_table
+    if c == 0:
+        counts = {}
+        for a in range(1, ctx.order):
+            e = b * log[a] % m
+            counts[e] = counts.get(e, 0) + 1
+        values = set(counts.values())
+        if len(values) == 1 and len(counts) > 1:
+            return complex(0)
+        zm = roots_of_unity(m)
+        return sum(cnt * zm[e] for e, cnt in counts.items())
+    if b == 0:
+        ctx.ensure_trace_table()
+        counts = {}
+        for a in range(1, ctx.order):
+            t = ctx.trace(ctx.mul(c, a))
+            counts[t] = counts.get(t, 0) + 1
+        nonzero = {counts.get(j, 0) for j in range(1, ctx.p)}
+        if len(nonzero) == 1:
+            return complex(counts.get(0, 0) - nonzero.pop())
+        zp = roots_of_unity(ctx.p)
+        return sum(cnt * zp[t] for t, cnt in counts.items())
+    zm = roots_of_unity(m)
+    zp = roots_of_unity(ctx.p)
+    total = 0j
+    for a in range(1, ctx.order):
+        total += zm[b * log[a] % m] * zp[ctx.trace(ctx.mul(c, a))]
+    return total
+
+
+def double_product_sum_ratio_per_term(ctx, c: int, u_set, v_set) -> float:
+    zp = roots_of_unity(ctx.p)
+    total = 0j
+    for u in u_set:
+        cu = ctx.mul(c, u)
+        for v in v_set:
+            total += zp[ctx.trace(ctx.mul(cu, v))]
+    bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
+    return abs(total) / bound
+
+
+def shifted_sum_ratio_per_term(ctx, b: int, u_set, v_set) -> float:
+    m = ctx.order - 1
+    ctx.ensure_tables()
+    log = ctx.log_table
+    zm = roots_of_unity(m)
+    total = 0j
+    for u in u_set:
+        for v in v_set:
+            w = ctx.add(u, v)
+            if w:
+                total += zm[b * log[w] % m]
+    bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
+    return abs(total) / bound
+
+
+def units_sum_ratio_per_term(ctx, c: int, eta: int) -> float:
+    zp = roots_of_unity(ctx.p)
+    total = 0j
+    for w in ctx.normal_image(eta):
+        total += zp[ctx.trace(ctx.mul(c, w))]
+    return abs(total) / ctx.order**0.5
+
+
+def fourier_identity_max_residuals_per_term(ctx, b: int, c: int) -> tuple:
+    qn = ctx.order
+    m = qn - 1
+    ctx.ensure_tables()
+    log = ctx.log_table
+    zm = roots_of_unity(m)
+    zp = roots_of_unity(ctx.p)
+    g_add = [gauss_sum_per_term(ctx, -bb, c) for bb in range(m)]
+    g_mult = [gauss_sum_per_term(ctx, b, ctx.neg(cc)) for cc in range(qn)]
+    res_add = 0.0
+    res_mult = 0.0
+    for a in range(1, qn):
+        la = log[a]
+        psi_val = zp[ctx.trace(ctx.mul(c, a))]
+        total = sum(zm[bb * la % m] * g_add[bb] for bb in range(m))
+        res_add = max(res_add, abs(psi_val - total / m))
+        chi_val = zm[b * la % m]
+        total = sum(zp[ctx.trace(ctx.mul(cc, a))] * g_mult[cc] for cc in range(qn))
+        res_mult = max(res_mult, abs(chi_val - total / qn))
+    return res_add, res_mult
+
+
+def df_inner_per_term(ctx, d: int) -> complex:
+    """Σ_t e(d·t/q^n) over t < q^n, summed in order of t."""
+    qn = ctx.order
+    zq = roots_of_unity(qn)
+    return sum(zq[d * t % qn] for t in range(qn))
+
+
+def indicator_primitive_df_literal_per_term(ctx, a: int, rotation: int = 0) -> int:
+    qn = ctx.order
+    m = qn - 1
+    big_l = ctx.log_table[a]
+    s_list = [s for s in range(1, qn) if math.gcd(s, m) == 1]
+    if rotation:
+        r = rotation % len(s_list)
+        s_list = s_list[r:] + s_list[:r]
+    zq = roots_of_unity(qn)
+    total = 0j
+    for s in s_list:
+        inner = sum(zq[(s - big_l) * t % qn] for t in range(qn))
+        total += inner / qn
+    out = round(total.real)
+    assert abs(total.imag) <= 1e-6 and abs(total.real - out) <= 1e-6 and out in (0, 1)
+    return out

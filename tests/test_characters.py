@@ -3,12 +3,15 @@ character-sum bound suite."""
 
 import cmath
 import math
+import random
 
 import pytest
 
 from pnfield import characters as ch
 from pnfield.field import build_field, get_field
 from pnfield.numtheory import euler_phi
+
+import bruteforce as bf
 
 
 def test_discrete_log_examples():
@@ -321,11 +324,88 @@ def test_character_caches_stay_in_the_context_cache():
     for a in range(1, ctx.order):
         ch.indicator_primitive_dd(ctx, a)
         ch.indicator_primitive_df(ctx, a)
+        ch.indicator_primitive_df_literal(ctx, a)
         ch.indicator_normal_dd(ctx, a)
         ch.indicator_normal_df(ctx, a, tau)
         ch.discrete_log_bsgs(ctx, a)
         if not ctx.is_primitive(a):
             ch.primitive_exp_sum_direct(ctx, a)
     ch.gauss_sum(ctx, 1, 1)
+    ch.char_sum_bound_suite(ctx, trials=3, seed=1)
+    ch.fourier_identity_max_residuals(ctx, 1, 1)
     assert set(vars(ctx)) == before
-    assert set(ctx.char_cache) == {"bsgs", "prim_dd", "norm_dd", "expsum_inner"}
+    assert set(ctx.char_cache) == {"bsgs", "prim_dd", "norm_dd", "expsum_inner",
+                                   "roots", "tr_exp", "zech", "df_inner"}
+    assert set(ctx.char_cache["roots"]) == {ctx.p, ctx.order - 1, ctx.order}
+
+
+# -- the exponent-indexed tables against the per-term sums ---------------------
+
+TABLE_FIELDS = [(2, 1, 8), (2, 2, 4), (3, 1, 5), (3, 2, 2), (5, 1, 3), (7, 1, 2), (13, 1, 2)]
+
+
+def _powers_of_tau(ctx):
+    """τ^i for i < q^n - 1 by repeated polynomial-path products."""
+    out, cur = [], 1
+    for _ in range(ctx.order - 1):
+        out.append(cur)
+        cur = ctx._mul_poly(cur, ctx.reference_tau)
+    return out
+
+
+@pytest.mark.parametrize("p,k,n", TABLE_FIELDS)
+def test_trace_and_zech_tables_match_their_definitions(p, k, n):
+    ctx = build_field(p, k, n)
+    powers = _powers_of_tau(ctx)
+    tr_exp, zech = ch._tr_exp(ctx), ch._zech(ctx)
+    minus_one = ctx.neg(1)
+    assert len(tr_exp) == len(zech) == len(powers)
+    for i, a in enumerate(powers):
+        assert tr_exp[i] == ctx._trace_slow(a)
+        assert (zech[i] is None) == (a == minus_one)
+        if zech[i] is not None:
+            assert powers[zech[i]] == ctx.add(1, a)
+
+
+@pytest.mark.parametrize("p,k,n", TABLE_FIELDS)
+def test_table_sums_equal_per_term_sums_exactly(p, k, n):
+    ctx = build_field(p, k, n)
+    qn, m = ctx.order, ctx.order - 1
+    rng = random.Random(f"table-sums {p}^{k}:{n}")
+    pairs = [(0, 0), (0, 1), (1, 0), (m - 1, 0), (0, qn - 1)]
+    pairs += [(rng.randrange(1, m), rng.randrange(1, qn)) for _ in range(40)]
+    for b, c in pairs:
+        assert ch.gauss_sum(ctx, b, c) == bf.gauss_sum_per_term(ctx, b, c)
+    for _ in range(20):
+        c = rng.randrange(1, qn)
+        b = rng.randrange(1, m)
+        # the zero element in both sets exercises the u = 0 and v = 0 terms
+        u_set = rng.sample(range(qn), rng.randrange(1, 40)) + [0]
+        v_set = [0] + rng.sample(range(qn), rng.randrange(1, 40))
+        assert (ch.double_product_sum_ratio(ctx, c, u_set, v_set)
+                == bf.double_product_sum_ratio_per_term(ctx, c, u_set, v_set))
+        assert (ch.shifted_sum_ratio(ctx, b, u_set, v_set)
+                == bf.shifted_sum_ratio_per_term(ctx, b, u_set, v_set))
+        assert ch.units_sum_ratio(ctx, c) == bf.units_sum_ratio_per_term(ctx, c, ctx.reference_tau)
+    b, c = rng.randrange(1, m), rng.randrange(1, qn)
+    assert (ch.fourier_identity_max_residuals(ctx, b, c)
+            == bf.fourier_identity_max_residuals_per_term(ctx, b, c))
+    for a in range(1, min(qn, 12)):
+        for rot in (0, 1, 3, 7):
+            assert (ch.indicator_primitive_df_literal(ctx, a, rotation=rot)
+                    == bf.indicator_primitive_df_literal_per_term(ctx, a, rotation=rot))
+    # the literal asks for the inner sum of each s - log α, and the cached
+    # inner sums are the per-term sums
+    inner = ctx.char_cache["df_inner"]
+    coprime = [s for s in range(1, qn) if math.gcd(s, m) == 1]
+    assert set(inner) == {(s - ctx.log_table[a]) % qn for a in range(1, min(qn, 12)) for s in coprime}
+    for d, value in inner.items():
+        assert value == bf.df_inner_per_term(ctx, d) == bf.df_inner_per_term(ctx, d - qn)
+
+
+def test_character_tables_need_the_log_table():
+    from pnfield.errors import ResourceLimitError
+
+    big = build_field(2, 1, 21)  # above the exp/log table cap
+    with pytest.raises(ResourceLimitError):
+        ch.gauss_sum(big, 1, 1)

@@ -119,6 +119,24 @@ def test_search_json(tmp_path):
     assert payload["opCount"] > 0
 
 
+def test_search_is_charged_for_its_subset_not_the_field():
+    # q^n = 2^40 is far above the default budget; the box has 7 members
+    code, out = run_cli([
+        "search", "--field", "2^1:40",
+        "--subset", '{"kind":"heightBox","d":2,"H":1}',
+    ])
+    assert code == 0
+    assert json.loads(out)["subsetSize"] == 7
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnfield.cli", "search", "--field", "2^1:40",
+         "--budget", "2", "--subset", '{"kind":"explicit","elements":[1,2,3]}'],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert "budget" in proc.stderr
+
+
 def test_search_explicit_subset():
     code, out = run_cli([
         "search", "--field", "2^1:2",

@@ -135,3 +135,29 @@ def test_inverse_totient_identity():
             mu = nt.mobius(d)
             total += Fraction(mu * mu, nt.euler_phi(d))
         assert Fraction(1, nt.euler_phi(n)) == total / n
+
+
+def test_is_prime_matches_sympy_below_ten_to_the_five():
+    from sympy import isprime
+
+    for n in range(10**5):
+        assert nt.is_prime(n) == isprime(n), n
+
+
+def test_is_prime_matches_sympy_on_seeded_62_bit_integers():
+    import random
+
+    from sympy import isprime
+
+    rng = random.Random(20261018)
+    for _ in range(10**5):
+        n = rng.getrandbits(62)
+        assert nt.is_prime(n) == isprime(n), n
+
+
+def test_is_prime_rejects_each_strong_pseudoprime_bound():
+    # ψ_j is a strong pseudoprime to the first j prime bases, so the test
+    # must reach base j + 1 at n = ψ_j
+    for psi, _ in nt._MR_PSI:
+        assert not nt.is_prime(psi), psi
+    assert [j for _, j in nt._MR_PSI] == [1, 2, 3, 4, 5, 6, 7, 9]

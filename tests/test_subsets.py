@@ -1,6 +1,8 @@
 """Metrics, subset families, structure detection, and the subset search."""
 
 import math
+import random
+import time
 
 import pytest
 
@@ -135,6 +137,37 @@ def test_threshold_experiment():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "trial,size,hit,witnessCount"
     assert len(lines) == 21
+
+
+def _hamming_draw_before_lazy_pad(ctx, size, rng):
+    """The hammingBall draw as it was written with an eager pad list."""
+    center = rng.randrange(ctx.order)
+    radius = 0
+    ball = sb.enumerate_hamming_ball(ctx, center, radius)
+    while len(ball) < size and radius < ctx.p.bit_length():
+        radius += 1
+        ball = sb.enumerate_hamming_ball(ctx, center, radius)
+    if len(ball) < size:
+        pad = [a for a in range(ctx.order) if a not in set(ball)]
+        ball = ball + pad[: size - len(ball)]
+    return ball[:size]
+
+
+def test_hamming_ball_draws_unchanged_by_lazy_pad():
+    for p, k, n in [(2, 1, 6), (3, 1, 4), (5, 1, 3), (2, 2, 3)]:
+        ctx = get_field(p, k, n)
+        for size in (1, 2, 3, 7, 20, ctx.order - 1):
+            for seed in range(5):
+                new = sb._draw_subset(ctx, "hammingBall", size, random.Random(seed))
+                old = _hamming_draw_before_lazy_pad(ctx, size, random.Random(seed))
+                assert new == old
+
+
+def test_hamming_ball_threshold_experiment_on_a_large_field_is_fast():
+    ctx = get_field(2, 1, 40)
+    start = time.perf_counter()
+    sb.threshold_experiment(ctx, "hammingBall", 0.1, 1, 1)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_materialize_errors():
