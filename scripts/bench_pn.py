@@ -1,0 +1,129 @@
+"""Per-element cost of the primitive and normal tests on the polynomial path.
+
+    python3 scripts/bench_pn.py [--seed 1] [--elements 20] [--repeats 5]
+    python3 scripts/bench_pn.py --parent ../parent --change . --rounds 3 --out BENCH.json
+
+On each field of FIELDS (all above the exp/log table cap, so every product
+runs on the polynomial path) it times, per element of a seeded sample: one
+product, ``is_primitive``, and ``is_normal`` by the divisor and the rank
+method.  Each field is warmed up by one call of each operation first, so the
+Frobenius images and cofactors built on first use are not counted.  A row
+holds the median over repeats of the mean time per element, and two
+deterministic work counts: the charged ``op_count`` and the number of
+elements the test accepts.
+
+With ``--parent`` and ``--change`` (two checkouts of the repository) the
+script runs itself in a fresh interpreter on each checkout's ``src``,
+alternating sides for ``--rounds`` rounds, and writes before/after rows with
+the speedup and whether the work counts agree.  ``--out`` adds them as the
+key "per_element" to that JSON file, keeping what else it holds (such as the
+output of scripts/bench_pairs.py).  Human-readable lines go to stderr; the
+last line of stdout is the JSON result.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+FIELDS = ((2, 1, 40), (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22))
+OPS = ("product", "is_primitive", "is_normal.divisor", "is_normal.rank")
+
+
+def _op(ctx, name: str):
+    if name == "product":
+        b = ctx.order - 2
+        return lambda a: ctx.mul(a, b)
+    if name == "is_primitive":
+        return ctx.is_primitive
+    return lambda a: ctx.is_normal(a, method=name.partition(".")[2])
+
+
+def measure(seed: int, count: int, repeats: int) -> list:
+    """One row per field and operation, in this interpreter."""
+    from pnfield.field import build_field
+
+    rows = []
+    for spec in FIELDS:
+        ctx = build_field(*spec)
+        elements = random.Random(seed).sample(range(1, ctx.order), count)
+        for name in OPS:
+            fn = _op(ctx, name)
+            fn(elements[0])
+            before = ctx.op_count
+            hits = sum(bool(fn(a)) for a in elements)
+            ops = ctx.op_count - before
+            means = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                for a in elements:
+                    fn(a)
+                means.append((time.perf_counter() - start) / count)
+            rows.append({"field": "%d^%d:%d" % spec, "op": name, "us": statistics.median(means) * 1e6,
+                         "runs_us": [t * 1e6 for t in means], "op_count": ops, "hits": hits})
+            print(f"{rows[-1]['field']:>7} {name:<18} {rows[-1]['us']:10.1f} us", file=sys.stderr)
+    return rows
+
+
+def compare(sides: dict, args) -> dict:
+    """Alternating fresh-interpreter runs on both checkouts, joined by row."""
+    runs = {"parent": [], "change": []}
+    for i in range(args.rounds):
+        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
+            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
+            proc = subprocess.run(
+                [sys.executable, __file__, "--seed", str(args.seed), "--elements", str(args.elements),
+                 "--repeats", str(args.repeats)],
+                env=env, capture_output=True, text=True, check=True)
+            runs[name].append(json.loads(proc.stdout.strip().splitlines()[-1])["rows"])
+            print(f"round {i} {name} done", file=sys.stderr, flush=True)
+    rows = []
+    for j, row in enumerate(runs["change"][0]):
+        before = statistics.median(r[j]["us"] for r in runs["parent"])
+        after = statistics.median(r[j]["us"] for r in runs["change"])
+        parent0 = runs["parent"][0][j]
+        rows.append({
+            "field": row["field"], "op": row["op"], "parent_us": before, "change_us": after,
+            "speedup": before / after, "op_count": [parent0["op_count"], row["op_count"]],
+            "hits": [parent0["hits"], row["hits"]],
+            "same_work": (parent0["op_count"], parent0["hits"]) == (row["op_count"], row["hits"]),
+        })
+    return {"command": "python3 scripts/bench_pn.py --parent PARENT --change CHANGE --seed "
+                       f"{args.seed} --elements {args.elements} --repeats {args.repeats} "
+                       f"--rounds {args.rounds}",
+            "unit": "microseconds per element, median over rounds of the median over repeats",
+            "rows": rows}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--seed", type=int, default=1)
+    ap.add_argument("--elements", type=int, default=20)
+    ap.add_argument("--repeats", type=int, default=5)
+    ap.add_argument("--parent", type=Path)
+    ap.add_argument("--change", type=Path)
+    ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--out", type=Path)
+    args = ap.parse_args(argv)
+    if args.parent and args.change:
+        result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()}, args)
+    else:
+        result = {"seed": args.seed, "elements": args.elements,
+                  "rows": measure(args.seed, args.elements, args.repeats)}
+    if args.out:
+        report = json.loads(args.out.read_text()) if args.out.exists() else {}
+        report["per_element"] = result
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

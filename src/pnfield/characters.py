@@ -422,10 +422,14 @@ def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
         return None
     subsets = _ensure_norm_dd_data(ctx)
     t = len(ctx.add_factorization.entries)
-    # F[mask] = full kernel character sum over K_e for the subset e
+    # F[mask] = full kernel character sum over K_e for the subset e, where
+    # tr(c·α) = tr_exp[(log c + log α) mod m] for the nonzero c spanning K_e,
+    # and tr(c·0) = 0 (log[0] is a placeholder)
     full_sums = [0] * (1 << t)
+    tr_exp, log, m = _tr_exp(ctx), _log_table(ctx), ctx.order - 1
+    log_a = log[a]
     for entry in subsets:
-        ok = all(ctx.trace(ctx.mul(c, a)) == 0 for c in entry["span"])
+        ok = a == 0 or all(tr_exp[(log[c] + log_a) % m] == 0 for c in entry["span"])
         full_sums[entry["mask"]] = entry["kernel_size"] if ok else 0
     total = Fraction(0)
     for entry in subsets:

@@ -153,11 +153,14 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
     out.append(_assert("totient-inverse-identity", f"n<={min(phi_limit, 10**4)}", ok,
                        "1/φ(n) = (1/n)·Σ_{d|n} μ²(d)/φ(d)"))
 
-    # Σ_{n<=x} μ(n)·floor(x/n) = 1
+    # Σ_{n<=x} μ(n)·floor(x/n) = 1, as a running total: floor(x/n) -
+    # floor((x-1)/n) is 1 exactly when n | x, so the sum grows by Σ_{d|x} μ(d)
     ok = True
     xmax = min(phi_limit, 2000)
+    total = 0
     for x in range(1, xmax + 1):
-        if sum(mus[n] * (x // n) for n in range(1, x + 1)) != 1:
+        total += sum(mus[d] for d in divisors(x))
+        if total != 1:
             ok = False
             break
     out.append(_assert("mobius-floor-identity", f"x<={xmax}", ok,

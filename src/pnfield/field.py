@@ -26,6 +26,18 @@ reduction rows x^(n+j) mod f before each coordinate is reduced mod p; and for
 k > 1 a schoolbook product over F_q's product table.  On that path Frobenius
 is one F_p-linear combination of the images of the base-p unit vectors,
 precomputed per power on first use.
+
+Powers on the polynomial path (pow, and through it inv, norm and the
+multiplicative order, and is_primitive) read the exponent in base Q = q^w,
+where w is the largest w < n with q^w <= 16, and at least 1: Horner over the
+digits d, result = Frob^w(result)·α^d, so each digit costs one application of
+the precomputed Frob^w and at most one product instead of about log2 Q
+squarings.  The digit powers α^d are built on demand, each by one product
+from α^(d-t) and α^t for the top bit t of d (a squaring when d = 2t), and
+is_primitive shares them across the primes of q^n - 1.  For q > 16 only the
+digits that occur are built, never a table of q entries.  The images of
+Frob^1 come from X = x^q by the same digit ladder, as Frob(c·x^j) = c·X^j, so
+they do not depend on the Horner routine they serve.
 """
 
 from __future__ import annotations
@@ -149,6 +161,13 @@ class FieldCtx:
         self._bits = (2 * self.k * n * (self.p - 1) ** 2).bit_length()
         # _frob[i] holds the packed columns of Frob^i, grown on first use
         self._frob = [None]
+        # exponents are read in base Q = q^w, with w the largest w < n such
+        # that q^w <= 16, and at least 1
+        w = 1
+        while w + 1 < n and self.q ** (w + 1) <= 16:
+            w += 1
+        self._frob_w = w
+        self._digit_base = self.q**w
         self._exp = None
         self._log = None
         self._tau = None
@@ -304,17 +323,49 @@ class FieldCtx:
         e %= m
         if self._log is not None:
             return self._exp[self._log[a] * e % m]
-        return self._pow_poly(a, e)
+        return self._pow_poly({1: a}, e)
 
-    def _pow_poly(self, a: int, e: int) -> int:
-        """a^e by square and multiply on the polynomial path, uncounted."""
-        result = 1
+    def _pow_poly(self, powers: dict, e: int) -> int:
+        """α^e on the polynomial path, uncounted, for powers = {1: α, ...}.
+
+        Horner over the base-Q digits d of e, Q = q^w: each step is
+        result = Frob^w(result)·α^d, since x^Q is the precomputed F_p-linear
+        map Frob^w.  The digit powers stay in powers, so a caller that
+        raises one α to several exponents builds each of them once.
+        """
+        if e == 0:
+            return 1
+        digits = []
         while e:
-            if e & 1:
-                result = self._mul_poly(result, a)
-            a = self._mul_poly(a, a)
-            e >>= 1
+            e, d = divmod(e, self._digit_base)
+            digits.append(d)
+        result = self._digit_power(powers, digits.pop())
+        if digits:
+            cols = self._frob_cols(self._frob_w)
+            for d in reversed(digits):
+                result = self._apply_cols(cols, result)
+                if d:
+                    result = self._mul_poly(result, self._digit_power(powers, d))
         return result
+
+    def _digit_power(self, powers: dict, d: int) -> int:
+        """α^d for d >= 1 from powers = {1: α, ...}, by the binary ladder.
+
+        A missing entry costs one product: α^d = α^(d/2)·α^(d/2) when d is a
+        power of two, and α^d = α^(d-t)·α^t for the top bit t of d otherwise.
+        Only the digits that occur are built, so a large q never gets a
+        table of q entries.
+        """
+        v = powers.get(d)
+        if v is None:
+            top = 1 << (d.bit_length() - 1)
+            if top == d:
+                half = self._digit_power(powers, top >> 1)
+                v = self._mul_poly(half, half)
+            else:
+                v = self._mul_poly(self._digit_power(powers, d - top), self._digit_power(powers, top))
+            powers[d] = v
+        return v
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -464,20 +515,32 @@ class FieldCtx:
         if self._log is not None:
             return self._exp[self._log[a] * self._qpow[i] % (self.order - 1)]
         self.op_count += 1
-        return _unpack(_combine(self._frob_cols(i), a, self.p), self.p, self._bits)
+        return self._apply_cols(self._frob_cols(i), a)
+
+    def _apply_cols(self, cols: list[int], a: int) -> int:
+        """The F_p-linear map with packed columns cols, applied to a."""
+        return _unpack(_combine(cols, a, self.p), self.p, self._bits)
 
     def _frob_cols(self, i: int) -> list[int]:
         """The packed images Frob^i(p^d) for d < kn, 1 <= i < n.
 
-        Frob^1 comes from q-th powers and Frob^(i+1) is Frob^1 applied to
-        the images of Frob^i; each power is built on first use.
+        Frobenius fixes F_q, so Frob^1(c·x^j) = c·X^j with X = x^q, found by
+        the digit ladder alone: _pow_poly needs these images and cannot make
+        them.  Frob^(i+1) is Frob^1 applied to the images of Frob^i; each
+        power is built on first use.
         """
-        frob, p, bits = self._frob, self.p, self._bits
+        frob, p, k, bits = self._frob, self.p, self.k, self._bits
         if len(frob) == 1:
-            images = [self._pow_poly(p**d, self.q) for d in range(self.k * self.n)]
+            # the unit vector p^(jk+t) is the F_q constant y^t = p^t times x^j
+            big_x = self._digit_power({1: self.q}, self.q)
+            images, cur = [], 1
+            for j in range(self.n):
+                if j:
+                    cur = self._mul_poly(cur, big_x)
+                images += [cur] + [self._mul_poly(p**t, cur) for t in range(1, k)]
             frob.append([_pack(v, p, bits) for v in images])
         while len(frob) <= i:
-            images = [_unpack(_combine(frob[1], _unpack(c, p, bits), p), p, bits) for c in frob[-1]]
+            images = [self._apply_cols(frob[1], _unpack(c, p, bits)) for c in frob[-1]]
             frob.append([_pack(v, p, bits) for v in images])
         return frob[i]
 
@@ -534,11 +597,25 @@ class FieldCtx:
     # -- linearized action and additive order ---------------------------------
 
     def apply_linearized(self, r: Poly, a: int) -> int:
-        """r∘α = Σ r_i·α^(q^i): the F_q[x]-module action via q-power Frobenius."""
+        """r∘α = Σ r_i·α^(q^i): the F_q[x]-module action via q-power Frobenius.
+
+        Each nonzero r_i is charged as the product r_i·α^(q^i) it stands for,
+        but a coefficient 1 takes the image as it is, and on the polynomial
+        path with k = 1 a coefficient scales the base-p digits in place.
+        """
         total = 0
+        scale_digits = self.k == 1 and self._log is None
+        p, bits = self.p, self._bits
         for i, coeff in enumerate(r):
             if coeff:
-                term = self.mul(self.embed_base(coeff), self.frobenius(a, i) if i else a)
+                term = self.frobenius(a, i) if i else a
+                if coeff == 1:
+                    self.op_count += 1
+                elif scale_digits:
+                    self.op_count += 1
+                    term = _unpack(coeff * _pack(term, p, bits), p, bits)
+                else:
+                    term = self.mul(self.embed_base(coeff), term)
                 total = self.add(total, term)
         return total
 
@@ -593,7 +670,17 @@ class FieldCtx:
         if a == 0:
             raise ValueError("0 is never primitive")
         m = self.order - 1
-        return all(self.pow(a, m // r) != 1 for r in self.mult_factorization.primes())
+        primes = self.mult_factorization.primes()
+        if self._log is not None:
+            return all(self.pow(a, m // r) != 1 for r in primes)
+        # one table of digit powers of α serves every prime; each prime
+        # tested is still charged as the one power it costs
+        powers = {1: a}
+        for r in primes:
+            self.op_count += 1
+            if self._pow_poly(powers, m // r) == 1:
+                return False
+        return True
 
     def is_normal(self, a: int, method: str = "divisor") -> bool:
         """Normality test; 'divisor' checks every cofactor (x^n-1)/r(x),

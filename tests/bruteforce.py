@@ -7,6 +7,7 @@ span enumeration, totients by literal gcd counting.
 
 import cmath
 import math
+from fractions import Fraction
 from itertools import product
 
 
@@ -58,6 +59,26 @@ def order_by_powering(ctx, a: int) -> int:
 
 def primitive_by_powering(ctx, a: int) -> bool:
     return order_by_powering(ctx, a) == ctx.order - 1
+
+
+def power_by_ladder(ctx, a: int, e: int, mul=None) -> int:
+    """a^e by right-to-left square and multiply, with ctx._mul_poly or the
+    given product, one squaring per bit of e."""
+    mul = mul or ctx._mul_poly
+    result = 1
+    while e:
+        if e & 1:
+            result = mul(result, a)
+        a = mul(a, a)
+        e >>= 1
+    return result
+
+
+def primitive_by_ladder(ctx, a: int) -> bool:
+    """α^((q^n-1)/r) != 1 for every prime r of q^n - 1, each power by its own
+    square-and-multiply ladder on the polynomial path."""
+    m = ctx.order - 1
+    return all(power_by_ladder(ctx, a, m // r) != 1 for r in ctx.mult_factorization.primes())
 
 
 def normal_by_span(ctx, a: int) -> bool:
@@ -300,3 +321,36 @@ def indicator_primitive_df_literal_per_term(ctx, a: int, rotation: int = 0) -> i
     out = round(total.real)
     assert abs(total.imag) <= 1e-6 and abs(total.real - out) <= 1e-6 and out in (0, 1)
     return out
+
+
+def indicator_normal_dd_per_term(ctx, a: int):
+    """The divisor-dependent normal indicator with one ctx.trace(ctx.mul(c, α))
+    per spanning vector c of each kernel K_e, as it read before tr_exp."""
+    from pnfield.characters import _ensure_norm_dd_data
+
+    if ctx.n % ctx.p == 0:
+        return None
+    subsets = _ensure_norm_dd_data(ctx)
+    t = len(ctx.add_factorization.entries)
+    full_sums = [0] * (1 << t)
+    for entry in subsets:
+        ok = all(ctx.trace(ctx.mul(c, a)) == 0 for c in entry["span"])
+        full_sums[entry["mask"]] = entry["kernel_size"] if ok else 0
+    total = Fraction(0)
+    for entry in subsets:
+        mask = entry["mask"]
+        s_d = 0
+        sub = mask
+        while True:
+            bits = bin(mask ^ sub).count("1")
+            s_d += (-1 if bits % 2 else 1) * full_sums[sub]
+            if sub == 0:
+                break
+            sub = (sub - 1) & mask
+        total += Fraction(entry["mu"] * s_d, entry["phi"])
+    phi_full = 1
+    for factor, _ in ctx.add_factorization.entries:
+        phi_full *= ctx.q ** (len(factor) - 1) - 1
+    value = Fraction(phi_full, ctx.order) * total
+    assert value in (0, 1), value
+    return int(value)

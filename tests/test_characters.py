@@ -160,6 +160,16 @@ def test_indicator_equivalence_small_fields():
                 assert ch.indicator_normal_dd(ctx, a) == norm
 
 
+@pytest.mark.parametrize("spec", [(2, 1, 7), (2, 1, 9), (2, 2, 3), (3, 1, 5), (3, 2, 2),
+                                  (5, 1, 3), (7, 1, 2), (13, 1, 2), (5, 1, 1), (2, 2, 1)], ids=str)
+def test_normal_dd_on_tr_exp_equals_per_term_form(spec):
+    ctx = build_field(*spec)
+    oracle = build_field(*spec)
+    values = [ch.indicator_normal_dd(ctx, a) for a in range(ctx.order)]
+    assert values == [bf.indicator_normal_dd_per_term(oracle, a) for a in range(ctx.order)]
+    assert values[0] == 0
+
+
 def test_indicator_literal_float_crosschecks():
     for p, k, n in [(2, 1, 2), (3, 1, 2), (2, 1, 3)]:
         ctx = get_field(p, k, n)

@@ -27,6 +27,13 @@ def test_integer_claims_all_pass():
     assert "fails" in by_id["exercise-phi-subfield-sum"].detail
 
 
+def test_mobius_floor_identity_claim():
+    results = claims.integer_claims(seed=1, phi_limit=2000, pair_trials=10)
+    rec = {r.claim_id: r for r in results}["mobius-floor-identity"]
+    assert (rec.subject, rec.status, rec.detail) == ("x<=2000", claims.ASSERTED_PASS,
+                                                     "Σ μ(n)·[x/n] = 1 exactly")
+
+
 def test_phi_product_normalization_folds_every_sample():
     # φ(m)/D·Π(1 + 1/(r-1)) over primes r | m = q^n - 1 equals m/D: 1 with
     # D = q^n - 1 on every sample, and never 1 with D = q^n

@@ -17,6 +17,8 @@ from bruteforce import (
     normal_by_det_n2,
     normal_by_span,
     order_by_powering,
+    power_by_ladder,
+    primitive_by_ladder,
     primitive_by_powering,
     schoolbook_mul,
 )
@@ -300,6 +302,59 @@ def test_is_primitive_normal_op_count_pinned():
         before = ctx.op_count
         assert sum(ctx.is_primitive_normal(a) for a in elements) == hits
         assert ctx.op_count - before == ops, spec
+
+
+# fields for the base-Q exponentiation: Q = q^w with w capped by n (2^1:2,
+# 2^1:3), Q = 16, 9 and q; and q > 16, where only the digits met are built
+BASE_Q_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 24), (2, 1, 40), (2, 4, 8), (3, 1, 14),
+                 (5, 1, 10), (7, 1, 8), (13, 1, 4), (3, 2, 5)]
+LARGE_Q_FIELDS = [(17, 1, 7), (257, 1, 4), (65537, 1, 2)]
+
+
+def _count_products(ctx, fn, *args):
+    """fn(*args) and the number of ctx._mul_poly calls it made."""
+    calls = 0
+    inner = ctx._mul_poly
+
+    def counted(a, b):
+        nonlocal calls
+        calls += 1
+        return inner(a, b)
+
+    ctx._mul_poly = counted
+    try:
+        return fn(*args), calls
+    finally:
+        del ctx._mul_poly
+
+
+@pytest.mark.parametrize("spec", BASE_Q_FIELDS + LARGE_Q_FIELDS, ids=str)
+def test_pow_and_is_primitive_match_the_ladder(spec):
+    ctx = build_field(*spec)
+    assert ctx._log is None
+    m = ctx.order - 1
+    rng = random.Random(8)
+    elements = rng.sample(range(2, ctx.order), min(m - 1, 6)) + [1, m]
+    # one is_primitive call makes no more products than the ladder oracle:
+    # the first call on the fresh context also builds the Frobenius images
+    for a in elements:
+        got, products = _count_products(ctx, ctx.is_primitive, a)
+        want, ladder_products = _count_products(ctx, primitive_by_ladder, ctx, a)
+        assert got == want, a
+        assert products <= ladder_products, (a, products, ladder_products)
+    exponents = [0, 1, ctx.q - 1, ctx.q, m - 1]
+    exponents += [m // r for r in ctx.mult_factorization.primes()]
+    exponents += [rng.randrange(m) for _ in range(4)]
+
+    def schoolbook(x, y):
+        return schoolbook_mul(ctx, x, y)
+
+    for i, a in enumerate(elements):
+        for e in exponents:
+            got = ctx.pow(a, e)
+            assert got == power_by_ladder(ctx, a, e), (a, e)
+            if i < 3:
+                assert got == power_by_ladder(ctx, a, e, schoolbook), (a, e)
 
 
 def test_whole_field_pass_matches_per_element_tests():

@@ -161,3 +161,34 @@ def test_is_prime_rejects_each_strong_pseudoprime_bound():
     for psi, _ in nt._MR_PSI:
         assert not nt.is_prime(psi), psi
     assert [j for _, j in nt._MR_PSI] == [1, 2, 3, 4, 5, 6, 7, 9]
+
+
+def _seeded_towers(count: int) -> list:
+    """(p, k, n) with p^(kn) <= 2^63, p mostly small, from a fixed seed."""
+    import random
+
+    from sympy import primerange
+
+    small, large = list(primerange(2, 200)), list(primerange(200, 70000))
+    rng = random.Random(20261018)
+    out = []
+    while len(out) < count:
+        p = rng.choice(small) if rng.random() < 0.7 else rng.choice(large)
+        kn = rng.randint(1, max(1, int(63 / math.log2(p))))
+        if kn * math.log2(p) <= 63:
+            k = rng.choice([d for d in range(1, kn + 1) if kn % d == 0])
+            out.append((p, k, kn // k))
+    return out
+
+
+def test_factorize_matches_sympy_on_field_orders():
+    # is_primitive is sound only if these are all the primes of q^n - 1
+    from sympy import factorint
+
+    bigfield = [(2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8)]
+    census = [(13, 1, 4), (2, 1, 14), (3, 3, 3), (2, 2, 7), (5, 1, 6), (7, 1, 5)]
+    per_element = [(2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22)]
+    for p, k, n in bigfield + census + per_element + _seeded_towers(60):
+        m = p ** (k * n) - 1
+        if m > 1:
+            assert dict(nt.factorize(m).entries) == factorint(m), (p, k, n)
