@@ -96,44 +96,11 @@ def _df_inner(ctx: FieldCtx, d: int) -> complex:
 
 
 def discrete_log(ctx: FieldCtx, a: int) -> int:
-    """log_τ(a) in [0, q^n - 2]: τ^result = a.
-
-    Uses the cached full table when the context has one, otherwise
-    baby-step/giant-step with table size ceil(sqrt(q^n - 1)).
-    """
+    """log_τ(a) in [0, q^n - 2]: τ^result = a, read from the log table, so
+    only up to the table cap."""
     if a == 0:
         raise ValueError("discrete log of 0 is undefined")
-    log = ctx.log_table
-    if log is not None:
-        return log[a]
-    return discrete_log_bsgs(ctx, a)
-
-
-def discrete_log_bsgs(ctx: FieldCtx, a: int) -> int:
-    """Baby-step/giant-step discrete log; independent of the full table."""
-    if a == 0:
-        raise ValueError("discrete log of 0 is undefined")
-    m = ctx.order - 1
-    if m == 1:
-        return 0
-    tau = ctx.reference_tau
-    if "bsgs" not in ctx.char_cache:
-        t = math.isqrt(m - 1) + 1
-        baby = {}
-        cur = 1
-        for j in range(t):
-            baby.setdefault(cur, j)
-            cur = ctx._mul_poly(cur, tau)
-        giant = ctx.pow(tau, (m - t) % m)  # τ^(-t)
-        ctx.char_cache["bsgs"] = (t, baby, giant)
-    t, baby, giant = ctx.char_cache["bsgs"]
-    y = a
-    for i in range(t + 1):
-        j = baby.get(y)
-        if j is not None:
-            return (i * t + j) % m
-        y = ctx._mul_poly(y, giant)
-    raise ConsistencyError(f"BSGS failed for {a}; reference element not primitive?")
+    return _log_table(ctx)[a]
 
 
 # -- character specifications and evaluation ----------------------------------

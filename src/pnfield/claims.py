@@ -512,12 +512,12 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
         non_prim = [a for a in range(1, qn) if not ctx.is_primitive(a)]
         sample = non_prim if len(non_prim) <= 8 else rng4.sample(non_prim, 8)
         for a in sample:
-            rec = ch.primitive_exp_sum(ctx, a)
-            if rec.exact_value != -rec.phi_value:
+            es = ch.primitive_exp_sum(ctx, a)
+            if es.exact_value != -es.phi_value:
                 ok = False
-            if ch.primitive_exp_sum_direct(ctx, a) != rec.exact_value:
+            if ch.primitive_exp_sum_direct(ctx, a) != es.exact_value:
                 ok = False
-            worst_bound = rec
+            worst_bound = es
         out.append(_assert("exp-sum-exact-value", subject, ok,
                            "collapse value = -φ(q^n-1), confirmed by direct summation"))
         if worst_bound is not None:
@@ -561,7 +561,6 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
 
     # quadratic-field exercise data: PN_2(q) vs φ(q²-1) vs the average formula
     if ctx.n == 2:
-        rec = ct.exact_counts(ctx)
         equal = rec.num_primitive_normal == rec.num_primitive
         out.append(_report("exercise-pn2-count", subject,
                            f"PN_2 = {rec.num_primitive_normal}, φ(q²-1) = {rec.num_primitive} "
@@ -624,12 +623,8 @@ def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> lis
             "example-f4-normal-count", "q=2, n=2",
             f"brute force finds {rec.num_normal} normal elements, Φ on (x+1)^2 gives {phi2}; "
             f"the (q-1)^2 = 1 prediction holds only for odd q"))
-    seen_qn = set()
     for p, k, n in specs:
-        q = p**k
-        if (q, n) not in seen_qn:
-            seen_qn.add((q, n))
-            results.extend(poly_claims(q, n))
+        results.extend(poly_claims(p**k, n))
     for p, k, n in specs:
         ctx = get_field(p, k, n)
         results.extend(field_claims(ctx, seed))

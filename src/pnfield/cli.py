@@ -5,7 +5,8 @@ flows from --seed through labelled child streams, so identical invocations
 produce byte-identical output files.  The element-count budget comes from
 --budget or the PNFIELD_BUDGET environment variable (default 2^24) and is
 enforced before any enumeration begins: search is charged for the members of
-its subset, the other commands for the fields they walk.
+its subset, the other commands for the fields they walk.  Exact counts, and
+so sweep, stop at the 2^20 table cap whatever the budget.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import sys
 from . import claims
 from . import counting as ct
 from . import subsets as sb
-from .characters import discrete_log
 from .errors import DEFAULT_BUDGET, FieldSpecError, ResourceLimitError
 from .field import format_field_moduli, get_field, parse_field_spec
 from .numtheory import euler_phi, is_prime_power
@@ -135,14 +135,15 @@ def cmd_search(args) -> int:
 def cmd_conjecture(args) -> int:
     home = parse_field_spec(args.field)
     alpha = home.parse_element(args.element)
-    _check_conjecture_hypotheses(home, alpha)
     n_lo, n_hi = (int(x) for x in args.range.split("..", 1))
     budget = _budget(args)
-    rows = []
-    min_poly = _minimal_polynomial(home, alpha)
     for n in range(n_lo, n_hi + 1):
         if home.q**n > budget:
             raise ResourceLimitError(f"extension degree {n} exceeds budget {budget}")
+    _check_conjecture_hypotheses(home, alpha)
+    rows = []
+    min_poly = _minimal_polynomial(home, alpha)
+    for n in range(n_lo, n_hi + 1):
         if n % home.n:
             rows.append({"n": n, "present": False, "primitive": None,
                          "normal": None, "primitiveNormal": None, "opCount": None})
@@ -191,8 +192,12 @@ def _check_conjecture_hypotheses(ctx, alpha: int):
     if alpha == ctx.neg(ctx.embed_base(1)):
         raise ValueError("conjecture hypothesis violated: α = -1")
     if ctx.p != 2:
-        # a square iff its discrete log is even
-        if discrete_log(ctx, alpha) % 2 == 0:
+        # Euler's criterion.  The tables are built first: the row of the
+        # home degree runs on this same cached context, and its opCount
+        # depends on them (Frobenius costs no operation on the table path,
+        # one on the polynomial path).
+        ctx.ensure_tables()
+        if ctx.pow(alpha, (ctx.order - 1) // 2) == 1:
             raise ValueError("conjecture hypothesis violated: α is a square")
     if ctx.trace(alpha) == 0:
         raise ValueError("conjecture hypothesis violated: tr(α) = 0")

@@ -74,11 +74,12 @@ class DensityRecord:
 def exact_counts(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> DensityRecord:
     """Count primitive, normal and primitive-normal elements exhaustively.
 
-    Up to the table cap the counts are read off the masks of the whole-field
-    pass (FieldCtx.class_counts), which leaves the context on the polynomial
-    path; above the cap every element is tested.  Either way the marginals
-    must equal φ(q^n - 1) and Φ_q(x^n - 1), which checks the exponent sieve
-    and the union of the images r∘F that mark the non-normal elements.
+    The counts are read off the masks of the whole-field pass
+    (FieldCtx.class_counts), which leaves the context on the polynomial path
+    and raises ResourceLimitError above the 2^20 table cap, whatever the
+    budget.  The marginals must equal φ(q^n - 1) and Φ_q(x^n - 1), which
+    checks the exponent sieve and the union of the images r∘F that mark the
+    non-normal elements.
     """
     if ctx.order > budget:
         raise ResourceLimitError(

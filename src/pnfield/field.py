@@ -14,8 +14,9 @@ elements are the union of the images r∘F_{q^n} over the irreducible factors
 r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace) is fixed by
 its images of the kn base-p unit vectors p^d, which are elements themselves.
 The reference primitive normal element τ is the first element set in both
-masks, and the exp/log tables of τ are read off the powers of g.  Above the
-cap τ is found by testing one element at a time.
+masks, and the exp/log tables of τ are read off the powers of g.  The cap is
+the one boundary for data about the whole field: above it there is no τ, no
+class count and no table, and asking for them raises ResourceLimitError.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path,
@@ -184,13 +185,13 @@ class FieldCtx:
         self._cofactors = None
         self._coprime_s = None
         self._normal_image = {}
-        # Data the characters layer derives once per field, by key: "bsgs"
-        # (baby-step/giant-step tables), "prim_dd" and "norm_dd" (divisor
-        # data of the divisor-dependent indicators), "expsum_inner" (the
-        # inner sums of the direct exponential-sum oracle), "roots" (the
-        # roots of unity per order), "tr_exp" (tr(τ^i) per exponent i),
-        # "zech" (Zech logarithms log(1 + τ^i)), "df_inner" (the inner sums
-        # of the literal divisor-free indicators, per exponent difference).
+        # Data the characters layer derives once per field, by key: "prim_dd"
+        # and "norm_dd" (divisor data of the divisor-dependent indicators),
+        # "expsum_inner" (the inner sums of the direct exponential-sum
+        # oracle), "roots" (the roots of unity per order), "tr_exp" (tr(τ^i)
+        # per exponent i), "zech" (Zech logarithms log(1 + τ^i)), "df_inner"
+        # (the inner sums of the literal divisor-free indicators, per
+        # exponent difference).
         self.char_cache: dict = {}
         self._mod_bits = None
         if self.p == 2 and self.k == 1:
@@ -375,18 +376,11 @@ class FieldCtx:
     # -- reference element and tables ----------------------------------------
 
     def find_reference_primitive_normal(self) -> int:
-        """First element in enumeration order passing both tests.
-
-        Up to the table cap it is the first element set in both masks of the
-        whole-field pass; above the cap elements are tested one at a time.
-        """
+        """First element in enumeration order passing both tests: the first
+        element set in both masks of the whole-field pass, so it exists only
+        up to the table cap."""
         if self._tau is None:
-            if self.order <= _TABLE_CAP:
-                self._whole_field_pass()
-            else:
-                self._tau = next(
-                    (a for a in range(1, self.order)
-                     if self.is_normal(a) and self.is_primitive(a)), None)
+            self._whole_field_pass()
             if self._tau is None:
                 raise ConsistencyError(
                     f"no primitive normal element found in F_{self.q}^{self.n}"
@@ -394,7 +388,8 @@ class FieldCtx:
         return self._tau
 
     def _whole_field_pass(self):
-        """Classify every element at once and set τ (order <= table cap).
+        """Classify every element at once and set τ; above the table cap
+        raise ResourceLimitError.
 
         α is non-normal iff (x^n - 1)/r kills it for some irreducible r, and
         that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
@@ -402,6 +397,11 @@ class FieldCtx:
         normal mask comes first so that the spans are freed before the powers
         of g are built.
         """
+        if self.order > _TABLE_CAP:
+            raise ResourceLimitError(
+                f"F_{self.q}^{self.n} has {self.order} elements, above the table "
+                f"cap 2^{_TABLE_CAP.bit_length() - 1} for whole-field data"
+            )
         order, m = self.order, self.order - 1
         p, add = self.p, self.add
         norm = bytearray([1]) * order
@@ -475,24 +475,12 @@ class FieldCtx:
         self._log = log
 
     def class_counts(self) -> tuple[int, int, int]:
-        """(#primitive, #normal, #primitive normal) over the whole field.
-
-        Up to the table cap they are read off the masks of the whole-field
-        pass; above it every element is tested.
-        """
-        if self.order <= _TABLE_CAP:
-            self.find_reference_primitive_normal()
-            prim, norm = self._prim_mask, self._norm_mask
-            both = _mask_int(prim) & _mask_int(norm)
-            return prim.count(1), norm.count(1), both.bit_count()
-        num_prim = num_norm = num_pn = 0
-        for a in range(1, self.order):
-            prim = self.is_primitive(a)
-            norm = self.is_normal(a)
-            num_prim += prim
-            num_norm += norm
-            num_pn += prim and norm
-        return num_prim, num_norm, num_pn
+        """(#primitive, #normal, #primitive normal) over the whole field, read
+        off the masks of the whole-field pass, so only up to the table cap."""
+        self.find_reference_primitive_normal()
+        prim, norm = self._prim_mask, self._norm_mask
+        both = _mask_int(prim) & _mask_int(norm)
+        return prim.count(1), norm.count(1), both.bit_count()
 
     @property
     def log_table(self):

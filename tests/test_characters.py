@@ -8,6 +8,7 @@ import random
 import pytest
 
 from pnfield import characters as ch
+from pnfield.counting import exact_counts
 from pnfield.field import build_field, get_field
 from pnfield.numtheory import euler_phi
 
@@ -337,14 +338,13 @@ def test_character_caches_stay_in_the_context_cache():
         ch.indicator_primitive_df_literal(ctx, a)
         ch.indicator_normal_dd(ctx, a)
         ch.indicator_normal_df(ctx, a, tau)
-        ch.discrete_log_bsgs(ctx, a)
         if not ctx.is_primitive(a):
             ch.primitive_exp_sum_direct(ctx, a)
     ch.gauss_sum(ctx, 1, 1)
     ch.char_sum_bound_suite(ctx, trials=3, seed=1)
     ch.fourier_identity_max_residuals(ctx, 1, 1)
     assert set(vars(ctx)) == before
-    assert set(ctx.char_cache) == {"bsgs", "prim_dd", "norm_dd", "expsum_inner",
+    assert set(ctx.char_cache) == {"prim_dd", "norm_dd", "expsum_inner",
                                    "roots", "tr_exp", "zech", "df_inner"}
     assert set(ctx.char_cache["roots"]) == {ctx.p, ctx.order - 1, ctx.order}
 
@@ -419,3 +419,20 @@ def test_character_tables_need_the_log_table():
     big = build_field(2, 1, 21)  # above the exp/log table cap
     with pytest.raises(ResourceLimitError):
         ch.gauss_sum(big, 1, 1)
+    # the cap bounds all data about the whole field: τ, logs and counts
+    with pytest.raises(ResourceLimitError):
+        big.reference_tau
+    with pytest.raises(ResourceLimitError):
+        ch.discrete_log(big, 2)
+    with pytest.raises(ResourceLimitError):
+        exact_counts(big)
+
+
+@pytest.mark.parametrize("spec", [(3, 1, 2), (5, 1, 2), (3, 1, 5), (7, 1, 3), (3, 2, 2)])
+def test_euler_criterion_matches_even_discrete_log(spec):
+    # powers on a context without tables, as above the cap; logs on another
+    ctx, logs = build_field(*spec), build_field(*spec)
+    half = (ctx.order - 1) // 2
+    for a in range(1, ctx.order):
+        assert (ctx.pow(a, half) == 1) == (ch.discrete_log(logs, a) % 2 == 0), (ctx, a)
+    assert ctx._log is None

@@ -86,7 +86,9 @@ def test_run_verify_smoke():
 
 
 def test_run_verify_full_range_under_five_minutes():
-    """The flagship run: every claim suite over every field up to 4096."""
+    """The flagship run: every claim suite over every field up to 4096, its
+    report pinned byte for byte."""
+    import hashlib
     import time
 
     start = time.monotonic()
@@ -97,3 +99,6 @@ def test_run_verify_full_range_under_five_minutes():
     assert counts[claims.ASSERTED_PASS] > 500
     assert counts[claims.REPORTED] >= 3
     assert elapsed < 300, f"verify at 4096 took {elapsed:.0f}s"
+    report = claims.report_json(results, 7).encode()
+    assert hashlib.sha256(report).hexdigest() == (
+        "3c61fb62fd92d7207f29d6db16745dcaa2cd285ab8cf4f41b9fe410207a05717")

@@ -4,6 +4,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from pnfield.cli import main
 
 
@@ -183,6 +185,35 @@ def test_conjecture_hypothesis_violations():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def _cli_exit_2(args):
+    """Run in a fresh interpreter that must exit 2 within 60 s; its stderr."""
+    proc = subprocess.run([sys.executable, "-m", "pnfield.cli", *args],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    return proc.stderr
+
+
+@pytest.mark.parametrize("field", ["5^1:10", "3^1:15"])
+def test_conjecture_square_test_above_the_table_cap(field):
+    # both fields are above the table cap: Euler's criterion needs no logs
+    n = field.split(":")[1]
+    err = _cli_exit_2(["conjecture", "--field", field, "--element", "1,1",
+                       "--range", f"{n}..{n}"])
+    assert "α is a square" in err
+
+
+@pytest.mark.parametrize("field,rng,degree", [("3^1:2", "2..16", 16), ("3^1:24", "24..24", 24)])
+def test_conjecture_checks_the_budget_before_any_work(field, rng, degree):
+    err = _cli_exit_2(["conjecture", "--field", field, "--element", "1,1", "--range", rng])
+    assert f"extension degree {degree} exceeds budget" in err
+
+
+def test_sweep_stops_at_the_table_cap():
+    # 2^21 is within the default budget but above the table cap
+    err = _cli_exit_2(["sweep", "--range", "2..2,21..21"])
+    assert "table cap" in err
 
 
 def test_console_script_installed():
