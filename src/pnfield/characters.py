@@ -37,7 +37,7 @@ from fractions import Fraction
 from .errors import ConsistencyError, ResourceLimitError
 from .field import FieldCtx
 from .numtheory import euler_phi, mobius
-from .polyfq import ONE, Poly, poly_deg, poly_divmod, poly_mul, x_pow_n_minus_1
+from .polyfq import phi_from_degrees, poly_deg, poly_phi
 from .seeds import rng_for
 
 
@@ -143,11 +143,6 @@ def eval_char(ctx: FieldCtx, spec: CharSpec, a: int) -> UnitComplex:
         raise ValueError("multiplicative characters are undefined at 0")
     m = ctx.order - 1
     return UnitComplex.from_exponent(spec.parameter * discrete_log(ctx, a), m)
-
-
-def additive_char_order(ctx: FieldCtx, c: int) -> Poly:
-    """Ord ψ_c: the additive order of the parameter c."""
-    return ctx.additive_order(c)
 
 
 # -- Gauss sums ----------------------------------------------------------------
@@ -334,40 +329,31 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
     """Per-subset kernel data for the divisor-dependent normal indicator.
 
     For each subset E of the distinct irreducible factors of x^n - 1 (all
-    squarefree since p does not divide n), caches deg(e), Φ_q(e), and an
+    squarefree since p does not divide n), caches Φ_q(e), q^deg(e) and an
     F_p-spanning set of the kernel K_e = {c : e∘c = 0}.
     """
     if "norm_dd" in ctx.char_cache:
         return ctx.char_cache["norm_dd"]
-    fq = ctx.fq
-    factors = ctx.add_factorization.distinct_factors()
-    t = len(factors)
-    full = x_pow_n_minus_1(fq, ctx.n)
+    fact = ctx.add_factorization
+    degrees = [poly_deg(f) for f in fact.distinct_factors()]
+    t = len(degrees)
     q, p, dim = ctx.q, ctx.p, ctx.k * ctx.n
     subsets = []
     for mask in range(1 << t):
-        deg_e = 0
-        phi_e = 1
-        cof = full
-        for i in range(t):
-            if mask >> i & 1:
-                di = poly_deg(factors[i])
-                deg_e += di
-                phi_e *= q**di - 1
-                cof = poly_divmod(fq, cof, factors[i])[0]
-        # K_e = image of cofactor∘, spanned over F_p by the images of the
-        # base-p unit vectors
+        exps = tuple(mask >> i & 1 for i in range(t))
+        # K_e = image of the cofactor (x^n - 1)/e, spanned over F_p by the
+        # images of the base-p unit vectors
+        cof = fact.divisor(tuple(1 - j for j in exps))
         images = (ctx.apply_linearized(cof, p**d) for d in range(dim))
         span = [img for img in dict.fromkeys(images) if img]
-        bits = bin(mask).count("1")
+        bits = sum(exps)
         subsets.append(
             {
                 "mask": mask,
                 "mu": -1 if bits % 2 else 1,
-                "deg": deg_e,
-                "phi": phi_e,
+                "phi": phi_from_degrees(q, zip(degrees, exps)),
                 "span": span,
-                "kernel_size": q**deg_e,
+                "kernel_size": q ** fact.degree(exps),
             }
         )
     ctx.char_cache["norm_dd"] = subsets
@@ -410,10 +396,7 @@ def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
                 break
             sub = (sub - 1) & mask
         total += Fraction(entry["mu"] * s_d, entry["phi"])
-    phi_full = 1
-    for entry_factor, _ in ctx.add_factorization.entries:
-        phi_full *= ctx.q ** poly_deg(entry_factor) - 1
-    value = Fraction(phi_full, ctx.order) * total
+    value = Fraction(poly_phi(ctx.add_factorization), ctx.order) * total
     if value == 1:
         return 1
     if value == 0:
@@ -426,28 +409,17 @@ def indicator_normal_dd_literal(ctx: FieldCtx, a: int) -> int | None:
     every additive character ψ_c, group by exact additive order."""
     if ctx.n % ctx.p == 0:
         return None
-    fq = ctx.fq
-    factors = ctx.add_factorization.distinct_factors()
-    # every monic divisor of the squarefree x^n - 1 is a subset product
-    div_data = {}
-    for mask in range(1 << len(factors)):
-        d, phi, bits = ONE, 1, 0
-        for i, f in enumerate(factors):
-            if mask >> i & 1:
-                d = poly_mul(fq, d, f)
-                phi *= ctx.q ** poly_deg(f) - 1
-                bits += 1
-        div_data[d] = (-1 if bits % 2 else 1, phi)
+    fact = ctx.add_factorization
+    degrees = [poly_deg(f) for f in fact.distinct_factors()]
     zp = _roots_of_unity(ctx, ctx.p)
-    sums: dict[Poly, complex] = {d: 0j for d in div_data}
+    # every monic divisor of the squarefree x^n - 1 has a 0/1 exponent vector
+    sums = dict.fromkeys(fact.exponent_vectors(), 0j)
     for c in range(ctx.order):
-        d = ctx.additive_order(c)
-        sums[d] += zp[ctx.trace(ctx.mul(c, a))]
+        sums[ctx.additive_order_exponents(c)] += zp[ctx.trace(ctx.mul(c, a))]
     total = 0j
-    for d, (mu, phi) in div_data.items():
-        total += mu * sums[d] / phi
-    phi_full = div_data[max(div_data, key=poly_deg)][1]
-    value = total * phi_full / ctx.order
+    for exps, inner in sums.items():
+        total += (-1) ** sum(exps) * inner / phi_from_degrees(ctx.q, zip(degrees, exps))
+    value = total * poly_phi(fact) / ctx.order
     if abs(value.imag) > 1e-8:
         raise ConsistencyError("literal normal indicator has an imaginary part")
     out = round(value.real)

@@ -11,7 +11,6 @@ cmdVerify exits nonzero only on FAIL.
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from collections import Counter
@@ -39,16 +38,12 @@ from .polyfq import (
     cyclotomic_factor_counts,
     factor_x_n_minus_1,
     format_poly,
-    monic_divisors,
     phi_from_degrees,
     poly_deg,
-    poly_divmod,
-    poly_mod,
     poly_mul,
     poly_phi,
     poly_trim,
     sigma_phi_identity_check,
-    x_pow_n_minus_1,
 )
 from .seeds import rng_for
 
@@ -232,7 +227,7 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
     degrees = [poly_deg(f) for f, _ in fact.entries]
     total = sum(
         phi_from_degrees(q, zip(degrees, exps))
-        for exps in itertools.product(*(range(e + 1) for _, e in fact.entries))
+        for exps in fact.exponent_vectors()
     )
     out.append(_assert("poly-totient-divisor-sum", subject, total == qn,
                        f"Σ_(d|x^n-1) Φ_q(d) = {total}, q^n = {qn}"))
@@ -341,16 +336,18 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
                        "apply(r·s, α) = apply(r, apply(s, α))"))
 
     # additive order: divides x^n - 1, annihilates, and is minimal; the
-    # orders also give the additive order census and the r-grouping below
-    add_orders = [ctx.additive_order(a) for a in range(qn)]
+    # orders, as exponent vectors over the factors of x^n - 1 (so d | d' is
+    # a componentwise comparison), also give the additive order census and
+    # the r-grouping below
+    fact = ctx.add_factorization
+    add_orders = [ctx.additive_order_exponents(a) for a in range(qn)]
     ok = True
-    for a, d in enumerate(add_orders):
-        if ctx.apply_linearized(d, a) != 0:
+    for a, exps in enumerate(add_orders):
+        if ctx.apply_linearized(fact.divisor(exps), a) != 0:
             ok = False
             break
-        for factor, _ in ctx.add_factorization.entries:
-            quot, rem = poly_divmod(ctx.fq, d, factor)
-            if not rem and ctx.apply_linearized(quot, a) == 0:
+        for i, j in enumerate(exps):
+            if j and ctx.apply_linearized(fact.divisor(exps[:i] + (j - 1,) + exps[i + 1:]), a) == 0:
                 ok = False
                 break
         if not ok:
@@ -376,18 +373,17 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
     ok = sum(census_m.values()) == m and census_m.get(m, 0) == rec.num_primitive
     ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m)) if m > 1 else ok
     census_a = Counter(add_orders)
-    full_poly = x_pow_n_minus_1(ctx.fq, ctx.n)
     ok = ok and sum(census_a.values()) == qn
-    ok = ok and census_a.get(full_poly, 0) == rec.num_normal
+    ok = ok and census_a.get(fact.exponents(), 0) == rec.num_normal
     out.append(_assert("order-censuses", subject, ok,
                        "order class sizes: φ(d) per divisor, Φ for the maximal class"))
 
     # additive character group counts: Ord ψ_c is the additive order of c
     ok = True
-    for d in monic_divisors(ctx.add_factorization):
-        covered = sum(cnt for dd, cnt in census_a.items()
-                      if not poly_mod(ctx.fq, d, dd))
-        if covered != ctx.q ** poly_deg(d):
+    for exps in fact.exponent_vectors():
+        covered = sum(cnt for ee, cnt in census_a.items()
+                      if all(x <= y for x, y in zip(ee, exps)))
+        if covered != ctx.q ** fact.degree(exps):
             ok = False
             break
     out.append(_assert("additive-character-counts", subject, ok,
@@ -400,17 +396,17 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
     if ctx.n % ctx.p != 0 and qn <= 512:
         dichotomy_fails = []
         zp_sums = {}
-        for c, d in enumerate(add_orders):
-            zp_sums.setdefault(d, []).append(c)
-        for factor, _ in ctx.add_factorization.entries:
-            params = zp_sums.get(factor, [])
+        for c, exps in enumerate(add_orders):
+            zp_sums.setdefault(exps, []).append(c)
+        for i, factor in enumerate(fact.distinct_factors()):
+            # the characters of order exactly r_i: exponent vector e_i
+            params = zp_sums.get(tuple(int(x == i) for x in range(len(fact.entries))), [])
             for a in range(1, min(qn, 9)):
                 total = sum(
                     cmath.exp(2j * cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p)
                     for c in params
                 )
-                ord_a = add_orders[a]
-                divides = not poly_divmod(ctx.fq, ord_a, factor)[1]
+                divides = add_orders[a][i] >= 1
                 predicted = ctx.q ** poly_deg(factor) - 1 if divides else -1
                 if abs(total - predicted) > 1e-6:
                     dichotomy_fails.append(

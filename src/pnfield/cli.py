@@ -40,13 +40,14 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    """Order range "LO..HI" (or a single "HI" meaning 4..HI)."""
-    text = text.strip()
-    if ".." in text:
-        lo_s, hi_s = text.split("..", 1)
-        return int(lo_s), int(hi_s)
-    return 4, int(text)
+def _parse_range(text: str, default_lo: int | None = None) -> tuple[int, int]:
+    """Integer range "LO..HI"; a bare "HI" means default_lo..HI if one is given."""
+    lo_s, sep, hi_s = text.strip().partition("..")
+    try:
+        return (int(lo_s), int(hi_s)) if sep or default_lo is None else (default_lo, int(lo_s))
+    except ValueError:
+        form = "LO..HI" if default_lo is None else f"LO..HI or HI (meaning {default_lo}..HI)"
+        raise FieldSpecError(f"range must be {form}", text=text, position=0) from None
 
 
 def cmd_field_info(args) -> int:
@@ -73,7 +74,7 @@ def cmd_field_info(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    lo, hi = _parse_range(args.range)
+    lo, hi = _parse_range(args.range, default_lo=4)
     budget = _budget(args)
     results = claims.run_verify(lo, hi, args.seed, budget=budget)
     if args.format == "json":
@@ -135,22 +136,26 @@ def cmd_search(args) -> int:
 def cmd_conjecture(args) -> int:
     home = parse_field_spec(args.field)
     alpha = home.parse_element(args.element)
-    n_lo, n_hi = (int(x) for x in args.range.split("..", 1))
+    n_lo, n_hi = _parse_range(args.range)
     budget = _budget(args)
     for n in range(n_lo, n_hi + 1):
         if home.q**n > budget:
             raise ResourceLimitError(f"extension degree {n} exceeds budget {budget}")
     _check_conjecture_hypotheses(home, alpha)
     rows = []
-    min_poly = _minimal_polynomial(home, alpha)
+    min_poly, orbit = _minimal_polynomial(home, alpha)
     for n in range(n_lo, n_hi + 1):
         if n % home.n:
             rows.append({"n": n, "present": False, "primitive": None,
                          "normal": None, "primitiveNormal": None, "opCount": None})
             continue
         target = get_field(home.p, home.k, n)
-        # the first root in enumeration order, evaluated with the ops of F_{q^n}
-        root = next((a for a in target.elements() if poly_eval(target, min_poly, a) == 0), None)
+        if target is home:
+            # the roots in the home field itself are the Frobenius orbit of α
+            root = min(orbit)
+        else:
+            # the first root in enumeration order, evaluated with the ops of F_{q^n}
+            root = next((a for a in target.elements() if poly_eval(target, min_poly, a) == 0), None)
         if root is None:
             raise ValueError("the element does not embed in the target field")
         ops_before = target.op_count
@@ -207,7 +212,8 @@ def _check_conjecture_hypotheses(ctx, alpha: int):
 
 
 def _minimal_polynomial(ctx, alpha: int):
-    """Π (x - α^(q^i)) over the Frobenius orbit, coefficients in F_q."""
+    """Π (x - α^(q^i)) over the Frobenius orbit, coefficients in F_q, and the
+    orbit itself."""
     orbit = []
     cur = alpha
     while cur not in orbit:
@@ -222,7 +228,7 @@ def _minimal_polynomial(ctx, alpha: int):
         if any(vec[1:]):
             raise ValueError("minimal polynomial has coefficients outside F_q")
         coeffs.append(vec[0])
-    return tuple(coeffs)
+    return tuple(coeffs), orbit
 
 
 def build_parser() -> argparse.ArgumentParser:

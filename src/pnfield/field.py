@@ -60,7 +60,6 @@ from .polyfq import (
     parse_coeff,
     parse_poly,
     poly_deg,
-    poly_divmod,
     poly_gcd,
     poly_mod,
     poly_trim,
@@ -607,35 +606,26 @@ class FieldCtx:
                 total = self.add(total, term)
         return total
 
-    def _ensure_cofactors(self):
-        if self._cofactors is not None:
-            return
-        full = x_pow_n_minus_1(self.fq, self.n)
-        cofs = []
-        for factor, _ in self.add_factorization.entries:
-            cof, rem = poly_divmod(self.fq, full, factor)
-            if rem:
-                raise ConsistencyError("factor does not divide x^n - 1")
-            cofs.append((factor, cof))
-        self._cofactors = cofs
+    def additive_order_exponents(self, a: int) -> tuple[int, ...]:
+        """Ord(α) as its exponent vector over add_factorization.entries: from
+        x^n - 1, each irreducible factor in turn is taken out while the
+        divisor left, read from the lattice, still kills α; the zero vector
+        (the constant 1) for α = 0.
+        """
+        fact = self.add_factorization
+        exps = list(fact.exponents())
+        for i, e in enumerate(fact.exponents()):
+            for _ in range(e):
+                exps[i] -= 1
+                if self.apply_linearized(fact.divisor(tuple(exps)), a) != 0:
+                    exps[i] += 1
+                    break
+        return tuple(exps)
 
     def additive_order(self, a: int) -> Poly:
-        """Minimal monic divisor d(x) of x^n - 1 with d∘α = 0.
-
-        Found by stripping irreducible factors, mirroring the multiplicative
-        order computation; additive_order(0) is the constant 1.
-        """
-        d = x_pow_n_minus_1(self.fq, self.n)
-        for factor, exp in self.add_factorization.entries:
-            for _ in range(exp):
-                cand, rem = poly_divmod(self.fq, d, factor)
-                if rem:
-                    raise ConsistencyError("stripping left a remainder")
-                if self.apply_linearized(cand, a) == 0:
-                    d = cand
-                else:
-                    break
-        return d
+        """Minimal monic divisor d(x) of x^n - 1 with d∘α = 0: the lattice
+        entry at additive_order_exponents(α)."""
+        return self.add_factorization.divisor(self.additive_order_exponents(a))
 
     # -- orders and the two element tests -------------------------------------
 
@@ -676,8 +666,13 @@ class FieldCtx:
         if method == "divisor":
             if a == 0:
                 return False
-            self._ensure_cofactors()
-            return all(self.apply_linearized(cof, a) != 0 for _, cof in self._cofactors)
+            if self._cofactors is None:
+                fact = self.add_factorization
+                top = fact.exponents()
+                self._cofactors = [
+                    fact.divisor(top[:i] + (e - 1,) + top[i + 1:]) for i, e in enumerate(top)
+                ]
+            return all(self.apply_linearized(cof, a) != 0 for cof in self._cofactors)
         if method == "rank":
             return self._is_normal_rank(a)
         raise ValueError(f"unknown normality method {method!r}")

@@ -11,7 +11,7 @@ certified factorizations of x^n - 1.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -199,7 +199,9 @@ def first_irreducible(fq: SmallField, d: int) -> Poly:
 
 @dataclass(frozen=True)
 class PolyFactorization:
-    """Factorization of `value` into monic irreducibles with exponents.
+    """Factorization of `value` into monic irreducibles with exponents, and the
+    lattice of its monic divisors Π r_i^(j_i), each keyed by its exponent
+    vector (j_1, ..., j_t) over `entries`: d | d' is j <= j' componentwise.
 
     Every factor is re-certified irreducible on construction by the
     Ben-Or test (is_irreducible), and the product is verified to equal `value`.
@@ -208,6 +210,7 @@ class PolyFactorization:
     fq: SmallField
     entries: tuple[tuple[Poly, int], ...]
     value: Poly
+    _lattice: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         seen = set()
@@ -225,9 +228,37 @@ class PolyFactorization:
             prod = poly_mul(self.fq, prod, poly_pow(self.fq, factor, exp))
         if prod != self.value:
             raise ConsistencyError("factor product does not equal value")
+        self._lattice[(0,) * len(self.entries)] = ONE
 
     def distinct_factors(self) -> list[Poly]:
         return [f for f, _ in self.entries]
+
+    def exponents(self) -> tuple[int, ...]:
+        """The exponent vector of `value` itself, the top of the lattice."""
+        return tuple(e for _, e in self.entries)
+
+    def degree(self, exps: tuple[int, ...]) -> int:
+        """The degree of the divisor with exponent vector exps."""
+        return sum(poly_deg(f) * j for (f, _), j in zip(self.entries, exps))
+
+    def divisor(self, exps: tuple[int, ...]) -> Poly:
+        """The monic divisor Π r_i^(j_i) with exponent vector exps.
+
+        Built on first use as the divisor one factor below it (the last
+        nonzero j_i lowered by one) times r_i, so only the entries on that
+        chain are ever built.
+        """
+        d = self._lattice.get(exps)
+        if d is None:
+            i = max(i for i, j in enumerate(exps) if j)
+            below = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+            d = poly_mul(self.fq, self.divisor(below), self.entries[i][0])
+            self._lattice[exps] = d
+        return d
+
+    def exponent_vectors(self):
+        """Every exponent vector of the lattice, the last component fastest."""
+        return itertools.product(*(range(e + 1) for e in self.exponents()))
 
 
 def _split_equal_degree(fq: SmallField, g: Poly, d: int) -> list[Poly]:
@@ -390,28 +421,14 @@ def poly_mobius(fact: PolyFactorization) -> int:
 
 
 def monic_divisors(fact: PolyFactorization) -> list[Poly]:
-    """All monic divisors, sorted by (degree, coefficients)."""
-    fq = fact.fq
-    divs = [ONE]
-    for factor, exp in fact.entries:
-        powers = [ONE]
-        for _ in range(exp):
-            powers.append(poly_mul(fq, powers[-1], factor))
-        divs = [poly_mul(fq, d, pw) for d in divs for pw in powers]
-    divs.sort(key=lambda f: (poly_deg(f), f))
-    return divs
+    """All monic divisors, sorted by (degree, coefficients): the whole lattice."""
+    divs = [fact.divisor(exps) for exps in fact.exponent_vectors()]
+    return sorted(divs, key=lambda f: (poly_deg(f), f))
 
 
 def poly_sigma(fact: PolyFactorization) -> int:
     """σ_q(f) = Σ q^deg(d) over the monic divisors d of f."""
-    q = fact.fq.q
-    degree_choices = [
-        [poly_deg(factor) * j for j in range(exp + 1)] for factor, exp in fact.entries
-    ]
-    total = 0
-    for combo in itertools.product(*degree_choices):
-        total += q ** sum(combo)
-    return total
+    return sum(fact.fq.q ** fact.degree(exps) for exps in fact.exponent_vectors())
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,24 @@ def primitive_by_ladder(ctx, a: int) -> bool:
     return all(power_by_ladder(ctx, a, m // r) != 1 for r in ctx.mult_factorization.primes())
 
 
+def additive_order_by_division(ctx, a: int):
+    """Ord(α) by stripping the irreducible factors of x^n - 1 with polynomial
+    division: each factor is divided out while the quotient still kills α,
+    with one apply_linearized per step."""
+    from pnfield.polyfq import poly_divmod, x_pow_n_minus_1
+
+    d = x_pow_n_minus_1(ctx.fq, ctx.n)
+    for factor, exp in ctx.add_factorization.entries:
+        for _ in range(exp):
+            cand, rem = poly_divmod(ctx.fq, d, factor)
+            assert not rem, "stripping left a remainder"
+            if ctx.apply_linearized(cand, a) == 0:
+                d = cand
+            else:
+                break
+    return d
+
+
 def normal_by_span(ctx, a: int) -> bool:
     """Exhaustive span check: the F_q-combinations of the Frobenius orbit
     must cover the whole field.  Exponential; tiny fields only."""

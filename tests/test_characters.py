@@ -45,13 +45,6 @@ def test_unit_complex_invariants():
         assert abs(u.value - cmath.exp(2j * cmath.pi * u.numerator / u.denominator)) < 1e-9
 
 
-def test_additive_char_order_examples():
-    f4 = get_field(2, 1, 2)
-    assert ch.additive_char_order(f4, 0) == (1,)
-    assert ch.additive_char_order(f4, 2) == (1, 0, 1)  # primitive character
-    assert ch.additive_char_order(f4, 1) == (1, 1)
-
-
 def test_additive_char_group_counts():
     from pnfield.polyfq import monic_divisors, poly_deg, poly_divmod
 

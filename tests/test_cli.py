@@ -187,6 +187,46 @@ def test_conjecture_hypothesis_violations():
     assert proc.returncode == 2
 
 
+def test_conjecture_home_root_is_the_least_orbit_member():
+    # the first root of the minimal polynomial in the home field is the least
+    # member of the Frobenius orbit, which the home row now takes directly
+    from pnfield.cli import _minimal_polynomial
+    from pnfield.field import get_field
+    from pnfield.polyfq import poly_eval
+
+    for p, k, n in [(2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2), (2, 2, 3)]:
+        ctx = get_field(p, k, n)
+        for a in range(1, ctx.order):
+            min_poly, orbit = _minimal_polynomial(ctx, a)
+            scan = next(b for b in ctx.elements() if poly_eval(ctx, min_poly, b) == 0)
+            assert min(orbit) == scan, (p, k, n, a)
+
+
+def test_conjecture_home_row_above_the_table_cap():
+    # 5^10 elements: the home row no longer scans for the first root
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnfield.cli", "conjecture", "--field", "5^1:10",
+         "--element", "3,3,0,0,4,1,0,4,2,0", "--range", "10..10"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[1] == "10,True,True,True,True,43"
+
+
+@pytest.mark.parametrize("command,rng,form", [
+    ("conjecture", "5", "range must be LO..HI"),
+    ("conjecture", "2..x", "range must be LO..HI"),
+    ("verify", "4..x", "range must be LO..HI or HI (meaning 4..HI)"),
+    ("verify", "x", "range must be LO..HI or HI (meaning 4..HI)"),
+])
+def test_bad_range_names_the_expected_form(command, rng, form):
+    args = [command, "--range", rng]
+    if command == "conjecture":
+        args += ["--field", "3^1:2", "--element", "1,1"]
+    err = _cli_exit_2(args)
+    assert f"usage error: {form}" in err
+
+
 def _cli_exit_2(args):
     """Run in a fresh interpreter that must exit 2 within 60 s; its stderr."""
     proc = subprocess.run([sys.executable, "-m", "pnfield.cli", *args],

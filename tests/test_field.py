@@ -12,6 +12,7 @@ from pnfield.numtheory import euler_phi
 from pnfield.polyfq import poly_mul, poly_phi, poly_trim
 
 from bruteforce import (
+    additive_order_by_division,
     dlog_by_scan,
     frobenius_by_powering,
     normal_by_det_n2,
@@ -159,6 +160,29 @@ def test_additive_order_minimality():
                 quot, rem = poly_divmod(ctx.fq, d, factor)
                 if not rem:
                     assert ctx.apply_linearized(quot, a) != 0
+
+
+@pytest.mark.parametrize("p,k,n", [
+    (2, 1, 4), (2, 1, 6), (3, 1, 3), (3, 1, 6), (2, 2, 4), (5, 1, 5),  # p | n
+    (2, 1, 5), (3, 1, 4), (7, 1, 3), (2, 2, 3),  # p ∤ n
+])
+def test_additive_order_matches_division_oracle(p, k, n):
+    # fresh contexts: the lattice walk makes the same apply_linearized calls
+    # on the same polynomials as the division oracle, so the op counts agree
+    ctx, oracle = build_field(p, k, n), build_field(p, k, n)
+    for a in range(ctx.order):
+        assert ctx.additive_order(a) == additive_order_by_division(oracle, a), a
+    assert ctx.op_count == oracle.op_count
+
+
+def test_first_is_normal_builds_only_the_cofactors_chains():
+    # x^63 - 1 has 13 distinct factors over F_2: a lattice of 8 192 divisors
+    ctx = build_field(2, 1, 63)
+    fact = ctx.add_factorization
+    assert len(fact.entries) == 13
+    ctx.is_normal(3)
+    # the zero vector, then at most one chain of 13 entries per cofactor
+    assert len(fact._lattice) <= 1 + 13 * 13
 
 
 def test_is_primitive_matches_powering():

@@ -1,6 +1,7 @@
 """Integer-side arithmetic against literal oracles and frozen values."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -192,3 +193,18 @@ def test_factorize_matches_sympy_on_field_orders():
         m = p ** (k * n) - 1
         if m > 1:
             assert dict(nt.factorize(m).entries) == factorint(m), (p, k, n)
+
+
+def test_multiplicative_order_matches_sympy():
+    from sympy.ntheory import n_order
+
+    for m in range(2, 400):
+        for a in range(1, m):
+            if math.gcd(a, m) == 1:
+                assert nt.multiplicative_order(a, m) == n_order(a, m), (a, m)
+    rng = random.Random(9)
+    for _ in range(200):
+        m = rng.randrange(2, 10**9)
+        a = rng.randrange(1, m)
+        if math.gcd(a, m) == 1:
+            assert nt.multiplicative_order(a, m) == n_order(a, m), (a, m)

@@ -146,6 +146,42 @@ def test_monic_divisor_enumeration_matches_sigma():
         assert pf.poly_sigma(fact) == sum(q ** pf.poly_deg(d) for d in divs)
 
 
+@pytest.mark.parametrize("q,n", [
+    (2, 4), (2, 6), (3, 3), (3, 6), (4, 4), (5, 5), (2, 5), (3, 4), (7, 3), (4, 3),
+])
+def test_divisor_lattice_entries_and_order(q, n):
+    # each entry is its product of factor powers, and d | d' exactly when
+    # the exponent vectors compare componentwise
+    fact = pf.factor_x_n_minus_1(q, n)
+    fq = fact.fq
+    lattice = {exps: fact.divisor(exps) for exps in fact.exponent_vectors()}
+    assert len(set(lattice.values())) == len(lattice) == len(pf.monic_divisors(fact))
+    for exps, d in lattice.items():
+        prod = pf.ONE
+        for (factor, _), j in zip(fact.entries, exps):
+            prod = pf.poly_mul(fq, prod, pf.poly_pow(fq, factor, j))
+        assert d == prod
+    assert lattice[fact.exponents()] == fact.value
+    for e1, d1 in lattice.items():
+        for e2, d2 in lattice.items():
+            below = all(x <= y for x, y in zip(e1, e2))
+            assert below == (not pf.poly_divmod(fq, d2, d1)[1]), (e1, e2)
+
+
+def test_factor_x_n_minus_1_matches_sympy():
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+
+    for p in (2, 3, 5, 7, 13):
+        for n in range(1, 25):  # includes every n divisible by p up to 24
+            lc, factors = gf_factor(gf_from_int_poly([1] + [0] * (n - 1) + [-1], p), p, ZZ)
+            assert lc == 1
+            # sympy lists coefficients high to low; polyfq low to high
+            expected = sorted((tuple(int(c) for c in reversed(f)), e) for f, e in factors)
+            got = sorted(pf.factor_x_n_minus_1(p, n).entries)
+            assert got == expected, (p, n)
+
+
 def _divisor_factorization(fact, d):
     """Certified factorization of a monic divisor d, found by trial division."""
     entries = []
