@@ -244,7 +244,7 @@ def indicator_primitive_dd(ctx: FieldCtx, a: int) -> int:
     total = Fraction(0)
     for d, mu, phi_d, primes in rows:
         total += Fraction(mu * ramanujan_sum(primes, big_l), phi_d)
-    phi_m = euler_phi(m)
+    phi_m = ctx.mult_factorization.totient
     value = Fraction(phi_m, m) * total
     if value == 1:
         return 1
@@ -261,7 +261,7 @@ def indicator_primitive_dd_literal(ctx: FieldCtx, a: int) -> int:
     m = ctx.order - 1
     big_l = discrete_log(ctx, a)
     zm = _roots_of_unity(ctx, m)
-    phi_m = euler_phi(m)
+    phi_m = ctx.mult_factorization.totient
     by_order: dict[int, complex] = {}
     for b in range(m):
         d = m // math.gcd(b, m)
@@ -612,7 +612,7 @@ def primitive_exp_sum(ctx: FieldCtx, a: int) -> ExpSumRecord:
     m = ctx.order - 1
     big_l = discrete_log(ctx, a)
     matches = 1 if (big_l >= 1 and math.gcd(big_l, m) == 1) else 0
-    phi_m = euler_phi(m)
+    phi_m = ctx.mult_factorization.totient
     exact = ctx.order * matches - phi_m
     bound = ctx.order * math.exp(-math.sqrt(math.log(ctx.order)))
     return ExpSumRecord(exact_value=exact, envelope_bound=bound, phi_value=phi_m)

@@ -93,7 +93,7 @@ def enumerate_field_specs(lo: int, hi: int) -> list[tuple[int, int, int]]:
 
 def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) -> list[ClaimResult]:
     out = []
-    phis = phi_sieve(phi_limit)
+    phis = phi_sieve(max(phi_limit, 3000))  # also φ(m), φ(n) of the pairs below
     mus = mobius_sieve(phi_limit)
 
     # product identity == counting identity (gcd-count via Σ μ(d)·floor((n-1)/d))
@@ -129,7 +129,7 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
         m = rng.randrange(1, 3000)
         n = rng.randrange(1, 3000)
         d = math.gcd(m, n)
-        if euler_phi(m * n) * euler_phi(d) != d * euler_phi(m) * euler_phi(n):
+        if euler_phi(m * n) * phis[d] != d * phis[m] * phis[n]:
             ok = False
             break
     out.append(_assert("totient-gcd-correction", f"{pair_trials} seeded pairs", ok,

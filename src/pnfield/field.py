@@ -11,8 +11,10 @@ Up to the table cap a whole-field pass classifies every element at once: the
 powers of the first primitive element g give the primitive mask by a sieve on
 exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
-r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace) is fixed by
-its images of the kn base-p unit vectors p^d, which are elements themselves.
+r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
+Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
+elements themselves; "times g" and Frobenius are applied through tables of
+column sums, one per chunk of base-p digits (see _map_tables).
 The reference primitive normal element τ is the first element set in both
 masks, and the exp/log tables of τ are read off the powers of g.  The cap is
 the one boundary for data about the whole field: above it there is no τ, no
@@ -22,11 +24,11 @@ Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path,
 one of three by the coefficient field: a carry-less product for q = 2; for odd
 prime q a packed product, in which both factors are packed into integers with
-spare bits per coefficient, multiplied once, and folded back with the packed
-reduction rows x^(n+j) mod f before each coordinate is reduced mod p; and for
-k > 1 a schoolbook product over F_q's product table.  On that path Frobenius
-is one F_p-linear combination of the images of the base-p unit vectors,
-precomputed per power on first use.
+spare bits per coefficient, multiplied once, and folded back through the chunk
+tables of the reduction rows x^(n+j) mod f before each coordinate is reduced
+mod p; and for k > 1 a schoolbook product over F_q's product table.  On that
+path Frobenius is one lookup per chunk, its tables built per power on first
+use.
 
 Powers on the polynomial path (pow, and through it inv, norm and the
 multiplicative order, and is_primitive) read the exponent in base Q = q^w,
@@ -100,28 +102,6 @@ def _unpack(t: int, p: int, bits: int) -> int:
     return val
 
 
-def _combine(cols: list[int], a: int, p: int) -> int:
-    """Σ a_d·cols[d] over the base-p digits a_d of a, left packed: the
-    F_p-linear map with packed columns cols, before _unpack.  XOR of columns
-    for p = 2, an integer sum otherwise."""
-    total = 0
-    if p == 2:
-        for col in cols:
-            if not a:
-                break
-            if a & 1:
-                total ^= col
-            a >>= 1
-        return total
-    for col in cols:
-        if not a:
-            break
-        a, c = divmod(a, p)
-        if c:
-            total += c * col
-    return total
-
-
 def _mask_int(mask: bytearray) -> int:
     """A 0/1 byte mask as one integer: byte a holds bit 8a."""
     return int.from_bytes(mask, "little")
@@ -152,22 +132,23 @@ class FieldCtx:
         self.mult_factorization = mult_factorization
         self.add_factorization = add_factorization
         self.op_count = 0
-        # reduction rows x^(n+j) mod ext_modulus: packed for k = 1 (odd p),
-        # coefficient lists for k > 1; unused for q = 2
+        # reduction rows x^(n+j) mod ext_modulus: chunk tables of the packed
+        # rows for k = 1 (odd p), coefficient lists for k > 1; unused for q = 2
         self._red = None
         self._fq_products = None
         # slot width of _pack: a slot sums at most 2kn products of two
         # digits, the bound met by the packed product and by Frobenius
         self._bits = (2 * self.k * n * (self.p - 1) ** 2).bit_length()
-        # _frob[i] holds the packed columns of Frob^i, grown on first use
+        # F_p-linear maps are applied by chunks of c base-p digits, with c the
+        # largest such that p^c <= 16, and at least 1 (see _map_tables)
+        self._chunk = max([1] + [c for c in (2, 3, 4) if self.p**c <= 16])
+        self._chunk_base = self.p**self._chunk
+        # _frob[i] holds the chunk tables of Frob^i, grown on first use
         self._frob = [None]
         # exponents are read in base Q = q^w, with w the largest w < n such
         # that q^w <= 16, and at least 1
-        w = 1
-        while w + 1 < n and self.q ** (w + 1) <= 16:
-            w += 1
-        self._frob_w = w
-        self._digit_base = self.q**w
+        self._frob_w = max([1] + [w for w in range(2, n) if self.q**w <= 16])
+        self._digit_base = self.q**self._frob_w
         self._exp = None
         self._log = None
         self._tau = None
@@ -240,19 +221,49 @@ class FieldCtx:
             return a ^ b
         return _add_digits(self.p, a, b, -1)
 
+    # -- F_p-linear maps --------------------------------------------------------
+
+    def _map_tables(self, cols: list[int]) -> list[list[int]]:
+        """Chunk tables of the F_p-linear map whose packed columns cols are
+        the images of the unit vectors p^d (the method of four Russians):
+        entry j of table t is Σ j_e·cols[tc + e] over the base-p digits j_e of
+        j, built digit by digit; at most 16 entries, or p when p > 16."""
+        p, c = self.p, self._chunk
+        add = operator.xor if p == 2 else operator.add
+        tables = []
+        for t in range(0, len(cols), c):
+            table = [0]
+            for col in cols[t:t + c]:
+                table = [add(j * col, x) for j in range(p) for x in table]
+            tables.append(table)
+        return tables
+
+    def _apply_map(self, tables: list[list[int]], a: int, total: int = 0) -> int:
+        """The map with chunk tables `tables` applied to a, plus a packed
+        total: one lookup per chunk of base-p digits of a (a nibble for
+        p = 2), XOR for p = 2 and an integer sum otherwise, then one _unpack."""
+        if self.p == 2:
+            for table in tables:
+                total ^= table[a & 15]
+                a >>= 4
+            return total
+        base = self._chunk_base
+        for table in tables:
+            a, j = divmod(a, base)
+            total += table[j]
+        return _unpack(total, self.p, self._bits)
+
     # -- multiplicative arithmetic ------------------------------------------
 
     def _ensure_red(self):
-        # the state of the q > 2 products: row j is x^(n+j) mod ext_modulus,
-        # padded to n coefficients; for k > 1 also F_q's product table
-        rows = []
-        cur = poly_mod(self.fq, (0,) * self.n + (1,), self.ext_modulus)
-        rows.append(list(cur) + [0] * (self.n - len(cur)))
-        for _ in range(self.n - 2):
+        # the state of the q > 2 products: row j < n - 1 is x^(n+j) mod
+        # ext_modulus, n coefficients; for k > 1 also F_q's product table
+        rows, cur = [], (0,) * (self.n - 1) + (1,)
+        for _ in range(self.n - 1):
             cur = poly_mod(self.fq, (0,) + cur, self.ext_modulus)
             rows.append(list(cur) + [0] * (self.n - len(cur)))
         if self.k == 1:
-            rows = [_pack(self.encode(row), self.p, self._bits) for row in rows]
+            rows = self._map_tables([_pack(self.encode(row), self.p, self._bits) for row in rows])
         else:
             self._fq_products = self.fq.product_table()
         self._red = rows
@@ -279,12 +290,11 @@ class FieldCtx:
         if self.k == 1:
             # packed product: the slots of prod are the integer coefficients
             # of a(x)·b(x); those of x^(n+j) are reduced mod p and folded
-            # back in with the packed row x^(n+j) mod f
+            # back in through the map with the packed rows x^(n+j) mod f
             bits = self._bits
             prod = _pack(a, p, bits) * _pack(b, p, bits)
-            low = prod & ((1 << n * bits) - 1)
             high = _unpack(prod >> n * bits, p, bits)
-            return _unpack(low + _combine(self._red, high, p), p, bits)
+            return self._apply_map(self._red, high, prod & ((1 << n * bits) - 1))
         # k > 1: schoolbook product over F_q's product table
         q, table = self.q, self._fq_products
         add = operator.xor if p == 2 else functools.partial(_add_digits, p)
@@ -341,9 +351,9 @@ class FieldCtx:
             digits.append(d)
         result = self._digit_power(powers, digits.pop())
         if digits:
-            cols = self._frob_cols(self._frob_w)
+            frob_w = self._frob_tables(self._frob_w)
             for d in reversed(digits):
-                result = self._apply_cols(cols, result)
+                result = self._apply_map(frob_w, result)
                 if d:
                     result = self._mul_poly(result, self._digit_power(powers, d))
         return result
@@ -394,7 +404,8 @@ class FieldCtx:
         that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
         Each image is grown greedily from the span of these generators; the
         normal mask comes first so that the spans are freed before the powers
-        of g are built.
+        of g are built, each from the last by the F_p-linear map "times g",
+        whose columns are g·p^d.
         """
         if self.order > _TABLE_CAP:
             raise ResourceLimitError(
@@ -424,11 +435,13 @@ class FieldCtx:
             for a in span:
                 norm[a] = 0
         g = next(a for a in range(1, order) if self.is_primitive(a))
+        cols = [_pack(self._mul_poly(g, p**d), p, self._bits) for d in range(self.k * self.n)]
+        times_g = self._map_tables(cols)
         exp_g = [0] * m
         cur = 1
         for i in range(m):
             exp_g[i] = cur
-            cur = self._mul_poly(cur, g)
+            cur = self._apply_map(times_g, cur)
         if cur != 1:
             raise ConsistencyError(f"first primitive element {g} has order below {m}")
         sieve = bytearray([1]) * m
@@ -492,9 +505,9 @@ class FieldCtx:
         """α^(q^i); the map fixes F_q pointwise and has order n.
 
         With tables it is one lookup.  On the polynomial path it is one
-        F_p-linear combination of the precomputed images of the base-p unit
-        vectors (see _frob_cols), and it counts as the one operation that
-        the power it stands for would have counted.
+        lookup per chunk of base-p digits in the precomputed tables of the
+        F_p-linear map (see _frob_tables), and it counts as the one operation
+        that the power it stands for would have counted.
         """
         i %= self.n
         if a == 0 or i == 0:
@@ -502,21 +515,18 @@ class FieldCtx:
         if self._log is not None:
             return self._exp[self._log[a] * self._qpow[i] % (self.order - 1)]
         self.op_count += 1
-        return self._apply_cols(self._frob_cols(i), a)
+        return self._apply_map(self._frob_tables(i), a)
 
-    def _apply_cols(self, cols: list[int], a: int) -> int:
-        """The F_p-linear map with packed columns cols, applied to a."""
-        return _unpack(_combine(cols, a, self.p), self.p, self._bits)
-
-    def _frob_cols(self, i: int) -> list[int]:
-        """The packed images Frob^i(p^d) for d < kn, 1 <= i < n.
+    def _frob_tables(self, i: int) -> list[list[int]]:
+        """The chunk tables of Frob^i, 1 <= i < n, from its packed images
+        Frob^i(p^d) for d < kn.
 
         Frobenius fixes F_q, so Frob^1(c·x^j) = c·X^j with X = x^q, found by
         the digit ladder alone: _pow_poly needs these images and cannot make
-        them.  Frob^(i+1) is Frob^1 applied to the images of Frob^i; each
-        power is built on first use.
+        them.  Frob^(i+1) is Frob^1 applied to the images of Frob^i, read
+        back from its tables; each power is built on first use.
         """
-        frob, p, k, bits = self._frob, self.p, self.k, self._bits
+        frob, p, k, bits, c = self._frob, self.p, self.k, self._bits, self._chunk
         if len(frob) == 1:
             # the unit vector p^(jk+t) is the F_q constant y^t = p^t times x^j
             big_x = self._digit_power({1: self.q}, self.q)
@@ -525,10 +535,11 @@ class FieldCtx:
                 if j:
                     cur = self._mul_poly(cur, big_x)
                 images += [cur] + [self._mul_poly(p**t, cur) for t in range(1, k)]
-            frob.append([_pack(v, p, bits) for v in images])
+            frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
         while len(frob) <= i:
-            images = [self._apply_cols(frob[1], _unpack(c, p, bits)) for c in frob[-1]]
-            frob.append([_pack(v, p, bits) for v in images])
+            cols = [frob[-1][d // c][p ** (d % c)] for d in range(k * self.n)]
+            images = [self._apply_map(frob[1], _unpack(col, p, bits)) for col in cols]
+            frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
         return frob[i]
 
     def _trace_slow(self, a: int) -> int:

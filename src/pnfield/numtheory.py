@@ -7,6 +7,7 @@ used by the counting machinery.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -128,6 +129,14 @@ class Factorization:
     def primes(self) -> list[int]:
         return [b for b, _ in self.entries]
 
+    @functools.cached_property
+    def totient(self) -> int:
+        """φ(value), by the product over the prime factors."""
+        result = self.value
+        for p, _ in self.entries:
+            result -= result // p
+        return result
+
 
 def factorize(n: int) -> Factorization:
     """Deterministic factorization: trial division, then seeded rho.
@@ -177,12 +186,7 @@ def euler_phi(n: int) -> int:
     """φ(n) by the product over prime divisors; φ(1) = 1 by convention."""
     if n < 1:
         raise ValueError(f"euler_phi requires n >= 1, got {n}")
-    if n == 1:
-        return 1
-    result = n
-    for p, _ in factorize(n).entries:
-        result -= result // p
-    return result
+    return factorize(n).totient if n > 1 else 1
 
 
 def divisors(n: int) -> list[int]:

@@ -53,12 +53,8 @@ def poly_add(fq: SmallField, f: Poly, g: Poly) -> Poly:
     return poly_trim(out)
 
 
-def poly_neg(fq: SmallField, f: Poly) -> Poly:
-    return tuple(fq.neg(c) for c in f)
-
-
 def poly_sub(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    return poly_add(fq, f, poly_neg(fq, g))
+    return poly_trim(fq.sub(a, b) for a, b in itertools.zip_longest(f, g, fillvalue=0))
 
 
 def poly_scale(fq: SmallField, c: int, f: Poly) -> Poly:

@@ -203,6 +203,23 @@ def schoolbook_mul(ctx, a: int, b: int) -> int:
     return sum(from_fq(c) * q**j for j, c in enumerate(coords))
 
 
+def linear_map_by_columns(cols: list, a: int, p: int) -> int:
+    """Σ a_d·cols[d] over the base-p digits a_d of a, left packed: the
+    F_p-linear map with packed columns cols, one column per digit.  XOR of
+    columns for p = 2, an integer sum otherwise."""
+    total = 0
+    if p == 2:
+        for col in cols:
+            if a & 1:
+                total ^= col
+            a >>= 1
+        return total
+    for col in cols:
+        a, c = divmod(a, p)
+        total += c * col
+    return total
+
+
 def frobenius_by_powering(ctx, a: int, i: int) -> int:
     """α^(q^i) by i rounds of raising to the q-th power, each by q - 1
     schoolbook multiplications."""

@@ -7,7 +7,7 @@ import pytest
 from pnfield.claims import enumerate_field_specs
 from pnfield.counting import exact_counts
 from pnfield.errors import ResourceLimitError
-from pnfield.field import build_field, get_field, parse_field_spec
+from pnfield.field import _pack, _unpack, build_field, get_field, parse_field_spec
 from pnfield.numtheory import euler_phi
 from pnfield.polyfq import poly_mul, poly_phi, poly_trim
 
@@ -15,6 +15,7 @@ from bruteforce import (
     additive_order_by_division,
     dlog_by_scan,
     frobenius_by_powering,
+    linear_map_by_columns,
     normal_by_det_n2,
     normal_by_span,
     order_by_powering,
@@ -316,6 +317,41 @@ def test_mul_poly_matches_schoolbook(ctx):
         assert ctx._mul_poly(a, b) == ctx.encode(coords[:n]), (a, b)
 
 
+@pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
+def test_chunk_tables_match_the_column_oracle(ctx):
+    # each F_p-linear map the chunk tables serve, with columns from the
+    # schoolbook oracles: Frob^1, Frob^w, the odd-p reduction rows
+    # x^(n+j) mod f and "times g"; order - 1 has every digit p - 1, so it
+    # makes the largest slot sums
+    p, k, n, bits = ctx.p, ctx.k, ctx.n, ctx._bits
+    rng = random.Random(11)
+    elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
+    g = rng.randrange(2, ctx.order)
+    units = [p**d for d in range(k * n)]
+
+    def packed(images):
+        return [_pack(v, p, bits) for v in images]
+
+    times_g = packed(schoolbook_mul(ctx, g, u) for u in units)
+    maps = [
+        (ctx._frob_tables(1), packed(frobenius_by_powering(ctx, u, 1) for u in units), elements),
+        (ctx._frob_tables(ctx._frob_w),
+         packed(frobenius_by_powering(ctx, u, ctx._frob_w) for u in units), elements),
+        (ctx._map_tables(times_g), times_g, elements),
+    ]
+    if k == 1 and p > 2:
+        ctx._ensure_red()
+        rows = packed(schoolbook_mul(ctx, ctx.q ** (n - 1), ctx.q ** (j + 1)) for j in range(n - 1))
+        # the fold reads the n - 1 high coefficients of a product
+        maps.append((ctx._red, rows, [a % p ** (n - 1) for a in elements]))
+    for tables, cols, inputs in maps:
+        assert all(len(table) <= 16 for table in tables)
+        assert len(tables) == -(-len(cols) // ctx._chunk)
+        for a in inputs:
+            want = _unpack(linear_map_by_columns(cols, a, p), p, bits)
+            assert ctx._apply_map(tables, a) == want, a
+
+
 def test_is_primitive_normal_op_count_pinned():
     # pnfield op counts are part of the search output: a polynomial-path
     # Frobenius counts as the one power it replaces, and the precomputed
@@ -405,6 +441,19 @@ def test_whole_field_pass_matches_per_element_tests():
             assert ctx._exp[i] == cur and ctx._log[cur] == i, (ctx, i)
             cur = oracle._mul_poly(cur, tau)
         assert cur == 1
+
+
+@pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 7)], ids=str)
+def test_whole_field_pass_tables_on_census_fields(spec):
+    # the powers of g come from the chunk tables of "times g"; the exp/log
+    # tables read off them against products on a fresh context
+    ctx, oracle = build_field(*spec), build_field(*spec)
+    ctx.ensure_tables()
+    tau, cur = ctx.reference_tau, 1
+    for i in range(ctx.order - 1):
+        assert ctx._exp[i] == cur and ctx._log[cur] == i, i
+        cur = oracle._mul_poly(cur, tau)
+    assert cur == 1
 
 
 @pytest.mark.parametrize("spec,counts,tau", [
