@@ -51,6 +51,9 @@ ASSERTED_PASS = "ASSERTED-PASS"
 REPORTED = "REPORTED"
 FAIL = "FAIL"
 
+# totient-gcd-correction draws m, n below this bound
+_PAIR_BOUND = 3000
+
 
 @dataclass(frozen=True)
 class ClaimResult:
@@ -93,7 +96,7 @@ def enumerate_field_specs(lo: int, hi: int) -> list[tuple[int, int, int]]:
 
 def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) -> list[ClaimResult]:
     out = []
-    phis = phi_sieve(max(phi_limit, 3000))  # also φ(m), φ(n) of the pairs below
+    phis = phi_sieve(max(phi_limit, _PAIR_BOUND))
     mus = mobius_sieve(phi_limit)
 
     # product identity == counting identity (gcd-count via Σ μ(d)·floor((n-1)/d))
@@ -126,8 +129,8 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
     rng = rng_for(seed, "phi-pairs")
     ok = True
     for _ in range(pair_trials):
-        m = rng.randrange(1, 3000)
-        n = rng.randrange(1, 3000)
+        m = rng.randrange(1, _PAIR_BOUND)
+        n = rng.randrange(1, _PAIR_BOUND)
         d = math.gcd(m, n)
         if euler_phi(m * n) * phis[d] != d * phis[m] * phis[n]:
             ok = False

@@ -13,8 +13,8 @@ exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
 r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
 Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
-elements themselves; "times g" and Frobenius are applied through tables of
-column sums, one per chunk of base-p digits (see _map_tables).
+elements themselves; "times g" and Frobenius are applied through one kernel,
+a table of column sums per chunk of base-p digits for p <= 3 (see _map_tables).
 The reference primitive normal element τ is the first element set in both
 masks, and the exp/log tables of τ are read off the powers of g.  The cap is
 the one boundary for data about the whole field: above it there is no τ, no
@@ -24,11 +24,10 @@ Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path,
 one of three by the coefficient field: a carry-less product for q = 2; for odd
 prime q a packed product, in which both factors are packed into integers with
-spare bits per coefficient, multiplied once, and folded back through the chunk
-tables of the reduction rows x^(n+j) mod f before each coordinate is reduced
+spare bits per coefficient, multiplied once, and folded back through the same
+kernel with the reduction rows x^(n+j) mod f before each coordinate is reduced
 mod p; and for k > 1 a schoolbook product over F_q's product table.  On that
-path Frobenius is one lookup per chunk, its tables built per power on first
-use.
+path Frobenius is the kernel too, its map built per power on first use.
 
 Powers on the polynomial path (pow, and through it inv, norm and the
 multiplicative order, and is_primitive) read the exponent in base Q = q^w,
@@ -132,23 +131,27 @@ class FieldCtx:
         self.mult_factorization = mult_factorization
         self.add_factorization = add_factorization
         self.op_count = 0
-        # reduction rows x^(n+j) mod ext_modulus: chunk tables of the packed
-        # rows for k = 1 (odd p), coefficient lists for k > 1; unused for q = 2
+        # reduction rows x^(n+j) mod ext_modulus: the map (see _map_tables)
+        # of the packed rows for k = 1 (odd p), coefficient lists for k > 1
         self._red = None
         self._fq_products = None
         # slot width of _pack: a slot sums at most 2kn products of two
         # digits, the bound met by the packed product and by Frobenius
         self._bits = (2 * self.k * n * (self.p - 1) ** 2).bit_length()
         # F_p-linear maps are applied by chunks of c base-p digits, with c the
-        # largest such that p^c <= 16, and at least 1 (see _map_tables)
+        # largest such that p^c <= 16, and at least 1: tables of at most 16
+        # entries, and none for p >= 5 (see _map_tables)
         self._chunk = max([1] + [c for c in (2, 3, 4) if self.p**c <= 16])
         self._chunk_base = self.p**self._chunk
-        # _frob[i] holds the chunk tables of Frob^i, grown on first use
+        # _frob[i] holds the map of Frob^i, grown on first use
         self._frob = [None]
         # exponents are read in base Q = q^w, with w the largest w < n such
         # that q^w <= 16, and at least 1
-        self._frob_w = max([1] + [w for w in range(2, n) if self.q**w <= 16])
-        self._digit_base = self.q**self._frob_w
+        w = 1
+        while w + 1 < n and self.q ** (w + 1) <= 16:
+            w += 1
+        self._frob_w = w
+        self._digit_base = self.q**w
         self._exp = None
         self._log = None
         self._tau = None
@@ -159,7 +162,9 @@ class FieldCtx:
         self._prim_mask = None
         self._norm_mask = None
         self._trace_table = None
+        # tr(p^d) for d < kn, and the trace as a map (see _map_tables)
         self._trace_basis = None
+        self._trace_map = None
         m = max(self.order - 1, 1)
         self._qpow = [pow(self.q, i, m) for i in range(n)]
         self._cofactors = None
@@ -223,12 +228,15 @@ class FieldCtx:
 
     # -- F_p-linear maps --------------------------------------------------------
 
-    def _map_tables(self, cols: list[int]) -> list[list[int]]:
-        """Chunk tables of the F_p-linear map whose packed columns cols are
-        the images of the unit vectors p^d (the method of four Russians):
-        entry j of table t is Σ j_e·cols[tc + e] over the base-p digits j_e of
-        j, built digit by digit; at most 16 entries, or p when p > 16."""
+    def _map_tables(self, cols: list[int]) -> list:
+        """The F_p-linear map with packed columns cols (the images of p^d) for
+        _apply_map: for p = 2, 3 one table per chunk (method of four Russians),
+        entry j of table t being Σ j_e·cols[tc + e] over the base-p digits j_e
+        of j, built digit by digit; for p >= 5, where a chunk is one digit and
+        a lookup saves nothing over a product, cols itself."""
         p, c = self.p, self._chunk
+        if c == 1:
+            return cols
         add = operator.xor if p == 2 else operator.add
         tables = []
         for t in range(0, len(cols), c):
@@ -238,27 +246,28 @@ class FieldCtx:
             tables.append(table)
         return tables
 
-    def _apply_map(self, tables: list[list[int]], a: int, total: int = 0) -> int:
-        """The map with chunk tables `tables` applied to a, plus a packed
-        total: one lookup per chunk of base-p digits of a (a nibble for
-        p = 2), XOR for p = 2 and an integer sum otherwise, then one _unpack."""
-        if self.p == 2:
+    def _apply_map(self, tables: list, a: int, total: int = 0) -> int:
+        """The map from _map_tables applied to a, plus a packed total: one
+        lookup per chunk of base-p digits of a, or one product per digit for
+        p >= 5; XOR for p = 2 and an integer sum otherwise, then one _unpack."""
+        p, c, base = self.p, self._chunk, self._chunk_base
+        if p == 2:
             for table in tables:
-                total ^= table[a & 15]
-                a >>= 4
+                total ^= table[a & (base - 1)]
+                a >>= c
             return total
-        base = self._chunk_base
         for table in tables:
             a, j = divmod(a, base)
-            total += table[j]
-        return _unpack(total, self.p, self._bits)
+            total += j * table if c == 1 else table[j]
+        return _unpack(total, p, self._bits)
 
     # -- multiplicative arithmetic ------------------------------------------
 
     def _ensure_red(self):
         # the state of the q > 2 products: row j < n - 1 is x^(n+j) mod
         # ext_modulus, n coefficients; for k > 1 also F_q's product table
-        rows, cur = [], (0,) * (self.n - 1) + (1,)
+        rows = []
+        cur = (0,) * (self.n - 1) + (1,)
         for _ in range(self.n - 1):
             cur = poly_mod(self.fq, (0,) + cur, self.ext_modulus)
             rows.append(list(cur) + [0] * (self.n - len(cur)))
@@ -351,7 +360,7 @@ class FieldCtx:
             digits.append(d)
         result = self._digit_power(powers, digits.pop())
         if digits:
-            frob_w = self._frob_tables(self._frob_w)
+            frob_w = self._frob_map(self._frob_w)
             for d in reversed(digits):
                 result = self._apply_map(frob_w, result)
                 if d:
@@ -504,10 +513,9 @@ class FieldCtx:
     def frobenius(self, a: int, i: int = 1) -> int:
         """α^(q^i); the map fixes F_q pointwise and has order n.
 
-        With tables it is one lookup.  On the polynomial path it is one
-        lookup per chunk of base-p digits in the precomputed tables of the
-        F_p-linear map (see _frob_tables), and it counts as the one operation
-        that the power it stands for would have counted.
+        With tables it is one lookup.  On the polynomial path it applies the
+        precomputed F_p-linear map (see _frob_map), and it counts as the one
+        operation that the power it stands for would have counted.
         """
         i %= self.n
         if a == 0 or i == 0:
@@ -515,18 +523,18 @@ class FieldCtx:
         if self._log is not None:
             return self._exp[self._log[a] * self._qpow[i] % (self.order - 1)]
         self.op_count += 1
-        return self._apply_map(self._frob_tables(i), a)
+        return self._apply_map(self._frob_map(i), a)
 
-    def _frob_tables(self, i: int) -> list[list[int]]:
-        """The chunk tables of Frob^i, 1 <= i < n, from its packed images
-        Frob^i(p^d) for d < kn.
+    def _frob_map(self, i: int) -> list:
+        """The map of Frob^i, 1 <= i < n, from its packed images Frob^i(p^d)
+        for d < kn (see _map_tables).
 
         Frobenius fixes F_q, so Frob^1(c·x^j) = c·X^j with X = x^q, found by
         the digit ladder alone: _pow_poly needs these images and cannot make
         them.  Frob^(i+1) is Frob^1 applied to the images of Frob^i, read
-        back from its tables; each power is built on first use.
+        back from its map; each power is built on first use.
         """
-        frob, p, k, bits, c = self._frob, self.p, self.k, self._bits, self._chunk
+        frob, p, k, bits = self._frob, self.p, self.k, self._bits
         if len(frob) == 1:
             # the unit vector p^(jk+t) is the F_q constant y^t = p^t times x^j
             big_x = self._digit_power({1: self.q}, self.q)
@@ -537,7 +545,8 @@ class FieldCtx:
                 images += [cur] + [self._mul_poly(p**t, cur) for t in range(1, k)]
             frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
         while len(frob) <= i:
-            cols = [frob[-1][d // c][p ** (d % c)] for d in range(k * self.n)]
+            last, c = frob[-1], self._chunk
+            cols = last if c == 1 else [last[d // c][p ** (d % c)] for d in range(k * self.n)]
             images = [self._apply_map(frob[1], _unpack(col, p, bits)) for col in cols]
             frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
         return frob[i]
@@ -557,18 +566,14 @@ class FieldCtx:
     def _ensure_trace_basis(self):
         if self._trace_basis is None:
             self._trace_basis = [self._trace_slow(self.p**d) for d in range(self.k * self.n)]
+            self._trace_map = self._map_tables(self._trace_basis)
 
     def trace(self, a: int) -> int:
         """Absolute trace Σ α^(p^j) over j < kn, landing in F_p."""
         if self._trace_table is not None:
             return self._trace_table[a]
         self._ensure_trace_basis()
-        p = self.p
-        total = 0
-        for t in self._trace_basis:
-            total += a % p * t
-            a //= p
-        return total % p
+        return self._apply_map(self._trace_map, a)
 
     def ensure_trace_table(self):
         """Trace of every element up to the cap, built one base-p digit at a

@@ -262,11 +262,6 @@ def _split_equal_degree(fq: SmallField, g: Poly, d: int) -> list[Poly]:
     if poly_deg(g) == d:
         return [poly_monic(fq, g)]
     q = fq.q
-    if d == 1:
-        roots = [c for c in range(q) if poly_eval(fq, g, c) == 0]
-        if len(roots) != poly_deg(g):
-            raise ConsistencyError("root scan lost factors")
-        return [(fq.neg(c), 1) for c in roots]
     rng = rng_for(_EDF_SEED, "edf", fq.q, tuple(g), d)
     work = [g]
     done: list[Poly] = []

@@ -1,6 +1,10 @@
 """Field tower construction, element arithmetic, orders, and element tests."""
 
+import os
 import random
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -317,6 +321,15 @@ def test_mul_poly_matches_schoolbook(ctx):
         assert ctx._mul_poly(a, b) == ctx.encode(coords[:n]), (a, b)
 
 
+def _assert_small_tables(ctx, tables):
+    """Chunk tables of at most 16 entries for p <= 3, and for p >= 5 no
+    table at all: the map is its packed columns."""
+    if ctx.p >= 5:
+        assert all(isinstance(col, int) for col in tables)
+    else:
+        assert all(len(table) <= 16 for table in tables)
+
+
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
 def test_chunk_tables_match_the_column_oracle(ctx):
     # each F_p-linear map the chunk tables serve, with columns from the
@@ -334,8 +347,8 @@ def test_chunk_tables_match_the_column_oracle(ctx):
 
     times_g = packed(schoolbook_mul(ctx, g, u) for u in units)
     maps = [
-        (ctx._frob_tables(1), packed(frobenius_by_powering(ctx, u, 1) for u in units), elements),
-        (ctx._frob_tables(ctx._frob_w),
+        (ctx._frob_map(1), packed(frobenius_by_powering(ctx, u, 1) for u in units), elements),
+        (ctx._frob_map(ctx._frob_w),
          packed(frobenius_by_powering(ctx, u, ctx._frob_w) for u in units), elements),
         (ctx._map_tables(times_g), times_g, elements),
     ]
@@ -345,8 +358,9 @@ def test_chunk_tables_match_the_column_oracle(ctx):
         # the fold reads the n - 1 high coefficients of a product
         maps.append((ctx._red, rows, [a % p ** (n - 1) for a in elements]))
     for tables, cols, inputs in maps:
-        assert all(len(table) <= 16 for table in tables)
-        assert len(tables) == -(-len(cols) // ctx._chunk)
+        _assert_small_tables(ctx, tables)
+        if ctx._chunk > 1:
+            assert len(tables) == -(-len(cols) // ctx._chunk)
         for a in inputs:
             want = _unpack(linear_map_by_columns(cols, a, p), p, bits)
             assert ctx._apply_map(tables, a) == want, a
@@ -415,6 +429,51 @@ def test_pow_and_is_primitive_match_the_ladder(spec):
             assert got == power_by_ladder(ctx, a, e), (a, e)
             if i < 3:
                 assert got == power_by_ladder(ctx, a, e, schoolbook), (a, e)
+    # every map built on the way is small; for q > 16 a q-entry table would
+    # not fit at all
+    for tables in ctx._frob[1:] + ([ctx._red] if ctx.k == 1 and ctx.p > 2 else []):
+        _assert_small_tables(ctx, tables)
+
+
+def test_field_with_p_near_2_to_31():
+    # in a child process capped at 1 GiB of address space and 120 s, since a
+    # p-entry table here would have 2^31 entries
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import test_field; test_field.check_field_with_p_near_2_to_31()"
+    subprocess.run([sys.executable, "-c", code], env=env, preexec_fn=cap, timeout=120, check=True)
+
+
+def check_field_with_p_near_2_to_31():
+    # p = 2^31 - 1, n = 2: Frobenius is x -> -c1 - x for the modulus
+    # x^2 + c1·x + c0, and a product reduces x^2 to -c1·x - c0
+    p = 2**31 - 1
+    ctx = build_field(p, 1, 2)
+    c0, c1, _ = ctx.ext_modulus
+    rng = random.Random(31)
+    for _ in range(5):
+        a0, a1, b0, b1 = (rng.randrange(p) for _ in range(4))
+        assert ctx.frobenius(a0 + a1 * p) == (a0 - a1 * c1) % p + (-a1 % p) * p
+        top = a1 * b1
+        want = [(a0 * b0 - top * c0) % p, (a0 * b1 + a1 * b0 - top * c1) % p]
+        assert ctx._mul_poly(a0 + a1 * p, b0 + b1 * p) == ctx.encode(want)
+    a = 5 + 7 * p
+    assert ctx._mul_poly(ctx.pow(a, ctx.order - 2), a) == 1
+    assert ctx.is_primitive(a) == primitive_by_ladder(ctx, a)
+    for tables in ctx._frob[1:] + [ctx._red]:
+        _assert_small_tables(ctx, tables)
+
+
+def _assert_exp_log_tables(ctx, oracle):
+    """exp[i] = τ^i and log[τ^i] = i, against products on a fresh context."""
+    ctx.ensure_tables()
+    tau, cur = ctx.reference_tau, 1
+    for i in range(ctx.order - 1):
+        assert ctx._exp[i] == cur and ctx._log[cur] == i, (ctx, i)
+        cur = oracle._mul_poly(cur, tau)
+    assert cur == 1
 
 
 def test_whole_field_pass_matches_per_element_tests():
@@ -435,25 +494,13 @@ def test_whole_field_pass_matches_per_element_tests():
             if first is None and is_prim and is_norm:
                 first = a
         assert tau == first, ctx
-        ctx.ensure_tables()
-        cur = 1
-        for i in range(ctx.order - 1):
-            assert ctx._exp[i] == cur and ctx._log[cur] == i, (ctx, i)
-            cur = oracle._mul_poly(cur, tau)
-        assert cur == 1
+        _assert_exp_log_tables(ctx, oracle)
 
 
 @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 7)], ids=str)
 def test_whole_field_pass_tables_on_census_fields(spec):
-    # the powers of g come from the chunk tables of "times g"; the exp/log
-    # tables read off them against products on a fresh context
-    ctx, oracle = build_field(*spec), build_field(*spec)
-    ctx.ensure_tables()
-    tau, cur = ctx.reference_tau, 1
-    for i in range(ctx.order - 1):
-        assert ctx._exp[i] == cur and ctx._log[cur] == i, i
-        cur = oracle._mul_poly(cur, tau)
-    assert cur == 1
+    # the powers of g come from the chunk tables of "times g"
+    _assert_exp_log_tables(build_field(*spec), build_field(*spec))
 
 
 @pytest.mark.parametrize("spec,counts,tau", [
