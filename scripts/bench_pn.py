@@ -1,7 +1,9 @@
-"""Per-element cost of the primitive and normal tests on the polynomial path.
+"""Per-element cost of the primitive and normal tests on the polynomial path,
+and the set-up cost of the fields layer by layer.
 
     python3 scripts/bench_pn.py [--seed 1] [--elements 20] [--repeats 5]
-    python3 scripts/bench_pn.py --parent ../parent --change . --rounds 3 --out BENCH.json
+    python3 scripts/bench_pn.py --build [--repeats 5]
+    python3 scripts/bench_pn.py [--build] --parent ../parent --change . --rounds 3 --out BENCH.json
 
 On each field of FIELDS (all above the exp/log table cap, so every product
 runs on the polynomial path) it times, per element of a seeded sample: one
@@ -11,6 +13,15 @@ Frobenius images and cofactors built on first use are not counted.  A row
 holds the median over repeats of the mean time per element, and two
 deterministic work counts: the charged ``op_count`` and the number of
 elements the test accepts.
+
+With ``--build`` it times instead, on each field of BUILD_FIELDS (the
+benchmark's big fields, then FIELDS), the three parts of building a field
+with its default moduli, each separately: ``first_irreducible`` (the
+extension modulus), ``factorize`` of q^n - 1 and ``factor_x_n_minus_1_over``.
+The coefficient field F_q is built and warmed up first.  A row holds the
+median over repeats of one call, the number of Ben-Or tests
+(``polyfq.is_irreducible`` calls) the call made, a deterministic work count,
+and a short digest of its result.
 
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``,
@@ -24,6 +35,7 @@ last line of stdout is the JSON result.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import random
@@ -35,6 +47,8 @@ from pathlib import Path
 
 FIELDS = ((2, 1, 40), (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22))
 OPS = ("product", "is_primitive", "is_normal.divisor", "is_normal.rank")
+BUILD_FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8)) + FIELDS[1:]
+BUILD_LAYERS = ("first_irreducible", "factorize", "factor_x_n_minus_1_over")
 
 
 def _op(ctx, name: str):
@@ -72,6 +86,44 @@ def measure(seed: int, count: int, repeats: int) -> list:
     return rows
 
 
+def measure_build(repeats: int) -> list:
+    """One row per field and set-up layer, in this interpreter."""
+    from pnfield import polyfq
+    from pnfield.numtheory import factorize
+    from pnfield.smallfield import canonical_field
+
+    ben_or = polyfq.is_irreducible
+    calls = [0]
+
+    def counted(fq, f):
+        calls[0] += 1
+        return ben_or(fq, f)
+
+    polyfq.is_irreducible = counted
+    rows = []
+    for p, k, n in BUILD_FIELDS:
+        fq = canonical_field(p**k)
+        fq.inv(1)
+        layers = {"first_irreducible": lambda: polyfq.first_irreducible(fq, n),
+                  "factorize": lambda: factorize(fq.q**n - 1),
+                  "factor_x_n_minus_1_over": lambda: polyfq.factor_x_n_minus_1_over(fq, n)}
+        for name in BUILD_LAYERS:
+            calls[0] = 0
+            digest = hashlib.sha256(repr(layers[name]()).encode()).hexdigest()[:12]
+            ben_or_calls = calls[0]
+            runs = []
+            for _ in range(repeats):
+                start = time.perf_counter()
+                layers[name]()
+                runs.append(time.perf_counter() - start)
+            rows.append({"field": "%d^%d:%d" % (p, k, n), "op": name, "us": statistics.median(runs) * 1e6,
+                         "runs_us": [t * 1e6 for t in runs], "ben_or": ben_or_calls, "result": digest})
+            print(f"{rows[-1]['field']:>7} {name:<24} {rows[-1]['us']:12.1f} us {ben_or_calls:6d} Ben-Or",
+                  file=sys.stderr)
+    polyfq.is_irreducible = ben_or
+    return rows
+
+
 def compare(sides: dict, args) -> dict:
     """Alternating fresh-interpreter runs on both checkouts, joined by row."""
     runs = {"parent": [], "change": []}
@@ -80,7 +132,7 @@ def compare(sides: dict, args) -> dict:
             env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
             proc = subprocess.run(
                 [sys.executable, __file__, "--seed", str(args.seed), "--elements", str(args.elements),
-                 "--repeats", str(args.repeats)],
+                 "--repeats", str(args.repeats)] + ["--build"] * args.build,
                 env=env, capture_output=True, text=True, check=True)
             runs[name].append(json.loads(proc.stdout.strip().splitlines()[-1])["rows"])
             print(f"round {i} {name} done", file=sys.stderr, flush=True)
@@ -89,16 +141,21 @@ def compare(sides: dict, args) -> dict:
         before = statistics.median(r[j]["us"] for r in runs["parent"])
         after = statistics.median(r[j]["us"] for r in runs["change"])
         parent0 = runs["parent"][0][j]
-        rows.append({
-            "field": row["field"], "op": row["op"], "parent_us": before, "change_us": after,
-            "speedup": before / after, "op_count": [parent0["op_count"], row["op_count"]],
-            "hits": [parent0["hits"], row["hits"]],
-            "same_work": (parent0["op_count"], parent0["hits"]) == (row["op_count"], row["hits"]),
-        })
+        joined = {"field": row["field"], "op": row["op"], "parent_us": before, "change_us": after,
+                  "speedup": before / after}
+        if args.build:
+            joined.update(ben_or=[parent0["ben_or"], row["ben_or"]],
+                          same_result=parent0["result"] == row["result"])
+        else:
+            joined.update(op_count=[parent0["op_count"], row["op_count"]],
+                          hits=[parent0["hits"], row["hits"]],
+                          same_work=(parent0["op_count"], parent0["hits"]) == (row["op_count"], row["hits"]))
+        rows.append(joined)
+    unit = "microseconds per call" if args.build else "microseconds per element"
     return {"command": "python3 scripts/bench_pn.py --parent PARENT --change CHANGE --seed "
                        f"{args.seed} --elements {args.elements} --repeats {args.repeats} "
-                       f"--rounds {args.rounds}",
-            "unit": "microseconds per element, median over rounds of the median over repeats",
+                       f"--rounds {args.rounds}" + " --build" * args.build,
+            "unit": unit + ", median over rounds of the median over repeats",
             "rows": rows}
 
 
@@ -111,15 +168,18 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path)
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--out", type=Path)
+    ap.add_argument("--build", action="store_true", help="time the set-up layers of each field")
     args = ap.parse_args(argv)
     if args.parent and args.change:
         result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()}, args)
+    elif args.build:
+        result = {"rows": measure_build(args.repeats)}
     else:
         result = {"seed": args.seed, "elements": args.elements,
                   "rows": measure(args.seed, args.elements, args.repeats)}
     if args.out:
         report = json.loads(args.out.read_text()) if args.out.exists() else {}
-        report["per_element"] = result
+        report["build" if args.build else "per_element"] = result
         args.out.write_text(json.dumps(report, indent=1) + "\n")
     print(json.dumps(result))
     return 0

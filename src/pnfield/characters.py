@@ -241,16 +241,16 @@ def indicator_primitive_dd(ctx: FieldCtx, a: int) -> int:
     if m == 1:
         return 1
     rows = _ensure_prim_dd_data(ctx)
-    total = Fraction(0)
+    big_r = rows[-1][2]  # R = φ(rad m), a multiple of each φ(d): Ψ = φ(m)·S/(m·R)
+    total = 0
     for d, mu, phi_d, primes in rows:
-        total += Fraction(mu * ramanujan_sum(primes, big_l), phi_d)
+        total += mu * ramanujan_sum(primes, big_l) * (big_r // phi_d)
     phi_m = ctx.mult_factorization.totient
-    value = Fraction(phi_m, m) * total
-    if value == 1:
+    if phi_m * total == m * big_r:
         return 1
-    if value == 0:
+    if total == 0:
         return 0
-    raise ConsistencyError(f"primitive indicator evaluated to {value}")
+    raise ConsistencyError(f"primitive indicator evaluated to {Fraction(phi_m * total, m * big_r)}")
 
 
 def indicator_primitive_dd_literal(ctx: FieldCtx, a: int) -> int:

@@ -546,11 +546,8 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
         s = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
         u = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
         for dist in (sb.poly_distance_weight, sb.poly_distance_height):
-            drs = dist(ctx, r, s)
-            if drs < 0 or (drs == 0) != (r == s) or drs != dist(ctx, s, r):
-                ok = False
-                break
-            if dist(ctx, r, u) > dist(ctx, r, s) + dist(ctx, s, u):
+            drs, dsr, dru, dsu = (dist(ctx, x, y) for x, y in ((r, s), (s, r), (r, u), (s, u)))
+            if drs < 0 or (drs == 0) != (r == s) or drs != dsr or dru > drs + dsu:
                 ok = False
                 break
         if not ok:

@@ -274,7 +274,7 @@ class FieldCtx:
         if self.k == 1:
             rows = self._map_tables([_pack(self.encode(row), self.p, self._bits) for row in rows])
         else:
-            self._fq_products = self.fq.product_table()
+            self._fq_products = self.fq.table_rows()[0]
         self._red = rows
 
     def _mul_poly(self, a: int, b: int) -> int:
@@ -305,7 +305,7 @@ class FieldCtx:
             high = _unpack(prod >> n * bits, p, bits)
             return self._apply_map(self._red, high, prod & ((1 << n * bits) - 1))
         # k > 1: schoolbook product over F_q's product table
-        q, table = self.q, self._fq_products
+        table = self._fq_products
         add = operator.xor if p == 2 else functools.partial(_add_digits, p)
         da = self.decode(a)
         # zero coordinates of either factor cost nothing in the inner loop,
@@ -314,16 +314,16 @@ class FieldCtx:
         prod = [0] * (2 * n - 1)
         for i, ai in enumerate(da):
             if ai:
-                row = ai * q
+                row = table[ai]
                 for j, bj in nz_b:
-                    prod[i + j] = add(prod[i + j], table[row + bj])
+                    prod[i + j] = add(prod[i + j], row[bj])
         for j in range(2 * n - 2, n - 1, -1):
             c = prod[j]
             if c:
-                row = c * q
+                row = table[c]
                 for i, ri in enumerate(self._red[j - n]):
                     if ri:
-                        prod[i] = add(prod[i], table[row + ri])
+                        prod[i] = add(prod[i], row[ri])
         return self.encode(prod[:n])
 
     def mul(self, a: int, b: int) -> int:
@@ -790,9 +790,11 @@ def build_field(
 
     Omitted moduli default to the lexicographically smallest monic
     irreducibles of the right degrees (coefficients compared low-to-high as
-    integers), so the construction is deterministic.  Supplied moduli are
-    certified irreducible.  The exact integer order arithmetic requires
-    p^(k·n) <= 2^63.
+    integers), so the construction is deterministic.  polyfq.first_irreducible
+    finds them by a root sieve and the Ben-Or test; that is most of the cost
+    of a build (about 0.3 s for 2^4:8 on a 2-core box; scripts/bench_pn.py
+    --build times each part).  Supplied moduli are certified irreducible.
+    The exact integer order arithmetic requires p^(k·n) <= 2^63.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")

@@ -4,13 +4,19 @@ Polynomials are tuples of integer-encoded F_q coefficients, ascending degree,
 with no trailing zeros; the zero polynomial is the empty tuple and its degree
 is the sentinel -1 (a plain Python int, never an unsigned cast).
 
-The totient Φ_q, Möbius μ_q, σ_q and the Ω_q factor counts all operate on
-certified factorizations of x^n - 1.
+The kernels bind the coefficient arithmetic once per call (see _kernel).
+first_irreducible sieves out candidates with a root in F_q, and Ben-Or's
+test (1981) certifies the rest, applying h -> h^q mod f as a linear map,
+the Q-matrix (von zur Gathen and Shoup 1992).  The totient Φ_q, Möbius μ_q,
+σ_q and the Ω_q factor counts all operate on certified factorizations of
+x^n - 1.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -31,6 +37,41 @@ ONE: Poly = (1,)
 _EDF_SEED = 271828182845  # fixed internal seed: splitting is reproducible
 
 
+def _kernel(fq):
+    """(add, scale, norm) map coefficient vectors to xs + ys and c·ys, and norm
+    (unless None) reduces one coefficient: integers mod p for k = 1; for k > 1
+    rows of F_q's product and (odd p) sum tables; a FieldCtx's own methods."""
+    if isinstance(fq, smallfield.SmallField):
+        return _table_kernel(fq)
+    return functools.partial(map, fq.add), lambda c, ys: map(fq.mul, itertools.repeat(c), ys), None
+
+
+@functools.lru_cache(maxsize=16)
+def _table_kernel(fq: SmallField):
+    if fq.k == 1:
+        return (functools.partial(map, operator.add),
+                lambda c, ys: map(operator.mul, itertools.repeat(c), ys), fq.p.__rmod__)
+    products, sums = fq.table_rows()
+    rows = [row.__getitem__ for row in products]
+    add = (functools.partial(map, operator.xor) if sums is None
+           else lambda xs, ys: map(operator.getitem, map(sums.__getitem__, xs), ys))
+    return add, lambda c, ys: map(rows[c], ys), None
+
+
+def _combine(kernel, coeffs, vectors, size: int) -> list:
+    """Σ coeffs[i]·vectors[i], reduced: one vector-matrix product."""
+    add, scale, norm = kernel
+    acc = [0] * size
+    for c, vector in zip(coeffs, vectors):
+        if c:
+            acc = list(add(acc, scale(c, vector)))
+    return acc if norm is None else [norm(a) for a in acc]
+
+
+def _reduced(coeffs, norm) -> Poly:
+    return poly_trim(coeffs if norm is None else map(norm, coeffs))
+
+
 def poly_trim(coeffs) -> Poly:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -44,53 +85,40 @@ def poly_deg(f: Poly) -> int:
 
 
 def poly_add(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    n = max(len(f), len(g))
-    out = []
-    for i in range(n):
-        a = f[i] if i < len(f) else 0
-        b = g[i] if i < len(g) else 0
-        out.append(fq.add(a, b))
-    return poly_trim(out)
+    add, _, norm = _kernel(fq)
+    if len(f) < len(g):
+        f, g = g, f
+    return _reduced([*add(f, g), *f[len(g):]], norm)
 
 
 def poly_sub(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    return poly_trim(fq.sub(a, b) for a, b in itertools.zip_longest(f, g, fillvalue=0))
-
-
-def poly_scale(fq: SmallField, c: int, f: Poly) -> Poly:
-    if c == 0:
-        return ZERO
-    return poly_trim(fq.mul(c, a) for a in f)
+    return poly_add(fq, f, list(_kernel(fq)[1](fq.neg(1), g)))
 
 
 def poly_mul(fq: SmallField, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ZERO
+    add, scale, norm = _kernel(fq)
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a:
-            for j, b in enumerate(g):
-                if b:
-                    out[i + j] = fq.add(out[i + j], fq.mul(a, b))
-    return poly_trim(out)
+            out[i:i + len(g)] = add(out[i:i + len(g)], scale(a, g))
+    return _reduced(out, norm)
 
 
 def poly_divmod(fq: SmallField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    rem = list(f)
-    dg = poly_deg(g)
-    inv_lead = fq.inv(g[-1])
-    quot = [0] * max(0, len(rem) - dg)
-    while len(rem) - 1 >= dg and rem:
-        shift = len(rem) - 1 - dg
-        c = fq.mul(rem[-1], inv_lead)
-        quot[shift] = c
-        for i, gi in enumerate(g):
-            rem[shift + i] = fq.sub(rem[shift + i], fq.mul(c, gi))
-        while rem and rem[-1] == 0:
-            rem.pop()
-    return poly_trim(quot), poly_trim(rem)
+    add, scale, norm = _kernel(fq)
+    dg, inv_lead = len(g) - 1, fq.inv(g[-1])
+    h = list(scale(fq.neg(inv_lead), g[:-1]))  # adding c·h clears a top coefficient c
+    rem, quot = list(f), [0] * max(0, len(f) - dg)
+    for top in range(len(rem) - 1, dg - 1, -1):
+        c = rem[top] if norm is None else norm(rem[top])
+        if c:
+            quot[top - dg] = c
+            rem[top - dg:top] = add(rem[top - dg:top], scale(c, h))
+    return _reduced(scale(inv_lead, quot), norm), _reduced(rem[:dg], norm)
 
 
 def poly_mod(fq: SmallField, f: Poly, g: Poly) -> Poly:
@@ -98,11 +126,10 @@ def poly_mod(fq: SmallField, f: Poly, g: Poly) -> Poly:
 
 
 def poly_monic(fq: SmallField, f: Poly) -> Poly:
-    if not f:
-        return ZERO
-    if f[-1] == 1:
+    if not f or f[-1] == 1:
         return f
-    return poly_scale(fq, fq.inv(f[-1]), f)
+    _, scale, norm = _kernel(fq)
+    return _reduced(scale(fq.inv(f[-1]), f), norm)
 
 
 def poly_gcd(fq: SmallField, f: Poly, g: Poly) -> Poly:
@@ -136,9 +163,11 @@ def poly_pow(fq: SmallField, base: Poly, e: int) -> Poly:
 
 
 def poly_eval(fq: SmallField, f: Poly, c: int) -> int:
+    add, scale, norm = _kernel(fq)
     acc = 0
     for a in reversed(f):
-        acc = fq.add(fq.mul(acc, c), a)
+        acc, = add(scale(c, (acc,)), (a,))
+        acc = acc if norm is None else norm(acc)
     return acc
 
 
@@ -151,15 +180,33 @@ def x_pow_n_minus_1(fq: SmallField, n: int) -> Poly:
 
 def monic_polys(fq: SmallField, d: int):
     """Monic degree-d polynomials, low coefficients cycling fastest."""
-    q = fq.q
-    for enc in range(q**d):
-        coeffs = []
-        e = enc
-        for _ in range(d):
-            coeffs.append(e % q)
-            e //= q
-        coeffs.append(1)
-        yield tuple(coeffs)
+    places = [fq.q**i for i in range(d)]
+    for enc in range(fq.q**d):
+        yield tuple(enc // b % fq.q for b in places) + (1,)
+
+
+def _q_power_map(fq: SmallField, f: Poly):
+    """h -> h^q mod f, deg h < deg f: h^q = Σ h_i·x^(iq) as c^q = c on F_q.
+    Row i of the Q-matrix is row i - 1 times x^q mod f: for q <= 4·deg f by
+    q steps of times x, each adding a precomputed multiple of x^d mod f."""
+    q, d = fq.q, poly_deg(f)
+    kernel = add, scale, norm = _kernel(fq)
+    x_q = poly_pow_mod(fq, (0, 1), q, f) if q > 4 * d else None  # may be ()
+    x_d = list(scale(fq.neg(fq.inv(f[-1])), f[:-1]))
+    multiples = [list(scale(c, x_d)) for c in range(q)] if x_q is None else None
+    rows = [[1] + [0] * (d - 1)]
+    while len(rows) < d:
+        if x_q is not None:
+            row = list(poly_mod(fq, poly_mul(fq, rows[-1], x_q), f))
+        else:
+            row = list(rows[-1])
+            for _ in range(q):
+                top = row.pop() if norm is None else norm(row.pop())
+                row.insert(0, 0)
+                if top:
+                    row = list(add(row, multiples[top]))
+        rows.append([a if norm is None else norm(a) for a in row] + [0] * (d - len(row)))
+    return lambda h: poly_trim(_combine(kernel, h, rows, d))
 
 
 def is_irreducible(fq: SmallField, f: Poly) -> bool:
@@ -175,19 +222,32 @@ def is_irreducible(fq: SmallField, f: Poly) -> bool:
         return True
     if f[0] == 0:
         return False
-    x_poly: Poly = (0, 1)
-    cur = poly_mod(fq, x_poly, f)
+    cur = x_poly = (0, 1)
+    q_power = _q_power_map(fq, f)
     for _ in range(d // 2):
-        cur = poly_pow_mod(fq, cur, fq.q, f)
+        cur = q_power(cur)
         if poly_deg(poly_gcd(fq, poly_sub(fq, cur, x_poly), f)) != 0:
             return False
     return True
 
 
+def _rootless_monic_polys(fq: SmallField, d: int):
+    """monic_polys(fq, d) without the polynomials that have a root in F_q: a
+    block of q candidates shares h = f - f(0), h + c0 has a root iff -c0 is a
+    value of h, and all q values are one combination of the columns (c^i)."""
+    kernel, points = _kernel(fq), range(fq.q)
+    powers = [[fq.pow(c, i) for c in points] for i in range(1, d + 1)]
+    for high in monic_polys(fq, d - 1):
+        roots = {fq.neg(v) for v in _combine(kernel, high, powers, fq.q)}  # c0 giving a root
+        yield from ((c0,) + high for c0 in points if c0 not in roots)
+
+
 def first_irreducible(fq: SmallField, d: int) -> Poly:
     """First monic irreducible of degree d in monic_polys order: the
-    lexicographically smallest, coefficients compared low-to-high."""
-    for f in monic_polys(fq, d):
+    lexicographically smallest, coefficients compared low-to-high.  For
+    q <= 512 a root sieve drops candidates first (a block costs q·d steps, and
+    larger q find one early); is_irreducible certifies every one left."""
+    for f in (_rootless_monic_polys if d >= 2 and fq.q <= 512 else monic_polys)(fq, d):
         if is_irreducible(fq, f):
             return f
     raise ConsistencyError(f"no irreducible of degree {d} over F_{fq.q}")
@@ -297,23 +357,23 @@ def _split_equal_degree(fq: SmallField, g: Poly, d: int) -> list[Poly]:
 
 def _factor_squarefree(fq: SmallField, f: Poly) -> list[Poly]:
     """Distinct-degree then equal-degree splitting of a squarefree monic f."""
-    q = fq.q
     factors: list[Poly] = []
     rest = poly_monic(fq, f)
     x_poly: Poly = (0, 1)
     h = poly_mod(fq, x_poly, rest)
-    d = 0
+    d, q_power = 0, None
     while poly_deg(rest) > 0:
         d += 1
         if 2 * d > poly_deg(rest):
             factors.append(rest)
             break
-        h = poly_pow_mod(fq, h, q, rest)
+        q_power = q_power or _q_power_map(fq, rest)  # the map of this rest
+        h = q_power(h)
         g = poly_gcd(fq, poly_sub(fq, h, x_poly), rest)
         if poly_deg(g) > 0:
             factors.extend(_split_equal_degree(fq, g, d))
             rest = poly_divmod(fq, rest, g)[0]
-            h = poly_mod(fq, h, rest)
+            h, q_power = poly_mod(fq, h, rest), None
     return factors
 
 

@@ -60,7 +60,8 @@ class SmallField:
             if not polyfq.is_irreducible(canonical_field(p), modulus):
                 raise ValueError(f"base modulus {modulus} is reducible over F_{p}")
         self.modulus = modulus
-        self._mul_table = None
+        self._mul_rows = None
+        self._sum_rows = None
         self._inv_table = None
         if k > 1 and self.q > _TABLE_CAP:
             raise ResourceLimitError(
@@ -126,31 +127,31 @@ class SmallField:
             log[a] = i
             cur = polyfq.poly_mod(fp, polyfq.poly_mul(fp, cur, gpoly), mod)
         logs = log[1:]
-        table = [0] * q
-        for a in range(1, q):
-            la = log[a]
-            table += [0] + [exp[la + lb] for lb in logs]
-        self._mul_table = table
+        self._mul_rows = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
         self._inv_table = [0] + [exp[m - la] for la in logs]
 
-    def product_table(self) -> list[int]:
-        """The q x q products of a proper extension (k > 1): a·b sits at
-        index a·q + b.  For loops that multiply many coefficients without a
-        method call each."""
+    def table_rows(self) -> tuple[list, list | None]:
+        """Rows of the q x q products a·b and, for odd p, sums a + b (None for
+        p = 2, where a sum is an XOR) of a proper extension (k > 1)."""
         if self.k == 1:
-            raise ValueError("prime fields have no product table; use a * b % p")
-        if self._mul_table is None:
+            raise ValueError("prime fields have no tables; use integers mod p")
+        if self._mul_rows is None:
             self._build_tables()
-        return self._mul_table
+        if self._sum_rows is None and self.p != 2:
+            q, p, sums = self.q, self.p, [list(range(self.q))]
+            for a in range(1, q):  # the low digits add mod p, the rest as a // p + b // p
+                sums.append([(a + b) % p + p * sums[a // p][b // p] for b in range(q)])
+            self._sum_rows = sums
+        return self._mul_rows, self._sum_rows
 
     def mul(self, a: int, b: int) -> int:
         if self.k == 1:
             return a * b % self.p
-        table = self._mul_table
-        if table is None:
+        rows = self._mul_rows
+        if rows is None:
             self._build_tables()
-            table = self._mul_table
-        return table[a * self.q + b]
+            rows = self._mul_rows
+        return rows[a][b]
 
     def inv(self, a: int) -> int:
         if a == 0:

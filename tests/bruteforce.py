@@ -231,6 +231,82 @@ def frobenius_by_powering(ctx, a: int, i: int) -> int:
     return a
 
 
+# -- polynomials over F_q, one SmallField call per coefficient --------------------
+# polyfq's products and division as they read before the kernels bound the
+# coefficient arithmetic once per call; gcd, powers and evaluation are built
+# on them.  Coefficient lists are low first; results are trimmed tuples.
+
+
+def _trim(coeffs) -> tuple:
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+def poly_mul_by_calls(fq, f, g) -> tuple:
+    if not f or not g:
+        return ()
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                if b:
+                    out[i + j] = fq.add(out[i + j], fq.mul(a, b))
+    return _trim(out)
+
+
+def poly_divmod_by_calls(fq, f, g) -> tuple:
+    if not g:
+        raise ZeroDivisionError("polynomial division by zero")
+    rem = list(f)
+    dg = len(g) - 1
+    inv_lead = fq.inv(g[-1])
+    quot = [0] * max(0, len(rem) - dg)
+    while len(rem) - 1 >= dg and rem:
+        shift = len(rem) - 1 - dg
+        c = fq.mul(rem[-1], inv_lead)
+        quot[shift] = c
+        for i, gi in enumerate(g):
+            rem[shift + i] = fq.sub(rem[shift + i], fq.mul(c, gi))
+        while rem and rem[-1] == 0:
+            rem.pop()
+    return _trim(quot), _trim(rem)
+
+
+def poly_add_by_calls(fq, f, g, sub=False) -> tuple:
+    n = max(len(f), len(g))
+    f, g = list(f) + [0] * (n - len(f)), list(g) + [0] * (n - len(g))
+    return _trim((fq.sub if sub else fq.add)(a, b) for a, b in zip(f, g))
+
+
+def poly_gcd_by_calls(fq, f, g) -> tuple:
+    """Monic gcd by Euclid on poly_divmod_by_calls."""
+    while g:
+        f, g = g, poly_divmod_by_calls(fq, f, g)[1]
+    inv = fq.inv(f[-1])
+    return _trim(fq.mul(inv, a) for a in f)
+
+
+def poly_pow_mod_by_calls(fq, base, e: int, mod) -> tuple:
+    """base^e mod mod by square-and-multiply from the low bit of e."""
+    result = poly_divmod_by_calls(fq, (1,), mod)[1]
+    base = poly_divmod_by_calls(fq, base, mod)[1]
+    while e:
+        if e & 1:
+            result = poly_divmod_by_calls(fq, poly_mul_by_calls(fq, result, base), mod)[1]
+        base = poly_divmod_by_calls(fq, poly_mul_by_calls(fq, base, base), mod)[1]
+        e >>= 1
+    return result
+
+
+def poly_eval_by_calls(fq, f, c: int) -> int:
+    acc = 0
+    for a in reversed(f):
+        acc = fq.add(fq.mul(acc, c), a)
+    return acc
+
+
 # -- per-term character sums ----------------------------------------------------
 # The character sums as they read before the exponent-indexed tables: one
 # field mul/trace/add per term, the same terms in the same order, so the

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import bruteforce as bf
 from pnfield import polyfq as pf
 from pnfield.numtheory import divisors, euler_phi, mobius
 from pnfield.smallfield import SmallField, canonical_field
@@ -286,3 +287,28 @@ FIRST_IRREDUCIBLES = {
 def test_first_irreducible_unchanged(spec):
     p, k, n = spec
     assert pf.first_irreducible(SmallField(p, k), n) == FIRST_IRREDUCIBLES[spec]
+
+
+def test_sieved_first_irreducible_equals_the_plain_scan():
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+        fq = canonical_field(q)
+        for d in range(1, 6):
+            plain = next(f for f in pf.monic_polys(fq, d) if pf.is_irreducible(fq, f))
+            assert pf.first_irreducible(fq, d) == plain, (q, d)
+
+
+@pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (4, 3), (9, 2), (5, 3)])
+def test_root_sieve_drops_exactly_the_polynomials_with_a_root(q, d):
+    fq = canonical_field(q)
+    expected = [f for f in pf.monic_polys(fq, d)
+                if all(bf.poly_eval_by_calls(fq, f, c) for c in range(q))]
+    assert list(pf._rootless_monic_polys(fq, d)) == expected
+
+
+def test_ben_or_matches_sympy_on_every_small_monic_over_f5():
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    zz = pytest.importorskip("sympy.polys.domains").ZZ
+    fq = canonical_field(5)
+    for d in range(2, 7):
+        for f in pf.monic_polys(fq, d):
+            assert pf.is_irreducible(fq, f) == gt.gf_irreducible_p(list(reversed(f)), 5, zz), f

@@ -1,0 +1,69 @@
+"""polyfq's coefficient kernels and its Q-matrix against the oracles that make
+one SmallField call per coefficient (tests/bruteforce.py), by property tests."""
+
+import pytest
+
+import bruteforce as bf
+from pnfield import polyfq as pf
+from pnfield.smallfield import SmallField
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# F_2, F_7, F_{2^4}, F_{3^3}, F_{7^2} and F_{2^31-1}: both characteristics,
+# the three kernels (integers mod p, XOR with product rows, sum rows) and a
+# prime too large for any table
+KERNEL_FIELDS = [SmallField(2, 1), SmallField(7, 1), SmallField(2, 4), SmallField(3, 3),
+                 SmallField(7, 2), SmallField(2**31 - 1, 1)]
+
+
+@st.composite
+def _field_and_polys(draw, count, max_len=9):
+    fq = draw(st.sampled_from(KERNEL_FIELDS))
+    coeff = st.integers(0, fq.q - 1)
+    polys = [pf.poly_trim(draw(st.lists(coeff, max_size=max_len))) for _ in range(count)]
+    return (fq, *polys)
+
+
+_PROPERTY = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+@_PROPERTY
+@given(_field_and_polys(2))
+def test_kernels_match_the_per_coefficient_oracles(case):
+    fq, f, g = case
+    assert pf.poly_mul(fq, f, g) == bf.poly_mul_by_calls(fq, f, g)
+    assert pf.poly_add(fq, f, g) == bf.poly_add_by_calls(fq, f, g)
+    assert pf.poly_sub(fq, f, g) == bf.poly_add_by_calls(fq, f, g, sub=True)
+    for c in (0, 1, fq.q - 1, len(f) % fq.q):
+        assert pf.poly_eval(fq, f, c) == bf.poly_eval_by_calls(fq, f, c)
+    if g:
+        assert pf.poly_divmod(fq, f, g) == bf.poly_divmod_by_calls(fq, f, g)
+        assert pf.poly_mod(fq, f, g) == bf.poly_divmod_by_calls(fq, f, g)[1]
+    if f or g:
+        assert pf.poly_gcd(fq, f, g) == bf.poly_gcd_by_calls(fq, f, g)
+    assert pf.poly_monic(fq, f) == (bf.poly_mul_by_calls(fq, (fq.inv(f[-1]),), f) if f else ())
+
+
+@_PROPERTY
+@given(_field_and_polys(2, max_len=7), st.integers(0, 2**40))
+def test_pow_mod_and_q_power_map_match_the_oracles(case, e):
+    fq, base, mod = case
+    if pf.poly_deg(mod) < 1:
+        return
+    assert pf.poly_pow_mod(fq, base, e, mod) == bf.poly_pow_mod_by_calls(fq, base, e, mod)
+    # the Q-matrix of mod applies h -> h^q mod mod; both ways of building its
+    # rows occur here (q <= 4·deg mod, and q above it for F_27, F_49, F_{2^31-1})
+    h = pf.poly_mod(fq, base, mod)
+    assert pf._q_power_map(fq, mod)(h) == bf.poly_pow_mod_by_calls(fq, h, fq.q, mod)
+
+
+@pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=repr)
+def test_q_power_map_modulo_powers_of_x(fq):
+    # modulo x^j, x^q mod f is the zero polynomial whenever q >= j
+    for mod in ((0, 1), (0, 0, 1), (0, 0, 0, 1)):
+        q_power = pf._q_power_map(fq, mod)
+        for h in ((), (1,), (0, 1), (fq.q - 1, 1, fq.q - 1)):
+            h = pf.poly_mod(fq, h, mod)
+            assert q_power(h) == bf.poly_pow_mod_by_calls(fq, h, fq.q, mod), (mod, h)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from pnfield.smallfield import SmallField, canonical_field
+import bruteforce as bf
+from pnfield.smallfield import SmallField, _add_digits, canonical_field
 
 
 def test_prime_field_arithmetic():
@@ -105,3 +106,16 @@ def test_tables_match_sympy(p, k):
         assert to_gf(fq.mul(a, b)) == expected
         if a:
             assert gt.gf_rem(gt.gf_mul(to_gf(a), to_gf(fq.inv(a)), p, zz), mod, p, zz) == [1]
+
+
+@pytest.mark.parametrize("p,k", [(2, 3), (3, 2), (3, 5), (5, 3), (7, 3)])
+def test_table_rows_match_the_digit_sums_and_products(p, k):
+    # products against schoolbook products of the digit vectors mod the modulus
+    fq = SmallField(p, k)
+    products, sums = fq.table_rows()
+    assert (sums is None) == (p == 2)
+    for a in range(fq.q):
+        assert sums is None or sums[a] == [_add_digits(p, a, b) for b in range(fq.q)]
+        assert products[a] == [fq.from_digits(bf._mulmod(
+            fq.digits(a), fq.digits(b), fq.modulus, lambda x, y: (x + y) % p,
+            lambda x, y: x * y % p, lambda x: -x % p, 0)) for b in range(fq.q)]
