@@ -26,10 +26,12 @@ and a short digest of its result.
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``,
 alternating sides for ``--rounds`` rounds, and writes before/after rows with
-the speedup and whether the work counts agree.  ``--out`` adds them as the
-key "per_element" to that JSON file, keeping what else it holds (such as the
-output of scripts/bench_pairs.py).  Human-readable lines go to stderr; the
-last line of stdout is the JSON result.
+the speedup, each round's time per side (so that a row can be judged against
+the parent's own spread) and whether the work counts agree.  ``--out`` adds
+them as the key "per_element" to that JSON file, keeping what else it holds
+(such as the output of scripts/bench_pairs.py, which must run first: it
+writes its file anew).  Human-readable lines go to stderr; the last line of
+stdout is the JSON result.
 """
 
 from __future__ import annotations
@@ -45,7 +47,8 @@ import sys
 import time
 from pathlib import Path
 
-FIELDS = ((2, 1, 40), (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22))
+FIELDS = ((2, 1, 40), (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22),
+          (5, 2, 6), (7, 2, 11))
 OPS = ("product", "is_primitive", "is_normal.divisor", "is_normal.rank")
 BUILD_FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8)) + FIELDS[1:]
 BUILD_LAYERS = ("first_irreducible", "factorize", "factor_x_n_minus_1_over")
@@ -142,7 +145,9 @@ def compare(sides: dict, args) -> dict:
         after = statistics.median(r[j]["us"] for r in runs["change"])
         parent0 = runs["parent"][0][j]
         joined = {"field": row["field"], "op": row["op"], "parent_us": before, "change_us": after,
-                  "speedup": before / after}
+                  "speedup": before / after,
+                  "parent_rounds_us": [r[j]["us"] for r in runs["parent"]],
+                  "change_rounds_us": [r[j]["us"] for r in runs["change"]]}
         if args.build:
             joined.update(ben_or=[parent0["ben_or"], row["ben_or"]],
                           same_result=parent0["result"] == row["result"])

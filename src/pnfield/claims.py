@@ -20,11 +20,9 @@ from fractions import Fraction
 from . import characters as ch
 from . import counting as ct
 from . import subsets as sb
-from .errors import DEFAULT_BUDGET, ResourceLimitError
+from .errors import DEFAULT_BUDGET
 from .field import FieldCtx, get_field
 from .numtheory import (
-    EULER_GAMMA,
-    RS_EXCEPTIONAL_N,
     divisors,
     euler_phi,
     factorize,
@@ -32,6 +30,7 @@ from .numtheory import (
     mertens_report,
     mobius_sieve,
     multiplicative_order,
+    phi_bounds,
     phi_sieve,
 )
 from .polyfq import (
@@ -170,16 +169,10 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
                        f"M(x)={rep.mertens}, ratios vs x·e^(-sqrt(log x)) envelope = "
                        f"{tuple(round(r, 6) for r in rep.bound_ratios)}"))
 
-    # extreme-value bounds on φ(n)/n
-    gamma_e = math.exp(EULER_GAMMA)
-    ok_lower = True
-    ok_upper = True
-    for n in range(5, phi_limit + 1):
-        ll = math.log(math.log(n))
-        if phis[n] / n < (3.0 / (gamma_e * math.pi**2)) / ll:
-            ok_lower = False
-        if n / phis[n] >= gamma_e * ll + 2.5 / ll and n != RS_EXCEPTIONAL_N:
-            ok_upper = False
+    # extreme-value bounds on φ(n)/n, with φ(n) from the sieve
+    bounds = [phi_bounds(n, phis[n]) for n in range(5, phi_limit + 1)]
+    ok_upper = all(upper for upper, _ in bounds)
+    ok_lower = all(lower for _, lower in bounds)
     out.append(_assert("phi-lower-bound", f"5<=n<={phi_limit}", ok_lower,
                        "φ(n)/n >= (3/(e^γ·π²))/loglog n"))
     out.append(_assert("phi-rs-upper-bound", f"5<=n<={phi_limit}", ok_upper,
@@ -605,9 +598,7 @@ def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> lis
     """Run every claim suite over all fields with lo <= q^n <= hi."""
     results: list[ClaimResult] = []
     specs = enumerate_field_specs(lo, hi)
-    for p, k, n in specs:  # budget enforced before any enumeration begins
-        if (p**k) ** n > budget:
-            raise ResourceLimitError(f"field {p}^{k}:{n} exceeds budget {budget}")
+    ct.check_budget(specs, budget)
     if lo <= hi and hi >= 4:
         small_phi = min(10**4, max(2000, hi * 4))
         results.extend(integer_claims(seed, phi_limit=small_phi))

@@ -105,11 +105,7 @@ def _parse_sweep_range(text: str) -> list[tuple[int, int, int]]:
 
 def cmd_sweep(args) -> int:
     specs = _parse_sweep_range(args.range)
-    budget = _budget(args)
-    for p, k, n in specs:
-        if (p**k) ** n > budget:
-            raise ResourceLimitError(f"field {p}^{k}:{n} exceeds budget {budget}")
-    records = ct.density_sweep(specs, budget=budget)
+    records = ct.density_sweep(specs, budget=_budget(args))
     if args.format == "json":
         _emit(ct.sweep_to_json(records), args.out)
     else:
@@ -287,6 +283,8 @@ def main(argv=None) -> int:
     except FieldSpecError as exc:
         parser.exit(2, f"usage error: {exc}\n")
     except (ValueError, ResourceLimitError) as exc:
+        parser.exit(2, f"error: {exc}\n")
+    except OSError as exc:  # reading --subset @file or writing --out
         parser.exit(2, f"error: {exc}\n")
 
 

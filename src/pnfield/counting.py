@@ -166,8 +166,16 @@ def phi_poly_lower_bound_check(q: int, n: int) -> PhiPolyBoundReport:
     )
 
 
+def check_budget(specs, budget: int) -> None:
+    """Refuse, before any field is built, a (p, k, n) in specs above budget."""
+    for p, k, n in specs:
+        if (p**k) ** n > budget:
+            raise ResourceLimitError(f"field {p}^{k}:{n} exceeds budget {budget}")
+
+
 def density_sweep(specs, budget: int = DEFAULT_BUDGET) -> list[DensityRecord]:
-    """Exact counts for every (p, k, n) in specs, sorted by (q, n, k)."""
+    """Exact counts for every (p, k, n) in the list specs, sorted by (q, n, k)."""
+    check_budget(specs, budget)
     records = []
     for p, k, n in specs:
         ctx = get_field(p, k, n)

@@ -13,21 +13,24 @@ exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
 r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
 Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
-elements themselves; "times g" and Frobenius are applied through one kernel,
-a table of column sums per chunk of base-p digits for p <= 3 (see _map_tables).
+elements themselves; "times g", Frobenius and the fold of a product (below)
+are applied through one kernel, a table of column sums per chunk of base-p
+digits for p <= 3 (see _map_tables).
 The reference primitive normal element τ is the first element set in both
 masks, and the exp/log tables of τ are read off the powers of g.  The cap is
 the one boundary for data about the whole field: above it there is no τ, no
 class count and no table, and asking for them raises ResourceLimitError.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
-up.  Before that, and above the table cap, products run on the polynomial path,
-one of three by the coefficient field: a carry-less product for q = 2; for odd
-prime q a packed product, in which both factors are packed into integers with
-spare bits per coefficient, multiplied once, and folded back through the same
-kernel with the reduction rows x^(n+j) mod f before each coordinate is reduced
-mod p; and for k > 1 a schoolbook product over F_q's product table.  On that
-path Frobenius is the kernel too, its map built per power on first use.
+up.  Before that, and above the table cap, products run on the polynomial path
+by one algorithm for every p and k (Kronecker substitution).  With F_q =
+F_p[y]/(m), each factor is spread into an integer so that the base-p digit of
+x^i·y^t sits in slot i(2k - 1) + t; the two are multiplied once in F_p[x, y],
+carry-less for p = 2 and as integers with spare bits per slot for odd p; and
+every slot that is not yet a digit of the result in its place is folded back
+through the same kernel, whose columns are the slots' monomials x^s·y^u
+reduced mod (f, m).  For k = 1 those are the n - 1 high slots.  On that path
+Frobenius is the kernel too, its map built per power on first use.
 
 Powers on the polynomial path (pow, and through it inv, norm and the
 multiplicative order, and is_primitive) read the exponent in base Q = q^w,
@@ -131,13 +134,16 @@ class FieldCtx:
         self.mult_factorization = mult_factorization
         self.add_factorization = add_factorization
         self.op_count = 0
-        # reduction rows x^(n+j) mod ext_modulus: the map (see _map_tables)
-        # of the packed rows for k = 1 (odd p), coefficient lists for k > 1
+        # the fold of a raw product (see _ensure_red), and the number of its
+        # low slots that are already digits of the result in their place
         self._red = None
-        self._fq_products = None
-        # slot width of _pack: a slot sums at most 2kn products of two
-        # digits, the bound met by the packed product and by Frobenius
-        self._bits = (2 * self.k * n * (self.p - 1) ** 2).bit_length()
+        self._low = n if self.k == 1 else self.k
+        # slot width of _pack: one bit for p = 2, where sums are XORs; for odd
+        # p a slot sums at most one product of two digits per slot of a raw
+        # product, (2n - 1)(2k - 1) of them, the bound met by the fold and
+        # above those of Frobenius and the other maps
+        slots = (2 * n - 1) * (2 * self.k - 1)
+        self._bits = 1 if self.p == 2 else (slots * (self.p - 1) ** 2).bit_length()
         # F_p-linear maps are applied by chunks of c base-p digits, with c the
         # largest such that p^c <= 16, and at least 1: tables of at most 16
         # entries, and none for p >= 5 (see _map_tables)
@@ -178,13 +184,6 @@ class FieldCtx:
         # (the inner sums of the literal divisor-free indicators, per
         # exponent difference).
         self.char_cache: dict = {}
-        self._mod_bits = None
-        if self.p == 2 and self.k == 1:
-            bits = 0
-            for i, c in enumerate(ext_modulus):
-                if c:
-                    bits |= 1 << i
-            self._mod_bits = bits
 
     # -- encoding ---------------------------------------------------------
 
@@ -263,68 +262,59 @@ class FieldCtx:
 
     # -- multiplicative arithmetic ------------------------------------------
 
-    def _ensure_red(self):
-        # the state of the q > 2 products: row j < n - 1 is x^(n+j) mod
-        # ext_modulus, n coefficients; for k > 1 also F_q's product table
-        rows = []
-        cur = (0,) * (self.n - 1) + (1,)
-        for _ in range(self.n - 1):
-            cur = poly_mod(self.fq, (0,) + cur, self.ext_modulus)
-            rows.append(list(cur) + [0] * (self.n - len(cur)))
+    def _spread(self, a: int) -> int:
+        """a packed for the product: the base-p digit of x^i·y^t in slot
+        i(2k - 1) + t, so that the slots of the product of two spread factors
+        are the coefficients of their product in F_p[x, y]."""
+        p, bits = self.p, self._bits
         if self.k == 1:
-            rows = self._map_tables([_pack(self.encode(row), self.p, self._bits) for row in rows])
-        else:
-            self._fq_products = self.fq.table_rows()[0]
-        self._red = rows
+            return _pack(a, p, bits)
+        q, stride = self.q, (2 * self.k - 1) * bits
+        out = shift = 0
+        while a:
+            a, c = divmod(a, q)
+            out |= _pack(c, p, bits) << shift
+            shift += stride
+        return out
+
+    def _ensure_red(self):
+        # the fold: the map whose column for each slot of a raw product from
+        # _low on is the slot's monomial x^s·y^u reduced mod (f, m), where y
+        # is the element p of F_q (and u = 0 when k = 1)
+        fq = self.fq
+        y_powers = [fq.pow(fq.p, u) for u in range(2 * self.k - 1)]
+        rows, cur = [], (1,)  # cur is x^s mod f
+        for _ in range(2 * self.n - 1):
+            rows += [[fq.mul(y, c) for c in cur] for y in y_powers]
+            cur = (0,) + cur if len(cur) < self.n else poly_mod(fq, (0,) + cur, self.ext_modulus)
+        cols = [_pack(self.encode(row), self.p, self._bits) for row in rows[self._low:]]
+        self._red = self._map_tables(cols)
 
     def _mul_poly(self, a: int, b: int) -> int:
+        """a·b on the polynomial path: one raw product of the spread factors
+        in F_p[x, y], then one fold of its slots from _low on."""
         if a == 0 or b == 0:
             return 0
-        if self._mod_bits is not None:
-            # carry-less product for q = 2, coordinates are plain bits
-            mod = self._mod_bits
-            top = 1 << self.n
-            r = 0
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= mod
-            return r
         if self._red is None:
             self._ensure_red()
-        p, n = self.p, self.n
-        if self.k == 1:
-            # packed product: the slots of prod are the integer coefficients
-            # of a(x)·b(x); those of x^(n+j) are reduced mod p and folded
-            # back in through the map with the packed rows x^(n+j) mod f
-            bits = self._bits
-            prod = _pack(a, p, bits) * _pack(b, p, bits)
-            high = _unpack(prod >> n * bits, p, bits)
-            return self._apply_map(self._red, high, prod & ((1 << n * bits) - 1))
-        # k > 1: schoolbook product over F_q's product table
-        table = self._fq_products
-        add = operator.xor if p == 2 else functools.partial(_add_digits, p)
-        da = self.decode(a)
-        # zero coordinates of either factor cost nothing in the inner loop,
-        # so a sparse b (such as g) is as cheap as a sparse a
-        nz_b = [(j, bj) for j, bj in enumerate(self.decode(b)) if bj]
-        prod = [0] * (2 * n - 1)
-        for i, ai in enumerate(da):
-            if ai:
-                row = table[ai]
-                for j, bj in nz_b:
-                    prod[i + j] = add(prod[i + j], row[bj])
-        for j in range(2 * n - 2, n - 1, -1):
-            c = prod[j]
-            if c:
-                row = table[c]
-                for i, ri in enumerate(self._red[j - n]):
-                    if ri:
-                        prod[i] = add(prod[i], row[ri])
-        return self.encode(prod[:n])
+        p, bits = self.p, self._bits
+        a, b = self._spread(a), self._spread(b)
+        if p == 2:
+            # carry-less, by chunks of four bits of b: the table of the
+            # products a·j for j < 16, then one lookup and shift per chunk
+            a2, a4, a8 = a << 1, a << 2, a << 3
+            a3, a12 = a ^ a2, a4 ^ a8
+            table = [0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+                     a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3]
+            prod = shift = 0
+            while b:
+                prod ^= table[b & 15] << shift
+                b >>= 4
+                shift += 4
+        else:
+            prod = a * b
+        low = self._low * bits
+        return self._apply_map(self._red, _unpack(prod >> low, p, bits), prod & ((1 << low) - 1))
 
     def mul(self, a: int, b: int) -> int:
         self.op_count += 1
@@ -604,19 +594,17 @@ class FieldCtx:
 
         Each nonzero r_i is charged as the product r_i·α^(q^i) it stands for,
         but a coefficient 1 takes the image as it is, and on the polynomial
-        path with k = 1 a coefficient scales the base-p digits in place.
+        path a coefficient scales the image coordinate by coordinate.
         """
         total = 0
-        scale_digits = self.k == 1 and self._log is None
-        p, bits = self.p, self._bits
         for i, coeff in enumerate(r):
             if coeff:
                 term = self.frobenius(a, i) if i else a
                 if coeff == 1:
                     self.op_count += 1
-                elif scale_digits:
+                elif self._log is None:
                     self.op_count += 1
-                    term = _unpack(coeff * _pack(term, p, bits), p, bits)
+                    term = self.encode(map(self.fq.mul, itertools.repeat(coeff), self.decode(term)))
                 else:
                     term = self.mul(self.embed_base(coeff), term)
                 total = self.add(total, term)

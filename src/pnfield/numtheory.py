@@ -311,23 +311,26 @@ class PhiBoundsReport:
     lower_ok: bool
 
 
-def phi_bounds_report(n: int) -> PhiBoundsReport:
-    """Check φ(n)/n against the classical two-sided loglog bounds.
+def phi_bounds(n: int, phi: int) -> tuple[bool, bool]:
+    """(rs_upper_ok, lower_ok): φ(n)/n, with phi = φ(n) and n >= 5, against
+    the classical two-sided loglog bounds.
 
     Upper: n/φ(n) < e^γ·loglog n + 5/(2·loglog n), true for every n >= 5
     except the lone exceptional primorial RS_EXCEPTIONAL_N.
     Lower: φ(n)/n >= (3/(e^γ·π²))/loglog n for n >= 5.
     """
+    loglog = math.log(math.log(n))
+    upper = math.exp(EULER_GAMMA) * loglog + 5.0 / (2.0 * loglog)
+    lower = (3.0 / (math.exp(EULER_GAMMA) * math.pi**2)) / loglog
+    return (n / phi < upper) or n == RS_EXCEPTIONAL_N, phi / n >= lower
+
+
+def phi_bounds_report(n: int) -> PhiBoundsReport:
+    """phi_bounds of n, with φ(n) from the factorization of n."""
     if n < 5:
         raise ValueError(f"phi_bounds_report requires n >= 5, got {n}")
     phi = euler_phi(n)
-    ratio = phi / n
-    loglog = math.log(math.log(n))
-    upper = math.exp(EULER_GAMMA) * loglog + 5.0 / (2.0 * loglog)
-    rs_upper_ok = (n / phi < upper) or n == RS_EXCEPTIONAL_N
-    lower = (3.0 / (math.exp(EULER_GAMMA) * math.pi**2)) / loglog
-    lower_ok = ratio >= lower
-    return PhiBoundsReport(n=n, ratio=ratio, rs_upper_ok=rs_upper_ok, lower_ok=lower_ok)
+    return PhiBoundsReport(n, phi / n, *phi_bounds(n, phi))
 
 
 def is_prime_power(q: int) -> tuple[int, int]:

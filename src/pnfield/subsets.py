@@ -140,24 +140,35 @@ class SubsetSpec:
 
     @classmethod
     def from_json(cls, text: str, ctx: FieldCtx | None = None) -> "SubsetSpec":
+        """The spec of a JSON object; a missing key or a value of the wrong
+        type raises ValueError naming the key.  With ctx, an element may be
+        given as element text."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError(f"subset JSON must be an object, not {type(data).__name__}")
         kind = data.get("kind")
-        if kind == "hammingBall":
-            center = data.get("center", 0)
-            if isinstance(center, str) and ctx is not None:
-                center = ctx.parse_element(center)
-            return cls(kind=kind, center=int(center), radius=int(data["H"]))
-        if kind == "heightBox":
-            return cls(kind=kind, degree=int(data["d"]), height=int(data["H"]))
-        if kind == "explicit":
-            elems = data["elements"]
-            out = []
-            for e in elems:
-                if isinstance(e, str) and ctx is not None:
-                    out.append(ctx.parse_element(e))
-                else:
-                    out.append(int(e))
-            return cls(kind=kind, elements=tuple(out))
+
+        def integer(key, v, element=False):
+            if element and isinstance(v, str) and ctx is not None:
+                return ctx.parse_element(v)
+            try:
+                return int(v)
+            except (TypeError, ValueError):
+                raise ValueError(f"{kind} subset key {key!r}: {v!r} is not an integer") from None
+
+        try:
+            if kind == "hammingBall":
+                return cls(kind=kind, center=integer("center", data.get("center", 0), element=True),
+                           radius=integer("H", data["H"]))
+            if kind == "heightBox":
+                return cls(kind=kind, degree=integer("d", data["d"]), height=integer("H", data["H"]))
+            if kind == "explicit":
+                elems = data["elements"]
+                if not isinstance(elems, list):
+                    raise ValueError(f"explicit subset key 'elements': {elems!r} is not a list")
+                return cls(kind=kind, elements=tuple(integer("elements", e, element=True) for e in elems))
+        except KeyError as exc:
+            raise ValueError(f"{kind} subset needs the key {exc.args[0]!r}") from None
         raise ValueError(f"unknown subset kind {kind!r}")
 
     def to_json(self) -> str:

@@ -256,6 +256,20 @@ def test_sweep_stops_at_the_table_cap():
     assert "table cap" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["search", "--field", "2^1:8", "--subset", '{"kind":"heightBox"}'], "needs the key 'd'"),
+    (["search", "--field", "2^1:8", "--subset", '{"kind":"hammingBall"}'], "needs the key 'H'"),
+    (["search", "--field", "2^1:8", "--subset", '{"kind":"explicit"}'], "needs the key 'elements'"),
+    (["search", "--field", "2^1:8", "--subset", "[1, 2]"], "must be an object"),
+    (["search", "--field", "2^1:8", "--subset", "@/no/such/dir/subset.json"],
+     "/no/such/dir/subset.json"),
+    (["sweep", "--range", "2..2,2..3", "--out", "/no/such/dir/x.csv"], "/no/such/dir/x.csv"),
+])
+def test_bad_subset_and_unwritable_out_exit_2(args, message):
+    err = _cli_exit_2(args)
+    assert message in err and "Traceback" not in err
+
+
 def test_console_script_installed():
     proc = subprocess.run(
         [sys.executable, "-m", "pnfield.cli", "--help"], capture_output=True, text=True

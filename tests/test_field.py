@@ -275,10 +275,12 @@ def test_exp_log_table_consistency():
 
 
 # fresh contexts, so that no table built by another test takes over: the
-# carry-less, packed and F_q-table products and the Frobenius images
+# product and the Frobenius images for p = 2 and odd p, k = 1 and k > 1;
+# 5^2:6 and 7^2:11 have the largest slot sums of the fold
 POLY_PATH_FIELDS = [
     build_field(2, 1, 24), build_field(2, 1, 40), build_field(2, 4, 8), build_field(3, 1, 14),
     build_field(5, 1, 10), build_field(7, 1, 8), build_field(13, 1, 4), build_field(3, 2, 5),
+    build_field(5, 2, 6), build_field(7, 2, 11),
     # x^5 - x - 1, Artin–Schreier irreducible over F_5
     build_field(5, 1, 5, ext_modulus=(4, 4, 0, 0, 0, 1)),
 ]
@@ -333,36 +335,43 @@ def _assert_small_tables(ctx, tables):
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
 def test_chunk_tables_match_the_column_oracle(ctx):
     # each F_p-linear map the chunk tables serve, with columns from the
-    # schoolbook oracles: Frob^1, Frob^w, the odd-p reduction rows
-    # x^(n+j) mod f and "times g"; order - 1 has every digit p - 1, so it
-    # makes the largest slot sums
+    # schoolbook oracles: Frob^1, Frob^w, "times g" and the fold of a raw
+    # product, whose column for slot s(2k - 1) + u is x^s·y^u mod (f, m).
+    # An input with every digit p - 1 makes the largest slot sums, and the
+    # oracle packs its columns in slots wide enough for any sum, so a map
+    # whose slots overflow does not match it.
     p, k, n, bits = ctx.p, ctx.k, ctx.n, ctx._bits
     rng = random.Random(11)
     elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
     g = rng.randrange(2, ctx.order)
     units = [p**d for d in range(k * n)]
-
-    def packed(images):
-        return [_pack(v, p, bits) for v in images]
-
-    times_g = packed(schoolbook_mul(ctx, g, u) for u in units)
+    times_g = [schoolbook_mul(ctx, g, u) for u in units]
+    ctx._ensure_red()
+    fold = []
+    for slot in range(ctx._low, (2 * n - 1) * (2 * k - 1)):
+        s, u = divmod(slot, 2 * k - 1)
+        s1, u1 = min(s, n - 1), min(u, k - 1)
+        fold.append(schoolbook_mul(ctx, p ** (s1 * k + u1), p ** ((s - s1) * k + u - u1)))
+    fold_inputs = [0, 1, p ** len(fold) - 1] + [rng.randrange(p ** len(fold)) for _ in range(30)]
+    # the worst case of the slot width: one column per slot of a raw product,
+    # each with every digit p - 1, as the fold with the low slots in its total
+    worst = [ctx.order - 1] * ((2 * n - 1) * (2 * k - 1))
     maps = [
-        (ctx._frob_map(1), packed(frobenius_by_powering(ctx, u, 1) for u in units), elements),
-        (ctx._frob_map(ctx._frob_w),
-         packed(frobenius_by_powering(ctx, u, ctx._frob_w) for u in units), elements),
-        (ctx._map_tables(times_g), times_g, elements),
+        (ctx._frob_map(1), [frobenius_by_powering(ctx, u, 1) for u in units], elements),
+        (ctx._frob_map(ctx._frob_w), [frobenius_by_powering(ctx, u, ctx._frob_w) for u in units],
+         elements),
+        (ctx._map_tables([_pack(v, p, bits) for v in times_g]), times_g, elements),
+        (ctx._red, fold, fold_inputs),
+        (ctx._map_tables([_pack(v, p, bits) for v in worst]), worst, [p ** len(worst) - 1]),
     ]
-    if k == 1 and p > 2:
-        ctx._ensure_red()
-        rows = packed(schoolbook_mul(ctx, ctx.q ** (n - 1), ctx.q ** (j + 1)) for j in range(n - 1))
-        # the fold reads the n - 1 high coefficients of a product
-        maps.append((ctx._red, rows, [a % p ** (n - 1) for a in elements]))
-    for tables, cols, inputs in maps:
+    for tables, images, inputs in maps:
         _assert_small_tables(ctx, tables)
         if ctx._chunk > 1:
-            assert len(tables) == -(-len(cols) // ctx._chunk)
+            assert len(tables) == -(-len(images) // ctx._chunk)
+        wide = (len(images) * (p - 1) ** 2).bit_length()
+        cols = [_pack(v, p, wide) for v in images]
         for a in inputs:
-            want = _unpack(linear_map_by_columns(cols, a, p), p, bits)
+            want = _unpack(linear_map_by_columns(cols, a, p), p, wide)
             assert ctx._apply_map(tables, a) == want, a
 
 
@@ -431,7 +440,7 @@ def test_pow_and_is_primitive_match_the_ladder(spec):
                 assert got == power_by_ladder(ctx, a, e, schoolbook), (a, e)
     # every map built on the way is small; for q > 16 a q-entry table would
     # not fit at all
-    for tables in ctx._frob[1:] + ([ctx._red] if ctx.k == 1 and ctx.p > 2 else []):
+    for tables in ctx._frob[1:] + [ctx._red]:
         _assert_small_tables(ctx, tables)
 
 
