@@ -104,11 +104,25 @@ def end_to_end_rows(sides: dict, workload: str, seed: int, pairs: int, seconds: 
     return {"rows": rows, "failed_operations": failed}
 
 
+def check_layers(record: dict, workload: str, metrics: list):
+    """Stop with a message at the first metric that names neither a layer
+    called in the record nor one of its work counts."""
+    for metric in metrics:
+        head, _, part = metric.rpartition(".")
+        traced = part in ("calls", "total_s", "self_s")
+        if (head not in record["trace"]) if traced else (metric not in record["counts"]):
+            sys.exit(f"--layers {workload}: {metric} is neither a called layer nor a work "
+                     "count of the first traced record")
+
+
 def layer_rows(sides: dict, workload: str, seed: int, metrics: list, runs: int) -> list:
     records = {"parent": [], "change": []}
     for i in range(runs):
         for name, checkout in ordered(i, sides):
-            records[name].append(traced_job(checkout, workload, seed))
+            record = traced_job(checkout, workload, seed)
+            if not any(records.values()):
+                check_layers(record, workload, metrics)
+            records[name].append(record)
     rows = []
     for metric in metrics:
         vals = {name: [layer_value(r, metric) for r in recs] for name, recs in records.items()}
@@ -177,16 +191,22 @@ def main(argv=None) -> int:
         "command": " ".join(["python3", *(shlex.quote(_label(a, sides, args.out)) for a in sys.argv)]),
         "end_to_end": {}, "layers": {}, "cli": [],
     }
+
+    def save():  # after every section, so that a failure keeps what ran
+        args.out.write_text(json.dumps(report, indent=1) + "\n")
+
     for workload, pairs in _mapping(args.pairs, int).items():
         report["end_to_end"][workload] = end_to_end_rows(sides, workload, args.seed, pairs,
                                                          args.seconds)
+        save()
     for spec in args.layers:
         workload, _, names = spec.partition(":")
         report["layers"][workload] = layer_rows(sides, workload, args.seed, names.split(","),
                                                 args.traced_runs)
+        save()
     for command in args.cli:
         report["cli"].append(cli_rows(sides, command, args.cli_runs))
-    args.out.write_text(json.dumps(report, indent=1) + "\n")
+        save()
     return 0
 
 

@@ -18,8 +18,13 @@ public log table, trace and add, and kept in ``FieldCtx.char_cache``:
 - ``tr_exp[i] = tr(τ^i)``, so tr(c·α) = tr_exp[(log c + log α) mod m];
 - Zech logarithms ``zech[i] = log(1 + τ^i)``, None where 1 + τ^i = 0, so
   log(u + v) = log u + zech[(log v - log u) mod m];
-- the roots of unity e(j/N) per order N, and the divisor-free inner sums
-  Σ_t e(d·t/q^n) per d.
+- ``norm_dd``, the kernel data of the divisor-dependent normal indicator.
+
+Tables that depend only on integers are cached once per argument by
+``functools.lru_cache``, so fields of one size q^n share them: the roots of
+unity e(j/N) per order N, the divisor-free inner sums Σ_t e(d·t/q^n) per
+(q^n, d), the inner sums of the direct exponential sum per q^n, and the
+squarefree divisors of q^n - 1 per set of primes.
 
 The tables change only how a term is found, never which terms are added or
 in what order: each sum adds the same floats in the same sequence as the
@@ -30,6 +35,8 @@ verify report that prints them, is unchanged to the last bit.
 from __future__ import annotations
 
 import cmath
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,12 +48,10 @@ from .polyfq import phi_from_degrees, poly_deg, poly_phi
 from .seeds import rng_for
 
 
-def _roots_of_unity(ctx: FieldCtx, order: int) -> list[complex]:
-    """e(j/order) for j < order, built once per field and order."""
-    roots = ctx.char_cache.setdefault("roots", {})
-    if order not in roots:
-        roots[order] = [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
-    return roots[order]
+@functools.lru_cache(maxsize=None)
+def _roots_of_unity(order: int) -> list[complex]:
+    """e(j/order) for j < order."""
+    return [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
 
 
 def _log_table(ctx: FieldCtx) -> list[int]:
@@ -60,7 +65,6 @@ def _tr_exp(ctx: FieldCtx) -> list[int]:
     """tr_exp[i] = tr(τ^i) for i < q^n - 1."""
     if "tr_exp" not in ctx.char_cache:
         log = _log_table(ctx)
-        ctx.ensure_trace_table()
         tr_exp = [0] * (ctx.order - 1)
         for a in range(1, ctx.order):
             tr_exp[log[a]] = ctx.trace(a)
@@ -81,15 +85,12 @@ def _zech(ctx: FieldCtx) -> list[int | None]:
     return ctx.char_cache["zech"]
 
 
-def _df_inner(ctx: FieldCtx, d: int) -> complex:
-    """Σ_{t < q^n} e(d·t/q^n), the inner sum of both divisor-free literals."""
-    qn = ctx.order
-    d %= qn
-    cache = ctx.char_cache.setdefault("df_inner", {})
-    if d not in cache:
-        zq = _roots_of_unity(ctx, qn)
-        cache[d] = sum(zq[d * t % qn] for t in range(qn))
-    return cache[d]
+@functools.lru_cache(maxsize=None)
+def _df_inner(qn: int, d: int) -> complex:
+    """Σ_{t < q^n} e(d·t/q^n) for 0 <= d < q^n, the inner sum of both
+    divisor-free literals."""
+    zq = _roots_of_unity(qn)
+    return sum(zq[d * t % qn] for t in range(qn))
 
 
 # -- discrete logarithm -------------------------------------------------------
@@ -170,7 +171,7 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
         values = set(counts.values())
         if len(values) == 1 and len(counts) > 1:
             return complex(0)
-        zm = _roots_of_unity(ctx, m)
+        zm = _roots_of_unity(m)
         return sum(cnt * zm[e] for e, cnt in counts.items())
     # tr(c·ρ) = tr_exp[(log c + log ρ) mod m], with ρ in enumeration order
     tr_exp = _tr_exp(ctx)
@@ -185,10 +186,10 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
         nonzero = {counts.get(j, 0) for j in range(1, ctx.p)}
         if len(nonzero) == 1:
             return complex(counts.get(0, 0) - nonzero.pop())
-        zp = _roots_of_unity(ctx, ctx.p)
+        zp = _roots_of_unity(ctx.p)
         return sum(cnt * zp[t] for t, cnt in counts.items())
-    zm = _roots_of_unity(ctx, m)
-    zp = _roots_of_unity(ctx, ctx.p)
+    zm = _roots_of_unity(m)
+    zp = _roots_of_unity(ctx.p)
     total = 0j
     for a in range(1, ctx.order):
         la = log[a]
@@ -199,24 +200,13 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
 # -- characteristic functions: primitive ---------------------------------------
 
 
-def _ensure_prim_dd_data(ctx: FieldCtx):
-    """Squarefree divisors d of q^n - 1 with (d, μ(d), φ(d), prime list)."""
-    if "prim_dd" not in ctx.char_cache:
-        primes = ctx.mult_factorization.primes()
-        rows = []
-        for mask in range(1 << len(primes)):
-            d, phi, bits = 1, 1, 0
-            sel = []
-            for i, r in enumerate(primes):
-                if mask >> i & 1:
-                    d *= r
-                    phi *= r - 1
-                    bits += 1
-                    sel.append(r)
-            rows.append((d, -1 if bits % 2 else 1, phi, tuple(sel)))
-        rows.sort()
-        ctx.char_cache["prim_dd"] = rows
-    return ctx.char_cache["prim_dd"]
+@functools.lru_cache(maxsize=None)
+def _squarefree_divisors(primes: tuple[int, ...]) -> list[tuple]:
+    """The squarefree divisors d of ∏ primes as sorted rows (d, μ(d), φ(d),
+    prime tuple)."""
+    return sorted((math.prod(sel), (-1) ** size, math.prod(r - 1 for r in sel), sel)
+                  for size in range(len(primes) + 1)
+                  for sel in itertools.combinations(primes, size))
 
 
 def ramanujan_sum(d_primes, big_l: int) -> int:
@@ -240,7 +230,7 @@ def indicator_primitive_dd(ctx: FieldCtx, a: int) -> int:
     m = ctx.order - 1
     if m == 1:
         return 1
-    rows = _ensure_prim_dd_data(ctx)
+    rows = _squarefree_divisors(tuple(ctx.mult_factorization.primes()))
     big_r = rows[-1][2]  # R = φ(rad m), a multiple of each φ(d): Ψ = φ(m)·S/(m·R)
     total = 0
     for d, mu, phi_d, primes in rows:
@@ -260,7 +250,7 @@ def indicator_primitive_dd_literal(ctx: FieldCtx, a: int) -> int:
         raise ValueError("indicator undefined at 0")
     m = ctx.order - 1
     big_l = discrete_log(ctx, a)
-    zm = _roots_of_unity(ctx, m)
+    zm = _roots_of_unity(m)
     phi_m = ctx.mult_factorization.totient
     by_order: dict[int, complex] = {}
     for b in range(m):
@@ -313,7 +303,7 @@ def indicator_primitive_df_literal(ctx: FieldCtx, a: int, rotation: int = 0) -> 
         s_list = s_list[r:] + s_list[:r]
     total = 0j
     for s in s_list:
-        total += _df_inner(ctx, s - big_l) / qn
+        total += _df_inner(qn, (s - big_l) % qn) / qn
     if abs(total.imag) > 1e-6:
         raise ConsistencyError("literal DF indicator has an imaginary part")
     out = round(total.real)
@@ -411,7 +401,7 @@ def indicator_normal_dd_literal(ctx: FieldCtx, a: int) -> int | None:
         return None
     fact = ctx.add_factorization
     degrees = [poly_deg(f) for f in fact.distinct_factors()]
-    zp = _roots_of_unity(ctx, ctx.p)
+    zp = _roots_of_unity(ctx.p)
     # every monic divisor of the squarefree x^n - 1 has a 0/1 exponent vector
     sums = dict.fromkeys(fact.exponent_vectors(), 0j)
     for c in range(ctx.order):
@@ -454,7 +444,7 @@ def indicator_normal_df_literal(ctx: FieldCtx, a: int, eta: int) -> int:
     total = 0j
     for s in ctx.coprime_s_polys():
         w = ctx.apply_linearized(s, eta)
-        total += _df_inner(ctx, log[w] - la) / qn
+        total += _df_inner(qn, (log[w] - la) % qn) / qn
     if abs(total.imag) > 1e-6:
         raise ConsistencyError("literal DF normal indicator has an imaginary part")
     out = round(total.real)
@@ -475,7 +465,7 @@ def double_product_sum_ratio(ctx: FieldCtx, c: int, u_set, v_set) -> float:
         raise ValueError("ψ must be nontrivial")
     log, tr_exp = _log_table(ctx), _tr_exp(ctx)
     m = ctx.order - 1
-    zp = _roots_of_unity(ctx, ctx.p)
+    zp = _roots_of_unity(ctx.p)
     logs_v = [log[v] if v else None for v in v_set]
     total = 0j
     for u in u_set:
@@ -501,7 +491,7 @@ def units_sum_ratio(ctx: FieldCtx, c: int, eta: int | None = None) -> float:
         eta = ctx.reference_tau
     log, tr_exp = _log_table(ctx), _tr_exp(ctx)
     m = ctx.order - 1
-    zp = _roots_of_unity(ctx, ctx.p)
+    zp = _roots_of_unity(ctx.p)
     total = 0j
     for w in ctx.normal_image(eta):
         total += zp[tr_exp[(log[c] + log[w]) % m]]
@@ -515,7 +505,7 @@ def shifted_sum_ratio(ctx: FieldCtx, b: int, u_set, v_set) -> float:
     if b % m == 0:
         raise ValueError("χ must be nontrivial")
     log, zech = _log_table(ctx), _zech(ctx)
-    zm = _roots_of_unity(ctx, m)
+    zm = _roots_of_unity(m)
     logs_v = [log[v] if v else None for v in v_set]
     total = 0j
     for u in u_set:
@@ -618,19 +608,26 @@ def primitive_exp_sum(ctx: FieldCtx, a: int) -> ExpSumRecord:
     return ExpSumRecord(exact_value=exact, envelope_bound=bound, phi_value=phi_m)
 
 
+@functools.lru_cache(maxsize=None)
+def _expsum_inner(qn: int) -> list[complex]:
+    """inner[t] = Σ_s e(-s·t/q^n) over s in [1, q^n - 1] coprime to q^n - 1,
+    for 1 <= t < q^n (inner[0] is unused)."""
+    m = qn - 1
+    zq = _roots_of_unity(qn)
+    s_list = [s for s in range(1, qn) if math.gcd(s, m) == 1]
+    inner = [0j] * qn
+    for t in range(1, qn):
+        inner[t] = sum(zq[(-s * t) % qn] for s in s_list)
+    return inner
+
+
 def primitive_exp_sum_direct(ctx: FieldCtx, a: int) -> int:
     """Direct double-summation oracle (complex arithmetic, factored loop)."""
     qn = ctx.order
     m = qn - 1
     big_l = discrete_log(ctx, a)
-    zq = _roots_of_unity(ctx, qn)
-    if "expsum_inner" not in ctx.char_cache:
-        s_list = [s for s in range(1, qn) if math.gcd(s, m) == 1]
-        inner = [0j] * qn
-        for t in range(1, qn):
-            inner[t] = sum(zq[(-s * t) % qn] for s in s_list)
-        ctx.char_cache["expsum_inner"] = inner
-    inner = ctx.char_cache["expsum_inner"]
+    zq = _roots_of_unity(qn)
+    inner = _expsum_inner(qn)
     total = 0j
     for t in range(1, qn):
         total += inner[t] * zq[big_l * t % qn]
@@ -657,8 +654,8 @@ def fourier_identity_max_residuals(ctx: FieldCtx, b: int, c: int) -> tuple[float
     qn = ctx.order
     m = qn - 1
     log, tr_exp = _log_table(ctx), _tr_exp(ctx)
-    zm = _roots_of_unity(ctx, m)
-    zp = _roots_of_unity(ctx, ctx.p)
+    zm = _roots_of_unity(m)
+    zp = _roots_of_unity(ctx.p)
     g_add = [gauss_sum(ctx, -bb, c) for bb in range(m)]
     g_mult = [gauss_sum(ctx, b, ctx.neg(cc)) for cc in range(qn)]
     res_add = 0.0

@@ -98,12 +98,18 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
     phis = phi_sieve(max(phi_limit, _PAIR_BOUND))
     mus = mobius_sieve(phi_limit)
 
+    # the divisors of every n <= phi_limit, ascending, by one pass over multiples
+    divs: list[list[int]] = [[] for _ in range(phi_limit + 1)]
+    for d in range(1, phi_limit + 1):
+        for m in range(d, phi_limit + 1, d):
+            divs[m].append(d)
+
     # product identity == counting identity (gcd-count via Σ μ(d)·floor((n-1)/d))
     ok = True
     bad = None
     for n in range(1, phi_limit + 1):
         count = 0
-        for d in divisors(n):
+        for d in divs[n]:
             if mus[d]:
                 count += mus[d] * ((n - 1) // d)
         if n == 1:
@@ -116,12 +122,7 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
                        f"first mismatch at {bad}" if bad else "product form equals gcd-counting form"))
 
     # Möbius pair Σ_{d|n} φ(d) = n
-    acc = [0] * (phi_limit + 1)
-    for d in range(1, phi_limit + 1):
-        pd = phis[d]
-        for m in range(d, phi_limit + 1, d):
-            acc[m] += pd
-    ok = all(acc[n] == n for n in range(1, phi_limit + 1))
+    ok = all(sum(phis[d] for d in divs[n]) == n for n in range(1, phi_limit + 1))
     out.append(_assert("totient-divisor-sum", f"n<={phi_limit}", ok, "Σ_{d|n} φ(d) = n"))
 
     # φ(mn) = d/φ(d)·φ(m)·φ(n) on seeded pairs
@@ -141,7 +142,7 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
     ok = True
     for n in range(1, min(phi_limit, 10**4) + 1):
         total = Fraction(0)
-        for d in divisors(n):
+        for d in divs[n]:
             if mus[d]:
                 total += Fraction(mus[d] * mus[d], phis[d])
         if Fraction(1, phis[n]) != total / n:
@@ -156,7 +157,7 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
     xmax = min(phi_limit, 2000)
     total = 0
     for x in range(1, xmax + 1):
-        total += sum(mus[d] for d in divisors(x))
+        total += sum(mus[d] for d in divs[x])
         if total != 1:
             ok = False
             break
@@ -279,7 +280,6 @@ def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
     out = []
     subject = ctx.spec_string()
     ctx.ensure_tables()
-    ctx.ensure_trace_table()
     qn = ctx.order
     m = qn - 1
     rng = rng_for(seed, "field", subject)

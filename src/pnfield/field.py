@@ -167,22 +167,17 @@ class FieldCtx:
         self._exp_g = None
         self._prim_mask = None
         self._norm_mask = None
-        self._trace_table = None
-        # tr(p^d) for d < kn, and the trace as a map (see _map_tables)
-        self._trace_basis = None
+        # the trace as a map from its values tr(p^d), d < kn (see _map_tables)
         self._trace_map = None
         m = max(self.order - 1, 1)
         self._qpow = [pow(self.q, i, m) for i in range(n)]
         self._cofactors = None
         self._coprime_s = None
         self._normal_image = {}
-        # Data the characters layer derives once per field, by key: "prim_dd"
-        # and "norm_dd" (divisor data of the divisor-dependent indicators),
-        # "expsum_inner" (the inner sums of the direct exponential-sum
-        # oracle), "roots" (the roots of unity per order), "tr_exp" (tr(τ^i)
-        # per exponent i), "zech" (Zech logarithms log(1 + τ^i)), "df_inner"
-        # (the inner sums of the literal divisor-free indicators, per
-        # exponent difference).
+        # Data the characters layer derives once per field, by key: "tr_exp"
+        # (tr(τ^i) per exponent i), "zech" (Zech logarithms log(1 + τ^i)) and
+        # "norm_dd" (the kernel data of the divisor-dependent normal
+        # indicator); its tables that depend on q^n alone are cached by q^n.
         self.char_cache: dict = {}
 
     # -- encoding ---------------------------------------------------------
@@ -553,28 +548,12 @@ class FieldCtx:
             raise ConsistencyError(f"trace of {a} landed outside F_p")
         return coords[0]
 
-    def _ensure_trace_basis(self):
-        if self._trace_basis is None:
-            self._trace_basis = [self._trace_slow(self.p**d) for d in range(self.k * self.n)]
-            self._trace_map = self._map_tables(self._trace_basis)
-
     def trace(self, a: int) -> int:
         """Absolute trace Σ α^(p^j) over j < kn, landing in F_p."""
-        if self._trace_table is not None:
-            return self._trace_table[a]
-        self._ensure_trace_basis()
+        if self._trace_map is None:
+            self._trace_map = self._map_tables([self._trace_slow(self.p**d)
+                                                for d in range(self.k * self.n)])
         return self._apply_map(self._trace_map, a)
-
-    def ensure_trace_table(self):
-        """Trace of every element up to the cap, built one base-p digit at a
-        time: the element c·p^d + x with x < p^d sits at that index."""
-        if self._trace_table is None and self.order <= _TABLE_CAP:
-            self._ensure_trace_basis()
-            p = self.p
-            table = [0]
-            for t in self._trace_basis:
-                table = [(c * t + x) % p for c in range(p) for x in table]
-            self._trace_table = table
 
     def norm(self, a: int) -> int:
         """Absolute norm α^((p^(kn)-1)/(p-1)), landing in F_p; N(0) = 0."""

@@ -2,20 +2,21 @@
 
 Elements are integers in [0, q) encoding the F_p coordinate vector in base p
 (low coordinate in the low digit).  Prime fields (k = 1) use direct modular
-arithmetic.  For proper extensions the polynomial work (the modulus search,
-the irreducibility check of a supplied modulus, and the powers of the first
-primitive element g) is done by polyfq over the prime field; the q x q
-multiplication and inverse tables are then read off the exp/log tables of g.
-The tables cap proper extensions at q <= 512, ample for desk scale.
+arithmetic.  For proper extensions the polynomial work (the modulus search
+and the irreducibility check of a supplied modulus) is done by polyfq over the
+prime field; the q x q multiplication table is then built from the modulus
+one base-p digit at a time, and each inverse is read off its row.  The tables
+cap proper extensions at q <= 512, ample for desk scale.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 
 from . import polyfq
-from .errors import ConsistencyError, ResourceLimitError
-from .numtheory import factorize, is_prime, is_prime_power
+from .errors import ResourceLimitError
+from .numtheory import is_prime, is_prime_power
 
 _TABLE_CAP = 512
 
@@ -102,33 +103,42 @@ class SmallField:
         return self.add(a, self.neg(b))
 
     def _build_tables(self):
-        """q x q products and inverses from the powers of the first primitive
-        element g: a·b = g^(log a + log b) and a^-1 = g^(-log a).
+        """q x q products and, for odd p, sums from the modulus, one base-p
+        digit at a time, and the inverses: the inverse of a is the index of 1
+        in row a of the products.
 
-        Built on the first product or inverse; mul and inv read the tables
-        directly afterwards, so a product costs no further call.
+        Row a of the products is row (a mod p) plus "times y" applied to row
+        (a div p), as a = (a mod p) + y·(a div p), and row c < p is row c - 1
+        plus row 1.  A sum is an XOR for p = 2; for odd p the low digits add
+        mod p and the rest as a // p + b // p.
         """
-        q, m = self.q, self.q - 1
-        fp = canonical_field(self.p)
-        mod = self.modulus
-        primes = factorize(m).primes()
-        for g in range(1, q):
-            gpoly = polyfq.poly_trim(self.digits(g))
-            if all(polyfq.poly_pow_mod(fp, gpoly, m // r, mod) != polyfq.ONE for r in primes):
-                break
+        p, q = self.p, self.q
+        if p == 2:
+            def add_rows(u, v):
+                return list(map(operator.xor, u, v))
         else:
-            raise ConsistencyError(f"no primitive element in F_{q}")
-        exp = [0] * (2 * m)
-        log = [0] * q
-        cur = polyfq.ONE
-        for i in range(m):
-            a = self.from_digits(cur)
-            exp[i] = exp[i + m] = a
-            log[a] = i
-            cur = polyfq.poly_mod(fp, polyfq.poly_mul(fp, cur, gpoly), mod)
-        logs = log[1:]
-        self._mul_rows = [[0] * q] + [[0] + [exp[la + lb] for lb in logs] for la in logs]
-        self._inv_table = [0] + [exp[m - la] for la in logs]
+            sums = [list(range(q))]
+            for a in range(1, q):
+                sums.append([(a + b) % p + p * sums[a // p][b // p] for b in range(q)])
+            self._sum_rows = sums
+
+            def add_rows(u, v):
+                return list(map(list.__getitem__, map(sums.__getitem__, u), v))
+
+        # y·c: the digits of c move up one place and the top digit t comes
+        # back as t·y^k, where y^k = -(m_0 + ... + m_(k-1)·y^(k-1))
+        top = q // p
+        wrap = [self.from_digits(-t * c for c in self.modulus[:-1]) for t in range(p)]
+        times_y = add_rows([c % top * p for c in range(q)], [wrap[c // top] for c in range(q)])
+        rows = [[0] * q, list(range(q))]
+        for a in range(2, q):
+            if a < p:
+                rows.append(add_rows(rows[a - 1], rows[1]))
+            else:
+                high = list(map(times_y.__getitem__, rows[a // p]))
+                rows.append(add_rows(rows[a % p], high) if a % p else high)
+        self._mul_rows = rows
+        self._inv_table = [0] + [row.index(1) for row in rows[1:]]
 
     def table_rows(self) -> tuple[list, list | None]:
         """Rows of the q x q products a·b and, for odd p, sums a + b (None for
@@ -137,11 +147,6 @@ class SmallField:
             raise ValueError("prime fields have no tables; use integers mod p")
         if self._mul_rows is None:
             self._build_tables()
-        if self._sum_rows is None and self.p != 2:
-            q, p, sums = self.q, self.p, [list(range(self.q))]
-            for a in range(1, q):  # the low digits add mod p, the rest as a // p + b // p
-                sums.append([(a + b) % p + p * sums[a // p][b // p] for b in range(q)])
-            self._sum_rows = sums
         return self._mul_rows, self._sum_rows
 
     def mul(self, a: int, b: int) -> int:

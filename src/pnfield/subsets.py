@@ -39,7 +39,8 @@ def height(ctx: FieldCtx, r: Poly) -> int:
 
 
 def poly_distance_weight(ctx: FieldCtx, r: Poly, s: Poly) -> int:
-    return hamming_weight(poly_sub(ctx.fq, s, r))
+    """Hamming weight of s - r: the coefficients where r and s differ."""
+    return sum(1 for a, b in itertools.zip_longest(r, s, fillvalue=0) if a != b)
 
 
 def poly_distance_height(ctx: FieldCtx, r: Poly, s: Poly) -> int:

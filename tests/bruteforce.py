@@ -335,7 +335,6 @@ def gauss_sum_per_term(ctx, b: int, c: int) -> complex:
         zm = roots_of_unity(m)
         return sum(cnt * zm[e] for e, cnt in counts.items())
     if b == 0:
-        ctx.ensure_trace_table()
         counts = {}
         for a in range(1, ctx.order):
             t = ctx.trace(ctx.mul(c, a))

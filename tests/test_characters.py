@@ -337,9 +337,8 @@ def test_character_caches_stay_in_the_context_cache():
     ch.char_sum_bound_suite(ctx, trials=3, seed=1)
     ch.fourier_identity_max_residuals(ctx, 1, 1)
     assert set(vars(ctx)) == before
-    assert set(ctx.char_cache) == {"prim_dd", "norm_dd", "expsum_inner",
-                                   "roots", "tr_exp", "zech", "df_inner"}
-    assert set(ctx.char_cache["roots"]) == {ctx.p, ctx.order - 1, ctx.order}
+    # the tables that depend on q^n alone are cached by q^n, outside the field
+    assert set(ctx.char_cache) == {"tr_exp", "zech", "norm_dd"}
 
 
 # -- the exponent-indexed tables against the per-term sums ---------------------
@@ -393,17 +392,21 @@ def test_table_sums_equal_per_term_sums_exactly(p, k, n):
     b, c = rng.randrange(1, m), rng.randrange(1, qn)
     assert (ch.fourier_identity_max_residuals(ctx, b, c)
             == bf.fourier_identity_max_residuals_per_term(ctx, b, c))
+    ch._df_inner.cache_clear()  # fields of one size share the inner sums
     for a in range(1, min(qn, 12)):
         for rot in (0, 1, 3, 7):
             assert (ch.indicator_primitive_df_literal(ctx, a, rotation=rot)
                     == bf.indicator_primitive_df_literal_per_term(ctx, a, rotation=rot))
-    # the literal asks for the inner sum of each s - log α, and the cached
-    # inner sums are the per-term sums
-    inner = ctx.char_cache["df_inner"]
+    # the literal asks for the inner sum of each s - log α and of nothing
+    # else (every wanted sum is a cache hit, and no other sum is cached), and
+    # the cached inner sums are the per-term sums
     coprime = [s for s in range(1, qn) if math.gcd(s, m) == 1]
-    assert set(inner) == {(s - ctx.log_table[a]) % qn for a in range(1, min(qn, 12)) for s in coprime}
-    for d, value in inner.items():
-        assert value == bf.df_inner_per_term(ctx, d) == bf.df_inner_per_term(ctx, d - qn)
+    wanted = {(s - ctx.log_table[a]) % qn for a in range(1, min(qn, 12)) for s in coprime}
+    assert ch._df_inner.cache_info().currsize == len(wanted)
+    hits = ch._df_inner.cache_info().hits
+    for d in wanted:
+        assert ch._df_inner(qn, d) == bf.df_inner_per_term(ctx, d) == bf.df_inner_per_term(ctx, d - qn)
+    assert ch._df_inner.cache_info().hits == hits + len(wanted)
 
 
 def test_character_tables_need_the_log_table():

@@ -196,16 +196,21 @@ def test_subset_spec_json_roundtrip():
 
 
 def test_metric_axioms_exhaustive_tiny():
-    from pnfield.polyfq import poly_trim
+    from pnfield.polyfq import poly_sub, poly_trim
 
-    f3 = get_field(3, 1, 2)
-    polys = [poly_trim((a, b)) for a in range(3) for b in range(3)]
-    for dist in (sb.poly_distance_weight, sb.poly_distance_height):
+    for ctx in (get_field(3, 1, 2), get_field(2, 2, 2)):
+        polys = [poly_trim((a, b)) for a in range(ctx.q) for b in range(ctx.q)]
         for r in polys:
             for s in polys:
-                d = dist(f3, r, s)
-                assert d >= 0
-                assert (d == 0) == (r == s)
-                assert d == dist(f3, s, r)
-                for u in polys:
-                    assert dist(f3, r, u) <= dist(f3, r, s) + dist(f3, s, u)
+                # the count of differing coefficients is the weight of s - r
+                assert (sb.poly_distance_weight(ctx, r, s)
+                        == sb.hamming_weight(poly_sub(ctx.fq, s, r)))
+        for dist in (sb.poly_distance_weight, sb.poly_distance_height):
+            for r in polys:
+                for s in polys:
+                    d = dist(ctx, r, s)
+                    assert d >= 0
+                    assert (d == 0) == (r == s)
+                    assert d == dist(ctx, s, r)
+                    for u in polys:
+                        assert dist(ctx, r, u) <= dist(ctx, r, s) + dist(ctx, s, u)
