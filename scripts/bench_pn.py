@@ -19,9 +19,12 @@ benchmark's big fields, then FIELDS), the three parts of building a field
 with its default moduli, each separately: ``first_irreducible`` (the
 extension modulus), ``factorize`` of q^n - 1 and ``factor_x_n_minus_1_over``.
 The coefficient field F_q is built and warmed up first.  A row holds the
-median over repeats of one call, the number of Ben-Or tests
-(``polyfq.is_irreducible`` calls) the call made, a deterministic work count,
-and a short digest of its result.
+median over repeats of one call, two deterministic work counts made by the
+first call: the Ben-Or tests (calls of ``polyfq._ben_or``, which every
+irreducibility test goes through, or of ``polyfq.is_irreducible`` in a
+checkout without it) and the gcds (``polyfq.poly_gcd`` on tuples and
+``polyfq._Packed.gcd`` on packed polynomials), and a short digest of its
+result.
 
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``,
@@ -89,20 +92,33 @@ def measure(seed: int, count: int, repeats: int) -> list:
     return rows
 
 
+def _count_calls(owner, name: str, counter: list):
+    """Wrap owner.name so that each call adds one to counter[0]; returns the
+    function it replaced."""
+    fn = getattr(owner, name)
+
+    def counted(*args):
+        counter[0] += 1
+        return fn(*args)
+
+    setattr(owner, name, counted)
+    return fn
+
+
 def measure_build(repeats: int) -> list:
     """One row per field and set-up layer, in this interpreter."""
     from pnfield import polyfq
     from pnfield.numtheory import factorize
     from pnfield.smallfield import canonical_field
 
-    ben_or = polyfq.is_irreducible
-    calls = [0]
-
-    def counted(fq, f):
-        calls[0] += 1
-        return ben_or(fq, f)
-
-    polyfq.is_irreducible = counted
+    # the one Ben-Or function (is_irreducible before the packed core), and
+    # every gcd: the tuple poly_gcd and, where it exists, the packed one
+    ben_or, gcds = [0], [0]
+    wrapped = [(polyfq, "_ben_or" if hasattr(polyfq, "_ben_or") else "is_irreducible", ben_or),
+               (polyfq, "poly_gcd", gcds)]
+    if hasattr(polyfq, "_Packed"):
+        wrapped.append((polyfq._Packed, "gcd", gcds))
+    originals = [(owner, name, _count_calls(owner, name, counter)) for owner, name, counter in wrapped]
     rows = []
     for p, k, n in BUILD_FIELDS:
         fq = canonical_field(p**k)
@@ -111,19 +127,20 @@ def measure_build(repeats: int) -> list:
                   "factorize": lambda: factorize(fq.q**n - 1),
                   "factor_x_n_minus_1_over": lambda: polyfq.factor_x_n_minus_1_over(fq, n)}
         for name in BUILD_LAYERS:
-            calls[0] = 0
+            ben_or[0] = gcds[0] = 0
             digest = hashlib.sha256(repr(layers[name]()).encode()).hexdigest()[:12]
-            ben_or_calls = calls[0]
+            counts = {"ben_or": ben_or[0], "gcd": gcds[0]}
             runs = []
             for _ in range(repeats):
                 start = time.perf_counter()
                 layers[name]()
                 runs.append(time.perf_counter() - start)
             rows.append({"field": "%d^%d:%d" % (p, k, n), "op": name, "us": statistics.median(runs) * 1e6,
-                         "runs_us": [t * 1e6 for t in runs], "ben_or": ben_or_calls, "result": digest})
-            print(f"{rows[-1]['field']:>7} {name:<24} {rows[-1]['us']:12.1f} us {ben_or_calls:6d} Ben-Or",
-                  file=sys.stderr)
-    polyfq.is_irreducible = ben_or
+                         "runs_us": [t * 1e6 for t in runs], **counts, "result": digest})
+            print(f"{rows[-1]['field']:>7} {name:<24} {rows[-1]['us']:12.1f} us {counts['ben_or']:6d} Ben-Or"
+                  f" {counts['gcd']:6d} gcd", file=sys.stderr)
+    for owner, name, fn in originals:
+        setattr(owner, name, fn)
     return rows
 
 
@@ -150,6 +167,7 @@ def compare(sides: dict, args) -> dict:
                   "change_rounds_us": [r[j]["us"] for r in runs["change"]]}
         if args.build:
             joined.update(ben_or=[parent0["ben_or"], row["ben_or"]],
+                          gcd=[parent0["gcd"], row["gcd"]],
                           same_result=parent0["result"] == row["result"])
         else:
             joined.update(op_count=[parent0["op_count"], row["op_count"]],

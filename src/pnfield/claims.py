@@ -27,6 +27,7 @@ from .numtheory import (
     euler_phi,
     factorize,
     is_prime,
+    least_prime_factor_sieve,
     mertens_report,
     mobius_sieve,
     multiplicative_order,
@@ -93,6 +94,30 @@ def enumerate_field_specs(lo: int, hi: int) -> list[tuple[int, int, int]]:
 # -- integer-side claims --------------------------------------------------------
 
 
+def phi_pairs(seed: int, trials: int):
+    """The seeded pairs (m, n), both below _PAIR_BOUND, that
+    totient-gcd-correction checks."""
+    rng = rng_for(seed, "phi-pairs")
+    for _ in range(trials):
+        yield rng.randrange(1, _PAIR_BOUND), rng.randrange(1, _PAIR_BOUND)
+
+
+def phi_of_product(m: int, n: int, lpf: list[int]) -> int:
+    """φ(mn) = mn·Π(1 - 1/r) over the union of the primes r of m and of n,
+    read off a least-prime-factor sieve lpf that covers both; it uses neither
+    φ(m), φ(n) nor gcd(m, n), so it stays independent of the identity that
+    totient-gcd-correction checks."""
+    primes = set()
+    for a in (m, n):
+        while a > 1:
+            primes.add(lpf[a])
+            a //= lpf[a]
+    out = m * n
+    for r in primes:
+        out = out // r * (r - 1)
+    return out
+
+
 def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) -> list[ClaimResult]:
     out = []
     phis = phi_sieve(max(phi_limit, _PAIR_BOUND))
@@ -126,13 +151,11 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
     out.append(_assert("totient-divisor-sum", f"n<={phi_limit}", ok, "Σ_{d|n} φ(d) = n"))
 
     # φ(mn) = d/φ(d)·φ(m)·φ(n) on seeded pairs
-    rng = rng_for(seed, "phi-pairs")
+    lpf = least_prime_factor_sieve(_PAIR_BOUND)
     ok = True
-    for _ in range(pair_trials):
-        m = rng.randrange(1, _PAIR_BOUND)
-        n = rng.randrange(1, _PAIR_BOUND)
+    for m, n in phi_pairs(seed, pair_trials):
         d = math.gcd(m, n)
-        if euler_phi(m * n) * phis[d] != d * phis[m] * phis[n]:
+        if phi_of_product(m, n, lpf) * phis[d] != d * phis[m] * phis[n]:
             ok = False
             break
     out.append(_assert("totient-gcd-correction", f"{pair_trials} seeded pairs", ok,

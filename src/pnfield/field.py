@@ -57,6 +57,8 @@ from .numtheory import Factorization, factorize, is_prime
 from .polyfq import (
     Poly,
     PolyFactorization,
+    _pack,
+    _unpack,
     factor_x_n_minus_1_over,
     first_irreducible,
     format_poly,
@@ -72,36 +74,6 @@ from .polyfq import (
 from .smallfield import SmallField, _add_digits
 
 _TABLE_CAP = 2**20
-
-
-def _pack(a: int, p: int, bits: int) -> int:
-    """The base-p digits of a, one per bits-wide slot, low digit lowest.
-
-    For p = 2 nothing is summed in integers (sums are XORs), so a stays as
-    it is.
-    """
-    if p == 2:
-        return a
-    out = shift = 0
-    while a:
-        a, c = divmod(a, p)
-        out |= c << shift
-        shift += bits
-    return out
-
-
-def _unpack(t: int, p: int, bits: int) -> int:
-    """Inverse of _pack for slots holding any nonnegative value below
-    2^bits: each slot is reduced mod p once and becomes a base-p digit."""
-    if p == 2:
-        return t
-    mask = (1 << bits) - 1
-    val, mult = 0, 1
-    while t:
-        val += (t & mask) % p * mult
-        t >>= bits
-        mult *= p
-    return val
 
 
 def _mask_int(mask: bytearray) -> int:
@@ -758,9 +730,10 @@ def build_field(
     Omitted moduli default to the lexicographically smallest monic
     irreducibles of the right degrees (coefficients compared low-to-high as
     integers), so the construction is deterministic.  polyfq.first_irreducible
-    finds them by a root sieve and the Ben-Or test; that is most of the cost
-    of a build (about 0.3 s for 2^4:8 on a 2-core box; scripts/bench_pn.py
-    --build times each part).  Supplied moduli are certified irreducible.
+    finds them by a root sieve and the Ben-Or test on packed polynomials;
+    that is most of the cost of a build (about 0.08 s for 2^4:8 on a 2-core
+    box; scripts/bench_pn.py --build times each part).  Supplied moduli are
+    certified irreducible.
     The exact integer order arithmetic requires p^(k·n) <= 2^63.
     """
     if not is_prime(p):

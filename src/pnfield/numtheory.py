@@ -233,6 +233,18 @@ def mobius_sieve(limit: int) -> list[int]:
     return mu
 
 
+def least_prime_factor_sieve(limit: int) -> list[int]:
+    """The least prime factor of each of 0..limit as a list (0 and 1 map to
+    themselves)."""
+    lpf = list(range(limit + 1))
+    for p in range(2, math.isqrt(limit) + 1):
+        if lpf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                if lpf[m] == m:
+                    lpf[m] = p
+    return lpf
+
+
 def phi_sieve(limit: int) -> list[int]:
     """φ(0..limit) as a list (φ(0) set to 0)."""
     phi = list(range(limit + 1))

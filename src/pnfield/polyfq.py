@@ -5,11 +5,25 @@ with no trailing zeros; the zero polynomial is the empty tuple and its degree
 is the sentinel -1 (a plain Python int, never an unsigned cast).
 
 The kernels bind the coefficient arithmetic once per call (see _kernel).
-first_irreducible sieves out candidates with a root in F_q, and Ben-Or's
-test (1981) certifies the rest, applying h -> h^q mod f as a linear map,
-the Q-matrix (von zur Gathen and Shoup 1992).  The totient Φ_q, Möbius μ_q,
-σ_q and the Ω_q factor counts all operate on certified factorizations of
-x^n - 1.
+The totient Φ_q, Möbius μ_q, σ_q and the Ω_q factor counts all operate on
+certified factorizations of x^n - 1.
+
+Ben-Or's irreducibility test (1981) and the distinct-degree split of x^n - 1
+run on packed polynomials instead (_Packed, _ben_or): one integer per
+polynomial, the base-p digit of x^i·y^t (F_q = F_p[y]/(m)) in slot i·k + t,
+the layout field.py packs elements in with the same _pack and _unpack.  For
+p = 2 a slot is a bit and a sum an XOR; for odd p a slot is wide enough for
+the integer sums between two reductions of every slot mod p.  Euclid's steps
+add a multiple c·b of the divisor, summed from its k digit planes y^t·b;
+h -> h^q mod f is k squarings for p = 2, and for odd p the F_p-linear map of
+the Q-matrix (von zur Gathen and Shoup 1992).  Tuples are converted only at
+the boundary of those functions.
+
+first_irreducible drops candidates with a root in F_q first (the root sieve).
+A candidate left has no linear factor, so gcd(x^q - x, f) = 1 and its Ben-Or
+test starts at j = 2; the public is_irreducible, which certifies user moduli
+and every factor of a PolyFactorization, runs every j from 1.  The tuple
+Q-matrix and Ben-Or test are kept as oracles in tests/bruteforce.py.
 """
 
 from __future__ import annotations
@@ -185,36 +199,299 @@ def monic_polys(fq: SmallField, d: int):
         yield tuple(enc // b % fq.q for b in places) + (1,)
 
 
-def _q_power_map(fq: SmallField, f: Poly):
-    """h -> h^q mod f, deg h < deg f: h^q = Σ h_i·x^(iq) as c^q = c on F_q.
-    Row i of the Q-matrix is row i - 1 times x^q mod f: for q <= 4·deg f by
-    q steps of times x, each adding a precomputed multiple of x^d mod f."""
-    q, d = fq.q, poly_deg(f)
-    kernel = add, scale, norm = _kernel(fq)
-    x_q = poly_pow_mod(fq, (0, 1), q, f) if q > 4 * d else None  # may be ()
-    x_d = list(scale(fq.neg(fq.inv(f[-1])), f[:-1]))
-    multiples = [list(scale(c, x_d)) for c in range(q)] if x_q is None else None
-    rows = [[1] + [0] * (d - 1)]
-    while len(rows) < d:
-        if x_q is not None:
-            row = list(poly_mod(fq, poly_mul(fq, rows[-1], x_q), f))
-        else:
-            row = list(rows[-1])
-            for _ in range(q):
-                top = row.pop() if norm is None else norm(row.pop())
-                row.insert(0, 0)
-                if top:
-                    row = list(add(row, multiples[top]))
-        rows.append([a if norm is None else norm(a) for a in row] + [0] * (d - len(row)))
-    return lambda h: poly_trim(_combine(kernel, h, rows, d))
+# -- packed polynomials ---------------------------------------------------------
+# A polynomial over F_q = F_p[y]/(m) is one integer: the base-p digit of x^i·y^t
+# sits in slot i·k + t, a slot being W bits (see _Packed).  This is the layout
+# field.py packs elements of F_{q^n} in, so _pack and _unpack serve both.
 
 
-def is_irreducible(fq: SmallField, f: Poly) -> bool:
-    """Deterministic irreducibility certification by the Ben-Or
-    distinct-degree test: f is irreducible iff no x^(q^j) - x with
-    j <= deg(f)/2 shares a factor with it.  A reducible f is rejected at the
-    smallest degree of its irreducible factors; never probabilistic.
+def _pack(a: int, p: int, bits: int) -> int:
+    """The base-p digits of a, one per bits-wide slot, low digit lowest.
+
+    For p = 2 nothing is summed in integers (sums are XORs), so a stays as
+    it is.
     """
+    if p == 2:
+        return a
+    out = shift = 0
+    while a:
+        a, c = divmod(a, p)
+        out |= c << shift
+        shift += bits
+    return out
+
+
+def _unpack(t: int, p: int, bits: int) -> int:
+    """Inverse of _pack for slots holding any nonnegative value below
+    2^bits: each slot is reduced mod p once and becomes a base-p digit."""
+    if p == 2:
+        return t
+    mask = (1 << bits) - 1
+    val, mult = 0, 1
+    while t:
+        val += (t & mask) % p * mult
+        t >>= bits
+        mult *= p
+    return val
+
+
+class _Packed:
+    """Packed polynomials over one F_q (see _packed), with Euclid and the map
+    h -> h^q mod f on them.
+
+    For p = 2 a slot is one bit and a sum is an XOR, so every integer is
+    normalized.  For odd p a sum is an integer sum, and a normalized integer
+    has every slot below p.  Adding a digit times a normalized polynomial adds
+    at most (p - 1)^2 to a slot, and `budget` such additions fit in a slot of
+    W bits before the slots must be reduced mod p again.  W is 8 whenever the
+    k additions of one F_q multiple fit, so that the reduction is one
+    bytes.translate.
+    """
+
+    def __init__(self, fq: SmallField):
+        p, k = fq.p, fq.k
+        self.fq, self.p, self.k, self.q = fq, p, k, fq.q
+        if p == 2:
+            self.W = 1
+        else:
+            # (p - 1) + budget·(p - 1)^2 < 2^W: a normalized slot plus budget
+            # additions, with room for one F_q multiple (k additions) at
+            # W = 8 and for 16 of them above it
+            unit = (p - 1) ** 2
+            self.W = 8 if p - 1 + k * unit < 256 else -(-(p - 1 + 16 * k * unit).bit_length() // 8) * 8
+            self.budget = ((1 << self.W) - p) // unit
+        self.cw = k * self.W  # bits per coefficient
+        self.cmask = (1 << self.cw) - 1
+        self.x = 1 << self.cw
+        self._mod8 = bytes(v % p for v in range(256)) if self.W == 8 else None
+        if k > 1:
+            # y·c moves each digit of c up one slot; the top digit t comes
+            # back as t·y^k, where y^k = -(m_0 + ... + m_(k-1)·y^(k-1))
+            self._wrap = _pack(fq.from_digits(-c for c in fq.modulus[:-1]), p, self.W)
+            self._masks = (0, 0, 0)
+            self._digits = [tuple(fq.digits(c)) for c in range(self.q)]
+        if p == 2:
+            # h^2 = Σ c_i^2·x^(2i): the squares of a chunk of c coefficients
+            # (c·k <= 8 bits, or one coefficient), spread to every other slot
+            c = max(1, 8 // k)
+            self._sq_bits = c * k
+            squares = [fq.mul(v, v) for v in range(self.q)]
+            table = [0]
+            for j in range(c):
+                table = [s << 2 * j * k | t for s in squares for t in table]
+            self._sq = table
+
+    def pack(self, f: Poly) -> int:
+        a = 0
+        for c in reversed(f):
+            a = a * self.q + c
+        return _pack(a, self.p, self.W)
+
+    def unpack(self, a: int) -> Poly:
+        """The coefficient tuple of a packed polynomial, any slots below 2^W."""
+        a, q = _unpack(a, self.p, self.W), self.q
+        out = []
+        while a:
+            a, c = divmod(a, q)
+            out.append(c)
+        return tuple(out)
+
+    def normalize(self, a: int) -> int:
+        """Every slot reduced mod p."""
+        if self.p == 2:
+            return a
+        if self._mod8 is not None:
+            return int.from_bytes(a.to_bytes((a.bit_length() + 7) // 8, "little").translate(self._mod8),
+                                  "little")
+        return _pack(_unpack(a, self.p, self.W), self.p, self.W)
+
+    def degree(self, a: int) -> int:
+        """Degree of a normalized polynomial; -1 for zero."""
+        return (a.bit_length() - 1) // self.cw
+
+    def coeff(self, a: int, i: int) -> int:
+        """Coefficient i, as an element of F_q, of a with slots below 2^W."""
+        c = (a >> i * self.cw) & self.cmask
+        if self.p == 2:
+            return c
+        return c % self.p if self.k == 1 else _unpack(c, self.p, self.W)
+
+    def sub_x(self, h: int) -> int:
+        """h - x, normalized."""
+        if self.p == 2:
+            return h ^ self.x
+        return self.normalize(h + (self.p - 1) * self.x)
+
+    def _planes(self, b: int) -> list:
+        """[b, y·b, ..., y^(k-1)·b] for normalized b, normalized; y·b moves
+        every coefficient at once, and none past the top one."""
+        k, W, cw = self.k, self.W, self.cw
+        if k == 1:
+            return [b]
+        n = b.bit_length() // cw + 1
+        if n > self._masks[0]:
+            n *= 2
+            ones = ((1 << n * cw) - 1) // self.cmask  # bit 0 of every coefficient
+            self._masks = (n, ((1 << W) - 1) * ones, ((1 << (k - 1) * W) - 1) * ones)
+        _, digit0, low = self._masks
+        planes, top_shift, wrap = [b], (k - 1) * W, self._wrap
+        for _ in range(k - 1):
+            top = (b >> top_shift) & digit0
+            b = (b & low) << 1 ^ top * wrap if W == 1 else self.normalize(((b & low) << W) + top * wrap)
+            planes.append(b)
+        return planes
+
+    def _canceller(self, b: int, db: int, tabulate: bool = False):
+        """c -> -(c/lead)·b, the multiple of b (normalized, degree db) that
+        clears a coefficient c when added at it.  For k > 1 it sums the digit
+        planes y^t·b, or with tabulate reads a table of all q multiples built
+        by subset sums of the planes (method of four Russians), for a divisor
+        that clears many coefficients."""
+        fq, p = self.fq, self.p
+        e = fq.neg(fq.inv(self.coeff(b, db)))
+        if self.k == 1:
+            if p == 2:
+                return [0, b].__getitem__
+            if tabulate and p <= 512:
+                return [c * e % p * b for c in range(p)].__getitem__
+            return lambda c: c * e % p * b
+        planes, row = self._planes(b), fq.table_rows()[0][e]
+        if tabulate:
+            table = [0]
+            for plane in planes:
+                table = (table + [v ^ plane for v in table] if p == 2 else
+                         [v + j * plane for j in range(p) for v in table])
+            return [table[v] for v in row].__getitem__
+        digits = self._digits
+        if p == 2:
+            return lambda c: functools.reduce(operator.xor, itertools.compress(planes, digits[row[c]]), 0)
+        return lambda c: sum(map(operator.mul, digits[row[c]], planes))
+
+    def _rem(self, a: int, db: int, cancel) -> int:
+        """a mod b, normalized, for normalized a and cancel = _canceller(b, db)."""
+        if self.p == 2:
+            k, lim, n = self.k, db * self.k, a.bit_length()
+            while n > lim:
+                s = (n - 1) // k
+                a ^= cancel(a >> s * k) << (s - db) * k
+                n = a.bit_length()
+            return a
+        cw, coeff, k, room = self.cw, self.coeff, self.k, self.budget - self.k
+        count = 0
+        for s in range(self.degree(a), db - 1, -1):
+            c = coeff(a, s)
+            if c:
+                a += cancel(c) << (s - db) * cw
+                count += k
+                if count > room:
+                    a, count = self.normalize(a), 0
+        return self.normalize(a & ((1 << db * cw) - 1))
+
+    def gcd(self, a: int, b: int) -> int:
+        """A gcd of normalized a and b, not made monic; it stops at a nonzero
+        constant, so the degree is all a coprimality test reads."""
+        while b:
+            db = self.degree(b)
+            if db == 0:
+                return b
+            a, b = b, self._rem(a, db, self._canceller(b, db))
+        return a
+
+    def _apply(self, h: int, cols: list) -> int:
+        """Σ h_s·cols[s] over the slots s of normalized h (odd p), normalized:
+        the F_p-linear map with normalized columns cols."""
+        n, W, budget = len(cols), self.W, self.budget
+        if self._mod8 is not None:
+            digits = h.to_bytes(n, "little")
+        else:
+            mask = (1 << W) - 1
+            digits = [(h >> s * W) & mask for s in range(n)]
+        acc = count = 0
+        for v, col in zip(digits, cols):
+            if v:
+                acc += v * col
+                count += 1
+                if count == budget:
+                    acc, count = self.normalize(acc), 0
+        return self.normalize(acc)
+
+    def _mul(self, a: int, b: int) -> int:
+        """a·b, normalized, for normalized a and b (odd p)."""
+        planes, cw = self._planes(b), self.cw
+        return self._apply(a, [plane << i * cw for i in range(self.degree(a) + 1) for plane in planes])
+
+    def _square(self, h: int) -> int:
+        """h^2 for p = 2: each chunk of coefficients through the squares table."""
+        sq, bits = self._sq, self._sq_bits
+        mask = (1 << bits) - 1
+        out = shift = 0
+        while h:
+            out |= sq[h & mask] << shift
+            h >>= bits
+            shift += 2 * bits
+        return out
+
+    def q_power(self, f: int):
+        """(reduce, power) for normalized monic f of degree d >= 1: a -> a mod f,
+        and h -> h^q mod f for deg h < d.  For p = 2 the power is k squarings,
+        each reduced at once.  For odd p it is the F_p-linear map whose column
+        for the digit of y^t·x^i is y^t·x^(iq) mod f (the Q-matrix, von zur
+        Gathen and Shoup 1992), as (c·x^i)^q = c·x^(iq) on F_q; the rows x^(iq)
+        are built by q steps of "times x" each, or for q > 4d by products with
+        x^q mod f, itself by square and multiply."""
+        d = self.degree(f)
+        cancel, rem = self._canceller(f, d, tabulate=True), self._rem
+
+        def reduce(a):
+            return rem(a, d, cancel)
+
+        if self.p == 2:
+            square, k = self._square, self.k
+
+            def power(h):
+                for _ in range(k):
+                    h = rem(square(h), d, cancel)
+                return h
+            return reduce, power
+        rows, q = [1], self.q
+        if q > 4 * d:
+            big_x = x = reduce(self.x)
+            for bit in bin(q)[3:]:
+                big_x = reduce(self._mul(big_x, big_x))
+                if bit == "1":
+                    big_x = reduce(self._mul(big_x, x))
+            while len(rows) < d:
+                rows.append(reduce(self._mul(rows[-1], big_x)))
+        else:
+            # times x: one shift, and the coefficient of x^d cleared and cut off
+            cw, coeff, low, room = self.cw, self.coeff, (1 << d * self.cw) - 1, self.budget - self.k
+            row = 1
+            count = 0
+            while len(rows) < d:
+                for _ in range(q):
+                    row <<= cw
+                    c = coeff(row, d)
+                    if c:
+                        row = (row + cancel(c)) & low
+                        count += self.k
+                        if count > room:
+                            row, count = self.normalize(row), 0
+                row, count = self.normalize(row), 0
+                rows.append(row)
+        cols = [col for row in rows for col in self._planes(row)]
+        return reduce, lambda h: self._apply(h, cols)
+
+
+@functools.lru_cache(maxsize=16)
+def _packed(fq: SmallField) -> _Packed:
+    return _Packed(fq)
+
+
+def _ben_or(fq: SmallField, f: Poly, first: int = 1) -> bool:
+    """Ben-Or's distinct-degree test on packed polynomials: f is irreducible
+    iff gcd(x^(q^j) - x, f) = 1 for every j <= deg(f)/2.  The gcds start at
+    j = first; first = 2 is sound only for an f known to have no root in F_q,
+    whose gcd at j = 1 is 1."""
     d = poly_deg(f)
     if d <= 0:
         return False
@@ -222,13 +499,23 @@ def is_irreducible(fq: SmallField, f: Poly) -> bool:
         return True
     if f[0] == 0:
         return False
-    cur = x_poly = (0, 1)
-    q_power = _q_power_map(fq, f)
-    for _ in range(d // 2):
-        cur = q_power(cur)
-        if poly_deg(poly_gcd(fq, poly_sub(fq, cur, x_poly), f)) != 0:
+    ring = _packed(fq)
+    f = ring.pack(poly_monic(fq, f))
+    _, q_power = ring.q_power(f)
+    h = ring.x
+    for j in range(1, d // 2 + 1):
+        h = q_power(h)
+        if j >= first and ring.degree(ring.gcd(f, ring.sub_x(h))) != 0:
             return False
     return True
+
+
+def is_irreducible(fq: SmallField, f: Poly) -> bool:
+    """Deterministic irreducibility certification by the Ben-Or
+    distinct-degree test, every gcd from j = 1 on: a reducible f is rejected
+    at the smallest degree of its irreducible factors; never probabilistic.
+    """
+    return _ben_or(fq, f)
 
 
 def _rootless_monic_polys(fq: SmallField, d: int):
@@ -246,9 +533,11 @@ def first_irreducible(fq: SmallField, d: int) -> Poly:
     """First monic irreducible of degree d in monic_polys order: the
     lexicographically smallest, coefficients compared low-to-high.  For
     q <= 512 a root sieve drops candidates first (a block costs q·d steps, and
-    larger q find one early); is_irreducible certifies every one left."""
-    for f in (_rootless_monic_polys if d >= 2 and fq.q <= 512 else monic_polys)(fq, d):
-        if is_irreducible(fq, f):
+    larger q find one early); Ben-Or's test certifies every one left, from
+    j = 2 on, as the sieve has settled j = 1."""
+    sieved = d >= 2 and fq.q <= 512
+    for f in (_rootless_monic_polys if sieved else monic_polys)(fq, d):
+        if _ben_or(fq, f, 2 if sieved else 1):
             return f
     raise ConsistencyError(f"no irreducible of degree {d} over F_{fq.q}")
 
@@ -356,24 +645,26 @@ def _split_equal_degree(fq: SmallField, g: Poly, d: int) -> list[Poly]:
 
 
 def _factor_squarefree(fq: SmallField, f: Poly) -> list[Poly]:
-    """Distinct-degree then equal-degree splitting of a squarefree monic f."""
+    """Distinct-degree then equal-degree splitting of a squarefree monic f:
+    the distinct-degree part on packed polynomials, as in _ben_or."""
     factors: list[Poly] = []
-    rest = poly_monic(fq, f)
-    x_poly: Poly = (0, 1)
-    h = poly_mod(fq, x_poly, rest)
-    d, q_power = 0, None
-    while poly_deg(rest) > 0:
+    ring = _packed(fq)
+    rest = ring.pack(poly_monic(fq, f))
+    h, d, reduce = ring.x, 0, None
+    while ring.degree(rest) > 0:
         d += 1
-        if 2 * d > poly_deg(rest):
-            factors.append(rest)
+        if 2 * d > ring.degree(rest):
+            factors.append(ring.unpack(rest))
             break
-        q_power = q_power or _q_power_map(fq, rest)  # the map of this rest
+        if reduce is None:  # the maps of this rest
+            reduce, q_power = ring.q_power(rest)
+            h = reduce(h)
         h = q_power(h)
-        g = poly_gcd(fq, poly_sub(fq, h, x_poly), rest)
-        if poly_deg(g) > 0:
+        g = ring.gcd(rest, ring.sub_x(h))
+        if ring.degree(g) > 0:
+            g = poly_monic(fq, ring.unpack(g))
             factors.extend(_split_equal_degree(fq, g, d))
-            rest = poly_divmod(fq, rest, g)[0]
-            h, q_power = poly_mod(fq, h, rest), None
+            rest, reduce = ring.pack(poly_divmod(fq, ring.unpack(rest), g)[0]), None
     return factors
 
 

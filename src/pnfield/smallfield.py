@@ -109,17 +109,23 @@ class SmallField:
 
         Row a of the products is row (a mod p) plus "times y" applied to row
         (a div p), as a = (a mod p) + y·(a div p), and row c < p is row c - 1
-        plus row 1.  A sum is an XOR for p = 2; for odd p the low digits add
-        mod p and the rest as a // p + b // p.
+        plus row 1.  A sum is an XOR for p = 2; for odd p sum row a is built
+        from two earlier sum rows (see below).
         """
         p, q = self.p, self.q
         if p == 2:
             def add_rows(u, v):
                 return list(map(operator.xor, u, v))
         else:
+            # row a is row (a - c) read at the entries of row c, as
+            # a + b = (a - c) + (c + b), for c = a mod p (or 1 for 1 < a < p);
+            # rows 1 and the multiples of p add the low digits mod p and the
+            # rest as a // p + b // p
             sums = [list(range(q))]
             for a in range(1, q):
-                sums.append([(a + b) % p + p * sums[a // p][b // p] for b in range(q)])
+                c = a % p if a >= p else int(a > 1)
+                sums.append(list(map(sums[a - c].__getitem__, sums[c])) if c else
+                            [(a + b) % p + p * sums[a // p][b // p] for b in range(q)])
             self._sum_rows = sums
 
             def add_rows(u, v):

@@ -307,6 +307,34 @@ def poly_eval_by_calls(fq, f, c: int) -> int:
     return acc
 
 
+
+def q_power_map_by_rows(fq, f):
+    """h -> h^q mod f, deg h < deg f, through the Q-matrix: row i is
+    x^(iq) mod f, and h^q = Σ h_i·row_i as c^q = c on F_q."""
+    rows = [poly_pow_mod_by_calls(fq, (0,) * i + (1,), fq.q, f) for i in range(len(f) - 1)]
+
+    def apply(h):
+        out = ()
+        for c, row in zip(h, rows):
+            out = poly_add_by_calls(fq, out, poly_mul_by_calls(fq, (c,), row))
+        return out
+    return apply
+
+
+def is_irreducible_by_ben_or(fq, f) -> bool:
+    """Ben-Or's test on coefficient tuples: no gcd(x^(q^j) - x, f) != 1 for
+    j <= deg(f)/2, every power by the Q-matrix of f."""
+    d = len(f) - 1
+    if d <= 0:
+        return False
+    q_power, h = q_power_map_by_rows(fq, f), (0, 1)
+    for _ in range(d // 2):
+        h = q_power(h)
+        if len(poly_gcd_by_calls(fq, poly_add_by_calls(fq, h, (0, 1), sub=True), f)) != 1:
+            return False
+    return True
+
+
 # -- per-term character sums ----------------------------------------------------
 # The character sums as they read before the exponent-indexed tables: one
 # field mul/trace/add per term, the same terms in the same order, so the

@@ -27,6 +27,17 @@ def test_integer_claims_all_pass():
     assert "fails" in by_id["exercise-phi-subfield-sum"].detail
 
 
+def test_phi_of_product_matches_euler_phi_on_the_seed_1_pairs():
+    # every pair the seed-1 run of totient-gcd-correction draws
+    from pnfield.numtheory import euler_phi, least_prime_factor_sieve
+
+    lpf = least_prime_factor_sieve(claims._PAIR_BOUND)
+    pairs = list(claims.phi_pairs(1, 10**4))
+    assert len(pairs) == 10**4
+    for m, n in pairs:
+        assert claims.phi_of_product(m, n, lpf) == euler_phi(m * n), (m, n)
+
+
 def test_mobius_floor_identity_claim():
     results = claims.integer_claims(seed=1, phi_limit=2000, pair_trials=10)
     rec = {r.claim_id: r for r in results}["mobius-floor-identity"]

@@ -1,5 +1,6 @@
-"""polyfq's coefficient kernels and its Q-matrix against the oracles that make
-one SmallField call per coefficient (tests/bruteforce.py), by property tests."""
+"""polyfq's coefficient kernels and its packed map h -> h^q mod f against the
+oracles that make one SmallField call per coefficient (tests/bruteforce.py),
+by property tests."""
 
 import pytest
 
@@ -46,6 +47,13 @@ def test_kernels_match_the_per_coefficient_oracles(case):
     assert pf.poly_monic(fq, f) == (bf.poly_mul_by_calls(fq, (fq.inv(f[-1]),), f) if f else ())
 
 
+def _packed_q_power(fq, mod, h):
+    """h^q mod mod through the packed core's map for the monic mod."""
+    ring = pf._packed(fq)
+    _, q_power = ring.q_power(ring.pack(pf.poly_monic(fq, mod)))
+    return ring.unpack(q_power(ring.pack(h)))
+
+
 @_PROPERTY
 @given(_field_and_polys(2, max_len=7), st.integers(0, 2**40))
 def test_pow_mod_and_q_power_map_match_the_oracles(case, e):
@@ -53,17 +61,19 @@ def test_pow_mod_and_q_power_map_match_the_oracles(case, e):
     if pf.poly_deg(mod) < 1:
         return
     assert pf.poly_pow_mod(fq, base, e, mod) == bf.poly_pow_mod_by_calls(fq, base, e, mod)
-    # the Q-matrix of mod applies h -> h^q mod mod; both ways of building its
-    # rows occur here (q <= 4·deg mod, and q above it for F_27, F_49, F_{2^31-1})
+    # the packed map h -> h^q mod mod: squarings for p = 2; for odd p both
+    # ways of building its Q-matrix rows occur here (q <= 4·deg mod, and q
+    # above it for F_7, F_27, F_49, F_{2^31-1})
     h = pf.poly_mod(fq, base, mod)
-    assert pf._q_power_map(fq, mod)(h) == bf.poly_pow_mod_by_calls(fq, h, fq.q, mod)
+    want = bf.poly_pow_mod_by_calls(fq, h, fq.q, mod)
+    assert _packed_q_power(fq, mod, h) == want
+    assert bf.q_power_map_by_rows(fq, pf.poly_monic(fq, mod))(h) == want
 
 
 @pytest.mark.parametrize("fq", KERNEL_FIELDS, ids=repr)
 def test_q_power_map_modulo_powers_of_x(fq):
     # modulo x^j, x^q mod f is the zero polynomial whenever q >= j
     for mod in ((0, 1), (0, 0, 1), (0, 0, 0, 1)):
-        q_power = pf._q_power_map(fq, mod)
         for h in ((), (1,), (0, 1), (fq.q - 1, 1, fq.q - 1)):
             h = pf.poly_mod(fq, h, mod)
-            assert q_power(h) == bf.poly_pow_mod_by_calls(fq, h, fq.q, mod), (mod, h)
+            assert _packed_q_power(fq, mod, h) == bf.poly_pow_mod_by_calls(fq, h, fq.q, mod), (mod, h)

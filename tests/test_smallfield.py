@@ -119,3 +119,15 @@ def test_table_rows_match_the_digit_sums_and_products(p, k):
         assert products[a] == [fq.from_digits(bf._mulmod(
             fq.digits(a), fq.digits(b), fq.modulus, lambda x, y: (x + y) % p,
             lambda x, y: x * y % p, lambda x: -x % p, 0)) for b in range(fq.q)]
+
+
+ODD_TABLE_FIELDS = [(p, k) for p in (3, 5, 7, 11, 13, 17, 19) for k in range(2, 6) if p**k <= 512]
+
+
+@pytest.mark.parametrize("p,k", ODD_TABLE_FIELDS)
+def test_sum_rows_match_the_digit_sums(p, k):
+    # every odd-p table field: rows built from earlier rows by map equal the
+    # digit-wise sums
+    fq = SmallField(p, k)
+    _, sums = fq.table_rows()
+    assert sums == [[_add_digits(p, a, b) for b in range(fq.q)] for a in range(fq.q)]
