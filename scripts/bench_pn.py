@@ -22,9 +22,9 @@ The coefficient field F_q is built and warmed up first.  A row holds the
 median over repeats of one call, two deterministic work counts made by the
 first call: the Ben-Or tests (calls of ``polyfq._ben_or``, which every
 irreducibility test goes through, or of ``polyfq.is_irreducible`` in a
-checkout without it) and the gcds (``polyfq.poly_gcd`` on tuples and
-``polyfq._Packed.gcd`` on packed polynomials), and a short digest of its
-result.
+checkout without it) and the gcds (calls of ``polyfq.poly_gcd`` and, where
+it exists, of the packed ``polyfq._Packed.gcd``, which a packed public gcd
+goes through as well), and a short digest of its result.
 
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``,

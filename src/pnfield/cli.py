@@ -22,7 +22,7 @@ from . import subsets as sb
 from .errors import DEFAULT_BUDGET, FieldSpecError, ResourceLimitError
 from .field import format_field_moduli, get_field, parse_field_spec
 from .numtheory import euler_phi, is_prime_power
-from .polyfq import cyclotomic_factor_counts, format_poly, poly_eval, poly_mul, poly_phi
+from .polyfq import cyclotomic_factor_counts, format_poly, poly_eval, poly_phi
 
 
 def _budget(args) -> int:
@@ -215,9 +215,11 @@ def _minimal_polynomial(ctx, alpha: int):
     while cur not in orbit:
         orbit.append(cur)
         cur = ctx.frobenius(cur, 1)
-    poly = (1,)
+    poly = [1]
     for root in orbit:
-        poly = poly_mul(ctx, poly, (ctx.neg(root), 1))
+        # poly·(x - root): coefficient i is poly[i - 1] - root·poly[i]
+        neg = ctx.neg(root)
+        poly = [ctx.add(hi, ctx.mul(neg, lo)) for hi, lo in zip([0] + poly, poly + [0])]
     coeffs = []
     for c in poly:
         vec = ctx.decode(c)

@@ -26,11 +26,12 @@ up.  Before that, and above the table cap, products run on the polynomial path
 by one algorithm for every p and k (Kronecker substitution).  With F_q =
 F_p[y]/(m), each factor is spread into an integer so that the base-p digit of
 x^i·y^t sits in slot i(2k - 1) + t; the two are multiplied once in F_p[x, y],
-carry-less for p = 2 and as integers with spare bits per slot for odd p; and
-every slot that is not yet a digit of the result in its place is folded back
-through the same kernel, whose columns are the slots' monomials x^s·y^u
-reduced mod (f, m).  For k = 1 those are the n - 1 high slots.  On that path
-Frobenius is the kernel too, its map built per power on first use.
+carry-less for p = 2 (polyfq._clmul, the one F_2[x] product) and as integers
+with spare bits per slot for odd p; and every slot that is not yet a digit of
+the result in its place is folded back through the same kernel, whose columns
+are the slots' monomials x^s·y^u reduced mod (f, m).  For k = 1 those are the
+n - 1 high slots.  On that path Frobenius is the kernel too, its map built
+per power on first use.
 
 Powers on the polynomial path (pow, and through it inv, norm and the
 multiplicative order, and is_primitive) read the exponent in base Q = q^w,
@@ -57,8 +58,10 @@ from .numtheory import Factorization, factorize, is_prime
 from .polyfq import (
     Poly,
     PolyFactorization,
+    _clmul,
     _pack,
     _unpack,
+    coprime_residues,
     factor_x_n_minus_1_over,
     first_irreducible,
     format_poly,
@@ -66,10 +69,7 @@ from .polyfq import (
     parse_coeff,
     parse_poly,
     poly_deg,
-    poly_gcd,
     poly_mod,
-    poly_trim,
-    x_pow_n_minus_1,
 )
 from .smallfield import SmallField, _add_digits
 
@@ -266,20 +266,7 @@ class FieldCtx:
             self._ensure_red()
         p, bits = self.p, self._bits
         a, b = self._spread(a), self._spread(b)
-        if p == 2:
-            # carry-less, by chunks of four bits of b: the table of the
-            # products a·j for j < 16, then one lookup and shift per chunk
-            a2, a4, a8 = a << 1, a << 2, a << 3
-            a3, a12 = a ^ a2, a4 ^ a8
-            table = [0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
-                     a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3]
-            prod = shift = 0
-            while b:
-                prod ^= table[b & 15] << shift
-                b >>= 4
-                shift += 4
-        else:
-            prod = a * b
+        prod = _clmul(a, b) if p == 2 else a * b
         low = self._low * bits
         return self._apply_map(self._red, _unpack(prod >> low, p, bits), prod & ((1 << low) - 1))
 
@@ -673,13 +660,7 @@ class FieldCtx:
     def coprime_s_polys(self) -> list[Poly]:
         """Units of F_q[x]/(x^n - 1), as polynomials of degree < n."""
         if self._coprime_s is None:
-            xn1 = x_pow_n_minus_1(self.fq, self.n)
-            out = []
-            for enc in range(1, self.order):
-                coeffs = poly_trim(self.decode(enc))
-                if poly_deg(poly_gcd(self.fq, coeffs, xn1)) == 0:
-                    out.append(coeffs)
-            self._coprime_s = out
+            self._coprime_s = coprime_residues(self.fq, self.n)
         return self._coprime_s
 
     def normal_image(self, eta: int) -> frozenset:

@@ -1,29 +1,25 @@
 """Dense polynomial arithmetic over F_q and the polynomial-side totients.
 
-Polynomials are tuples of integer-encoded F_q coefficients, ascending degree,
-with no trailing zeros; the zero polynomial is the empty tuple and its degree
-is the sentinel -1 (a plain Python int, never an unsigned cast).
+At the public boundary a polynomial is a tuple of integer-encoded F_q
+coefficients, ascending degree, with no trailing zeros; the zero polynomial
+is the empty tuple and its degree is the sentinel -1 (a plain Python int).
+Every public function packs its tuples, computes on packed polynomials
+(_Packed) and unpacks the result: one integer per polynomial, the base-p
+digit of x^i·y^t (F_q = F_p[y]/(m)) in slot i·k + t, the layout field.py
+packs elements in with the same _pack and _unpack.  For p = 2 a slot is a bit,
+a sum an XOR and a product over F_2 carry-less (_clmul, shared with field.py);
+for odd p a slot is wide enough for the integer sums between two reductions
+of every slot mod p.  Other products, and Euclid's multiples of a divisor b,
+are sums of its digit planes y^t·b; h -> h^q mod f is k squarings for p = 2
+and for odd p the F_p-linear map of the Q-matrix (von zur Gathen and Shoup).
 
-The kernels bind the coefficient arithmetic once per call (see _kernel).
-The totient Φ_q, Möbius μ_q, σ_q and the Ω_q factor counts all operate on
-certified factorizations of x^n - 1.
-
-Ben-Or's irreducibility test (1981) and the distinct-degree split of x^n - 1
-run on packed polynomials instead (_Packed, _ben_or): one integer per
-polynomial, the base-p digit of x^i·y^t (F_q = F_p[y]/(m)) in slot i·k + t,
-the layout field.py packs elements in with the same _pack and _unpack.  For
-p = 2 a slot is a bit and a sum an XOR; for odd p a slot is wide enough for
-the integer sums between two reductions of every slot mod p.  Euclid's steps
-add a multiple c·b of the divisor, summed from its k digit planes y^t·b;
-h -> h^q mod f is k squarings for p = 2, and for odd p the F_p-linear map of
-the Q-matrix (von zur Gathen and Shoup 1992).  Tuples are converted only at
-the boundary of those functions.
-
-first_irreducible drops candidates with a root in F_q first (the root sieve).
-A candidate left has no linear factor, so gcd(x^q - x, f) = 1 and its Ben-Or
-test starts at j = 2; the public is_irreducible, which certifies user moduli
-and every factor of a PolyFactorization, runs every j from 1.  The tuple
-Q-matrix and Ben-Or test are kept as oracles in tests/bruteforce.py.
+Ben-Or's irreducibility test (1981) and the factorization of x^n - 1 (by
+degree, then within each degree by Cantor and Zassenhaus 1981) run packed
+from start to end.  first_irreducible drops candidates with a root in F_q
+first (the root sieve), so their Ben-Or test starts at j = 2; the public
+is_irreducible runs every j from 1.  Φ_q, μ_q, σ_q and the Ω_q factor counts
+operate on certified factorizations of x^n - 1.  tests/bruteforce.py keeps
+the tuple arithmetic, Q-matrix and Ben-Or test as oracles.
 """
 
 from __future__ import annotations
@@ -51,41 +47,6 @@ ONE: Poly = (1,)
 _EDF_SEED = 271828182845  # fixed internal seed: splitting is reproducible
 
 
-def _kernel(fq):
-    """(add, scale, norm) map coefficient vectors to xs + ys and c·ys, and norm
-    (unless None) reduces one coefficient: integers mod p for k = 1; for k > 1
-    rows of F_q's product and (odd p) sum tables; a FieldCtx's own methods."""
-    if isinstance(fq, smallfield.SmallField):
-        return _table_kernel(fq)
-    return functools.partial(map, fq.add), lambda c, ys: map(fq.mul, itertools.repeat(c), ys), None
-
-
-@functools.lru_cache(maxsize=16)
-def _table_kernel(fq: SmallField):
-    if fq.k == 1:
-        return (functools.partial(map, operator.add),
-                lambda c, ys: map(operator.mul, itertools.repeat(c), ys), fq.p.__rmod__)
-    products, sums = fq.table_rows()
-    rows = [row.__getitem__ for row in products]
-    add = (functools.partial(map, operator.xor) if sums is None
-           else lambda xs, ys: map(operator.getitem, map(sums.__getitem__, xs), ys))
-    return add, lambda c, ys: map(rows[c], ys), None
-
-
-def _combine(kernel, coeffs, vectors, size: int) -> list:
-    """Σ coeffs[i]·vectors[i], reduced: one vector-matrix product."""
-    add, scale, norm = kernel
-    acc = [0] * size
-    for c, vector in zip(coeffs, vectors):
-        if c:
-            acc = list(add(acc, scale(c, vector)))
-    return acc if norm is None else [norm(a) for a in acc]
-
-
-def _reduced(coeffs, norm) -> Poly:
-    return poly_trim(coeffs if norm is None else map(norm, coeffs))
-
-
 def poly_trim(coeffs) -> Poly:
     coeffs = list(coeffs)
     while coeffs and coeffs[-1] == 0:
@@ -99,40 +60,26 @@ def poly_deg(f: Poly) -> int:
 
 
 def poly_add(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    add, _, norm = _kernel(fq)
-    if len(f) < len(g):
-        f, g = g, f
-    return _reduced([*add(f, g), *f[len(g):]], norm)
+    ring = _packed(fq)
+    return ring.unpack(ring.add(ring.pack(f), ring.pack(g)))
 
 
 def poly_sub(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    return poly_add(fq, f, list(_kernel(fq)[1](fq.neg(1), g)))
+    ring = _packed(fq)
+    return ring.unpack(ring.sub(ring.pack(f), ring.pack(g)))
 
 
 def poly_mul(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    if not f or not g:
-        return ZERO
-    add, scale, norm = _kernel(fq)
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            out[i:i + len(g)] = add(out[i:i + len(g)], scale(a, g))
-    return _reduced(out, norm)
+    ring = _packed(fq)
+    return ring.unpack(ring.mul(ring.pack(f), ring.pack(g)))
 
 
 def poly_divmod(fq: SmallField, f: Poly, g: Poly) -> tuple[Poly, Poly]:
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    add, scale, norm = _kernel(fq)
-    dg, inv_lead = len(g) - 1, fq.inv(g[-1])
-    h = list(scale(fq.neg(inv_lead), g[:-1]))  # adding c·h clears a top coefficient c
-    rem, quot = list(f), [0] * max(0, len(f) - dg)
-    for top in range(len(rem) - 1, dg - 1, -1):
-        c = rem[top] if norm is None else norm(rem[top])
-        if c:
-            quot[top - dg] = c
-            rem[top - dg:top] = add(rem[top - dg:top], scale(c, h))
-    return _reduced(scale(inv_lead, quot), norm), _reduced(rem[:dg], norm)
+    ring = _packed(fq)
+    quot, rem = ring.divmod(ring.pack(f), ring.pack(g))
+    return ring.unpack(quot), ring.unpack(rem)
 
 
 def poly_mod(fq: SmallField, f: Poly, g: Poly) -> Poly:
@@ -142,46 +89,37 @@ def poly_mod(fq: SmallField, f: Poly, g: Poly) -> Poly:
 def poly_monic(fq: SmallField, f: Poly) -> Poly:
     if not f or f[-1] == 1:
         return f
-    _, scale, norm = _kernel(fq)
-    return _reduced(scale(fq.inv(f[-1]), f), norm)
+    ring = _packed(fq)
+    return ring.unpack(ring.monic(ring.pack(f)))
 
 
 def poly_gcd(fq: SmallField, f: Poly, g: Poly) -> Poly:
     """Monic gcd via Euclid; gcd(0, 0) is a domain error."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
-    while g:
-        f, g = g, poly_mod(fq, f, g)
-    return poly_monic(fq, f)
+    ring = _packed(fq)
+    return ring.unpack(ring.monic(ring.gcd(ring.pack(f), ring.pack(g))))
 
 
 def poly_pow_mod(fq: SmallField, base: Poly, e: int, mod: Poly) -> Poly:
-    result = poly_mod(fq, ONE, mod)
-    base = poly_mod(fq, base, mod)
-    while e:
-        if e & 1:
-            result = poly_mod(fq, poly_mul(fq, result, base), mod)
-        base = poly_mod(fq, poly_mul(fq, base, base), mod)
-        e >>= 1
-    return result
+    if not mod:
+        raise ZeroDivisionError("polynomial division by zero")
+    ring = _packed(fq)
+    reduce = ring.reducer(ring.pack(mod))
+    return ring.unpack(ring.power(reduce(ring.pack(base)), e, reduce))
 
 
 def poly_pow(fq: SmallField, base: Poly, e: int) -> Poly:
-    result = ONE
-    while e:
-        if e & 1:
-            result = poly_mul(fq, result, base)
-        base = poly_mul(fq, base, base)
-        e >>= 1
-    return result
+    ring = _packed(fq)
+    return ring.unpack(ring.power(ring.pack(base), e))
 
 
-def poly_eval(fq: SmallField, f: Poly, c: int) -> int:
-    add, scale, norm = _kernel(fq)
+def poly_eval(fq, f: Poly, c: int) -> int:
+    """f(c) by Horner's rule with the add and mul of fq, which may be any
+    field holding the coefficients of f and c (a FieldCtx too)."""
     acc = 0
     for a in reversed(f):
-        acc, = add(scale(c, (acc,)), (a,))
-        acc = acc if norm is None else norm(acc)
+        acc = fq.add(fq.mul(c, acc), a)
     return acc
 
 
@@ -194,23 +132,22 @@ def x_pow_n_minus_1(fq: SmallField, n: int) -> Poly:
 
 def monic_polys(fq: SmallField, d: int):
     """Monic degree-d polynomials, low coefficients cycling fastest."""
-    places = [fq.q**i for i in range(d)]
-    for enc in range(fq.q**d):
-        yield tuple(enc // b % fq.q for b in places) + (1,)
+    ring = _packed(fq)
+    return map(ring.unpack, _monic_candidates(ring, d))
 
 
-# -- packed polynomials ---------------------------------------------------------
-# A polynomial over F_q = F_p[y]/(m) is one integer: the base-p digit of x^i·y^t
-# sits in slot i·k + t, a slot being W bits (see _Packed).  This is the layout
-# field.py packs elements of F_{q^n} in, so _pack and _unpack serve both.
+def coprime_residues(fq: SmallField, n: int) -> list[Poly]:
+    """The units of F_q[x]/(x^n - 1) in the order of their base-q encodings:
+    an encoding, its base-p digits spread to slots, is the packed residue."""
+    ring = _packed(fq)
+    xn1, p, bits = ring.pack(x_pow_n_minus_1(fq, n)), fq.p, ring.W
+    residues = (_pack(enc, p, bits) for enc in range(1, fq.q**n))
+    return [ring.unpack(s) for s in residues if ring.degree(ring.gcd(xn1, s)) == 0]
 
 
 def _pack(a: int, p: int, bits: int) -> int:
-    """The base-p digits of a, one per bits-wide slot, low digit lowest.
-
-    For p = 2 nothing is summed in integers (sums are XORs), so a stays as
-    it is.
-    """
+    """The base-p digits of a, one per bits-wide slot, low digit lowest; for
+    p = 2, where sums are XORs, a itself."""
     if p == 2:
         return a
     out = shift = 0
@@ -235,9 +172,25 @@ def _unpack(t: int, p: int, bits: int) -> int:
     return val
 
 
+def _clmul(a: int, b: int) -> int:
+    """The carry-less product of a and b (F_2[x], x^i at bit i), by chunks of
+    four bits of b: the table of the products a·j for j < 16, then one lookup
+    and shift per chunk."""
+    a2, a4, a8 = a << 1, a << 2, a << 3
+    a3, a12 = a ^ a2, a4 ^ a8
+    table = [0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
+             a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3]
+    prod = shift = 0
+    while b:
+        prod ^= table[b & 15] << shift
+        b >>= 4
+        shift += 4
+    return prod
+
+
 class _Packed:
-    """Packed polynomials over one F_q (see _packed), with Euclid and the map
-    h -> h^q mod f on them.
+    """Packed polynomials over one F_q (see _packed): sums, products,
+    division, Euclid, powers and the map h -> h^q mod f.
 
     For p = 2 a slot is one bit and a sum is an XOR, so every integer is
     normalized.  For odd p a sum is an integer sum, and a normalized integer
@@ -245,7 +198,8 @@ class _Packed:
     at most (p - 1)^2 to a slot, and `budget` such additions fit in a slot of
     W bits before the slots must be reduced mod p again.  W is 8 whenever the
     k additions of one F_q multiple fit, so that the reduction is one
-    bytes.translate.
+    bytes.translate.  Methods take and return normalized integers unless they
+    say otherwise.
     """
 
     def __init__(self, fq: SmallField):
@@ -264,6 +218,8 @@ class _Packed:
         self.cmask = (1 << self.cw) - 1
         self.x = 1 << self.cw
         self._mod8 = bytes(v % p for v in range(256)) if self.W == 8 else None
+        # the packed constant of each element of F_q, if not the element itself
+        self._slots = [_pack(c, p, self.W) for c in range(self.q)] if k > 1 and p > 2 else None
         if k > 1:
             # y·c moves each digit of c up one slot; the top digit t comes
             # back as t·y^k, where y^k = -(m_0 + ... + m_(k-1)·y^(k-1))
@@ -281,20 +237,30 @@ class _Packed:
                 table = [s << 2 * j * k | t for s in squares for t in table]
             self._sq = table
 
-    def pack(self, f: Poly) -> int:
-        a = 0
+    def pack(self, f) -> int:
+        """The packed polynomial of a sequence of F_q coefficients, low first."""
+        if self.k == 1 and self._mod8 is not None:
+            return int.from_bytes(bytes(f), "little")
+        a, cw, slots = 0, self.cw, self._slots
         for c in reversed(f):
-            a = a * self.q + c
-        return _pack(a, self.p, self.W)
+            a = a << cw | (c if slots is None else slots[c])
+        return a
 
     def unpack(self, a: int) -> Poly:
         """The coefficient tuple of a packed polynomial, any slots below 2^W."""
-        a, q = _unpack(a, self.p, self.W), self.q
-        out = []
-        while a:
+        coeffs = self.coefficients(a, -(-a.bit_length() // self.cw))
+        return tuple(coeffs.rstrip(b"\0")) if isinstance(coeffs, bytes) else poly_trim(coeffs)
+
+    def coefficients(self, a: int, n: int):
+        """Coefficients 0..n-1 of a with slots below 2^W, as elements of F_q:
+        bytes for k = 1 and 8-bit slots."""
+        if self.k == 1 and self._mod8 is not None:
+            return a.to_bytes(n, "little").translate(self._mod8)
+        a, q, out = _unpack(a, self.p, self.W), self.q, []
+        for _ in range(n):
             a, c = divmod(a, q)
             out.append(c)
-        return tuple(out)
+        return out
 
     def normalize(self, a: int) -> int:
         """Every slot reduced mod p."""
@@ -316,15 +282,9 @@ class _Packed:
             return c
         return c % self.p if self.k == 1 else _unpack(c, self.p, self.W)
 
-    def sub_x(self, h: int) -> int:
-        """h - x, normalized."""
-        if self.p == 2:
-            return h ^ self.x
-        return self.normalize(h + (self.p - 1) * self.x)
-
     def _planes(self, b: int) -> list:
-        """[b, y·b, ..., y^(k-1)·b] for normalized b, normalized; y·b moves
-        every coefficient at once, and none past the top one."""
+        """[b, y·b, ..., y^(k-1)·b], normalized; y·b moves every coefficient
+        at once, and none past the top one."""
         k, W, cw = self.k, self.W, self.cw
         if k == 1:
             return [b]
@@ -341,11 +301,51 @@ class _Packed:
             planes.append(b)
         return planes
 
+    def _sum_planes(self, digits, planes) -> int:
+        """Σ digits[t]·planes[t], unnormalized: at most k additions to a slot."""
+        if self.p == 2:
+            return functools.reduce(operator.xor, itertools.compress(planes, digits), 0)
+        return sum(map(operator.mul, digits, planes))
+
+    def add(self, a: int, b: int) -> int:
+        return a ^ b if self.p == 2 else self.normalize(a + b)
+
+    def sub(self, a: int, b: int) -> int:
+        return a ^ b if self.p == 2 else self.normalize(a + (self.p - 1) * b)
+
+    def monic(self, a: int) -> int:
+        """a divided by its leading coefficient c, for a != 0: a times 1/c."""
+        c = self.fq.inv(self.coeff(a, self.degree(a)))
+        if self.k == 1:
+            return self.normalize(c * a)
+        return self.normalize(self._sum_planes(self._digits[c], self._planes(a)))
+
+    def mul(self, a: int, b: int) -> int:
+        """a·b: carry-less for F_2, otherwise Σ a_s·(y^t·b)·x^i over the slots
+        s = i·k + t of a, the F_p-linear map with those columns."""
+        if self.p == 2 and self.k == 1:
+            return _clmul(a, b)
+        planes, cw = self._planes(b), self.cw
+        return self._apply(a, [plane << i * cw for i in range(self.degree(a) + 1) for plane in planes])
+
+    def square(self, h: int) -> int:
+        """h^2; for p = 2 each chunk of coefficients through the squares table."""
+        if self.p != 2:
+            return self.mul(h, h)
+        sq, bits = self._sq, self._sq_bits
+        mask = (1 << bits) - 1
+        out = shift = 0
+        while h:
+            out |= sq[h & mask] << shift
+            h >>= bits
+            shift += 2 * bits
+        return out
+
     def _canceller(self, b: int, db: int, tabulate: bool = False):
-        """c -> -(c/lead)·b, the multiple of b (normalized, degree db) that
-        clears a coefficient c when added at it.  For k > 1 it sums the digit
-        planes y^t·b, or with tabulate reads a table of all q multiples built
-        by subset sums of the planes (method of four Russians), for a divisor
+        """c -> -(c/lead)·b, the multiple of b (degree db) that clears a
+        coefficient c when added at it.  For k > 1 it sums the digit planes
+        y^t·b, or with tabulate reads a table of all q multiples built by
+        subset sums of the planes (method of four Russians), for a divisor
         that clears many coefficients."""
         fq, p = self.fq, self.p
         e = fq.neg(fq.inv(self.coeff(b, db)))
@@ -362,13 +362,11 @@ class _Packed:
                 table = (table + [v ^ plane for v in table] if p == 2 else
                          [v + j * plane for j in range(p) for v in table])
             return [table[v] for v in row].__getitem__
-        digits = self._digits
-        if p == 2:
-            return lambda c: functools.reduce(operator.xor, itertools.compress(planes, digits[row[c]]), 0)
-        return lambda c: sum(map(operator.mul, digits[row[c]], planes))
+        digits, combine = self._digits, self._sum_planes
+        return lambda c: combine(digits[row[c]], planes)
 
     def _rem(self, a: int, db: int, cancel) -> int:
-        """a mod b, normalized, for normalized a and cancel = _canceller(b, db)."""
+        """a mod b for cancel = _canceller(b, db)."""
         if self.p == 2:
             k, lim, n = self.k, db * self.k, a.bit_length()
             while n > lim:
@@ -387,9 +385,29 @@ class _Packed:
                     a, count = self.normalize(a), 0
         return self.normalize(a & ((1 << db * cw) - 1))
 
+    def reducer(self, f: int):
+        """a -> a mod f, for f != 0 that is the divisor of many reductions."""
+        d = self.degree(f)
+        cancel, rem = self._canceller(f, d, tabulate=True), self._rem
+        return lambda a: rem(a, d, cancel)
+
+    def divmod(self, a: int, b: int) -> tuple[int, int]:
+        """(a div b, a mod b) for b != 0: each step adds the multiple of b
+        that clears the top coefficient c, and c/lead joins the quotient."""
+        db, cw, fq = self.degree(b), self.cw, self.fq
+        inv, cancel, slots = fq.inv(self.coeff(b, db)), self._canceller(b, db), self._slots
+        quot = 0
+        for s in range(self.degree(a), db - 1, -1):
+            c = self.coeff(a, s)
+            if c:
+                c_quot = fq.mul(c, inv)
+                quot |= (c_quot if slots is None else slots[c_quot]) << (s - db) * cw
+                a = self.add(a, cancel(c) << (s - db) * cw)
+        return quot, a
+
     def gcd(self, a: int, b: int) -> int:
-        """A gcd of normalized a and b, not made monic; it stops at a nonzero
-        constant, so the degree is all a coprimality test reads."""
+        """A gcd of a and b, not made monic; it stops at a nonzero constant,
+        so the degree is all a coprimality test reads."""
         while b:
             db = self.degree(b)
             if db == 0:
@@ -397,9 +415,22 @@ class _Packed:
             a, b = b, self._rem(a, db, self._canceller(b, db))
         return a
 
+    def power(self, a: int, e: int, reduce=None) -> int:
+        """a^e by square and multiply from the top bit of e; with reduce from
+        reducer(f), and a reduced already, a^e mod f."""
+        reduce = reduce or (lambda v: v)
+        out = reduce(1)
+        for bit in bin(e)[2:]:
+            out = reduce(self.square(out))
+            if bit == "1":
+                out = reduce(self.mul(out, a))
+        return out
+
     def _apply(self, h: int, cols: list) -> int:
-        """Σ h_s·cols[s] over the slots s of normalized h (odd p), normalized:
-        the F_p-linear map with normalized columns cols."""
+        """Σ h_s·cols[s] over the slots s of h: the F_p-linear map with
+        columns cols (normalized, and at least as many as h has slots)."""
+        if self.p == 2:
+            return self._sum_planes(map(int, bin(h)[:1:-1]), cols)
         n, W, budget = len(cols), self.W, self.budget
         if self._mod8 is not None:
             digits = h.to_bytes(n, "little")
@@ -415,55 +446,29 @@ class _Packed:
                     acc, count = self.normalize(acc), 0
         return self.normalize(acc)
 
-    def _mul(self, a: int, b: int) -> int:
-        """a·b, normalized, for normalized a and b (odd p)."""
-        planes, cw = self._planes(b), self.cw
-        return self._apply(a, [plane << i * cw for i in range(self.degree(a) + 1) for plane in planes])
-
-    def _square(self, h: int) -> int:
-        """h^2 for p = 2: each chunk of coefficients through the squares table."""
-        sq, bits = self._sq, self._sq_bits
-        mask = (1 << bits) - 1
-        out = shift = 0
-        while h:
-            out |= sq[h & mask] << shift
-            h >>= bits
-            shift += 2 * bits
-        return out
-
     def q_power(self, f: int):
-        """(reduce, power) for normalized monic f of degree d >= 1: a -> a mod f,
-        and h -> h^q mod f for deg h < d.  For p = 2 the power is k squarings,
+        """(reduce, power) for monic f of degree d >= 1: a -> a mod f, and
+        h -> h^q mod f for deg h < d.  For p = 2 the power is k squarings,
         each reduced at once.  For odd p it is the F_p-linear map whose column
         for the digit of y^t·x^i is y^t·x^(iq) mod f (the Q-matrix, von zur
         Gathen and Shoup 1992), as (c·x^i)^q = c·x^(iq) on F_q; the rows x^(iq)
         are built by q steps of "times x" each, or for q > 4d by products with
         x^q mod f, itself by square and multiply."""
-        d = self.degree(f)
-        cancel, rem = self._canceller(f, d, tabulate=True), self._rem
-
-        def reduce(a):
-            return rem(a, d, cancel)
-
+        d, reduce = self.degree(f), self.reducer(f)
         if self.p == 2:
-            square, k = self._square, self.k
-
             def power(h):
-                for _ in range(k):
-                    h = rem(square(h), d, cancel)
+                for _ in range(self.k):
+                    h = reduce(self.square(h))
                 return h
             return reduce, power
         rows, q = [1], self.q
         if q > 4 * d:
-            big_x = x = reduce(self.x)
-            for bit in bin(q)[3:]:
-                big_x = reduce(self._mul(big_x, big_x))
-                if bit == "1":
-                    big_x = reduce(self._mul(big_x, x))
+            big_x = self.power(reduce(self.x), q, reduce)
             while len(rows) < d:
-                rows.append(reduce(self._mul(rows[-1], big_x)))
+                rows.append(reduce(self.mul(rows[-1], big_x)))
         else:
             # times x: one shift, and the coefficient of x^d cleared and cut off
+            cancel = self._canceller(f, d, tabulate=True)
             cw, coeff, low, room = self.cw, self.coeff, (1 << d * self.cw) - 1, self.budget - self.k
             row = 1
             count = 0
@@ -487,25 +492,19 @@ def _packed(fq: SmallField) -> _Packed:
     return _Packed(fq)
 
 
-def _ben_or(fq: SmallField, f: Poly, first: int = 1) -> bool:
-    """Ben-Or's distinct-degree test on packed polynomials: f is irreducible
+def _ben_or(ring: _Packed, f: int, first: int = 1) -> bool:
+    """Ben-Or's distinct-degree test of a packed monic f: f is irreducible
     iff gcd(x^(q^j) - x, f) = 1 for every j <= deg(f)/2.  The gcds start at
     j = first; first = 2 is sound only for an f known to have no root in F_q,
     whose gcd at j = 1 is 1."""
-    d = poly_deg(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    if f[0] == 0:
-        return False
-    ring = _packed(fq)
-    f = ring.pack(poly_monic(fq, f))
+    d = ring.degree(f)
+    if d <= 1 or not f & ring.cmask:  # a constant, linear, or divisible by x
+        return d == 1
     _, q_power = ring.q_power(f)
     h = ring.x
     for j in range(1, d // 2 + 1):
         h = q_power(h)
-        if j >= first and ring.degree(ring.gcd(f, ring.sub_x(h))) != 0:
+        if j >= first and ring.degree(ring.gcd(f, ring.sub(h, ring.x))) != 0:
             return False
     return True
 
@@ -513,20 +512,33 @@ def _ben_or(fq: SmallField, f: Poly, first: int = 1) -> bool:
 def is_irreducible(fq: SmallField, f: Poly) -> bool:
     """Deterministic irreducibility certification by the Ben-Or
     distinct-degree test, every gcd from j = 1 on: a reducible f is rejected
-    at the smallest degree of its irreducible factors; never probabilistic.
-    """
-    return _ben_or(fq, f)
+    at the smallest degree of its irreducible factors; never probabilistic."""
+    ring = _packed(fq)
+    return bool(f) and _ben_or(ring, ring.monic(ring.pack(f)))
 
 
-def _rootless_monic_polys(fq: SmallField, d: int):
-    """monic_polys(fq, d) without the polynomials that have a root in F_q: a
-    block of q candidates shares h = f - f(0), h + c0 has a root iff -c0 is a
-    value of h, and all q values are one combination of the columns (c^i)."""
-    kernel, points = _kernel(fq), range(fq.q)
-    powers = [[fq.pow(c, i) for c in points] for i in range(1, d + 1)]
-    for high in monic_polys(fq, d - 1):
-        roots = {fq.neg(v) for v in _combine(kernel, high, powers, fq.q)}  # c0 giving a root
-        yield from ((c0,) + high for c0 in points if c0 not in roots)
+def _monic_candidates(ring: _Packed, d: int):
+    """The packed monic polynomials of degree d in monic_polys order: the
+    base-q encodings q^d .. 2q^d - 1, their digits spread to slots."""
+    p, bits = ring.p, ring.W
+    return (_pack(enc, p, bits) for enc in range(ring.q**d, 2 * ring.q**d))
+
+
+def _rootless_monic_polys(ring: _Packed, d: int):
+    """_monic_candidates(ring, d) without those with a root in F_q: a block of
+    q candidates h + c0 shares h = x·high, and has a root iff -c0 is a value
+    of h.  The values, packed with h(c) as coefficient c, are Σ over the slots
+    of high of its digits times the digit planes y^t·(c^i)_c."""
+    fq, q, cw, points = ring.fq, ring.q, ring.cw, range(ring.q)
+    cols, powers = [], list(points)  # powers: c^i at every point c, i = 1..d
+    for _ in range(d):
+        cols += ring._planes(ring.pack(powers))
+        powers = list(map(fq.mul, powers, points))
+    # the packed constant c0 of each block, and -c0
+    consts = list(zip(ring._slots or points, map(fq.neg, points)))
+    for high in _monic_candidates(ring, d - 1):
+        values = set(ring.coefficients(ring._apply(high, cols), q))
+        yield from (high << cw | c0 for c0, neg in consts if neg not in values)
 
 
 def first_irreducible(fq: SmallField, d: int) -> Poly:
@@ -535,10 +547,11 @@ def first_irreducible(fq: SmallField, d: int) -> Poly:
     q <= 512 a root sieve drops candidates first (a block costs q·d steps, and
     larger q find one early); Ben-Or's test certifies every one left, from
     j = 2 on, as the sieve has settled j = 1."""
+    ring = _packed(fq)
     sieved = d >= 2 and fq.q <= 512
-    for f in (_rootless_monic_polys if sieved else monic_polys)(fq, d):
-        if _ben_or(fq, f, 2 if sieved else 1):
-            return f
+    for f in (_rootless_monic_polys if sieved else _monic_candidates)(ring, d):
+        if _ben_or(ring, f, 2 if sieved else 1):
+            return ring.unpack(f)
     raise ConsistencyError(f"no irreducible of degree {d} over F_{fq.q}")
 
 
@@ -559,7 +572,7 @@ class PolyFactorization:
 
     def __post_init__(self):
         seen = set()
-        prod = ONE
+        ring, prod = _packed(self.fq), 1
         for factor, exp in self.entries:
             if exp < 1:
                 raise ConsistencyError("factor exponents must be positive")
@@ -570,8 +583,8 @@ class PolyFactorization:
             seen.add(factor)
             if not is_irreducible(self.fq, factor):
                 raise ConsistencyError(f"factor {factor} is reducible")
-            prod = poly_mul(self.fq, prod, poly_pow(self.fq, factor, exp))
-        if prod != self.value:
+            prod = ring.mul(prod, ring.power(ring.pack(factor), exp))
+        if ring.unpack(prod) != self.value:
             raise ConsistencyError("factor product does not equal value")
         self._lattice[(0,) * len(self.entries)] = ONE
 
@@ -606,66 +619,59 @@ class PolyFactorization:
         return itertools.product(*(range(e + 1) for e in self.exponents()))
 
 
-def _split_equal_degree(fq: SmallField, g: Poly, d: int) -> list[Poly]:
-    """Split g (product of distinct irreducibles, all of degree d) completely."""
-    if poly_deg(g) == d:
-        return [poly_monic(fq, g)]
-    q = fq.q
-    rng = rng_for(_EDF_SEED, "edf", fq.q, tuple(g), d)
-    work = [g]
-    done: list[Poly] = []
-    while work:
-        h = work.pop()
-        if poly_deg(h) == d:
-            done.append(poly_monic(fq, h))
-            continue
-        while True:
-            u = poly_trim(rng.randrange(q) for _ in range(poly_deg(h)))
-            if poly_deg(u) < 1:
-                continue
-            if fq.p == 2:
-                # char 2: additive trace map T(u) = sum u^(2^i) splits kernels
-                t = poly_mod(fq, u, h)
-                acc = t
-                for _ in range(fq.k * d - 1):
-                    t = poly_mod(fq, poly_mul(fq, t, t), h)
-                    acc = poly_add(fq, acc, t)
-                w = acc
-            else:
-                w = poly_pow_mod(fq, u, (q**d - 1) // 2, h)
-                w = poly_sub(fq, w, ONE)
-            if not w:
-                continue
-            cand = poly_gcd(fq, w, h)
-            if 0 < poly_deg(cand) < poly_deg(h):
-                work.append(cand)
-                work.append(poly_divmod(fq, h, cand)[0])
-                break
-    return done
-
-
-def _factor_squarefree(fq: SmallField, f: Poly) -> list[Poly]:
-    """Distinct-degree then equal-degree splitting of a squarefree monic f:
-    the distinct-degree part on packed polynomials, as in _ben_or."""
-    factors: list[Poly] = []
-    ring = _packed(fq)
-    rest = ring.pack(poly_monic(fq, f))
+def _distinct_degree(ring: _Packed, f: int):
+    """The distinct-degree split of a squarefree monic f by gcds with
+    x^(q^d) - x: pairs (d, g), g the monic product of the irreducible factors
+    of degree d; once 2d exceeds the degree of the rest, the rest is one."""
     h, d, reduce = ring.x, 0, None
-    while ring.degree(rest) > 0:
+    while ring.degree(f) > 0:
         d += 1
-        if 2 * d > ring.degree(rest):
-            factors.append(ring.unpack(rest))
-            break
-        if reduce is None:  # the maps of this rest
-            reduce, q_power = ring.q_power(rest)
+        if 2 * d > ring.degree(f):
+            yield ring.degree(f), f
+            return
+        if reduce is None:  # the maps of this f
+            reduce, q_power = ring.q_power(f)
             h = reduce(h)
         h = q_power(h)
-        g = ring.gcd(rest, ring.sub_x(h))
+        g = ring.gcd(f, ring.sub(h, ring.x))
         if ring.degree(g) > 0:
-            g = poly_monic(fq, ring.unpack(g))
-            factors.extend(_split_equal_degree(fq, g, d))
-            rest, reduce = ring.pack(poly_divmod(fq, ring.unpack(rest), g)[0]), None
-    return factors
+            g = ring.monic(g)
+            yield d, g
+            f, reduce = ring.divmod(f, g)[0], None
+
+
+def _split_equal_degree(ring: _Packed, g: int, d: int, rng) -> list[int]:
+    """Split the monic g, a product of distinct irreducibles all of degree d,
+    completely (Cantor and Zassenhaus 1981), every random polynomial drawn
+    from rng."""
+    q, work, done = ring.q, [g], []
+    while work:
+        h = work.pop()
+        dh = ring.degree(h)
+        if dh == d:
+            done.append(h)
+            continue
+        reduce = ring.reducer(h)
+        while True:
+            u = ring.pack([rng.randrange(q) for _ in range(dh)])
+            if ring.degree(u) < 1:
+                continue
+            if ring.p == 2:
+                # char 2: additive trace map T(u) = sum u^(2^i) splits kernels
+                w = t = u
+                for _ in range(ring.k * d - 1):
+                    t = reduce(ring.square(t))
+                    w ^= t
+            else:
+                w = ring.sub(ring.power(u, (q**d - 1) // 2, reduce), 1)
+            if not w:
+                continue
+            cand = ring.monic(ring.gcd(w, h))
+            if 0 < ring.degree(cand) < dh:
+                work.append(cand)
+                work.append(ring.divmod(h, cand)[0])
+                break
+    return done
 
 
 def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
@@ -673,7 +679,8 @@ def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
 
     With n = m·p^v and p not dividing m, x^n - 1 = (x^m - 1)^(p^v) and
     x^m - 1 is squarefree; every irreducible factor therefore carries the
-    exponent p^v.
+    exponent p^v.  The split of each degree draws from a stream seeded by
+    the degree and the coefficients of the product it splits.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -682,7 +689,10 @@ def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
     while m % p == 0:
         m //= p
         pv *= p
-    factors = _factor_squarefree(fq, x_pow_n_minus_1(fq, m))
+    ring, factors = _packed(fq), []
+    for d, g in _distinct_degree(ring, ring.pack(x_pow_n_minus_1(fq, m))):
+        rng = rng_for(_EDF_SEED, "edf", fq.q, ring.unpack(g), d) if ring.degree(g) > d else None
+        factors.extend(map(ring.unpack, _split_equal_degree(ring, g, d, rng)))
     factors.sort(key=lambda f: (poly_deg(f), f))
     entries = tuple((f, pv) for f in factors)
     return PolyFactorization(fq=fq, entries=entries, value=x_pow_n_minus_1(fq, n))

@@ -51,7 +51,8 @@ def enumerate_hamming_ball(ctx: FieldCtx, center: int, radius: int) -> list[int]
     """{center + c : c in F_p with bit-weight(c) <= radius}, sorted.
 
     Includes c = 0, so the center is always a member.  Radii beyond the
-    bit-length of p saturate at center + F_p.
+    bit-length of p saturate at center + F_p; for p = 2 a ball therefore has
+    at most two members, center and center + 1.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")

@@ -23,6 +23,7 @@ from bruteforce import (
     normal_by_det_n2,
     normal_by_span,
     order_by_powering,
+    poly_gcd_by_calls,
     power_by_ladder,
     primitive_by_ladder,
     primitive_by_powering,
@@ -217,6 +218,17 @@ def test_is_normal_both_methods_and_span_oracle():
                 assert div == normal_by_span(ctx, a)
             if n == 2:
                 assert div == normal_by_det_n2(ctx, a)
+
+
+@pytest.mark.parametrize("p,k,n", [(2, 1, 6), (3, 1, 4), (2, 2, 3), (5, 1, 3)])
+def test_coprime_s_polys_match_the_gcd_oracle(p, k, n):
+    # the units of F_q[x]/(x^n - 1) in encoding order, each tested by the
+    # tuple gcd that makes one SmallField call per coefficient
+    ctx = get_field(p, k, n)
+    xn1 = (ctx.fq.neg(1),) + (0,) * (n - 1) + (1,)
+    residues = (poly_trim(ctx.decode(enc)) for enc in range(1, ctx.order))
+    want = [s for s in residues if len(poly_gcd_by_calls(ctx.fq, s, xn1)) == 1]
+    assert ctx.coprime_s_polys() == want
 
 
 def test_trace_zero_blocks_normality():

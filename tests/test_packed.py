@@ -91,8 +91,9 @@ def test_is_irreducible_rejects_a_linear_factor_with_nothing_between(q):
 def test_sieved_ben_or_agrees_on_the_first_candidates(q, d):
     # the gcd at j = 1 is skipped only for rootless candidates, where it is 1
     fq = canonical_field(q)
-    for f in itertools.islice(pf._rootless_monic_polys(fq, d), 300):
-        assert pf._ben_or(fq, f, 2) == pf.is_irreducible(fq, f), f
+    ring = pf._packed(fq)
+    for f in itertools.islice(pf._rootless_monic_polys(ring, d), 300):
+        assert pf._ben_or(ring, f, 2) == pf.is_irreducible(fq, ring.unpack(f)), f
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 25])

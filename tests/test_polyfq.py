@@ -183,6 +183,22 @@ def test_factor_x_n_minus_1_matches_sympy():
             assert got == expected, (p, n)
 
 
+def test_factor_x_n_minus_1_over_a_large_prime_matches_sympy():
+    # F_{2^31 - 1}: slots of 72 bits, normalized digit by digit (no
+    # bytes.translate), and no table of multiples; as p - 1 = 2·3^2·7·11·31·151·331,
+    # the factors have degree 1 (n = 7, 9), 2 (n = 8, 12), 4 (n = 5, 10) and 20 (n = 25)
+    from sympy.polys.domains import ZZ
+    from sympy.polys.galoistools import gf_factor, gf_from_int_poly
+
+    p = 2**31 - 1
+    fq = SmallField(p, 1)
+    for n in (1, 2, 5, 7, 8, 9, 10, 12, 25):
+        lc, factors = gf_factor(gf_from_int_poly([1] + [0] * (n - 1) + [-1], p), p, ZZ)
+        assert lc == 1
+        expected = sorted((tuple(int(c) for c in reversed(f)), e) for f, e in factors)
+        assert sorted(pf.factor_x_n_minus_1_over(fq, n).entries) == expected, n
+
+
 def _divisor_factorization(fact, d):
     """Certified factorization of a monic divisor d, found by trial division."""
     entries = []
@@ -302,7 +318,8 @@ def test_root_sieve_drops_exactly_the_polynomials_with_a_root(q, d):
     fq = canonical_field(q)
     expected = [f for f in pf.monic_polys(fq, d)
                 if all(bf.poly_eval_by_calls(fq, f, c) for c in range(q))]
-    assert list(pf._rootless_monic_polys(fq, d)) == expected
+    ring = pf._packed(fq)
+    assert [ring.unpack(f) for f in pf._rootless_monic_polys(ring, d)] == expected
 
 
 def test_ben_or_matches_sympy_on_every_small_monic_over_f5():

@@ -47,6 +47,18 @@ def test_kernels_match_the_per_coefficient_oracles(case):
     assert pf.poly_monic(fq, f) == (bf.poly_mul_by_calls(fq, (fq.inv(f[-1]),), f) if f else ())
 
 
+@_PROPERTY
+@given(_field_and_polys(2, max_len=6), st.integers(0, 2**20), st.integers(0, 5))
+def test_powers_match_the_per_coefficient_oracles(case, e, small):
+    fq, base, mod = case
+    if mod:  # constant moduli too, where every power is zero
+        assert pf.poly_pow_mod(fq, base, e, mod) == bf.poly_pow_mod_by_calls(fq, base, e, mod)
+    want = (1,)
+    for _ in range(small):
+        want = bf.poly_mul_by_calls(fq, want, base)
+    assert pf.poly_pow(fq, base, small) == want
+
+
 def _packed_q_power(fq, mod, h):
     """h^q mod mod through the packed core's map for the monic mod."""
     ring = pf._packed(fq)
