@@ -9,10 +9,12 @@ On each field of FIELDS (all above the exp/log table cap, so every product
 runs on the polynomial path) it times, per element of a seeded sample: one
 product, ``is_primitive``, and ``is_normal`` by the divisor and the rank
 method.  Each field is warmed up by one call of each operation first, so the
-Frobenius images and cofactors built on first use are not counted.  A row
-holds the median over repeats of the mean time per element, and two
-deterministic work counts: the charged ``op_count`` and the number of
-elements the test accepts.
+Frobenius images and the maps of the cofactors built on first use are not
+counted; that first call is timed on its own, and its excess over one
+element (``build_us``: for the divisor test, building the cofactor maps) is
+printed next to the row.  A row holds the median over repeats of the mean
+time per element, the build, and two deterministic work counts: the charged
+``op_count`` and the number of elements the test accepts.
 
 With ``--build`` it times instead, on each field of BUILD_FIELDS (the
 benchmark's big fields, then FIELDS), the three parts of building a field
@@ -30,7 +32,9 @@ With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``,
 alternating sides for ``--rounds`` rounds, and writes before/after rows with
 the speedup, each round's time per side (so that a row can be judged against
-the parent's own spread) and whether the work counts agree.  ``--out`` adds
+the parent's own spread) and whether the work counts agree; a per-element
+row also joins both builds and, where the change is faster per element, the
+number of elements after which its build has paid for itself.  ``--out`` adds
 them as the key "per_element" to that JSON file, keeping what else it holds
 (such as the output of scripts/bench_pairs.py, which must run first: it
 writes its file anew).  Human-readable lines go to stderr; the last line of
@@ -76,7 +80,9 @@ def measure(seed: int, count: int, repeats: int) -> list:
         elements = random.Random(seed).sample(range(1, ctx.order), count)
         for name in OPS:
             fn = _op(ctx, name)
+            start = time.perf_counter()
             fn(elements[0])
+            first = time.perf_counter() - start
             before = ctx.op_count
             hits = sum(bool(fn(a)) for a in elements)
             ops = ctx.op_count - before
@@ -86,9 +92,12 @@ def measure(seed: int, count: int, repeats: int) -> list:
                 for a in elements:
                     fn(a)
                 means.append((time.perf_counter() - start) / count)
-            rows.append({"field": "%d^%d:%d" % spec, "op": name, "us": statistics.median(means) * 1e6,
-                         "runs_us": [t * 1e6 for t in means], "op_count": ops, "hits": hits})
-            print(f"{rows[-1]['field']:>7} {name:<18} {rows[-1]['us']:10.1f} us", file=sys.stderr)
+            us = statistics.median(means) * 1e6
+            rows.append({"field": "%d^%d:%d" % spec, "op": name, "us": us,
+                         "runs_us": [t * 1e6 for t in means], "build_us": max(first * 1e6 - us, 0.0),
+                         "op_count": ops, "hits": hits})
+            print(f"{rows[-1]['field']:>7} {name:<18} {us:10.1f} us   build {rows[-1]['build_us']:10.1f} us",
+                  file=sys.stderr)
     return rows
 
 
@@ -170,7 +179,10 @@ def compare(sides: dict, args) -> dict:
                           gcd=[parent0["gcd"], row["gcd"]],
                           same_result=parent0["result"] == row["result"])
         else:
-            joined.update(op_count=[parent0["op_count"], row["op_count"]],
+            builds = [statistics.median(r[j]["build_us"] for r in runs[side]) for side in ("parent", "change")]
+            joined.update(build_us=builds,
+                          break_even=max(builds[1] - builds[0], 0.0) / (before - after) if before > after else None,
+                          op_count=[parent0["op_count"], row["op_count"]],
                           hits=[parent0["hits"], row["hits"]],
                           same_work=(parent0["op_count"], parent0["hits"]) == (row["op_count"], row["hits"]))
         rows.append(joined)

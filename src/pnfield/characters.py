@@ -332,9 +332,9 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
     for mask in range(1 << t):
         exps = tuple(mask >> i & 1 for i in range(t))
         # K_e = image of the cofactor (x^n - 1)/e, spanned over F_p by the
-        # images of the base-p unit vectors
-        cof = fact.divisor(tuple(1 - j for j in exps))
-        images = (ctx.apply_linearized(cof, p**d) for d in range(dim))
+        # images of the base-p unit vectors under the cofactor's map
+        cof = tuple(1 - j for j in exps)
+        images = (ctx.divisor_action(cof, p**d) for d in range(dim))
         span = [img for img in dict.fromkeys(images) if img]
         bits = sum(exps)
         subsets.append(
@@ -427,8 +427,6 @@ def indicator_normal_df(ctx: FieldCtx, a: int, eta: int) -> int:
     """
     if a == 0:
         raise ValueError("indicator undefined at 0")
-    if not ctx.is_normal(eta):
-        raise ValueError("η must be normal")
     return 1 if a in ctx.normal_image(eta) else 0
 
 

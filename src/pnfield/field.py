@@ -13,13 +13,19 @@ exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
 r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
 Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
-elements themselves; "times g", Frobenius and the fold of a product (below)
-are applied through one kernel, a table of column sums per chunk of base-p
-digits for p <= 3 (see _map_tables).
+elements themselves; "times g", Frobenius, r∘ and the fold of a product
+(below) are applied through one kernel, a table of column sums per chunk of
+base-p digits for p <= 3 (see _map_tables).
 The reference primitive normal element τ is the first element set in both
 masks, and the exp/log tables of τ are read off the powers of g.  The cap is
 the one boundary for data about the whole field: above it there is no τ, no
 class count and no table, and asking for them raises ResourceLimitError.
+
+The module action r∘α = Σ r_i·α^(q^i) is such a map for each fixed r.  Each
+divisor d of x^n - 1 that the whole-field pass, is_normal (the cofactors) or
+the additive orders apply gets its map on first use, keyed by exponent vector:
+a factor's from its Horner images r∘p^d (apply_linearized, which serves any
+other r), a power's by squaring, a product's by composing two maps.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path
@@ -60,6 +66,7 @@ from .polyfq import (
     PolyFactorization,
     _clmul,
     _pack,
+    _packed,
     _unpack,
     coprime_residues,
     factor_x_n_minus_1_over,
@@ -144,6 +151,8 @@ class FieldCtx:
         m = max(self.order - 1, 1)
         self._qpow = [pow(self.q, i, m) for i in range(n)]
         self._cofactors = None
+        # maps and charges of divisors of x^n - 1 by exponent vector
+        self._divisor_maps, self._divisor_charges = {}, {}
         self._coprime_s = None
         self._normal_image = {}
         # Data the characters layer derives once per field, by key: "tr_exp"
@@ -226,6 +235,13 @@ class FieldCtx:
             a, j = divmod(a, base)
             total += j * table if c == 1 else table[j]
         return _unpack(total, p, self._bits)
+
+    def _compose(self, outer: list, inner: list) -> list:
+        """outer∘inner for two maps: outer applied to the images p^d of inner."""
+        p, c, bits = self.p, self._chunk, self._bits
+        cols = inner if c == 1 else [inner[d // c][p ** (d % c)] for d in range(self.k * self.n)]
+        return self._map_tables([_pack(self._apply_map(outer, _unpack(col, p, bits)), p, bits)
+                                 for col in cols])
 
     # -- multiplicative arithmetic ------------------------------------------
 
@@ -369,12 +385,13 @@ class FieldCtx:
         p, add = self.p, self.add
         norm = bytearray([1]) * order
         norm[0] = 0
-        for r, _ in self.add_factorization.entries:
+        t = len(self.add_factorization.entries)
+        for i in range(t):
             span = [0]
             member = bytearray(order)
             member[0] = 1
             for d in range(self.k * self.n):
-                v = self.apply_linearized(r, p**d)
+                v = self.divisor_action(tuple(int(j == i) for j in range(t)), p**d)
                 if member[v]:
                     continue
                 grown = []
@@ -489,10 +506,7 @@ class FieldCtx:
                 images += [cur] + [self._mul_poly(p**t, cur) for t in range(1, k)]
             frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
         while len(frob) <= i:
-            last, c = frob[-1], self._chunk
-            cols = last if c == 1 else [last[d // c][p ** (d % c)] for d in range(k * self.n)]
-            images = [self._apply_map(frob[1], _unpack(col, p, bits)) for col in cols]
-            frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
+            frob.append(self._compose(frob[1], frob[-1]))
         return frob[i]
 
     def _trace_slow(self, a: int) -> int:
@@ -532,7 +546,8 @@ class FieldCtx:
 
         Each nonzero r_i is charged as the product r_i·α^(q^i) it stands for,
         but a coefficient 1 takes the image as it is, and on the polynomial
-        path a coefficient scales the image coordinate by coordinate.
+        path a coefficient scales the image coordinate by coordinate.  The
+        divisors of x^n - 1 are applied by their maps (divisor_action).
         """
         total = 0
         for i, coeff in enumerate(r):
@@ -548,18 +563,57 @@ class FieldCtx:
                 total = self.add(total, term)
         return total
 
+    def _module_map(self, r: Poly) -> list:
+        """r∘ as a map (see _map_tables) from its images r∘p^d, uncounted."""
+        count, units = self.op_count, [self.p**d for d in range(self.k * self.n)]
+        tables = self._map_tables([_pack(self.apply_linearized(r, u), self.p, self._bits) for u in units])
+        self.op_count = count
+        return tables
+
+    def _module_charge(self, r: Poly, a: int) -> int:
+        """What apply_linearized(r, α) charges: one per nonzero coefficient,
+        and for α != 0 on the polynomial path one per Frobenius image."""
+        frob = sum(1 for i, c in enumerate(r) if c and i % self.n) if a and self._log is None else 0
+        return sum(map(bool, r)) + frob
+
+    def _divisor_map(self, exps: tuple) -> list:
+        """The map d∘ of the divisor d of x^n - 1 with exponent vector exps: a
+        factor's by _module_map, r^j as r^(j - j//2)∘r^(j//2), and otherwise
+        its first factor's power composed with the rest."""
+        tables = self._divisor_maps.get(exps)
+        if tables is None:
+            i = next((i for i, j in enumerate(exps) if j), 0)
+            j, tail, rest = exps[i], (0,) * (len(exps) - i - 1), (0,) * (i + 1) + exps[i + 1:]
+            if any(rest):
+                tables = self._compose(self._divisor_map(exps[:i + 1] + tail), self._divisor_map(rest))
+            elif j > 1:
+                tables = self._compose(self._divisor_map(exps[:i] + (j - j // 2,) + tail),
+                                       self._divisor_map(exps[:i] + (j // 2,) + tail))
+            else:
+                tables = self._module_map(self.add_factorization.entries[i][0] if j else (1,))
+            self._divisor_maps[exps] = tables
+        return tables
+
+    def divisor_action(self, exps: tuple, a: int) -> int:
+        """d∘α for the divisor d of x^n - 1 with exponent vector exps, by its
+        map, charged as apply_linearized(d, α)."""
+        key = (exps, bool(a) and self._log is None)
+        if key not in self._divisor_charges:
+            self._divisor_charges[key] = self._module_charge(self.add_factorization.divisor(exps), a)
+        self.op_count += self._divisor_charges[key]
+        return self._apply_map(self._divisor_map(exps), a)
+
     def additive_order_exponents(self, a: int) -> tuple[int, ...]:
         """Ord(α) as its exponent vector over add_factorization.entries: from
         x^n - 1, each irreducible factor in turn is taken out while the
-        divisor left, read from the lattice, still kills α; the zero vector
+        divisor left, applied by its map, still kills α; the zero vector
         (the constant 1) for α = 0.
         """
-        fact = self.add_factorization
-        exps = list(fact.exponents())
-        for i, e in enumerate(fact.exponents()):
+        exps = list(self.add_factorization.exponents())
+        for i, e in enumerate(self.add_factorization.exponents()):
             for _ in range(e):
                 exps[i] -= 1
-                if self.apply_linearized(fact.divisor(tuple(exps)), a) != 0:
+                if self.divisor_action(tuple(exps), a) != 0:
                     exps[i] += 1
                     break
         return tuple(exps)
@@ -603,52 +657,37 @@ class FieldCtx:
         return True
 
     def is_normal(self, a: int, method: str = "divisor") -> bool:
-        """Normality test; 'divisor' checks every cofactor (x^n-1)/r(x),
-        'rank' checks that the Frobenius orbit has full F_q-rank."""
+        """Normality test; 'divisor' applies the map of every cofactor
+        (x^n-1)/r(x), 'rank' checks that the Frobenius orbit has full F_q-rank."""
         if method == "divisor":
-            if a == 0:
-                return False
-            if self._cofactors is None:
-                fact = self.add_factorization
-                top = fact.exponents()
-                self._cofactors = [
-                    fact.divisor(top[:i] + (e - 1,) + top[i + 1:]) for i, e in enumerate(top)
-                ]
-            return all(self.apply_linearized(cof, a) != 0 for cof in self._cofactors)
+            if self._cofactors is None:  # the exponent vectors, and every map
+                top = self.add_factorization.exponents()
+                self._cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
+                for cof in self._cofactors:
+                    self._divisor_map(cof)
+            return a != 0 and all(self.divisor_action(cof, a) != 0 for cof in self._cofactors)
         if method == "rank":
             return self._is_normal_rank(a)
         raise ValueError(f"unknown normality method {method!r}")
 
     def _is_normal_rank(self, a: int) -> bool:
-        if a == 0:
-            return False
-        n, fq = self.n, self.fq
-        rows = []
-        cur = a
-        for _ in range(n):
-            rows.append(self.decode(cur))
-            cur = self.frobenius(cur, 1)
-        rank = 0
-        for col in range(n):
-            pivot = None
-            for r in range(rank, n):
-                if rows[r][col]:
-                    pivot = r
+        """Full F_p-rank kn of the rows y^t·α^(q^i), t < k, i < n, packed as
+        polyfq packs F_q[x], where y^t·v is a digit plane of v: each row is
+        reduced by the basis row of its leading slot, XOR for p = 2."""
+        ring, p, orbit, basis = _packed(self.fq), self.p, [a], {}  # basis: top slot -> monic row
+        for _ in range(self.n):
+            orbit.append(self.frobenius(orbit[-1], 1))
+        for v in (plane for x in orbit[:-1] for plane in ring._planes(_pack(x, p, ring.W))):
+            while v:
+                top = (v.bit_length() - 1) // ring.W
+                lead, b = v >> top * ring.W, basis.get(top)
+                if b is None:
+                    basis[top] = ring.normalize(v * pow(lead, -1, p))
                     break
-            if pivot is None:
+                v = v ^ b if p == 2 else ring.normalize(v + (p - lead) * b)
+            else:
                 return False  # rank deficit is already fatal
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            inv = fq.inv(rows[rank][col])
-            row_r = rows[rank]
-            for r in range(rank + 1, n):
-                c = rows[r][col]
-                if c:
-                    factor = fq.mul(c, inv)
-                    row = rows[r]
-                    for j in range(col, n):
-                        row[j] = fq.sub(row[j], fq.mul(factor, row_r[j]))
-            rank += 1
-        return rank == n
+        return True
 
     def is_primitive_normal(self, a: int) -> bool:
         if a == 0:
@@ -664,8 +703,11 @@ class FieldCtx:
         return self._coprime_s
 
     def normal_image(self, eta: int) -> frozenset:
-        """{s∘η : gcd(s, x^n-1) = 1}; equals the set of normal elements."""
+        """{s∘η : gcd(s, x^n-1) = 1} for a normal η, which is tested once
+        (ValueError if it is not); equals the set of normal elements."""
         if eta not in self._normal_image:
+            if not self.is_normal(eta):
+                raise ValueError("η must be normal")
             self._normal_image[eta] = frozenset(
                 self.apply_linearized(s, eta) for s in self.coprime_s_polys()
             )
