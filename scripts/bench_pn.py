@@ -5,21 +5,22 @@ and the set-up cost of the fields layer by layer.
     python3 scripts/bench_pn.py --build [--repeats 5]
     python3 scripts/bench_pn.py [--build] --parent ../parent --change . --rounds 3 --out BENCH.json
 
-On each field of FIELDS (all above the exp/log table cap, so every product
-runs on the polynomial path) it times, per element of a seeded sample: one
-product, ``is_primitive``, and ``is_normal`` by the divisor and the rank
-method.  Each field is warmed up by one call of each operation first, so the
-Frobenius images and the maps of the cofactors built on first use are not
-counted; that first call is timed on its own, and its excess over one
-element (``build_us``: for the divisor test, building the cofactor maps) is
-printed next to the row.  A row holds the median over repeats of the mean
+On each field of FIELDS (the benchmark's big fields, then larger ones, all
+above the exp/log table cap, so every product runs on the polynomial path) it
+times, per element of a seeded sample: one product, one power with the
+exponent of the inverse, ``is_primitive``, and ``is_normal`` by the divisor
+and the rank method.  Each field is warmed up by one call of each operation
+first, so the Frobenius images and the maps of the cofactors built on first
+use are not counted; that first call is timed on its own, and its excess
+over one element (``build_us``: for the divisor test, building the cofactor
+maps) is printed next to the row.  A row holds the median over repeats of the mean
 time per element, the build, and two deterministic work counts: the charged
 ``op_count`` and the number of elements the test accepts.
 
-With ``--build`` it times instead, on each field of BUILD_FIELDS (the
-benchmark's big fields, then FIELDS), the three parts of building a field
-with its default moduli, each separately: ``first_irreducible`` (the
-extension modulus), ``factorize`` of q^n - 1 and ``factor_x_n_minus_1_over``.
+With ``--build`` it times instead, on each field of FIELDS, the three parts
+of building a field with its default moduli, each separately:
+``first_irreducible`` (the extension modulus), ``factorize`` of q^n - 1 and
+``factor_x_n_minus_1_over``.
 The coefficient field F_q is built and warmed up first.  A row holds the
 median over repeats of one call, two deterministic work counts made by the
 first call: the Ben-Or tests (calls of ``polyfq._ben_or``, which every
@@ -54,10 +55,9 @@ import sys
 import time
 from pathlib import Path
 
-FIELDS = ((2, 1, 40), (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22),
-          (5, 2, 6), (7, 2, 11))
-OPS = ("product", "is_primitive", "is_normal.divisor", "is_normal.rank")
-BUILD_FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8)) + FIELDS[1:]
+FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8),
+          (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22), (5, 2, 6), (7, 2, 11))
+OPS = ("product", "pow", "is_primitive", "is_normal.divisor", "is_normal.rank")
 BUILD_LAYERS = ("first_irreducible", "factorize", "factor_x_n_minus_1_over")
 
 
@@ -65,6 +65,8 @@ def _op(ctx, name: str):
     if name == "product":
         b = ctx.order - 2
         return lambda a: ctx.mul(a, b)
+    if name == "pow":
+        return lambda a: ctx.pow(a, ctx.order - 2)
     if name == "is_primitive":
         return ctx.is_primitive
     return lambda a: ctx.is_normal(a, method=name.partition(".")[2])
@@ -129,7 +131,7 @@ def measure_build(repeats: int) -> list:
         wrapped.append((polyfq._Packed, "gcd", gcds))
     originals = [(owner, name, _count_calls(owner, name, counter)) for owner, name, counter in wrapped]
     rows = []
-    for p, k, n in BUILD_FIELDS:
+    for p, k, n in FIELDS:
         fq = canonical_field(p**k)
         fq.inv(1)
         layers = {"first_irreducible": lambda: polyfq.first_irreducible(fq, n),

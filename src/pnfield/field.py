@@ -13,9 +13,9 @@ exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
 r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
 Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
-elements themselves; "times g", Frobenius, r∘ and the fold of a product
-(below) are applied through one kernel, a table of column sums per chunk of
-base-p digits for p <= 3 (see _map_tables).
+elements themselves; "times g", Frobenius and r∘ are applied through one
+kernel, a table of column sums per chunk of base-p digits for p <= 3 (see
+_map_tables), the fold and the steps of a power (below) through _fold.
 The reference primitive normal element τ is the first element set in both
 masks, and the exp/log tables of τ are read off the powers of g.  The cap is
 the one boundary for data about the whole field: above it there is no τ, no
@@ -29,27 +29,29 @@ other r), a power's by squaring, a product's by composing two maps.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path
-by one algorithm for every p and k (Kronecker substitution).  With F_q =
-F_p[y]/(m), each factor is spread into an integer so that the base-p digit of
-x^i·y^t sits in slot i(2k - 1) + t; the two are multiplied once in F_p[x, y],
-carry-less for p = 2 (polyfq._clmul, the one F_2[x] product) and as integers
-with spare bits per slot for odd p; and every slot that is not yet a digit of
-the result in its place is folded back through the same kernel, whose columns
-are the slots' monomials x^s·y^u reduced mod (f, m).  For k = 1 those are the
-n - 1 high slots.  On that path Frobenius is the kernel too, its map built
-per power on first use.
+by one algorithm for every p and k (Kronecker substitution; von zur Gathen and
+Gerhard, Modern Computer Algebra).  With F_q = F_p[y]/(m), an element in the
+product layout has the base-p digit of x^i·y^t in slot i(2k - 1) + t, a bit
+for p = 2 and otherwise polyfq's slot (8 bits for p <= 13), so one product of
+two such integers (polyfq._clmul for p = 2) is their product in F_p[x, y].  Its
+slot sums up to n·k·(p - 1)^2; where that could pass the slot's budget, one
+factor is cut into planes whose products are added and normalized in turn (a
+bytes.translate for 8-bit slots).  The fold adds back every slot that is not
+yet a digit of the result in its place, by columns that are the slots'
+monomials x^s·y^u reduced mod (f, m), normalizing mid-sum where it must.
 
-Powers on the polynomial path (pow, and through it inv, norm and the
-multiplicative order, and is_primitive) read the exponent in base Q = q^w,
-where w is the largest w < n with q^w <= 16, and at least 1: Horner over the
-digits d, result = Frob^w(result)·α^d, so each digit costs one application of
-the precomputed Frob^w and at most one product instead of about log2 Q
-squarings.  The digit powers α^d are built on demand, each by one product
-from α^(d-t) and α^t for the top bit t of d (a squaring when d = 2t), and
-is_primitive shares them across the primes of q^n - 1.  For q > 16 only the
-digits that occur are built, never a table of q entries.  The images of
-Frob^1 come from X = x^q by the same digit ladder, as Frob(c·x^j) = c·X^j, so
-they do not depend on the Horner routine they serve.
+Powers (pow, and through it inv and norm, the multiplicative order and
+is_primitive) stay in the product layout from α, converted on entry, to the
+result, converted on exit or only compared with 1.  The exponent is read in
+base Q = q^w, w the largest w < n with q^w <= 16 and at least 1: Horner over
+its digits d, result = Frob^w(result)·α^d, Frob^w a map of the layout, costs
+one application of it and at most one product per digit instead of about
+log2 Q squarings.  Each digit power α^d is built on demand by one product
+from α^(d-t) and α^t for the top bit t of d (a squaring when d = 2t), and is
+shared across the exponents of is_primitive and of the multiplicative order;
+for q > 16 only the digits that occur are built, never a table of q entries.
+The images of Frob^1 come from X = x^q by the same digit ladder, as
+Frob(c·x^j) = c·X^j, so they do not depend on the Horner routine they serve.
 """
 
 from __future__ import annotations
@@ -113,16 +115,22 @@ class FieldCtx:
         self.mult_factorization = mult_factorization
         self.add_factorization = add_factorization
         self.op_count = 0
-        # the fold of a raw product (see _ensure_red), and the number of its
-        # low slots that are already digits of the result in their place
-        self._red = None
-        self._low = n if self.k == 1 else self.k
-        # slot width of _pack: one bit for p = 2, where sums are XORs; for odd
-        # p a slot sums at most one product of two digits per slot of a raw
-        # product, (2n - 1)(2k - 1) of them, the bound met by the fold and
-        # above those of Frobenius and the other maps
-        slots = (2 * n - 1) * (2 * self.k - 1)
-        self._bits = 1 if self.p == 2 else (slots * (self.p - 1) ** 2).bit_length()
+        # the product layout (see _to_layout) has polyfq's slots, W bits that
+        # take `budget` additions of a digit times a normalized vector; a raw
+        # product slot sums n·k of them, so for odd p b is cut into planes of
+        # budget/k coefficients (see _product)
+        ring = _packed(fq)
+        self._W, self._budget, self._mod8 = ring.W, getattr(ring, "budget", 0), bytes(v % fq.p for v in range(256))
+        per, stride = self._budget // self.k or n, (2 * self.k - 1) * self._W
+        self._cuts = [((1 << per * stride) - 1) << i * stride for i in range(0, n, per)] if self._budget else []
+        # the maps' slots hold kn digits times a column in at least 8 bits: no
+        # map ("times g", once per element of a whole-field pass) normalizes
+        self._bits = 1 if self.p == 2 else max(8, (self.k * n * (self.p - 1) ** 2).bit_length())
+        self._digit_chars = bytes(b"0123456789abc"[v % self.p] for v in range(256)) if self.p <= 13 else None
+        # the fold of a raw product (see _ensure_red), the number of its low
+        # slots that are already digits of the result in their place, and
+        # Frob^w in the product layout (see _frob_step)
+        self._red, self._low, self._step = None, n if self.k == 1 else self.k, None
         # F_p-linear maps are applied by chunks of c base-p digits, with c the
         # largest such that p^c <= 16, and at least 1: tables of at most 16
         # entries, and none for p >= 5 (see _map_tables)
@@ -203,13 +211,13 @@ class FieldCtx:
 
     # -- F_p-linear maps --------------------------------------------------------
 
-    def _map_tables(self, cols: list[int]) -> list:
+    def _map_tables(self, cols: list[int], c: int = 0) -> list:
         """The F_p-linear map with packed columns cols (the images of p^d) for
-        _apply_map: for p = 2, 3 one table per chunk (method of four Russians),
+        _apply_map: for p = 2, 3 one table per chunk of c (or _chunk) columns,
         entry j of table t being Σ j_e·cols[tc + e] over the base-p digits j_e
         of j, built digit by digit; for p >= 5, where a chunk is one digit and
         a lookup saves nothing over a product, cols itself."""
-        p, c = self.p, self._chunk
+        p, c = self.p, c or self._chunk
         if c == 1:
             return cols
         add = operator.xor if p == 2 else operator.add
@@ -221,11 +229,11 @@ class FieldCtx:
             tables.append(table)
         return tables
 
-    def _apply_map(self, tables: list, a: int, total: int = 0) -> int:
-        """The map from _map_tables applied to a, plus a packed total: one
-        lookup per chunk of base-p digits of a, or one product per digit for
-        p >= 5; XOR for p = 2 and an integer sum otherwise, then one _unpack."""
+    def _map_total(self, tables: list, a: int) -> int:
+        """The map from _map_tables applied to a as a packed total: a lookup per
+        chunk of base-p digits of a (a product per digit for p >= 5), summed."""
         p, c, base = self.p, self._chunk, self._chunk_base
+        total = 0
         if p == 2:
             for table in tables:
                 total ^= table[a & (base - 1)]
@@ -234,57 +242,96 @@ class FieldCtx:
         for table in tables:
             a, j = divmod(a, base)
             total += j * table if c == 1 else table[j]
-        return _unpack(total, p, self._bits)
+        return total
+
+    def _apply_map(self, tables: list, a: int) -> int:
+        """The map from _map_tables applied to the element a, as an element."""
+        total = self._map_total(tables, a)
+        return total if self.p == 2 else self._read(total, self._bits)
+
+    def _reduce(self, v: int, bits: int) -> int:
+        """Every bits-wide slot of v reduced mod p, for 8 bits by a translate."""
+        if bits != 8:
+            return _pack(_unpack(v, self.p, bits), self.p, bits)
+        return int.from_bytes(v.to_bytes((v.bit_length() + 7) // 8, "little").translate(self._mod8), "little")
+
+    def _read(self, v: int, bits: int) -> int:
+        """The element whose base-p digits are the slots of v, reduced mod p:
+        for 8-bit slots one translate to ASCII digits for int(..., p)."""
+        if bits != 8:
+            return _unpack(v, self.p, bits)
+        return int(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big").translate(self._digit_chars), self.p)
 
     def _compose(self, outer: list, inner: list) -> list:
-        """outer∘inner for two maps: outer applied to the images p^d of inner."""
+        """outer∘inner for two maps: outer applied to the packed images p^d of
+        inner, each total normalized in its slots."""
         p, c, bits = self.p, self._chunk, self._bits
         cols = inner if c == 1 else [inner[d // c][p ** (d % c)] for d in range(self.k * self.n)]
-        return self._map_tables([_pack(self._apply_map(outer, _unpack(col, p, bits)), p, bits)
-                                 for col in cols])
+        return self._map_tables([self._reduce(self._map_total(outer, self._read(col, bits)), bits) for col in cols])
 
     # -- multiplicative arithmetic ------------------------------------------
 
-    def _spread(self, a: int) -> int:
-        """a packed for the product: the base-p digit of x^i·y^t in slot
-        i(2k - 1) + t, so that the slots of the product of two spread factors
-        are the coefficients of their product in F_p[x, y]."""
-        p, bits = self.p, self._bits
-        if self.k == 1:
-            return _pack(a, p, bits)
-        q, stride = self.q, (2 * self.k - 1) * bits
-        out = shift = 0
-        while a:
-            a, c = divmod(a, q)
-            out |= _pack(c, p, bits) << shift
-            shift += stride
-        return out
+    def _regroup(self, v: int, src: int, dst: int) -> int:
+        """Packed v with coefficient i (k slots) moved from slot i·src to i·dst."""
+        w, mask = self._W, (1 << self.k * self._W) - 1
+        return v if src == dst else sum(((v >> i * src * w) & mask) << i * dst * w for i in range(self.n))
+
+    def _to_layout(self, a: int) -> int:
+        """α in the product layout: the digit of x^i·y^t in slot i(2k - 1) + t,
+        so that a product of two such vectors holds their product in F_p[x, y]."""
+        return self._regroup(_pack(a, self.p, self._W), self.k, 2 * self.k - 1)
+
+    def _from_layout(self, v: int) -> int:
+        """The element of a vector in the product layout with no digit in the
+        slots i(2k - 1) + t, t >= k, as _product and _fold leave it."""
+        return self._read(self._regroup(v, 2 * self.k - 1, self.k), self._W)
+
+    def _fold(self, cols: list, v: int, total: int = 0) -> int:
+        """total plus the map cols of the product layout applied to its
+        normalized v, normalized: for p = 2 a lookup per byte of v in
+        _map_tables(columns, 8); for odd p the digit-weighted columns, summed
+        at once if the digits sum to at most budget·(p - 1), else by budgets."""
+        if self.p == 2:
+            return functools.reduce(operator.xor, map(operator.getitem, cols, v.to_bytes(len(cols), "little")),
+                                    total)
+        n, w, room = len(cols), self._W, self._budget
+        digits = v.to_bytes(n, "little") if w == 8 else [(v >> s * w) & ((1 << w) - 1) for s in range(n)]
+        if sum(digits) <= room * (self.p - 1):
+            return self._reduce(sum(map(operator.mul, digits, cols), total), w)
+        for start in range(0, n, room):
+            total = self._reduce(sum(map(operator.mul, digits[start:start + room], cols[start:start + room]),
+                                     total), w)
+        return total
 
     def _ensure_red(self):
         # the fold: the map whose column for each slot of a raw product from
-        # _low on is the slot's monomial x^s·y^u reduced mod (f, m), where y
-        # is the element p of F_q (and u = 0 when k = 1)
+        # _low on is the slot's monomial x^s·y^u reduced mod (f, m) in the
+        # product layout, y being the element p of F_q (u = 0 when k = 1)
         fq = self.fq
         y_powers = [fq.pow(fq.p, u) for u in range(2 * self.k - 1)]
         rows, cur = [], (1,)  # cur is x^s mod f
         for _ in range(2 * self.n - 1):
             rows += [[fq.mul(y, c) for c in cur] for y in y_powers]
             cur = (0,) + cur if len(cur) < self.n else poly_mod(fq, (0,) + cur, self.ext_modulus)
-        cols = [_pack(self.encode(row), self.p, self._bits) for row in rows[self._low:]]
-        self._red = self._map_tables(cols)
+        cols = [self._to_layout(self.encode(row)) for row in rows[self._low:]]
+        self._red = self._map_tables(cols, 8) if self.p == 2 else cols
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """a·b on the polynomial path: one raw product of the spread factors
-        in F_p[x, y], then one fold of its slots from _low on."""
-        if a == 0 or b == 0:
-            return 0
+    def _product(self, a: int, b: int) -> int:
+        """a·b for normalized a, b in the product layout, in that layout: one
+        raw product in F_p[x, y], carry-less for p = 2 and otherwise summed
+        and normalized plane by plane of b (one plane unless n·k·(p - 1)^2
+        passes the budget), then one fold of its slots from _low on."""
         if self._red is None:
             self._ensure_red()
-        p, bits = self.p, self._bits
-        a, b = self._spread(a), self._spread(b)
-        prod = _clmul(a, b) if p == 2 else a * b
-        low = self._low * bits
-        return self._apply_map(self._red, _unpack(prod >> low, p, bits), prod & ((1 << low) - 1))
+        prod = _clmul(a, b) if self.p == 2 else 0
+        for cut in self._cuts:
+            prod = self._reduce(prod + a * (b & cut), self._W)
+        low = self._low * self._W
+        return self._fold(self._red, prod >> low, prod & ((1 << low) - 1))
+
+    def _mul_poly(self, a: int, b: int) -> int:
+        """a·b on the polynomial path: _product, converting in and out."""
+        return self._from_layout(self._product(self._to_layout(a), self._to_layout(b)))
 
     def mul(self, a: int, b: int) -> int:
         self.op_count += 1
@@ -302,10 +349,11 @@ class FieldCtx:
         e %= m
         if self._log is not None:
             return self._exp[self._log[a] * e % m]
-        return self._pow_poly({1: a}, e)
+        return self._from_layout(self._pow_poly({1: self._to_layout(a)}, e))
 
     def _pow_poly(self, powers: dict, e: int) -> int:
-        """α^e on the polynomial path, uncounted, for powers = {1: α, ...}.
+        """α^e on the polynomial path, uncounted, for powers = {1: α, ...},
+        all in the product layout, as the result is.
 
         Horner over the base-Q digits d of e, Q = q^w: each step is
         result = Frob^w(result)·α^d, since x^Q is the precomputed F_p-linear
@@ -320,11 +368,11 @@ class FieldCtx:
             digits.append(d)
         result = self._digit_power(powers, digits.pop())
         if digits:
-            frob_w = self._frob_map(self._frob_w)
+            step = self._frob_step()
             for d in reversed(digits):
-                result = self._apply_map(frob_w, result)
+                result = self._fold(step, result)
                 if d:
-                    result = self._mul_poly(result, self._digit_power(powers, d))
+                    result = self._product(result, self._digit_power(powers, d))
         return result
 
     def _digit_power(self, powers: dict, d: int) -> int:
@@ -340,9 +388,9 @@ class FieldCtx:
             top = 1 << (d.bit_length() - 1)
             if top == d:
                 half = self._digit_power(powers, top >> 1)
-                v = self._mul_poly(half, half)
+                v = self._product(half, half)
             else:
-                v = self._mul_poly(self._digit_power(powers, d - top), self._digit_power(powers, top))
+                v = self._product(self._digit_power(powers, d - top), self._digit_power(powers, top))
             powers[d] = v
         return v
 
@@ -495,19 +543,29 @@ class FieldCtx:
         them.  Frob^(i+1) is Frob^1 applied to the images of Frob^i, read
         back from its map; each power is built on first use.
         """
-        frob, p, k, bits = self._frob, self.p, self.k, self._bits
+        frob, p, k = self._frob, self.p, self.k
         if len(frob) == 1:
             # the unit vector p^(jk+t) is the F_q constant y^t = p^t times x^j
-            big_x = self._digit_power({1: self.q}, self.q)
+            big_x = self._digit_power({1: self._to_layout(self.q)}, self.q)
             images, cur = [], 1
             for j in range(self.n):
                 if j:
-                    cur = self._mul_poly(cur, big_x)
-                images += [cur] + [self._mul_poly(p**t, cur) for t in range(1, k)]
-            frob.append(self._map_tables([_pack(v, p, bits) for v in images]))
+                    cur = self._product(cur, big_x)
+                images += [cur] + [self._product(self._to_layout(p**t), cur) for t in range(1, k)]
+            frob.append(self._map_tables([_pack(self._from_layout(v), p, self._bits) for v in images]))
         while len(frob) <= i:
             frob.append(self._compose(frob[1], frob[-1]))
         return frob[i]
+
+    def _frob_step(self) -> list:
+        """Frob^w as a map of the product layout (see _fold), built on first
+        use: slot i(2k - 1) + t has the image of x^i·y^t, or 0 for t >= k."""
+        if self._step is None:
+            frob, p, k = self._frob_map(self._frob_w), self.p, self.k
+            cols = [self._to_layout(self._apply_map(frob, p ** (i * k + t))) if t < k else 0
+                    for i in range(self.n) for t in range(2 * k - 1)]
+            self._step = self._map_tables(cols, 8) if p == 2 else cols
+        return self._step
 
     def _trace_slow(self, a: int) -> int:
         total = 0
@@ -625,36 +683,38 @@ class FieldCtx:
 
     # -- orders and the two element tests -------------------------------------
 
+    def _power_test(self, a: int):
+        """e -> whether α^e = 1 for α != 0, charged as the one power it costs;
+        on the polynomial path one table of digit powers of α serves every e."""
+        if self._log is not None:
+            return lambda e: self.pow(a, e) == 1
+        powers = {1: self._to_layout(a)}
+
+        def is_one(e):
+            self.op_count += 1
+            return self._pow_poly(powers, e) == 1
+        return is_one
+
     def multiplicative_order(self, a: int) -> int:
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         d = self.order - 1
         if d == 0:
             raise ConsistencyError("trivial group")
+        is_one = self._power_test(a)
         for r, e in self.mult_factorization.entries:
             for _ in range(e):
-                if self.pow(a, d // r) == 1:
-                    d //= r
-                else:
+                if not is_one(d // r):
                     break
+                d //= r
         return d
 
     def is_primitive(self, a: int) -> bool:
         """α^((q^n-1)/r) != 1 for every prime r dividing q^n - 1."""
         if a == 0:
             raise ValueError("0 is never primitive")
-        m = self.order - 1
-        primes = self.mult_factorization.primes()
-        if self._log is not None:
-            return all(self.pow(a, m // r) != 1 for r in primes)
-        # one table of digit powers of α serves every prime; each prime
-        # tested is still charged as the one power it costs
-        powers = {1: a}
-        for r in primes:
-            self.op_count += 1
-            if self._pow_poly(powers, m // r) == 1:
-                return False
-        return True
+        is_one = self._power_test(a)
+        return not any(is_one((self.order - 1) // r) for r in self.mult_factorization.primes())
 
     def is_normal(self, a: int, method: str = "divisor") -> bool:
         """Normality test; 'divisor' applies the map of every cofactor

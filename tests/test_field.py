@@ -345,14 +345,23 @@ def _assert_small_tables(ctx, tables):
         assert all(len(table) <= 16 for table in tables)
 
 
+def _assert_layout_map(ctx, cols):
+    """A map of the product layout: for p = 2 tables of a byte of slots, for
+    odd p its packed columns."""
+    if ctx.p == 2:
+        assert all(len(table) <= 256 for table in cols)
+    else:
+        assert all(isinstance(col, int) for col in cols)
+
+
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
 def test_chunk_tables_match_the_column_oracle(ctx):
     # each F_p-linear map the chunk tables serve, with columns from the
-    # schoolbook oracles: Frob^1, Frob^w, "times g" and the fold of a raw
-    # product, whose column for slot s(2k - 1) + u is x^s·y^u mod (f, m).
-    # An input with every digit p - 1 makes the largest slot sums, and the
-    # oracle packs its columns in slots wide enough for any sum, so a map
-    # whose slots overflow does not match it.
+    # schoolbook oracles: Frob^1, Frob^w and "times g"; and the fold of a raw
+    # product in the product layout, whose column for slot s(2k - 1) + u is
+    # x^s·y^u mod (f, m).  An input with every digit p - 1 makes the largest
+    # slot sums, and the oracle packs its columns in slots wide enough for
+    # any sum, so a map whose slots overflow does not match it.
     p, k, n, bits = ctx.p, ctx.k, ctx.n, ctx._bits
     rng = random.Random(11)
     elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
@@ -366,15 +375,20 @@ def test_chunk_tables_match_the_column_oracle(ctx):
         s1, u1 = min(s, n - 1), min(u, k - 1)
         fold.append(schoolbook_mul(ctx, p ** (s1 * k + u1), p ** ((s - s1) * k + u - u1)))
     fold_inputs = [0, 1, p ** len(fold) - 1] + [rng.randrange(p ** len(fold)) for _ in range(30)]
-    # the worst case of the slot width: one column per slot of a raw product,
-    # each with every digit p - 1, as the fold with the low slots in its total
-    worst = [ctx.order - 1] * ((2 * n - 1) * (2 * k - 1))
+    _assert_layout_map(ctx, ctx._red)
+    wide = (len(fold) * (p - 1) ** 2).bit_length()
+    cols = [_pack(v, p, wide) for v in fold]
+    for a in fold_inputs:
+        want = _unpack(linear_map_by_columns(cols, a, p), p, wide)
+        assert ctx._from_layout(ctx._fold(ctx._red, _pack(a, p, ctx._W))) == want, a
+    # the worst case of the maps' slot width: kn columns, each with every
+    # digit p - 1
+    worst = [ctx.order - 1] * (k * n)
     maps = [
         (ctx._frob_map(1), [frobenius_by_powering(ctx, u, 1) for u in units], elements),
         (ctx._frob_map(ctx._frob_w), [frobenius_by_powering(ctx, u, ctx._frob_w) for u in units],
          elements),
         (ctx._map_tables([_pack(v, p, bits) for v in times_g]), times_g, elements),
-        (ctx._red, fold, fold_inputs),
         (ctx._map_tables([_pack(v, p, bits) for v in worst]), worst, [p ** len(worst) - 1]),
     ]
     for tables, images, inputs in maps:
@@ -408,20 +422,21 @@ LARGE_Q_FIELDS = [(17, 1, 7), (257, 1, 4), (65537, 1, 2)]
 
 
 def _count_products(ctx, fn, *args):
-    """fn(*args) and the number of ctx._mul_poly calls it made."""
+    """fn(*args) and the number of products (ctx._product calls, which
+    ctx._mul_poly makes one of) it made."""
     calls = 0
-    inner = ctx._mul_poly
+    inner = ctx._product
 
     def counted(a, b):
         nonlocal calls
         calls += 1
         return inner(a, b)
 
-    ctx._mul_poly = counted
+    ctx._product = counted
     try:
         return fn(*args), calls
     finally:
-        del ctx._mul_poly
+        del ctx._product
 
 
 @pytest.mark.parametrize("spec", BASE_Q_FIELDS + LARGE_Q_FIELDS, ids=str)
@@ -453,8 +468,10 @@ def test_pow_and_is_primitive_match_the_ladder(spec):
                 assert got == power_by_ladder(ctx, a, e, schoolbook), (a, e)
     # every map built on the way is small; for q > 16 a q-entry table would
     # not fit at all
-    for tables in ctx._frob[1:] + [ctx._red]:
+    for tables in ctx._frob[1:]:
         _assert_small_tables(ctx, tables)
+    _assert_layout_map(ctx, ctx._red)
+    _assert_layout_map(ctx, ctx._step)
 
 
 def test_field_with_p_near_2_to_31():
@@ -484,8 +501,9 @@ def check_field_with_p_near_2_to_31():
     a = 5 + 7 * p
     assert ctx._mul_poly(ctx.pow(a, ctx.order - 2), a) == 1
     assert ctx.is_primitive(a) == primitive_by_ladder(ctx, a)
-    for tables in ctx._frob[1:] + [ctx._red]:
+    for tables in ctx._frob[1:]:
         _assert_small_tables(ctx, tables)
+    _assert_layout_map(ctx, ctx._red)
 
 
 def _assert_exp_log_tables(ctx, oracle):
