@@ -13,8 +13,10 @@ median and quartiles per side, every run, and the number of pairs in which
 the change was better.  Layer rows come from traced jobs of repeat 0 only
 (perfbench/job.py --trace 1 on the seed itself), so both sides time the same
 inputs.  Each ``--cli`` command runs ``python3 -m pnfield.cli`` in both
-checkouts, alternating, and records its wall time and whether the two
-outputs are byte-identical.  Runs go one at a time, never in parallel.
+checkouts, alternating, and records its wall time, its peak RSS and whether
+the two outputs are byte-identical.  Every ``--layers`` name is checked on
+one traced job of the change side before the first pair runs.  Runs go one
+at a time, never in parallel.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -106,7 +109,9 @@ def end_to_end_rows(sides: dict, workload: str, seed: int, pairs: int, seconds: 
 
 def check_layers(record: dict, workload: str, metrics: list):
     """Stop with a message at the first metric that names neither a layer
-    called in the record nor one of its work counts."""
+    called in the record nor one of its work counts.  main checks every
+    ``--layers`` name on one traced job of the change side before any pair
+    runs."""
     for metric in metrics:
         head, _, part = metric.rpartition(".")
         traced = part in ("calls", "total_s", "self_s")
@@ -119,10 +124,7 @@ def layer_rows(sides: dict, workload: str, seed: int, metrics: list, runs: int) 
     records = {"parent": [], "change": []}
     for i in range(runs):
         for name, checkout in ordered(i, sides):
-            record = traced_job(checkout, workload, seed)
-            if not any(records.values()):
-                check_layers(record, workload, metrics)
-            records[name].append(record)
+            records[name].append(traced_job(checkout, workload, seed))
     rows = []
     for metric in metrics:
         vals = {name: [layer_value(r, metric) for r in recs] for name, recs in records.items()}
@@ -135,19 +137,37 @@ def layer_rows(sides: dict, workload: str, seed: int, metrics: list, runs: int) 
     return rows
 
 
+def cli_run(checkout: Path, command: str) -> tuple:
+    """One ``pnfield`` run: its stdout, wall seconds and peak RSS in MB, the
+    last read from the child's own rusage (os.wait4, ru_maxrss in KiB)."""
+    args = [sys.executable, "-m", "pnfield.cli", *shlex.split(command)]
+    with tempfile.TemporaryFile() as err:
+        start = time.perf_counter()
+        proc = subprocess.Popen(args, cwd=checkout, env=_env(checkout), stdout=subprocess.PIPE, stderr=err)
+        out = proc.stdout.read()
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - start
+        proc.stdout.close()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise subprocess.CalledProcessError(proc.returncode, args, out, err.read())
+    return out, wall, usage.ru_maxrss / 1024
+
+
 def cli_rows(sides: dict, command: str, runs: int) -> dict:
-    walls = {"parent": [], "change": []}
+    walls, rss = {"parent": [], "change": []}, {"parent": [], "change": []}
     digests = {}
     for i in range(runs):
         for name, checkout in ordered(i, sides):
-            start = time.perf_counter()
-            proc = subprocess.run([sys.executable, "-m", "pnfield.cli", *shlex.split(command)],
-                                  cwd=checkout, env=_env(checkout), capture_output=True, check=True)
-            walls[name].append(time.perf_counter() - start)
-            digests.setdefault(name, set()).add(hashlib.sha256(proc.stdout).hexdigest())
+            out, wall, peak = cli_run(checkout, command)
+            walls[name].append(wall)
+            rss[name].append(peak)
+            digests.setdefault(name, set()).add(hashlib.sha256(out).hexdigest())
     return {
         "command": f"pnfield {command}",
         "parent_wall_s": walls["parent"], "change_wall_s": walls["change"],
+        "parent_peak_rss_mb": rss["parent"], "change_peak_rss_mb": rss["change"],
         "byte_identical": len(digests["parent"] | digests["change"]) == 1,
         "sha256": sorted(digests["change"]),
     }
@@ -195,14 +215,16 @@ def main(argv=None) -> int:
     def save():  # after every section, so that a failure keeps what ran
         args.out.write_text(json.dumps(report, indent=1) + "\n")
 
+    layers = [(workload, names.split(",")) for workload, _, names in
+              (spec.partition(":") for spec in args.layers)]
+    for workload, names in layers:  # a wrong name stops the run before any pair
+        check_layers(traced_job(sides["change"], workload, args.seed), workload, names)
     for workload, pairs in _mapping(args.pairs, int).items():
         report["end_to_end"][workload] = end_to_end_rows(sides, workload, args.seed, pairs,
                                                          args.seconds)
         save()
-    for spec in args.layers:
-        workload, _, names = spec.partition(":")
-        report["layers"][workload] = layer_rows(sides, workload, args.seed, names.split(","),
-                                                args.traced_runs)
+    for workload, names in layers:
+        report["layers"][workload] = layer_rows(sides, workload, args.seed, names, args.traced_runs)
         save()
     for command in args.cli:
         report["cli"].append(cli_rows(sides, command, args.cli_runs))

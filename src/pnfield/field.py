@@ -13,13 +13,15 @@ exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
 r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
 Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
-elements themselves; "times g", Frobenius and r∘ are applied through one
-kernel, a table of column sums per chunk of base-p digits for p <= 3 (see
-_map_tables), the fold and the steps of a power (below) through _fold.
-The reference primitive normal element τ is the first element set in both
-masks, and the exp/log tables of τ are read off the powers of g.  The cap is
-the one boundary for data about the whole field: above it there is no τ, no
-class count and no table, and asking for them raises ResourceLimitError.
+elements themselves; Frobenius and r∘ apply per element through one kernel, a
+table of column sums per chunk of base-p digits for p <= 3 (see _map_tables),
+the fold and the steps of a power (below) through _fold.  The pass tabulates
+"times g" and each image r∘F at every element at once (_span), so a power of
+g costs one index.  The reference primitive normal element τ is the first
+element set in both masks, and the exp/log tables of τ are read off the
+powers of g.  The cap is the one boundary for data about the whole field:
+above it there is no τ, no class count and no table, and asking for them
+raises ResourceLimitError.
 
 The module action r∘α = Σ r_i·α^(q^i) is such a map for each fixed r.  Each
 divisor d of x^n - 1 that the whole-field pass, is_normal (the cofactors) or
@@ -60,6 +62,8 @@ import functools
 import itertools
 import math
 import operator
+import sys
+from array import array
 
 from .errors import ConsistencyError, FieldSpecError, ResourceLimitError
 from .numtheory import Factorization, factorize, is_prime
@@ -123,8 +127,8 @@ class FieldCtx:
         self._W, self._budget, self._mod8 = ring.W, getattr(ring, "budget", 0), bytes(v % fq.p for v in range(256))
         per, stride = self._budget // self.k or n, (2 * self.k - 1) * self._W
         self._cuts = [((1 << per * stride) - 1) << i * stride for i in range(0, n, per)] if self._budget else []
-        # the maps' slots hold kn digits times a column in at least 8 bits: no
-        # map ("times g", once per element of a whole-field pass) normalizes
+        # the maps' slots hold kn digits times a column in at least 8 bits, so
+        # that no application of a map (see _apply_map) normalizes mid-sum
         self._bits = 1 if self.p == 2 else max(8, (self.k * n * (self.p - 1) ** 2).bit_length())
         self._digit_chars = bytes(b"0123456789abc"[v % self.p] for v in range(256)) if self.p <= 13 else None
         # the fold of a raw product (see _ensure_red), the number of its low
@@ -261,6 +265,50 @@ class FieldCtx:
         if bits != 8:
             return _unpack(v, self.p, bits)
         return int(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big").translate(self._digit_chars), self.p)
+
+    def _span(self, cols: list) -> array:
+        """Every F_p-combination of the elements cols in enumeration order, entry
+        j being Σ j_d·cols[d] over the base-p digits j_d of j ("times g" on the
+        whole field for cols[d] = g·p^d), by the digit recursion of _map_tables
+        on big integers of records: for p = 2 elements in 32-bit words, summed
+        by XOR; for odd p kn digits in w-byte slots, a slot x + c >= p (its top
+        bit set after adding 2^(8w - 1) - p) taking p off.  The first cut
+        columns make a table of at most max(p, 2^14) records in log2(p) sums
+        each (entries v + s are entries v plus s times the column); each
+        combination of the rest gives one block of it, read back into 32-bit
+        words by Horner over its strided digit planes."""
+        p, kn, out = self.p, self.k * self.n, array("I")
+        w = 4 if p == 2 else (p.bit_length() + 8) // 8
+        top, rec, cut = 8 * w - 1, 4 if p == 2 else kn * w, max(1, int(14 / math.log2(p)))
+
+        def plus(data: bytes, a: int) -> bytes:  # each record of data plus the element a
+            v, size = int.from_bytes(data, "little"), len(data)
+            col = int.from_bytes(_pack(a, p, top + 1).to_bytes(rec, "little") * (size // rec), "little")
+            if p == 2:
+                return (v ^ col).to_bytes(size, "little")
+            ones = int.from_bytes((b"\1" + bytes(w - 1)) * (size // w), "little")
+            u = v + col + (ones << top) - p * ones
+            return (u - (ones << top) + (~u >> top & ones) * p).to_bytes(size, "little")
+
+        table = bytes(rec)
+        for col in cols[:cut]:
+            unit, s = len(table), 1
+            while s < p:
+                table += plus(table[:unit * min(s, p - s)], _add_digits(p, 0, col, s))
+                s *= 2
+        for h in self._span(cols[cut:]) if len(cols) > cut else [0]:
+            data = plus(table, h)
+            if p > 2:
+                words, total = bytearray(len(data) // rec * 4), 0
+                for e in reversed(range(kn)):
+                    for i in range(w):
+                        words[i::4] = data[e * w + i::rec]
+                    total = total * p + int.from_bytes(words, "little")
+                data = total.to_bytes(len(words), "little")
+            out.frombytes(data)
+        if sys.byteorder == "big":
+            out.byteswap()
+        return out
 
     def _compose(self, outer: list, inner: list) -> list:
         """outer∘inner for two maps: outer applied to the packed images p^d of
@@ -419,10 +467,10 @@ class FieldCtx:
 
         α is non-normal iff (x^n - 1)/r kills it for some irreducible r, and
         that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
-        Each image is grown greedily from the span of these generators; the
-        normal mask comes first so that the spans are freed before the powers
-        of g are built, each from the last by the F_p-linear map "times g",
-        whose columns are g·p^d.
+        Each image is the span (_span) of the generators that the span of
+        those before them misses.  The powers of g are built each from the
+        last by one index into the table of the F_p-linear map "times g" on
+        the whole field (_span of its columns g·p^d), dropped once they are.
         """
         if self.order > _TABLE_CAP:
             raise ResourceLimitError(
@@ -430,44 +478,36 @@ class FieldCtx:
                 f"cap 2^{_TABLE_CAP.bit_length() - 1} for whole-field data"
             )
         order, m = self.order, self.order - 1
-        p, add = self.p, self.add
+        p, t = self.p, len(self.add_factorization.entries)
         norm = bytearray([1]) * order
-        norm[0] = 0
-        t = len(self.add_factorization.entries)
         for i in range(t):
-            span = [0]
-            member = bytearray(order)
-            member[0] = 1
+            basis, image, member = [], [0], bytearray([1]) + bytearray(order - 1)
             for d in range(self.k * self.n):
                 v = self.divisor_action(tuple(int(j == i) for j in range(t)), p**d)
-                if member[v]:
-                    continue
-                grown = []
-                w = v
-                for _ in range(p - 1):
-                    grown += [add(s, w) for s in span]
-                    w = add(w, v)
-                for a in grown:
-                    member[a] = 1
-                span += grown
-            for a in span:
+                if not member[v]:
+                    basis.append(v)
+                    image = self._span(basis)
+                    for a in image:
+                        member[a] = 1
+            for a in image:
                 norm[a] = 0
         g = next(a for a in range(1, order) if self.is_primitive(a))
-        cols = [_pack(self._mul_poly(g, p**d), p, self._bits) for d in range(self.k * self.n)]
-        times_g = self._map_tables(cols)
-        exp_g = [0] * m
-        cur = 1
+        times_g = self._span([self._mul_poly(g, p**d) for d in range(self.k * self.n)])
+        exp_g, cur = array("I", [0]) * m, 1
         for i in range(m):
             exp_g[i] = cur
-            cur = self._apply_map(times_g, cur)
+            cur = times_g[cur]
+        del times_g
         if cur != 1:
+            raise ConsistencyError(f"{m} steps of the map 'times {g}' do not return to 1")
+        if any(exp_g[m // r] == 1 for r in self.mult_factorization.primes()):
             raise ConsistencyError(f"first primitive element {g} has order below {m}")
         sieve = bytearray([1]) * m
         for r in self.mult_factorization.primes():
             sieve[::r] = bytes(len(range(0, m, r)))
         prim = bytearray(order)
-        for e in itertools.compress(range(m), sieve):
-            prim[exp_g[e]] = 1
+        for a in itertools.compress(exp_g, sieve):
+            prim[a] = 1
         both = _mask_int(prim) & _mask_int(norm)
         if both:
             self._tau = ((both & -both).bit_length() - 1) // 8

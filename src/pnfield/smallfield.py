@@ -22,7 +22,7 @@ _TABLE_CAP = 512
 
 
 def _add_digits(p: int, a: int, b: int, sign: int = 1) -> int:
-    """Digit-wise a + sign·b mod p of two base-p digit vectors (sign is ±1).
+    """Digit-wise a + sign·b mod p of two base-p digit vectors (sign an integer).
 
     Elements of F_q and of F_{q^n} are both base-p digit vectors, so this one
     loop serves add, sub and neg on every floor of the tower.

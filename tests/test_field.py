@@ -10,7 +10,7 @@ import pytest
 
 from pnfield.claims import enumerate_field_specs
 from pnfield.counting import exact_counts
-from pnfield.errors import ResourceLimitError
+from pnfield.errors import ConsistencyError, ResourceLimitError
 from pnfield.field import _pack, _unpack, build_field, get_field, parse_field_spec
 from pnfield.numtheory import euler_phi
 from pnfield.polyfq import poly_mul, poly_phi, poly_trim
@@ -539,8 +539,69 @@ def test_whole_field_pass_matches_per_element_tests():
 
 @pytest.mark.parametrize("spec", [(3, 3, 3), (2, 2, 7)], ids=str)
 def test_whole_field_pass_tables_on_census_fields(spec):
-    # the powers of g come from the chunk tables of "times g"
+    # the powers of g come from the whole-field table of "times g" (_span),
+    # one index per power
     _assert_exp_log_tables(build_field(*spec), build_field(*spec))
+
+
+SPAN_FIELDS = [(2, 1, 10), (3, 1, 7), (3, 3, 2), (5, 1, 5), (7, 1, 4), (13, 1, 4), (13, 2, 2),
+               (17, 1, 3), (61, 1, 2), (257, 1, 2)]
+
+
+@pytest.mark.parametrize("spec", SPAN_FIELDS, ids=str)
+def test_span_matches_the_map_kernel_at_every_element(spec):
+    # _span tabulates at every element what _apply_map computes at one: for
+    # "times g" of a seeded g, and for kn columns with every digit p - 1,
+    # whose sums are the largest
+    ctx = build_field(*spec)
+    p, kn = ctx.p, ctx.k * ctx.n
+    g = random.Random(18).randrange(2, ctx.order)
+    for cols in ([ctx._mul_poly(g, p**d) for d in range(kn)], [ctx.order - 1] * kn):
+        table = ctx._span(cols)
+        tables = ctx._map_tables([_pack(c, p, ctx._bits) for c in cols])
+        assert len(table) == ctx.order
+        assert all(table[a] == ctx._apply_map(tables, a) for a in range(ctx.order)), (ctx, cols)
+
+
+CENSUS_FIELDS = [(13, 1, 4), (2, 1, 14), (3, 3, 3), (2, 2, 7), (5, 1, 6), (7, 1, 5)]
+
+
+@pytest.mark.parametrize("spec", CENSUS_FIELDS, ids=str)
+def test_powers_of_g_match_an_independent_context(spec):
+    # exp_g[i] = g^i: every power by products on a fresh context, and a
+    # seeded sample of exponents by its pow
+    ctx, oracle = build_field(*spec), build_field(*spec)
+    ctx.find_reference_primitive_normal()
+    exp_g, m = ctx._exp_g, ctx.order - 1
+    g = exp_g[1]
+    assert len(exp_g) == m and oracle.is_primitive(g)
+    assert g == next(a for a in range(1, ctx.order) if oracle.is_primitive(a))
+    cur = 1
+    for i in range(m):
+        assert exp_g[i] == cur, (ctx, i)
+        cur = oracle._mul_poly(cur, g)
+    assert cur == 1
+    for i in random.Random(18).sample(range(m), 50):
+        assert exp_g[i] == oracle.pow(g, i), (ctx, i)
+
+
+def test_whole_field_pass_rejects_a_non_primitive_g(monkeypatch):
+    # g^m = 1 for every g != 0, so only the powers g^(m/r) show that the g
+    # the pass starts from is not primitive
+    ctx, oracle = build_field(3, 1, 4), build_field(3, 1, 4)
+    bad = next(a for a in range(2, ctx.order) if not oracle.is_primitive(a))
+    monkeypatch.setattr(ctx, "is_primitive", lambda a: a == bad)
+    with pytest.raises(ConsistencyError, match="order below"):
+        ctx.find_reference_primitive_normal()
+
+
+def test_whole_field_pass_rejects_a_wrong_map(monkeypatch):
+    # a "times g" table whose last column is lost never brings 1 back
+    ctx = build_field(3, 1, 4)
+    span, kn = ctx._span, ctx.k * ctx.n
+    monkeypatch.setattr(ctx, "_span", lambda cols: span(cols[:-1] + [0] if len(cols) == kn else cols))
+    with pytest.raises(ConsistencyError, match="do not return to 1"):
+        ctx.find_reference_primitive_normal()
 
 
 @pytest.mark.parametrize("spec,counts,tau", [
