@@ -16,7 +16,8 @@ inputs.  Each ``--cli`` command runs ``python3 -m pnfield.cli`` in both
 checkouts, alternating, and records its wall time, its peak RSS and whether
 the two outputs are byte-identical.  Every ``--layers`` name is checked on
 one traced job of the change side before the first pair runs.  Runs go one
-at a time, never in parallel.
+at a time, never in parallel.  ``source_lines`` records the lines of
+src/pnfield/*.py in each checkout, the net source lines ROADMAP.md tracks.
 """
 
 from __future__ import annotations
@@ -43,6 +44,11 @@ def _env(checkout: Path) -> dict:
 
 def _last_json(stdout: str) -> dict:
     return json.loads(stdout.strip().splitlines()[-1])
+
+
+def source_lines(checkout: Path) -> int:
+    """The lines of src/pnfield/*.py, as ``cat src/pnfield/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src" / "pnfield").glob("*.py"))
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
@@ -209,6 +215,7 @@ def main(argv=None) -> int:
         "host": f"Python {sys.version.split()[0]}, {os.cpu_count()} cores; workload times are "
                 "perfbench's host-speed-corrected seconds, CLI times are measured",
         "command": " ".join(["python3", *(shlex.quote(_label(a, sides, args.out)) for a in sys.argv)]),
+        "source_lines": {name: source_lines(path) for name, path in sides.items()},
         "end_to_end": {}, "layers": {}, "cli": [],
     }
 

@@ -11,15 +11,15 @@ Up to the table cap a whole-field pass classifies every element at once: the
 powers of the first primitive element g give the primitive mask by a sieve on
 exponents (g^e is primitive iff gcd(e, q^n - 1) = 1), and the non-normal
 elements are the union of the images r∘F_{q^n} over the irreducible factors
-r(x) of x^n - 1.  Every F_p-linear map used here (r∘, the trace, "times g",
-Frobenius) is fixed by its images of the kn base-p unit vectors p^d, which are
-elements themselves; Frobenius and r∘ apply per element through one kernel, a
-table of column sums per chunk of base-p digits for p <= 3 (see _map_tables),
-the fold and the steps of a power (below) through _fold.  The pass tabulates
-"times g" and each image r∘F at every element at once (_span), so a power of
-g costs one index.  The reference primitive normal element τ is the first
-element set in both masks, and the exp/log tables of τ are read off the
-powers of g.  The cap is the one boundary for data about the whole field:
+r(x) of x^n - 1.  Every F_p-linear map used here (Frobenius, the trace, r∘,
+"times g", and below the fold of a product and the Horner step of a power) is
+fixed by its columns, the images of the base-p unit vectors, normalized in
+polyfq's slots, and applied by one kernel, _fold: for p = 2 one XOR table per
+byte of slots (_map), for odd p polyfq's applier, shared with F_q[x].  The
+pass tabulates "times g" and each image r∘F at every element at once (_span),
+so a power of g costs one index.  The reference primitive normal element τ is
+the first element set in both masks, and the exp/log tables of τ are read off
+the powers of g.  The cap is the one boundary for data about the whole field:
 above it there is no τ, no class count and no table, and asking for them
 raises ResourceLimitError.
 
@@ -39,8 +39,8 @@ two such integers (polyfq._clmul for p = 2) is their product in F_p[x, y].  Its
 slot sums up to n·k·(p - 1)^2; where that could pass the slot's budget, one
 factor is cut into planes whose products are added and normalized in turn (a
 bytes.translate for 8-bit slots).  The fold adds back every slot that is not
-yet a digit of the result in its place, by columns that are the slots'
-monomials x^s·y^u reduced mod (f, m), normalizing mid-sum where it must.
+yet a digit of the result in its place, by the map whose columns are the
+slots' monomials x^s·y^u reduced mod (f, m).
 
 Powers (pow, and through it inv and norm, the multiplicative order and
 is_primitive) stay in the product layout from α, converted on entry, to the
@@ -119,27 +119,19 @@ class FieldCtx:
         self.mult_factorization = mult_factorization
         self.add_factorization = add_factorization
         self.op_count = 0
-        # the product layout (see _to_layout) has polyfq's slots, W bits that
-        # take `budget` additions of a digit times a normalized vector; a raw
-        # product slot sums n·k of them, so for odd p b is cut into planes of
-        # budget/k coefficients (see _product)
-        ring = _packed(fq)
-        self._W, self._budget, self._mod8 = ring.W, getattr(ring, "budget", 0), bytes(v % fq.p for v in range(256))
-        per, stride = self._budget // self.k or n, (2 * self.k - 1) * self._W
-        self._cuts = [((1 << per * stride) - 1) << i * stride for i in range(0, n, per)] if self._budget else []
-        # the maps' slots hold kn digits times a column in at least 8 bits, so
-        # that no application of a map (see _apply_map) normalizes mid-sum
-        self._bits = 1 if self.p == 2 else max(8, (self.k * n * (self.p - 1) ** 2).bit_length())
+        # vectors, map columns (see _map) and the product layout (see
+        # _to_layout) have the W-bit slots of polyfq's ring, which applies maps
+        # and normalizes; a raw product slot sums n·k digits times a normalized
+        # vector, so for odd p b is cut into planes of budget/k (see _product)
+        ring = self._ring = _packed(fq)
+        self._W = ring.W
+        per, stride = getattr(ring, "budget", 0) // self.k or n, (2 * self.k - 1) * self._W
+        self._cuts = [((1 << per * stride) - 1) << i * stride for i in range(0, n, per)] if self.p > 2 else []
         self._digit_chars = bytes(b"0123456789abc"[v % self.p] for v in range(256)) if self.p <= 13 else None
         # the fold of a raw product (see _ensure_red), the number of its low
         # slots that are already digits of the result in their place, and
         # Frob^w in the product layout (see _frob_step)
         self._red, self._low, self._step = None, n if self.k == 1 else self.k, None
-        # F_p-linear maps are applied by chunks of c base-p digits, with c the
-        # largest such that p^c <= 16, and at least 1: tables of at most 16
-        # entries, and none for p >= 5 (see _map_tables)
-        self._chunk = max([1] + [c for c in (2, 3, 4) if self.p**c <= 16])
-        self._chunk_base = self.p**self._chunk
         # _frob[i] holds the map of Frob^i, grown on first use
         self._frob = [None]
         # exponents are read in base Q = q^w, with w the largest w < n such
@@ -158,7 +150,7 @@ class FieldCtx:
         self._exp_g = None
         self._prim_mask = None
         self._norm_mask = None
-        # the trace as a map from its values tr(p^d), d < kn (see _map_tables)
+        # the trace as a map from its values tr(p^d), d < kn (see _map)
         self._trace_map = None
         m = max(self.order - 1, 1)
         self._qpow = [pow(self.q, i, m) for i in range(n)]
@@ -215,68 +207,57 @@ class FieldCtx:
 
     # -- F_p-linear maps --------------------------------------------------------
 
-    def _map_tables(self, cols: list[int], c: int = 0) -> list:
-        """The F_p-linear map with packed columns cols (the images of p^d) for
-        _apply_map: for p = 2, 3 one table per chunk of c (or _chunk) columns,
-        entry j of table t being Σ j_e·cols[tc + e] over the base-p digits j_e
-        of j, built digit by digit; for p >= 5, where a chunk is one digit and
-        a lookup saves nothing over a product, cols itself."""
-        p, c = self.p, c or self._chunk
-        if c == 1:
+    def _map(self, cols: list) -> list:
+        """The F_p-linear map with columns cols (normalized, in polyfq's slots)
+        as _fold applies it: for odd p cols itself; for p = 2 one XOR table per
+        byte of slots, entry j of table t summing cols[8t + e] over the bits e
+        of j, an array('Q') where every column fits in 64 bits."""
+        if self.p > 2:
             return cols
-        add = operator.xor if p == 2 else operator.add
-        tables = []
-        for t in range(0, len(cols), c):
+        wide, tables = any(col >> 64 for col in cols), []
+        for t in range(0, len(cols), 8):
             table = [0]
-            for col in cols[t:t + c]:
-                table = [add(j * col, x) for j in range(p) for x in table]
-            tables.append(table)
+            for col in cols[t:t + 8]:
+                table += [x ^ col for x in table]
+            tables.append(table if wide else array("Q", table))
         return tables
 
-    def _map_total(self, tables: list, a: int) -> int:
-        """The map from _map_tables applied to a as a packed total: a lookup per
-        chunk of base-p digits of a (a product per digit for p >= 5), summed."""
-        p, c, base = self.p, self._chunk, self._chunk_base
-        total = 0
-        if p == 2:
-            for table in tables:
-                total ^= table[a & (base - 1)]
-                a >>= c
-            return total
-        for table in tables:
-            a, j = divmod(a, base)
-            total += j * table if c == 1 else table[j]
-        return total
+    def _columns(self, m: list) -> list:
+        """The columns of a map from _map; a last table of 2^r entries holds r."""
+        if self.p > 2:
+            return m
+        return [table[1 << e] for table in m for e in range(len(table).bit_length() - 1)]
 
-    def _apply_map(self, tables: list, a: int) -> int:
-        """The map from _map_tables applied to the element a, as an element."""
-        total = self._map_total(tables, a)
-        return total if self.p == 2 else self._read(total, self._bits)
+    def _fold(self, m: list, v: int, total: int = 0) -> int:
+        """total plus the map m (see _map) applied to the normalized vector v,
+        normalized, for every map (the fold and the Horner step too): for p = 2
+        a lookup per byte of v, for odd p polyfq's applier _apply."""
+        if self.p == 2:
+            return functools.reduce(operator.xor, map(operator.getitem, m, v.to_bytes(len(m), "little")), total)
+        return self._ring._apply(v, m, total)
 
-    def _reduce(self, v: int, bits: int) -> int:
-        """Every bits-wide slot of v reduced mod p, for 8 bits by a translate."""
-        if bits != 8:
-            return _pack(_unpack(v, self.p, bits), self.p, bits)
-        return int.from_bytes(v.to_bytes((v.bit_length() + 7) // 8, "little").translate(self._mod8), "little")
+    def _apply_map(self, m: list, a: int) -> int:
+        """The map m (see _map) applied to the element a, as an element."""
+        return self._fold(m, a) if self.p == 2 else self._read(self._ring._apply(_pack(a, self.p, self._W), m))
 
-    def _read(self, v: int, bits: int) -> int:
-        """The element whose base-p digits are the slots of v, reduced mod p:
-        for 8-bit slots one translate to ASCII digits for int(..., p)."""
-        if bits != 8:
-            return _unpack(v, self.p, bits)
+    def _read(self, v: int) -> int:
+        """The element whose base-p digits are the normalized slots of v: for
+        8-bit slots one translate to ASCII digits for int(..., p)."""
+        if self._W != 8:
+            return _unpack(v, self.p, self._W)
         return int(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big").translate(self._digit_chars), self.p)
 
     def _span(self, cols: list) -> array:
-        """Every F_p-combination of the elements cols in enumeration order, entry
-        j being Σ j_d·cols[d] over the base-p digits j_d of j ("times g" on the
-        whole field for cols[d] = g·p^d), by the digit recursion of _map_tables
-        on big integers of records: for p = 2 elements in 32-bit words, summed
-        by XOR; for odd p kn digits in w-byte slots, a slot x + c >= p (its top
-        bit set after adding 2^(8w - 1) - p) taking p off.  The first cut
-        columns make a table of at most max(p, 2^14) records in log2(p) sums
-        each (entries v + s are entries v plus s times the column); each
-        combination of the rest gives one block of it, read back into 32-bit
-        words by Horner over its strided digit planes."""
+        """The map with columns cols (elements, unlike _map's) at every element
+        at once, entry j being Σ j_d·cols[d] over the base-p digits j_d of j
+        ("times g" on the whole field for cols[d] = g·p^d), by a digit
+        recursion on big integers of records: for p = 2 elements in 32-bit
+        words, summed by XOR; for odd p kn digits in w-byte slots, a slot
+        x + c >= p (its top bit set after adding 2^(8w - 1) - p) taking p off.
+        The first cut columns make a table of at most max(p, 2^14) records in
+        log2(p) sums each (entries v + s are entries v plus s times the
+        column); each combination of the rest gives one block of it, read back
+        into 32-bit words by Horner over its strided digit planes."""
         p, kn, out = self.p, self.k * self.n, array("I")
         w = 4 if p == 2 else (p.bit_length() + 8) // 8
         top, rec, cut = 8 * w - 1, 4 if p == 2 else kn * w, max(1, int(14 / math.log2(p)))
@@ -311,11 +292,8 @@ class FieldCtx:
         return out
 
     def _compose(self, outer: list, inner: list) -> list:
-        """outer∘inner for two maps: outer applied to the packed images p^d of
-        inner, each total normalized in its slots."""
-        p, c, bits = self.p, self._chunk, self._bits
-        cols = inner if c == 1 else [inner[d // c][p ** (d % c)] for d in range(self.k * self.n)]
-        return self._map_tables([self._reduce(self._map_total(outer, self._read(col, bits)), bits) for col in cols])
+        """outer∘inner for two maps: outer applied to the columns of inner."""
+        return self._map([self._fold(outer, col) for col in self._columns(inner)])
 
     # -- multiplicative arithmetic ------------------------------------------
 
@@ -332,24 +310,7 @@ class FieldCtx:
     def _from_layout(self, v: int) -> int:
         """The element of a vector in the product layout with no digit in the
         slots i(2k - 1) + t, t >= k, as _product and _fold leave it."""
-        return self._read(self._regroup(v, 2 * self.k - 1, self.k), self._W)
-
-    def _fold(self, cols: list, v: int, total: int = 0) -> int:
-        """total plus the map cols of the product layout applied to its
-        normalized v, normalized: for p = 2 a lookup per byte of v in
-        _map_tables(columns, 8); for odd p the digit-weighted columns, summed
-        at once if the digits sum to at most budget·(p - 1), else by budgets."""
-        if self.p == 2:
-            return functools.reduce(operator.xor, map(operator.getitem, cols, v.to_bytes(len(cols), "little")),
-                                    total)
-        n, w, room = len(cols), self._W, self._budget
-        digits = v.to_bytes(n, "little") if w == 8 else [(v >> s * w) & ((1 << w) - 1) for s in range(n)]
-        if sum(digits) <= room * (self.p - 1):
-            return self._reduce(sum(map(operator.mul, digits, cols), total), w)
-        for start in range(0, n, room):
-            total = self._reduce(sum(map(operator.mul, digits[start:start + room], cols[start:start + room]),
-                                     total), w)
-        return total
+        return self._read(self._regroup(v, 2 * self.k - 1, self.k))
 
     def _ensure_red(self):
         # the fold: the map whose column for each slot of a raw product from
@@ -362,7 +323,7 @@ class FieldCtx:
             rows += [[fq.mul(y, c) for c in cur] for y in y_powers]
             cur = (0,) + cur if len(cur) < self.n else poly_mod(fq, (0,) + cur, self.ext_modulus)
         cols = [self._to_layout(self.encode(row)) for row in rows[self._low:]]
-        self._red = self._map_tables(cols, 8) if self.p == 2 else cols
+        self._red = self._map(cols)
 
     def _product(self, a: int, b: int) -> int:
         """a·b for normalized a, b in the product layout, in that layout: one
@@ -373,7 +334,7 @@ class FieldCtx:
             self._ensure_red()
         prod = _clmul(a, b) if self.p == 2 else 0
         for cut in self._cuts:
-            prod = self._reduce(prod + a * (b & cut), self._W)
+            prod = self._ring.normalize(prod + a * (b & cut))
         low = self._low * self._W
         return self._fold(self._red, prod >> low, prod & ((1 << low) - 1))
 
@@ -467,8 +428,8 @@ class FieldCtx:
 
         α is non-normal iff (x^n - 1)/r kills it for some irreducible r, and
         that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
-        Each image is the span (_span) of the generators that the span of
-        those before them misses.  The powers of g are built each from the
+        Each image is one table (_span) of its generators independent of those
+        before them (_independent).  The powers of g are built each from the
         last by one index into the table of the F_p-linear map "times g" on
         the whole field (_span of its columns g·p^d), dropped once they are.
         """
@@ -481,15 +442,10 @@ class FieldCtx:
         p, t = self.p, len(self.add_factorization.entries)
         norm = bytearray([1]) * order
         for i in range(t):
-            basis, image, member = [], [0], bytearray([1]) + bytearray(order - 1)
-            for d in range(self.k * self.n):
-                v = self.divisor_action(tuple(int(j == i) for j in range(t)), p**d)
-                if not member[v]:
-                    basis.append(v)
-                    image = self._span(basis)
-                    for a in image:
-                        member[a] = 1
-            for a in image:
+            unit = tuple(int(j == i) for j in range(t))
+            gens = [self.divisor_action(unit, p**d) for d in range(self.k * self.n)]
+            rows = (_pack(v, p, self._W) for v in gens)
+            for a in self._span(list(itertools.compress(gens, self._independent(rows)))):
                 norm[a] = 0
         g = next(a for a in range(1, order) if self.is_primitive(a))
         times_g = self._span([self._mul_poly(g, p**d) for d in range(self.k * self.n)])
@@ -575,13 +531,13 @@ class FieldCtx:
         return self._apply_map(self._frob_map(i), a)
 
     def _frob_map(self, i: int) -> list:
-        """The map of Frob^i, 1 <= i < n, from its packed images Frob^i(p^d)
-        for d < kn (see _map_tables).
+        """The map of Frob^i, 1 <= i < n, from its images Frob^i(p^d) for
+        d < kn (see _map).
 
         Frobenius fixes F_q, so Frob^1(c·x^j) = c·X^j with X = x^q, found by
         the digit ladder alone: _pow_poly needs these images and cannot make
-        them.  Frob^(i+1) is Frob^1 applied to the images of Frob^i, read
-        back from its map; each power is built on first use.
+        them, and _regroup takes them out of the product layout.  Frob^(i+1)
+        is Frob^1∘Frob^i; each power is built on first use.
         """
         frob, p, k = self._frob, self.p, self.k
         if len(frob) == 1:
@@ -592,26 +548,27 @@ class FieldCtx:
                 if j:
                     cur = self._product(cur, big_x)
                 images += [cur] + [self._product(self._to_layout(p**t), cur) for t in range(1, k)]
-            frob.append(self._map_tables([_pack(self._from_layout(v), p, self._bits) for v in images]))
+            frob.append(self._map([self._regroup(v, 2 * k - 1, k) for v in images]))
         while len(frob) <= i:
             frob.append(self._compose(frob[1], frob[-1]))
         return frob[i]
 
     def _frob_step(self) -> list:
         """Frob^w as a map of the product layout (see _fold), built on first
-        use: slot i(2k - 1) + t has the image of x^i·y^t, or 0 for t >= k."""
+        use: slot i(2k - 1) + t has the image of x^i·y^t, or 0 for t >= k; for
+        k = 1 that layout is the elements' own, and the map _frob_map(w)."""
         if self._step is None:
-            frob, p, k = self._frob_map(self._frob_w), self.p, self.k
-            cols = [self._to_layout(self._apply_map(frob, p ** (i * k + t))) if t < k else 0
-                    for i in range(self.n) for t in range(2 * k - 1)]
-            self._step = self._map_tables(cols, 8) if p == 2 else cols
+            step, k = self._frob_map(self._frob_w), self.k
+            if k > 1:
+                cols = iter(self._columns(step))
+                step = self._map([self._regroup(next(cols), k, 2 * k - 1) if t < k else 0
+                                  for _ in range(self.n) for t in range(2 * k - 1)])
+            self._step = step
         return self._step
 
     def _trace_slow(self, a: int) -> int:
-        total = 0
-        cur = a
-        kn = self.k * self.n
-        for _ in range(kn):
+        total, cur = 0, a
+        for _ in range(self.k * self.n):
             total = self.add(total, cur)
             cur = self.pow(cur, self.p)
         coords = self.decode(total)
@@ -622,8 +579,7 @@ class FieldCtx:
     def trace(self, a: int) -> int:
         """Absolute trace Σ α^(p^j) over j < kn, landing in F_p."""
         if self._trace_map is None:
-            self._trace_map = self._map_tables([self._trace_slow(self.p**d)
-                                                for d in range(self.k * self.n)])
+            self._trace_map = self._map([self._trace_slow(self.p**d) for d in range(self.k * self.n)])
         return self._apply_map(self._trace_map, a)
 
     def norm(self, a: int) -> int:
@@ -662,11 +618,11 @@ class FieldCtx:
         return total
 
     def _module_map(self, r: Poly) -> list:
-        """r∘ as a map (see _map_tables) from its images r∘p^d, uncounted."""
+        """r∘ as a map (see _map) from its images r∘p^d, uncounted."""
         count, units = self.op_count, [self.p**d for d in range(self.k * self.n)]
-        tables = self._map_tables([_pack(self.apply_linearized(r, u), self.p, self._bits) for u in units])
+        m = self._map([_pack(self.apply_linearized(r, u), self.p, self._W) for u in units])
         self.op_count = count
-        return tables
+        return m
 
     def _module_charge(self, r: Poly, a: int) -> int:
         """What apply_linearized(r, α) charges: one per nonzero coefficient,
@@ -678,28 +634,32 @@ class FieldCtx:
         """The map d∘ of the divisor d of x^n - 1 with exponent vector exps: a
         factor's by _module_map, r^j as r^(j - j//2)∘r^(j//2), and otherwise
         its first factor's power composed with the rest."""
-        tables = self._divisor_maps.get(exps)
-        if tables is None:
+        m = self._divisor_maps.get(exps)
+        if m is None:
             i = next((i for i, j in enumerate(exps) if j), 0)
             j, tail, rest = exps[i], (0,) * (len(exps) - i - 1), (0,) * (i + 1) + exps[i + 1:]
             if any(rest):
-                tables = self._compose(self._divisor_map(exps[:i + 1] + tail), self._divisor_map(rest))
+                m = self._compose(self._divisor_map(exps[:i + 1] + tail), self._divisor_map(rest))
             elif j > 1:
-                tables = self._compose(self._divisor_map(exps[:i] + (j - j // 2,) + tail),
-                                       self._divisor_map(exps[:i] + (j // 2,) + tail))
+                m = self._compose(self._divisor_map(exps[:i] + (j - j // 2,) + tail),
+                                  self._divisor_map(exps[:i] + (j // 2,) + tail))
             else:
-                tables = self._module_map(self.add_factorization.entries[i][0] if j else (1,))
-            self._divisor_maps[exps] = tables
-        return tables
+                m = self._module_map(self.add_factorization.entries[i][0] if j else (1,))
+            self._divisor_maps[exps] = m
+        return m
 
     def divisor_action(self, exps: tuple, a: int) -> int:
         """d∘α for the divisor d of x^n - 1 with exponent vector exps, by its
         map, charged as apply_linearized(d, α)."""
+        return self._read(self._divisor_image(exps, a, _pack(a, self.p, self._W)))
+
+    def _divisor_image(self, exps: tuple, a: int, v: int) -> int:
+        """divisor_action(exps, α) as a vector, for α packed as v."""
         key = (exps, bool(a) and self._log is None)
         if key not in self._divisor_charges:
             self._divisor_charges[key] = self._module_charge(self.add_factorization.divisor(exps), a)
         self.op_count += self._divisor_charges[key]
-        return self._apply_map(self._divisor_map(exps), a)
+        return self._fold(self._divisor_map(exps), v)
 
     def additive_order_exponents(self, a: int) -> tuple[int, ...]:
         """Ord(α) as its exponent vector over add_factorization.entries: from
@@ -707,11 +667,11 @@ class FieldCtx:
         divisor left, applied by its map, still kills α; the zero vector
         (the constant 1) for α = 0.
         """
-        exps = list(self.add_factorization.exponents())
+        exps, v = list(self.add_factorization.exponents()), _pack(a, self.p, self._W)
         for i, e in enumerate(self.add_factorization.exponents()):
             for _ in range(e):
                 exps[i] -= 1
-                if self.divisor_action(tuple(exps), a) != 0:
+                if self._divisor_image(tuple(exps), a, v) != 0:
                     exps[i] += 1
                     break
         return tuple(exps)
@@ -765,19 +725,28 @@ class FieldCtx:
                 self._cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
                 for cof in self._cofactors:
                     self._divisor_map(cof)
-            return a != 0 and all(self.divisor_action(cof, a) != 0 for cof in self._cofactors)
+            v = _pack(a, self.p, self._W)
+            return a != 0 and all(self._divisor_image(cof, a, v) != 0 for cof in self._cofactors)
         if method == "rank":
             return self._is_normal_rank(a)
         raise ValueError(f"unknown normality method {method!r}")
 
     def _is_normal_rank(self, a: int) -> bool:
         """Full F_p-rank kn of the rows y^t·α^(q^i), t < k, i < n, packed as
-        polyfq packs F_q[x], where y^t·v is a digit plane of v: each row is
-        reduced by the basis row of its leading slot, XOR for p = 2."""
-        ring, p, orbit, basis = _packed(self.fq), self.p, [a], {}  # basis: top slot -> monic row
+        polyfq packs F_q[x], where y^t·v is a digit plane of v; it stops at
+        the first dependent row."""
+        orbit = [a]
         for _ in range(self.n):
             orbit.append(self.frobenius(orbit[-1], 1))
-        for v in (plane for x in orbit[:-1] for plane in ring._planes(_pack(x, p, ring.W))):
+        planes = (plane for x in orbit[:-1] for plane in self._ring._planes(_pack(x, self.p, self._W)))
+        return all(self._independent(planes))
+
+    def _independent(self, rows):
+        """For each normalized packed row, whether it is outside the F_p-span of
+        the rows before it: reduced by the basis row of each leading slot (XOR
+        for p = 2), what is left joins the basis, made monic."""
+        ring, p, basis = self._ring, self.p, {}  # basis: top slot -> monic row
+        for v in rows:
             while v:
                 top = (v.bit_length() - 1) // ring.W
                 lead, b = v >> top * ring.W, basis.get(top)
@@ -785,9 +754,7 @@ class FieldCtx:
                     basis[top] = ring.normalize(v * pow(lead, -1, p))
                     break
                 v = v ^ b if p == 2 else ring.normalize(v + (p - lead) * b)
-            else:
-                return False  # rank deficit is already fatal
-        return True
+            yield bool(v)
 
     def is_primitive_normal(self, a: int) -> bool:
         if a == 0:

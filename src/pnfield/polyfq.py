@@ -12,6 +12,8 @@ for odd p a slot is wide enough for the integer sums between two reductions
 of every slot mod p.  Other products, and Euclid's multiples of a divisor b,
 are sums of its digit planes y^t·b; h -> h^q mod f is k squarings for p = 2
 and for odd p the F_p-linear map of the Q-matrix (von zur Gathen and Shoup).
+Every such map (a product's, the Q-matrix, the root sieve's, and for odd p
+every map of field.py) runs through one applier, _Packed._apply.
 
 Ben-Or's irreducibility test (1981) and the factorization of x^n - 1 (by
 degree, then within each degree by Cantor and Zassenhaus 1981) run packed
@@ -426,25 +428,21 @@ class _Packed:
                 out = reduce(self.mul(out, a))
         return out
 
-    def _apply(self, h: int, cols: list) -> int:
-        """Σ h_s·cols[s] over the slots s of h: the F_p-linear map with
-        columns cols (normalized, and at least as many as h has slots)."""
+    def _apply(self, h: int, cols: list, total: int = 0) -> int:
+        """total + Σ h_s·cols[s] over the slots s of h, normalized: the F_p-linear
+        map with normalized columns cols (at least as many as h has slots), for
+        field.py too.  For odd p the columns weighted by the digits are summed at
+        once if the digits sum to at most budget·(p - 1), else budget at a time."""
         if self.p == 2:
-            return self._sum_planes(map(int, bin(h)[:1:-1]), cols)
-        n, W, budget = len(cols), self.W, self.budget
-        if self._mod8 is not None:
-            digits = h.to_bytes(n, "little")
-        else:
-            mask = (1 << W) - 1
-            digits = [(h >> s * W) & mask for s in range(n)]
-        acc = count = 0
-        for v, col in zip(digits, cols):
-            if v:
-                acc += v * col
-                count += 1
-                if count == budget:
-                    acc, count = self.normalize(acc), 0
-        return self.normalize(acc)
+            return total ^ self._sum_planes(map(int, bin(h)[:1:-1]), cols)
+        n, W, room = len(cols), self.W, self.budget
+        digits = h.to_bytes(n, "little") if W == 8 else [(h >> s * W) & ((1 << W) - 1) for s in range(n)]
+        if sum(digits) <= room * (self.p - 1):
+            return self.normalize(sum(map(operator.mul, digits, cols), total))
+        for start in range(0, n, room):
+            total = self.normalize(sum(map(operator.mul, digits[start:start + room], cols[start:start + room]),
+                                       total))
+        return total
 
     def q_power(self, f: int):
         """(reduce, power) for monic f of degree d >= 1: a -> a mod f, and

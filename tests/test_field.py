@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+from array import array
 
 import pytest
 
@@ -336,33 +337,27 @@ def test_mul_poly_matches_schoolbook(ctx):
         assert ctx._mul_poly(a, b) == ctx.encode(coords[:n]), (a, b)
 
 
-def _assert_small_tables(ctx, tables):
-    """Chunk tables of at most 16 entries for p <= 3, and for p >= 5 no
-    table at all: the map is its packed columns."""
-    if ctx.p >= 5:
-        assert all(isinstance(col, int) for col in tables)
-    else:
-        assert all(len(table) <= 16 for table in tables)
-
-
-def _assert_layout_map(ctx, cols):
-    """A map of the product layout: for p = 2 tables of a byte of slots, for
-    odd p its packed columns."""
+def _assert_map(ctx, m):
+    """A map from _map: for p = 2 XOR tables of a byte of slots, arrays('Q')
+    if every entry of the map fits in 64 bits (always for k = 1 under the
+    2^63 cap), and for odd p its packed columns, so no table has p entries."""
     if ctx.p == 2:
-        assert all(len(table) <= 256 for table in cols)
+        assert all(len(table) <= 256 for table in m)
+        wide = any(max(table) >> 64 for table in m)
+        assert all(isinstance(table, array) is not wide for table in m)
     else:
-        assert all(isinstance(col, int) for col in cols)
+        assert all(isinstance(col, int) for col in m)
 
 
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
-def test_chunk_tables_match_the_column_oracle(ctx):
-    # each F_p-linear map the chunk tables serve, with columns from the
-    # schoolbook oracles: Frob^1, Frob^w and "times g"; and the fold of a raw
-    # product in the product layout, whose column for slot s(2k - 1) + u is
-    # x^s·y^u mod (f, m).  An input with every digit p - 1 makes the largest
-    # slot sums, and the oracle packs its columns in slots wide enough for
-    # any sum, so a map whose slots overflow does not match it.
-    p, k, n, bits = ctx.p, ctx.k, ctx.n, ctx._bits
+def test_maps_match_the_column_oracle(ctx):
+    # each F_p-linear map of the one kernel (_map, applied by _fold), with
+    # columns from the schoolbook oracles: Frob^1, Frob^w and "times g"; and
+    # the fold of a raw product in the product layout, whose column for slot
+    # s(2k - 1) + u is x^s·y^u mod (f, m).  An input with every digit p - 1
+    # makes the largest slot sums, and the oracle packs its columns in slots
+    # wide enough for any sum, so a map whose slots overflow does not match.
+    p, k, n, W = ctx.p, ctx.k, ctx.n, ctx._W
     rng = random.Random(11)
     elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
     g = rng.randrange(2, ctx.order)
@@ -375,31 +370,30 @@ def test_chunk_tables_match_the_column_oracle(ctx):
         s1, u1 = min(s, n - 1), min(u, k - 1)
         fold.append(schoolbook_mul(ctx, p ** (s1 * k + u1), p ** ((s - s1) * k + u - u1)))
     fold_inputs = [0, 1, p ** len(fold) - 1] + [rng.randrange(p ** len(fold)) for _ in range(30)]
-    _assert_layout_map(ctx, ctx._red)
+    _assert_map(ctx, ctx._red)
     wide = (len(fold) * (p - 1) ** 2).bit_length()
     cols = [_pack(v, p, wide) for v in fold]
     for a in fold_inputs:
         want = _unpack(linear_map_by_columns(cols, a, p), p, wide)
         assert ctx._from_layout(ctx._fold(ctx._red, _pack(a, p, ctx._W))) == want, a
-    # the worst case of the maps' slot width: kn columns, each with every
+    # the worst case of the maps' slot sums: kn columns, each with every
     # digit p - 1
     worst = [ctx.order - 1] * (k * n)
     maps = [
         (ctx._frob_map(1), [frobenius_by_powering(ctx, u, 1) for u in units], elements),
         (ctx._frob_map(ctx._frob_w), [frobenius_by_powering(ctx, u, ctx._frob_w) for u in units],
          elements),
-        (ctx._map_tables([_pack(v, p, bits) for v in times_g]), times_g, elements),
-        (ctx._map_tables([_pack(v, p, bits) for v in worst]), worst, [p ** len(worst) - 1]),
+        (ctx._map([_pack(v, p, W) for v in times_g]), times_g, elements),
+        (ctx._map([_pack(v, p, W) for v in worst]), worst, [p ** len(worst) - 1]),
     ]
-    for tables, images, inputs in maps:
-        _assert_small_tables(ctx, tables)
-        if ctx._chunk > 1:
-            assert len(tables) == -(-len(images) // ctx._chunk)
+    for m, images, inputs in maps:
+        _assert_map(ctx, m)
+        assert ctx._columns(m) == [_pack(v, p, W) for v in images]
         wide = (len(images) * (p - 1) ** 2).bit_length()
         cols = [_pack(v, p, wide) for v in images]
         for a in inputs:
             want = _unpack(linear_map_by_columns(cols, a, p), p, wide)
-            assert ctx._apply_map(tables, a) == want, a
+            assert ctx._apply_map(m, a) == want, a
 
 
 def test_is_primitive_normal_op_count_pinned():
@@ -468,10 +462,8 @@ def test_pow_and_is_primitive_match_the_ladder(spec):
                 assert got == power_by_ladder(ctx, a, e, schoolbook), (a, e)
     # every map built on the way is small; for q > 16 a q-entry table would
     # not fit at all
-    for tables in ctx._frob[1:]:
-        _assert_small_tables(ctx, tables)
-    _assert_layout_map(ctx, ctx._red)
-    _assert_layout_map(ctx, ctx._step)
+    for m in ctx._frob[1:] + [ctx._red, ctx._step]:
+        _assert_map(ctx, m)
 
 
 def test_field_with_p_near_2_to_31():
@@ -501,9 +493,8 @@ def check_field_with_p_near_2_to_31():
     a = 5 + 7 * p
     assert ctx._mul_poly(ctx.pow(a, ctx.order - 2), a) == 1
     assert ctx.is_primitive(a) == primitive_by_ladder(ctx, a)
-    for tables in ctx._frob[1:]:
-        _assert_small_tables(ctx, tables)
-    _assert_layout_map(ctx, ctx._red)
+    for m in ctx._frob[1:] + [ctx._red]:
+        _assert_map(ctx, m)
 
 
 def _assert_exp_log_tables(ctx, oracle):
@@ -558,9 +549,9 @@ def test_span_matches_the_map_kernel_at_every_element(spec):
     g = random.Random(18).randrange(2, ctx.order)
     for cols in ([ctx._mul_poly(g, p**d) for d in range(kn)], [ctx.order - 1] * kn):
         table = ctx._span(cols)
-        tables = ctx._map_tables([_pack(c, p, ctx._bits) for c in cols])
+        m = ctx._map([_pack(c, p, ctx._W) for c in cols])
         assert len(table) == ctx.order
-        assert all(table[a] == ctx._apply_map(tables, a) for a in range(ctx.order)), (ctx, cols)
+        assert all(table[a] == ctx._apply_map(m, a) for a in range(ctx.order)), (ctx, cols)
 
 
 CENSUS_FIELDS = [(13, 1, 4), (2, 1, 14), (3, 3, 3), (2, 2, 7), (5, 1, 6), (7, 1, 5)]

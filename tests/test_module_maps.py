@@ -52,9 +52,9 @@ def test_module_map_equals_horner(case):
     before = ctx.op_count
     want = ctx.apply_linearized(r, a)
     charged = ctx.op_count - before
-    tables = ctx._module_map(r)
+    m = ctx._module_map(r)
     assert ctx.op_count == before + charged  # building the map is uncounted
-    assert ctx._apply_map(tables, a) == want
+    assert ctx._apply_map(m, a) == want
     assert ctx._module_charge(r, a) == charged
 
 
@@ -82,12 +82,15 @@ def test_divisor_action_equals_horner(case):
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS[:6] + MODULE_FIELDS[-3:], ids=repr)
 def test_compose_applies_the_inner_map_first(ctx):
     # "times g" and Frobenius do not commute, so an outer map applied first
-    # gives g^q·α^q instead of g·α^q
-    p, bits = ctx.p, ctx._bits
+    # gives g^q·α^q instead of g·α^q; the columns of the composite are
+    # g·Frob(p^d), each normalized
+    p, W = ctx.p, ctx._W
     rng = random.Random(16)
     g = rng.randrange(2, ctx.order)
-    times_g = ctx._map_tables([_pack(ctx._mul_poly(g, p**d), p, bits) for d in range(ctx.k * ctx.n)])
+    units = [p**d for d in range(ctx.k * ctx.n)]
+    times_g = ctx._map([_pack(ctx._mul_poly(g, u), p, W) for u in units])
     composed = ctx._compose(times_g, ctx._frob_map(1))
+    assert ctx._columns(composed) == [_pack(ctx._mul_poly(g, ctx.frobenius(u)), p, W) for u in units]
     for a in [1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(10)]:
         assert ctx._apply_map(composed, a) == ctx._mul_poly(g, ctx.frobenius(a)), a
 
