@@ -1,9 +1,10 @@
 """Discrete logarithms, additive/multiplicative characters, Gauss sums, and
 the four characteristic functions for primitive and normal elements.
 
-Character values are roots of unity tracked by exact exponent pairs; the
-normative implementation of every indicator is the exact integer collapse,
-with literal complex summation available as a cross-check at tiny sizes.
+The normative implementation of every indicator is the exact integer
+collapse.  The literal float forms, cross-checks at tiny sizes, live in
+tests/bruteforce.py, except the divisor-free primitive one, which stays here
+because the df-rotation-invariance claim evaluates it.
 
 Multiplicative characters are indexed through the discrete log with respect
 to the reference primitive normal element: χ_b(α) = e(b·log α / (q^n - 1)).
@@ -43,7 +44,6 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, ResourceLimitError
 from .field import FieldCtx
-from .numtheory import euler_phi, mobius
 from .polyfq import phi_from_degrees, poly_deg, poly_phi
 from .seeds import rng_for
 
@@ -87,8 +87,8 @@ def _zech(ctx: FieldCtx) -> list[int | None]:
 
 @functools.lru_cache(maxsize=None)
 def _df_inner(qn: int, d: int) -> complex:
-    """Σ_{t < q^n} e(d·t/q^n) for 0 <= d < q^n, the inner sum of both
-    divisor-free literals."""
+    """Σ_{t < q^n} e(d·t/q^n) for 0 <= d < q^n, the inner sum of the
+    divisor-free literal."""
     zq = _roots_of_unity(qn)
     return sum(zq[d * t % qn] for t in range(qn))
 
@@ -102,48 +102,6 @@ def discrete_log(ctx: FieldCtx, a: int) -> int:
     if a == 0:
         raise ValueError("discrete log of 0 is undefined")
     return _log_table(ctx)[a]
-
-
-# -- character specifications and evaluation ----------------------------------
-
-
-@dataclass(frozen=True)
-class CharSpec:
-    """An additive character ψ_c (parameter c an element) or a multiplicative
-    character χ_b (parameter b an exponent mod q^n - 1)."""
-
-    kind: str
-    parameter: int
-
-    def __post_init__(self):
-        if self.kind not in ("additive", "multiplicative"):
-            raise ValueError(f"unknown character kind {self.kind!r}")
-
-
-@dataclass(frozen=True)
-class UnitComplex:
-    """A root of unity as an exact angle numerator/denominator plus a float."""
-
-    numerator: int
-    denominator: int
-    value: complex
-
-    @classmethod
-    def from_exponent(cls, num: int, den: int) -> "UnitComplex":
-        num %= den
-        g = math.gcd(num, den)
-        num, den = num // g, den // g
-        return cls(num, den, cmath.exp(2j * cmath.pi * num / den))
-
-
-def eval_char(ctx: FieldCtx, spec: CharSpec, a: int) -> UnitComplex:
-    """Character value as an exact root of unity."""
-    if spec.kind == "additive":
-        return UnitComplex.from_exponent(ctx.trace(ctx.mul(spec.parameter, a)), ctx.p)
-    if a == 0:
-        raise ValueError("multiplicative characters are undefined at 0")
-    m = ctx.order - 1
-    return UnitComplex.from_exponent(spec.parameter * discrete_log(ctx, a), m)
 
 
 # -- Gauss sums ----------------------------------------------------------------
@@ -241,33 +199,6 @@ def indicator_primitive_dd(ctx: FieldCtx, a: int) -> int:
     if total == 0:
         return 0
     raise ConsistencyError(f"primitive indicator evaluated to {Fraction(phi_m * total, m * big_r)}")
-
-
-def indicator_primitive_dd_literal(ctx: FieldCtx, a: int) -> int:
-    """Float cross-check: the same double sum with characters enumerated
-    literally as χ_b over b in [0, q^n - 1)."""
-    if a == 0:
-        raise ValueError("indicator undefined at 0")
-    m = ctx.order - 1
-    big_l = discrete_log(ctx, a)
-    zm = _roots_of_unity(m)
-    phi_m = ctx.mult_factorization.totient
-    by_order: dict[int, complex] = {}
-    for b in range(m):
-        d = m // math.gcd(b, m)
-        by_order[d] = by_order.get(d, 0) + zm[b * big_l % m]
-    total = 0j
-    for d, inner in by_order.items():
-        mu = mobius(d)
-        if mu:
-            total += Fraction(mu, euler_phi(d)) * inner
-    value = total * phi_m / m
-    if abs(value.imag) > 1e-8:
-        raise ConsistencyError("literal indicator has an imaginary part")
-    out = round(value.real)
-    if abs(value.real - out) > 1e-8 or out not in (0, 1):
-        raise ConsistencyError(f"literal indicator evaluated to {value}")
-    return out
 
 
 def indicator_primitive_df(ctx: FieldCtx, a: int) -> int:
@@ -394,30 +325,6 @@ def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
     raise ConsistencyError(f"normal indicator evaluated to {value}")
 
 
-def indicator_normal_dd_literal(ctx: FieldCtx, a: int) -> int | None:
-    """Float cross-check of the divisor-dependent normal indicator: enumerate
-    every additive character ψ_c, group by exact additive order."""
-    if ctx.n % ctx.p == 0:
-        return None
-    fact = ctx.add_factorization
-    degrees = [poly_deg(f) for f in fact.distinct_factors()]
-    zp = _roots_of_unity(ctx.p)
-    # every monic divisor of the squarefree x^n - 1 has a 0/1 exponent vector
-    sums = dict.fromkeys(fact.exponent_vectors(), 0j)
-    for c in range(ctx.order):
-        sums[ctx.additive_order_exponents(c)] += zp[ctx.trace(ctx.mul(c, a))]
-    total = 0j
-    for exps, inner in sums.items():
-        total += (-1) ** sum(exps) * inner / phi_from_degrees(ctx.q, zip(degrees, exps))
-    value = total * poly_phi(fact) / ctx.order
-    if abs(value.imag) > 1e-8:
-        raise ConsistencyError("literal normal indicator has an imaginary part")
-    out = round(value.real)
-    if abs(value.real - out) > 1e-8 or out not in (0, 1):
-        raise ConsistencyError(f"literal normal indicator evaluated to {value}")
-    return out
-
-
 def indicator_normal_df(ctx: FieldCtx, a: int, eta: int) -> int:
     """Divisor-free characteristic function of normal elements.
 
@@ -428,27 +335,6 @@ def indicator_normal_df(ctx: FieldCtx, a: int, eta: int) -> int:
     if a == 0:
         raise ValueError("indicator undefined at 0")
     return 1 if a in ctx.normal_image(eta) else 0
-
-
-def indicator_normal_df_literal(ctx: FieldCtx, a: int, eta: int) -> int:
-    """Literal double summation of the divisor-free normal form (float mode)."""
-    if a == 0:
-        raise ValueError("indicator undefined at 0")
-    if not ctx.is_normal(eta):
-        raise ValueError("η must be normal")
-    qn = ctx.order
-    log = ctx.log_table
-    la = discrete_log(ctx, a)
-    total = 0j
-    for s in ctx.coprime_s_polys():
-        w = ctx.apply_linearized(s, eta)
-        total += _df_inner(qn, (log[w] - la) % qn) / qn
-    if abs(total.imag) > 1e-6:
-        raise ConsistencyError("literal DF normal indicator has an imaginary part")
-    out = round(total.real)
-    if abs(total.real - out) > 1e-6 or out not in (0, 1):
-        raise ConsistencyError(f"literal DF normal indicator evaluated to {total}")
-    return out
 
 
 # -- incomplete character sum bounds --------------------------------------------

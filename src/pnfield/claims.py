@@ -5,12 +5,20 @@ outcome: ASSERTED-PASS for invariants that must hold, REPORTED for claims
 that are checked but known-discrepant (the discrepancy ledger is the point),
 and FAIL for a broken asserted invariant.
 
+The per-field claims are one table, _FIELD_CHECKS, of (gate, check) pairs in
+report order.  The gate is the only place a claim's size limit is written,
+and every check reads one record of its field (_Field), built once per field:
+the exact counts, the additive orders, one is_primitive and one is_normal
+flag per element, and the seeded stream the first three checks share.
+field_claims is the loop over the table.
+
 cmdVerify exits nonzero only on FAIL.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from collections import Counter
@@ -130,20 +138,10 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
             divs[m].append(d)
 
     # product identity == counting identity (gcd-count via Σ μ(d)·floor((n-1)/d))
-    ok = True
-    bad = None
-    for n in range(1, phi_limit + 1):
-        count = 0
-        for d in divs[n]:
-            if mus[d]:
-                count += mus[d] * ((n - 1) // d)
-        if n == 1:
-            count = 1  # empty-range convention φ(1) = 1
-        if count != phis[n]:
-            ok = False
-            bad = n
-            break
-    out.append(_assert("totient-product-vs-counting", f"n<={phi_limit}", ok,
+    # (n = 1 is skipped: the empty range counts 1 by the convention φ(1) = 1)
+    bad = next((n for n in range(2, phi_limit + 1)
+                if sum(mus[d] * ((n - 1) // d) for d in divs[n] if mus[d]) != phis[n]), None)
+    out.append(_assert("totient-product-vs-counting", f"n<={phi_limit}", bad is None,
                        f"first mismatch at {bad}" if bad else "product form equals gcd-counting form"))
 
     # Möbius pair Σ_{d|n} φ(d) = n
@@ -152,38 +150,22 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
 
     # φ(mn) = d/φ(d)·φ(m)·φ(n) on seeded pairs
     lpf = least_prime_factor_sieve(_PAIR_BOUND)
-    ok = True
-    for m, n in phi_pairs(seed, pair_trials):
-        d = math.gcd(m, n)
-        if phi_of_product(m, n, lpf) * phis[d] != d * phis[m] * phis[n]:
-            ok = False
-            break
+    ok = all(phi_of_product(m, n, lpf) * phis[math.gcd(m, n)] == math.gcd(m, n) * phis[m] * phis[n]
+             for m, n in phi_pairs(seed, pair_trials))
     out.append(_assert("totient-gcd-correction", f"{pair_trials} seeded pairs", ok,
                        "φ(mn)·φ(d) = d·φ(m)·φ(n) with d = gcd(m, n)"))
 
     # inverse identity 1/φ(n) = (1/n)·Σ μ²(d)/φ(d)
-    ok = True
-    for n in range(1, min(phi_limit, 10**4) + 1):
-        total = Fraction(0)
-        for d in divs[n]:
-            if mus[d]:
-                total += Fraction(mus[d] * mus[d], phis[d])
-        if Fraction(1, phis[n]) != total / n:
-            ok = False
-            break
+    ok = all(Fraction(1, phis[n]) == sum(Fraction(1, phis[d]) for d in divs[n] if mus[d]) / n
+             for n in range(1, min(phi_limit, 10**4) + 1))
     out.append(_assert("totient-inverse-identity", f"n<={min(phi_limit, 10**4)}", ok,
                        "1/φ(n) = (1/n)·Σ_{d|n} μ²(d)/φ(d)"))
 
     # Σ_{n<=x} μ(n)·floor(x/n) = 1, as a running total: floor(x/n) -
     # floor((x-1)/n) is 1 exactly when n | x, so the sum grows by Σ_{d|x} μ(d)
-    ok = True
     xmax = min(phi_limit, 2000)
-    total = 0
-    for x in range(1, xmax + 1):
-        total += sum(mus[d] for d in divs[x])
-        if total != 1:
-            ok = False
-            break
+    steps = (sum(mus[d] for d in divs[x]) for x in range(1, xmax + 1))
+    ok = all(total == 1 for total in itertools.accumulate(steps))
     out.append(_assert("mobius-floor-identity", f"x<={xmax}", ok,
                        "Σ μ(n)·[x/n] = 1 exactly"))
 
@@ -240,7 +222,6 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
     subject = f"q={q}, n={n}"
     out = []
     fact = factor_x_n_minus_1(q, n)
-    fq = fact.fq
     qn = q**n
 
     # Σ Φ_q(d) over the monic divisors d, one exponent vector per divisor
@@ -271,8 +252,7 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
         out.append(_report("omega-phi-bound", subject,
                            f"Ω_q = {profile.omega} <= φ({n}) = {euler_phi(n)}: "
                            f"{'holds' if holds else 'fails'}"))
-    p = fq.p
-    if is_prime(n) and n % p and multiplicative_order(q, n) == n - 1:
+    if is_prime(n) and n % fact.fq.p and multiplicative_order(q, n) == n - 1:
         out.append(_assert("omega-prime-case", subject, profile.omega == 2,
                            f"n prime with ord_n q = n-1 gives Ω_q = {profile.omega}"))
 
@@ -297,288 +277,283 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
 # -- per-field claims ----------------------------------------------------------------
 
 
-def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
-    """Every per-field invariant suite (the full-enumeration checks are
-    bounded by the enumeration budget)."""
-    out = []
-    subject = ctx.spec_string()
-    ctx.ensure_tables()
-    qn = ctx.order
-    m = qn - 1
-    rng = rng_for(seed, "field", subject)
+class _Field:
+    """The record the checks of one field read: is_primitive (False at 0) and
+    is_normal per element, the additive orders as exponent vectors over the
+    factors of x^n - 1 (so d | d' is componentwise), the exact counts, and the
+    stream that the first three checks draw from in turn."""
 
-    # Frobenius is an automorphism fixing F_q
-    ok = True
-    for _ in range(min(1000, 10 * qn)):
-        a = rng.randrange(qn)
-        b = rng.randrange(qn)
-        if ctx.frobenius(ctx.add(a, b)) != ctx.add(ctx.frobenius(a), ctx.frobenius(b)):
-            ok = False
-            break
-        if ctx.frobenius(ctx.mul(a, b)) != ctx.mul(ctx.frobenius(a), ctx.frobenius(b)):
-            ok = False
-            break
-    ok = ok and all(ctx.frobenius(ctx.embed_base(c)) == ctx.embed_base(c) for c in range(ctx.q))
-    ok = ok and all(ctx.frobenius(a, ctx.n) == a for a in range(0, qn, max(1, qn // 64)))
-    out.append(_assert("frobenius-automorphism", subject, ok,
-                       "additive/multiplicative homomorphism, fixes F_q, order n"))
+    def __init__(self, ctx: FieldCtx, seed: int):
+        ctx.ensure_tables()
+        self.ctx, self.seed, self.subject, self.qn = ctx, seed, ctx.spec_string(), ctx.order
+        self.rng = rng_for(seed, "field", self.subject)
+        self.add_orders = [ctx.additive_order_exponents(a) for a in range(self.qn)]
+        self.normal = [ctx.is_normal(a) for a in range(self.qn)]
+        self.primitive = [False] + [ctx.is_primitive(a) for a in range(1, self.qn)]
+        self.rec = ct.exact_counts(ctx)
 
-    # trace linearity + surjectivity, norm multiplicativity
-    ok = True
-    for _ in range(200):
-        a = rng.randrange(qn)
-        b = rng.randrange(qn)
-        if ctx.trace(ctx.add(a, b)) != (ctx.trace(a) + ctx.trace(b)) % ctx.p:
-            ok = False
-            break
-        if a and b and ctx.norm(ctx.mul(a, b)) != ctx.norm(a) * ctx.norm(b) % ctx.p:
-            ok = False
-            break
-    traces = {ctx.trace(a) for a in range(qn)}
-    ok = ok and traces == set(range(ctx.p))
-    out.append(_assert("trace-norm", subject, ok,
-                       "trace F_p-linear and surjective; norm multiplicative"))
 
-    # module action: (r·s)∘α = r∘(s∘α)
-    ok = True
-    for _ in range(100):
-        r = tuple(rng.randrange(ctx.q) for _ in range(ctx.n))
-        s = tuple(rng.randrange(ctx.q) for _ in range(ctx.n))
-        a = rng.randrange(qn)
-        r, s = poly_trim(r), poly_trim(s)
-        lhs = ctx.apply_linearized(poly_mul(ctx.fq, r, s), a)
-        rhs = ctx.apply_linearized(r, ctx.apply_linearized(s, a))
-        if lhs != rhs:
-            ok = False
-            break
-    out.append(_assert("linearized-module-action", subject, ok,
-                       "apply(r·s, α) = apply(r, apply(s, α))"))
+def _draw_poly(ctx: FieldCtx, rng) -> tuple:
+    """A polynomial of degree < n over F_q, its coefficients drawn low first."""
+    return poly_trim(rng.randrange(ctx.q) for _ in range(ctx.n))
 
-    # additive order: divides x^n - 1, annihilates, and is minimal; the
-    # orders, as exponent vectors over the factors of x^n - 1 (so d | d' is
-    # a componentwise comparison), also give the additive order census and
-    # the r-grouping below
-    fact = ctx.add_factorization
-    add_orders = [ctx.additive_order_exponents(a) for a in range(qn)]
-    ok = True
-    for a, exps in enumerate(add_orders):
-        if ctx.apply_linearized(fact.divisor(exps), a) != 0:
-            ok = False
-            break
-        for i, j in enumerate(exps):
-            if j and ctx.apply_linearized(fact.divisor(exps[:i] + (j - 1,) + exps[i + 1:]), a) == 0:
-                ok = False
-                break
-        if not ok:
-            break
-    out.append(_assert("additive-order-minimal", subject, ok,
-                       "d∘α = 0 and no proper divisor annihilates α"))
 
-    # the two normality tests agree everywhere
-    ok = all(ctx.is_normal(a) == ctx.is_normal(a, method="rank") for a in range(qn))
-    out.append(_assert("normal-test-agreement", subject, ok,
-                       "divisor test ≡ rank test on all elements"))
+def _frobenius_automorphism(f: _Field):
+    ctx, qn, rng, frob = f.ctx, f.qn, f.rng, f.ctx.frobenius
 
-    # marginal counts match the closed formulas (enforced inside exact_counts)
-    rec = ct.exact_counts(ctx)
-    out.append(_assert("marginal-counts", subject, True,
-                       f"#primitive = {rec.num_primitive} = φ, #normal = {rec.num_normal} = Φ"))
-    if qn >= 4:
-        out.append(_assert("pn-exists", subject, rec.num_primitive_normal > 0,
-                           f"numPN = {rec.num_primitive_normal}"))
+    def homomorphic(a, b):
+        return frob(ctx.add(a, b)) == ctx.add(frob(a), frob(b)) \
+            and frob(ctx.mul(a, b)) == ctx.mul(frob(a), frob(b))
 
-    # order censuses
-    census_m = ct.multiplicative_order_census(ctx)
-    ok = sum(census_m.values()) == m and census_m.get(m, 0) == rec.num_primitive
-    ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m)) if m > 1 else ok
-    census_a = Counter(add_orders)
-    ok = ok and sum(census_a.values()) == qn
-    ok = ok and census_a.get(fact.exponents(), 0) == rec.num_normal
-    out.append(_assert("order-censuses", subject, ok,
-                       "order class sizes: φ(d) per divisor, Φ for the maximal class"))
+    ok = all(homomorphic(rng.randrange(qn), rng.randrange(qn)) for _ in range(min(1000, 10 * qn)))
+    ok = ok and all(frob(ctx.embed_base(c)) == ctx.embed_base(c) for c in range(ctx.q))
+    ok = ok and all(frob(a, ctx.n) == a for a in range(0, qn, max(1, qn // 64)))
+    yield _assert("frobenius-automorphism", f.subject, ok,
+                  "additive/multiplicative homomorphism, fixes F_q, order n")
 
-    # additive character group counts: Ord ψ_c is the additive order of c
-    ok = True
-    for exps in fact.exponent_vectors():
-        covered = sum(cnt for ee, cnt in census_a.items()
-                      if all(x <= y for x, y in zip(ee, exps)))
-        if covered != ctx.q ** fact.degree(exps):
-            ok = False
-            break
-    out.append(_assert("additive-character-counts", subject, ok,
-                       "#{c : Ord ψ_c | d} = q^deg(d) for every monic divisor d"))
 
-    # the order-r(x) character-sum dichotomy: the claimed value
-    # q^deg(r) - 1 whenever r | Ord(α) does not match direct summation;
-    # the kernel-orthogonality evaluation (which does) drives the
+def _trace_norm(f: _Field):
+    ctx, qn, rng = f.ctx, f.qn, f.rng
+
+    def linear_multiplicative(a, b):
+        return ctx.trace(ctx.add(a, b)) == (ctx.trace(a) + ctx.trace(b)) % ctx.p \
+            and not (a and b and ctx.norm(ctx.mul(a, b)) != ctx.norm(a) * ctx.norm(b) % ctx.p)
+
+    ok = all(linear_multiplicative(rng.randrange(qn), rng.randrange(qn)) for _ in range(200))
+    ok = ok and {ctx.trace(a) for a in range(qn)} == set(range(ctx.p))
+    yield _assert("trace-norm", f.subject, ok,
+                  "trace F_p-linear and surjective; norm multiplicative")
+
+
+def _module_action(f: _Field):
+    ctx, rng, act = f.ctx, f.rng, f.ctx.apply_linearized
+
+    def associative(r, s, a):
+        return act(poly_mul(ctx.fq, r, s), a) == act(r, act(s, a))
+
+    ok = all(associative(_draw_poly(ctx, rng), _draw_poly(ctx, rng), rng.randrange(f.qn)) for _ in range(100))
+    yield _assert("linearized-module-action", f.subject, ok,
+                  "apply(r·s, α) = apply(r, apply(s, α))")
+
+
+def _additive_order_minimal(f: _Field):
+    act, fact = f.ctx.apply_linearized, f.ctx.add_factorization
+    ok = all(
+        act(fact.divisor(exps), a) == 0
+        and all(not j or act(fact.divisor(exps[:i] + (j - 1,) + exps[i + 1:]), a) for i, j in enumerate(exps))
+        for a, exps in enumerate(f.add_orders)
+    )
+    yield _assert("additive-order-minimal", f.subject, ok,
+                  "d∘α = 0 and no proper divisor annihilates α")
+
+
+def _normal_test_agreement(f: _Field):
+    ok = all(f.normal[a] == f.ctx.is_normal(a, method="rank") for a in range(f.qn))
+    yield _assert("normal-test-agreement", f.subject, ok, "divisor test ≡ rank test on all elements")
+
+
+def _marginal_counts(f: _Field):
+    # the marginals are enforced against the closed formulas inside exact_counts
+    yield _assert("marginal-counts", f.subject, True,
+                  f"#primitive = {f.rec.num_primitive} = φ, #normal = {f.rec.num_normal} = Φ")
+    yield _assert("pn-exists", f.subject, f.rec.num_primitive_normal > 0,
+                  f"numPN = {f.rec.num_primitive_normal}")
+
+
+def _order_censuses(f: _Field):
+    m, census_m, census_a = f.qn - 1, ct.multiplicative_order_census(f.ctx), Counter(f.add_orders)
+    ok = sum(census_m.values()) == m and census_m.get(m, 0) == f.rec.num_primitive
+    ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m))
+    ok = ok and sum(census_a.values()) == f.qn
+    ok = ok and census_a.get(f.ctx.add_factorization.exponents(), 0) == f.rec.num_normal
+    yield _assert("order-censuses", f.subject, ok,
+                  "order class sizes: φ(d) per divisor, Φ for the maximal class")
+
+
+def _additive_character_counts(f: _Field):
+    # Ord ψ_c is the additive order of c
+    fact, census_a = f.ctx.add_factorization, Counter(f.add_orders)
+    ok = all(
+        sum(cnt for ee, cnt in census_a.items() if all(x <= y for x, y in zip(ee, exps)))
+        == f.ctx.q ** fact.degree(exps)
+        for exps in fact.exponent_vectors()
+    )
+    yield _assert("additive-character-counts", f.subject, ok,
+                  "#{c : Ord ψ_c | d} = q^deg(d) for every monic divisor d")
+
+
+def _order_r_char_sum(f: _Field):
+    # the order-r(x) character-sum dichotomy: the claimed value q^deg(r) - 1
+    # whenever r | Ord(α) does not match direct summation; the
+    # kernel-orthogonality evaluation (which does) drives the
     # divisor-dependent normal indicator
-    if ctx.n % ctx.p != 0 and qn <= 512:
-        dichotomy_fails = []
-        zp_sums = {}
-        for c, exps in enumerate(add_orders):
-            zp_sums.setdefault(exps, []).append(c)
-        for i, factor in enumerate(fact.distinct_factors()):
-            # the characters of order exactly r_i: exponent vector e_i
-            params = zp_sums.get(tuple(int(x == i) for x in range(len(fact.entries))), [])
-            for a in range(1, min(qn, 9)):
-                total = sum(
-                    cmath.exp(2j * cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p)
-                    for c in params
-                )
-                divides = add_orders[a][i] >= 1
-                predicted = ctx.q ** poly_deg(factor) - 1 if divides else -1
-                if abs(total - predicted) > 1e-6:
-                    dichotomy_fails.append(
-                        (format_poly(ctx.fq, factor), a, round(total.real, 3), predicted))
-        out.append(_report(
-            "exercise-order-r-char-sum", subject,
-            f"claimed q^deg(r)-1 / -1 split by r | Ord(α): "
-            f"{'holds on sampled α' if not dichotomy_fails else f'fails, e.g. {dichotomy_fails[0]}'}"))
+    ctx, fact = f.ctx, f.ctx.add_factorization
+    dichotomy_fails, zp_sums = [], {}
+    for c, exps in enumerate(f.add_orders):
+        zp_sums.setdefault(exps, []).append(c)
+    for i, factor in enumerate(fact.distinct_factors()):
+        # the characters of order exactly r_i: exponent vector e_i
+        params = zp_sums.get(tuple(int(x == i) for x in range(len(fact.entries))), [])
+        for a in range(1, min(f.qn, 9)):
+            total = sum(cmath.exp(2j * cmath.pi * ctx.trace(ctx.mul(c, a)) / ctx.p) for c in params)
+            predicted = ctx.q ** poly_deg(factor) - 1 if f.add_orders[a][i] >= 1 else -1
+            if abs(total - predicted) > 1e-6:
+                dichotomy_fails.append((format_poly(ctx.fq, factor), a, round(total.real, 3), predicted))
+    yield _report("exercise-order-r-char-sum", f.subject,
+                  f"claimed q^deg(r)-1 / -1 split by r | Ord(α): "
+                  f"{'holds on sampled α' if not dichotomy_fails else f'fails, e.g. {dichotomy_fails[0]}'}")
 
-    # indicator equivalence across the whole field
-    tau = ctx.reference_tau
-    mism = 0
-    dd_applicable = ctx.n % ctx.p != 0
-    for a in range(1, qn):
-        prim = ctx.is_primitive(a)
-        norm = ctx.is_normal(a)
-        if ch.indicator_primitive_dd(ctx, a) != prim:
-            mism += 1
-        if ch.indicator_primitive_df(ctx, a) != prim:
-            mism += 1
-        if ch.indicator_normal_df(ctx, a, tau) != norm:
-            mism += 1
-        if dd_applicable and ch.indicator_normal_dd(ctx, a) != norm:
-            mism += 1
-    out.append(_assert("indicator-equivalence", subject, mism == 0,
-                       f"mismatches = {mism} (DD/DF primitive, DF normal"
-                       f"{', DD normal' if dd_applicable else '; DD normal n/a'})"))
 
-    # N00..N11 subsum partition (exact rationals)
-    out.extend(subsum_partition_claims(ctx))
+def _indicator_equivalence(f: _Field):
+    ctx, tau = f.ctx, f.ctx.reference_tau
+    mism, dd_applicable = 0, ctx.n % ctx.p != 0
+    for a in range(1, f.qn):
+        prim, norm = f.primitive[a], f.normal[a]
+        mism += ch.indicator_primitive_dd(ctx, a) != prim
+        mism += ch.indicator_primitive_df(ctx, a) != prim
+        mism += ch.indicator_normal_df(ctx, a, tau) != norm
+        mism += dd_applicable and ch.indicator_normal_dd(ctx, a) != norm
+    yield _assert("indicator-equivalence", f.subject, mism == 0,
+                  f"mismatches = {mism} (DD/DF primitive, DF normal"
+                  f"{', DD normal' if dd_applicable else '; DD normal n/a'})")
 
-    # DF periodicity under rotation of the s-enumeration
-    if qn <= 256:
-        ok = True
-        for a in range(1, min(qn, 12)):
-            base = ch.indicator_primitive_df_literal(ctx, a, rotation=0)
-            for rot in (1, 3, 7):
-                if ch.indicator_primitive_df_literal(ctx, a, rotation=rot) != base:
-                    ok = False
-        out.append(_assert("df-rotation-invariance", subject, ok,
-                           "literal DF indicator unchanged under s-enumeration rotation"))
 
-    # finite Fourier identities
-    if qn <= 256:
-        rng2 = rng_for(seed, "fourier", subject)
-        res_add, res_mult = ch.fourier_identity_max_residuals(
-            ctx, rng2.randrange(1, max(m, 2)), rng2.randrange(1, qn))
-        ok = res_add < 1e-8 and res_mult < 1e-8
-        out.append(_assert("fourier-identities", subject, ok,
-                           f"max residuals: additive {res_add:.2e}, multiplicative {res_mult:.2e}"))
+def _df_rotation_invariance(f: _Field):
+    ok = True
+    for a in range(1, min(f.qn, 12)):
+        base = ch.indicator_primitive_df_literal(f.ctx, a, rotation=0)
+        for rot in (1, 3, 7):
+            if ch.indicator_primitive_df_literal(f.ctx, a, rotation=rot) != base:
+                ok = False
+    yield _assert("df-rotation-invariance", f.subject, ok,
+                  "literal DF indicator unchanged under s-enumeration rotation")
 
-    # the norm-based multiplicative-character reading cannot reach all orders:
+
+def _fourier_identities(f: _Field):
+    rng = rng_for(f.seed, "fourier", f.subject)
+    b, c = rng.randrange(1, f.qn - 1), rng.randrange(1, f.qn)
+    res_add, res_mult = ch.fourier_identity_max_residuals(f.ctx, b, c)
+    yield _assert("fourier-identities", f.subject, res_add < 1e-8 and res_mult < 1e-8,
+                  f"max residuals: additive {res_add:.2e}, multiplicative {res_mult:.2e}")
+
+
+def _mult_char_norm_reading(f: _Field):
     # e(N(cα)/(q^n-1)) takes at most p distinct values, an order-(q^n-1)
     # character needs q^n-1 of them
-    if qn <= 256 and m > ctx.p:
-        distinct = max(
-            len({ctx.norm(ctx.mul(c, a)) for a in range(1, qn)})
-            for c in range(1, min(qn, 16))
-        )
-        out.append(_report("mult-char-norm-reading", subject,
-                           f"norm-exponent values per character <= {distinct} "
-                           f"(at most p = {ctx.p}) but a primitive character needs "
-                           f"{m}; discrete-log indexing used instead"))
+    ctx = f.ctx
+    distinct = max(len({ctx.norm(ctx.mul(c, a)) for a in range(1, f.qn)}) for c in range(1, min(f.qn, 16)))
+    yield _report("mult-char-norm-reading", f.subject,
+                  f"norm-exponent values per character <= {distinct} "
+                  f"(at most p = {ctx.p}) but a primitive character needs "
+                  f"{f.qn - 1}; discrete-log indexing used instead")
 
-    # Gauss sums: exact degenerate values and |G| = q^(n/2)
-    if qn <= 1024 and m > 1:
-        g00 = ch.gauss_sum(ctx, 0, 0)
-        gb0 = ch.gauss_sum(ctx, 1, 0)
-        g0c = ch.gauss_sum(ctx, 0, 1)
-        ok = g00 == complex(m) and gb0 == 0 and g0c == complex(-1)
-        worst = 0.0
-        rng3 = rng_for(seed, "gauss", subject)
-        for _ in range(50):
-            b = rng3.randrange(1, m)
-            c = rng3.randrange(1, qn)
-            worst = max(worst, abs(abs(ch.gauss_sum(ctx, b, c)) - qn**0.5))
-        ok = ok and worst < 1e-6
-        out.append(_assert("gauss-sums", subject, ok,
-                           f"exact degenerate triple; max | |G| - q^(n/2) | = {worst:.2e}"))
 
+def _gauss_sums(f: _Field):
+    # exact degenerate values and |G| = q^(n/2)
+    ctx, m = f.ctx, f.qn - 1
+    ok = ch.gauss_sum(ctx, 0, 0) == complex(m) and ch.gauss_sum(ctx, 1, 0) == 0 \
+        and ch.gauss_sum(ctx, 0, 1) == complex(-1)
+    rng = rng_for(f.seed, "gauss", f.subject)
+    draws = [(rng.randrange(1, m), rng.randrange(1, f.qn)) for _ in range(50)]
+    worst = max(abs(abs(ch.gauss_sum(ctx, b, c)) - f.qn**0.5) for b, c in draws)
+    yield _assert("gauss-sums", f.subject, ok and worst < 1e-6,
+                  f"exact degenerate triple; max | |G| - q^(n/2) | = {worst:.2e}")
+
+
+def _char_sum_bounds(f: _Field):
     # incomplete character sum bounds; details carry the wire-format entries
-    if qn <= 2**12 and m > 1:
-        suite = ch.char_sum_bound_suite(ctx, trials=100, seed=seed)
-        ent = {e["lemma-id"]: e for e in suite["entries"]}
-        out.append(_assert("char-sum-product-bound", subject,
-                           ent["product-double-sum"]["pass"],
-                           json.dumps(ent["product-double-sum"], sort_keys=True)))
-        out.append(_assert("char-sum-shifted-bound", subject,
-                           ent["shifted-double-sum"]["pass"],
-                           json.dumps(ent["shifted-double-sum"], sort_keys=True)))
-        out.append(_report("char-sum-units-bound", subject,
-                           json.dumps(ent["units-group-sum"], sort_keys=True)))
+    ent = {e["lemma-id"]: e for e in ch.char_sum_bound_suite(f.ctx, trials=100, seed=f.seed)["entries"]}
+    for claim_id, lemma in (("char-sum-product-bound", "product-double-sum"),
+                            ("char-sum-shifted-bound", "shifted-double-sum")):
+        yield _assert(claim_id, f.subject, ent[lemma]["pass"], json.dumps(ent[lemma], sort_keys=True))
+    yield _report("char-sum-units-bound", f.subject, json.dumps(ent["units-group-sum"], sort_keys=True))
 
-    # exponential sum over coprime residues
-    if qn <= 1024 and m > 1:
-        ok = True
-        worst_bound = None
-        rng4 = rng_for(seed, "expsum", subject)
-        non_prim = [a for a in range(1, qn) if not ctx.is_primitive(a)]
-        sample = non_prim if len(non_prim) <= 8 else rng4.sample(non_prim, 8)
-        for a in sample:
-            es = ch.primitive_exp_sum(ctx, a)
-            if es.exact_value != -es.phi_value:
-                ok = False
-            if ch.primitive_exp_sum_direct(ctx, a) != es.exact_value:
-                ok = False
-            worst_bound = es
-        out.append(_assert("exp-sum-exact-value", subject, ok,
-                           "collapse value = -φ(q^n-1), confirmed by direct summation"))
-        if worst_bound is not None:
-            out.append(_report("exp-sum-envelope-bound", subject,
-                               f"|exact| = {abs(worst_bound.exact_value)} vs envelope "
-                               f"{worst_bound.envelope_bound:.3f}: "
-                               f"{'within' if worst_bound.within_bound else 'exceeds'}"))
 
-    # Φ_q(x^n-1) lower bounds
-    if ctx.n >= 2:
-        rep = ct.phi_poly_lower_bound_check(ctx.q, ctx.n)
-        out.append(_assert("phi-poly-log-lower-bound", subject, rep.log_bound_ok,
-                           f"ratio {rep.ratio:.6f} >= 1/(5·log q^n)"))
-        if rep.loglog_bound_ok is not None:
-            out.append(_assert("phi-poly-loglog-lower-bound", subject, rep.loglog_bound_ok,
-                               f"ratio {rep.ratio:.6f} >= 1/(5·loglog q^n), q >= 8"))
-        if rep.prob_expansion_residual is not None:
-            out.append(_report("phi-poly-prob-expansion", subject,
-                               f"|ratio - (1 - n/q)| = {rep.prob_expansion_residual:.6f} vs "
-                               f"n(n-1)/q² = {rep.prob_expansion_bound:.6f}"))
-
-    # metric axioms for the weight and height distances
-    rng5 = rng_for(seed, "metrics", subject)
+def _exp_sum(f: _Field):
+    # exponential sum over coprime residues at a sample of non-primitive α
+    # (never empty: 1 is not primitive); the envelope is read at the last
     ok = True
-    for _ in range(300):
-        r = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
-        s = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
-        u = poly_trim(rng5.randrange(ctx.q) for _ in range(ctx.n))
-        for dist in (sb.poly_distance_weight, sb.poly_distance_height):
-            drs, dsr, dru, dsu = (dist(ctx, x, y) for x, y in ((r, s), (s, r), (r, u), (s, u)))
-            if drs < 0 or (drs == 0) != (r == s) or drs != dsr or dru > drs + dsu:
-                ok = False
-                break
-        if not ok:
-            break
-    out.append(_assert("metric-axioms", subject, ok,
-                       "weight and height distances: identity, symmetry, triangle"))
+    non_prim = [a for a in range(1, f.qn) if not f.primitive[a]]
+    sample = non_prim if len(non_prim) <= 8 else rng_for(f.seed, "expsum", f.subject).sample(non_prim, 8)
+    for a in sample:
+        es = ch.primitive_exp_sum(f.ctx, a)
+        ok = ok and es.exact_value == -es.phi_value and ch.primitive_exp_sum_direct(f.ctx, a) == es.exact_value
+    yield _assert("exp-sum-exact-value", f.subject, ok,
+                  "collapse value = -φ(q^n-1), confirmed by direct summation")
+    yield _report("exp-sum-envelope-bound", f.subject,
+                  f"|exact| = {abs(es.exact_value)} vs envelope {es.envelope_bound:.3f}: "
+                  f"{'within' if es.within_bound else 'exceeds'}")
 
+
+def _phi_poly_bounds(f: _Field):
+    # Φ_q(x^n-1) lower bounds
+    rep = ct.phi_poly_lower_bound_check(f.ctx.q, f.ctx.n)
+    yield _assert("phi-poly-log-lower-bound", f.subject, rep.log_bound_ok,
+                  f"ratio {rep.ratio:.6f} >= 1/(5·log q^n)")
+    if rep.loglog_bound_ok is not None:
+        yield _assert("phi-poly-loglog-lower-bound", f.subject, rep.loglog_bound_ok,
+                      f"ratio {rep.ratio:.6f} >= 1/(5·loglog q^n), q >= 8")
+    if rep.prob_expansion_residual is not None:
+        yield _report("phi-poly-prob-expansion", f.subject,
+                      f"|ratio - (1 - n/q)| = {rep.prob_expansion_residual:.6f} vs "
+                      f"n(n-1)/q² = {rep.prob_expansion_bound:.6f}")
+
+
+def _metric_axioms(f: _Field):
+    # metric axioms for the weight and height distances
+    ctx, rng = f.ctx, rng_for(f.seed, "metrics", f.subject)
+
+    def metric(dist, r, s, u):
+        drs, dsr, dru, dsu = (dist(ctx, x, y) for x, y in ((r, s), (s, r), (r, u), (s, u)))
+        return drs >= 0 and (drs == 0) == (r == s) and drs == dsr and dru <= drs + dsu
+
+    triples = ((_draw_poly(ctx, rng), _draw_poly(ctx, rng), _draw_poly(ctx, rng)) for _ in range(300))
+    ok = all(metric(dist, *t) for t in triples for dist in (sb.poly_distance_weight, sb.poly_distance_height))
+    yield _assert("metric-axioms", f.subject, ok,
+                  "weight and height distances: identity, symmetry, triangle")
+
+
+def _pn2_count(f: _Field):
     # quadratic-field exercise data: PN_2(q) vs φ(q²-1) vs the average formula
-    if ctx.n == 2:
-        equal = rec.num_primitive_normal == rec.num_primitive
-        out.append(_report("exercise-pn2-count", subject,
-                           f"PN_2 = {rec.num_primitive_normal}, φ(q²-1) = {rec.num_primitive} "
-                           f"({'equal' if equal else 'different'}), "
-                           f"average formula = {rec.predicted!r}"))
-    return out
+    rec = f.rec
+    yield _report("exercise-pn2-count", f.subject,
+                  f"PN_2 = {rec.num_primitive_normal}, φ(q²-1) = {rec.num_primitive} "
+                  f"({'equal' if rec.num_primitive_normal == rec.num_primitive else 'different'}), "
+                  f"average formula = {rec.predicted!r}")
+
+
+# (gate, check) in report order: check(f) yields its results on every field
+# whose record f passes the gate (None: every verify field, which has n >= 2,
+# so q^n >= 4 and q^n - 1 > p).
+_FIELD_CHECKS = (
+    (None, _frobenius_automorphism),
+    (None, _trace_norm),
+    (None, _module_action),
+    (None, _additive_order_minimal),
+    (None, _normal_test_agreement),
+    (None, _marginal_counts),
+    (None, _order_censuses),
+    (None, _additive_character_counts),
+    (lambda f: f.ctx.n % f.ctx.p and f.qn <= 512, _order_r_char_sum),
+    (None, _indicator_equivalence),
+    (None, lambda f: subsum_partition_claims(f.ctx)),
+    (lambda f: f.qn <= 256, _df_rotation_invariance),
+    (lambda f: f.qn <= 256, _fourier_identities),
+    (lambda f: f.qn <= 256, _mult_char_norm_reading),
+    (lambda f: f.qn <= 1024, _gauss_sums),
+    (lambda f: f.qn <= 4096, _char_sum_bounds),
+    (lambda f: f.qn <= 1024, _exp_sum),
+    (None, _phi_poly_bounds),
+    (None, _metric_axioms),
+    (lambda f: f.ctx.n == 2, _pn2_count),
+)
+
+
+def field_claims(ctx: FieldCtx, seed: int) -> list[ClaimResult]:
+    """Every per-field claim of _FIELD_CHECKS whose gate admits the field, on
+    one record of the field built for all of them."""
+    f = _Field(ctx, seed)
+    return [r for gate, check in _FIELD_CHECKS if gate is None or gate(f) for r in check(f)]
 
 
 def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
@@ -626,8 +601,7 @@ def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> lis
         small_phi = min(10**4, max(2000, hi * 4))
         results.extend(integer_claims(seed, phi_limit=small_phi))
         # the F4 example discrepancy is a fixed global claim
-        fact = factor_x_n_minus_1(2, 2)
-        phi2 = poly_phi(fact)
+        phi2 = poly_phi(factor_x_n_minus_1(2, 2))
         rec = ct.exact_counts(get_field(2, 1, 2))
         results.append(_report(
             "example-f4-normal-count", "q=2, n=2",

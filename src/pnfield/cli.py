@@ -21,7 +21,7 @@ from . import counting as ct
 from . import subsets as sb
 from .errors import DEFAULT_BUDGET, FieldSpecError, ResourceLimitError
 from .field import format_field_moduli, get_field, parse_field_spec
-from .numtheory import euler_phi, is_prime_power
+from .numtheory import is_prime_power
 from .polyfq import cyclotomic_factor_counts, format_poly, poly_eval, poly_phi
 
 
@@ -29,7 +29,10 @@ def _budget(args) -> int:
     if args.budget is not None:
         return args.budget
     env = os.environ.get("PNFIELD_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:
+        raise ValueError(f"PNFIELD_BUDGET must be an integer, got {env!r}") from None
 
 
 def _emit(text: str, out_path: str | None):
@@ -65,7 +68,7 @@ def cmd_field_info(args) -> int:
             f"({format_poly(ctx.fq, f)})^{e}" if e > 1 else f"({format_poly(ctx.fq, f)})"
             for f, e in ctx.add_factorization.entries
         ),
-        f"phi(q^n - 1) = {euler_phi(m) if m > 1 else 1}",
+        f"phi(q^n - 1) = {ctx.mult_factorization.totient}",
         f"Phi_q(x^n - 1) = {poly_phi(ctx.add_factorization)}",
         f"Omega_q(x^n - 1) = {cyclotomic_factor_counts(ctx.q, ctx.n).omega}",
     ]

@@ -12,11 +12,11 @@ import csv
 import io
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, ConsistencyError, ResourceLimitError
 from .field import FieldCtx, get_field
-from .numtheory import euler_phi
 from .polyfq import factor_x_n_minus_1, poly_phi
 
 SWEEP_COLUMNS = ["q", "k", "n", "numPrimitive", "numNormal", "numPN", "predicted", "delta"]
@@ -86,7 +86,7 @@ def exact_counts(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> DensityRecord:
             f"enumeration of {ctx.order} elements exceeds budget {budget}"
         )
     num_prim, num_norm, num_pn = ctx.class_counts()
-    phi_m = euler_phi(ctx.order - 1)
+    phi_m = ctx.mult_factorization.totient
     phi_poly = poly_phi(ctx.add_factorization)
     if num_prim != phi_m:
         raise ConsistencyError(f"primitive count {num_prim} != φ = {phi_m}")
@@ -108,20 +108,7 @@ def exact_counts(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> DensityRecord:
 
 def multiplicative_order_census(ctx: FieldCtx) -> dict[int, int]:
     """#{α : multiplicative order d} for every divisor d of q^n - 1."""
-    census: dict[int, int] = {}
-    for a in range(1, ctx.order):
-        d = ctx.multiplicative_order(a)
-        census[d] = census.get(d, 0) + 1
-    return census
-
-
-def additive_order_census(ctx: FieldCtx) -> dict[tuple, int]:
-    """#{α : additive order d(x)} for every monic divisor d(x) of x^n - 1."""
-    census: dict[tuple, int] = {}
-    for a in range(ctx.order):
-        d = ctx.additive_order(a)
-        census[d] = census.get(d, 0) + 1
-    return census
+    return Counter(ctx.multiplicative_order(a) for a in range(1, ctx.order))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ r(x) of x^n - 1.  Every F_p-linear map used here (Frobenius, the trace, r∘,
 "times g", and below the fold of a product and the Horner step of a power) is
 fixed by its columns, the images of the base-p unit vectors, normalized in
 polyfq's slots, and applied by one kernel, _fold: for p = 2 one XOR table per
-byte of slots (_map), for odd p polyfq's applier, shared with F_q[x].  The
+byte of slots (_map), for odd p polyfq's applier, shared with F_q[x], which
+also packs elements into slots (_pack) and reads them back (_unpack).  The
 pass tabulates "times g" and each image r∘F at every element at once (_span),
 so a power of g costs one index.  The reference primitive normal element τ is
 the first element set in both masks, and the exp/log tables of τ are read off
@@ -127,7 +128,6 @@ class FieldCtx:
         self._W = ring.W
         per, stride = getattr(ring, "budget", 0) // self.k or n, (2 * self.k - 1) * self._W
         self._cuts = [((1 << per * stride) - 1) << i * stride for i in range(0, n, per)] if self.p > 2 else []
-        self._digit_chars = bytes(b"0123456789abc"[v % self.p] for v in range(256)) if self.p <= 13 else None
         # the fold of a raw product (see _ensure_red), the number of its low
         # slots that are already digits of the result in their place, and
         # Frob^w in the product layout (see _frob_step)
@@ -238,14 +238,9 @@ class FieldCtx:
 
     def _apply_map(self, m: list, a: int) -> int:
         """The map m (see _map) applied to the element a, as an element."""
-        return self._fold(m, a) if self.p == 2 else self._read(self._ring._apply(_pack(a, self.p, self._W), m))
-
-    def _read(self, v: int) -> int:
-        """The element whose base-p digits are the normalized slots of v: for
-        8-bit slots one translate to ASCII digits for int(..., p)."""
-        if self._W != 8:
-            return _unpack(v, self.p, self._W)
-        return int(v.to_bytes((v.bit_length() + 7) // 8 or 1, "big").translate(self._digit_chars), self.p)
+        if self.p == 2:
+            return self._fold(m, a)
+        return _unpack(self._ring._apply(_pack(a, self.p, self._W), m), self.p, self._W)
 
     def _span(self, cols: list) -> array:
         """The map with columns cols (elements, unlike _map's) at every element
@@ -310,7 +305,7 @@ class FieldCtx:
     def _from_layout(self, v: int) -> int:
         """The element of a vector in the product layout with no digit in the
         slots i(2k - 1) + t, t >= k, as _product and _fold leave it."""
-        return self._read(self._regroup(v, 2 * self.k - 1, self.k))
+        return _unpack(self._regroup(v, 2 * self.k - 1, self.k), self.p, self._W)
 
     def _ensure_red(self):
         # the fold: the map whose column for each slot of a raw product from
@@ -651,7 +646,7 @@ class FieldCtx:
     def divisor_action(self, exps: tuple, a: int) -> int:
         """d∘α for the divisor d of x^n - 1 with exponent vector exps, by its
         map, charged as apply_linearized(d, α)."""
-        return self._read(self._divisor_image(exps, a, _pack(a, self.p, self._W)))
+        return _unpack(self._divisor_image(exps, a, _pack(a, self.p, self._W)), self.p, self._W)
 
     def _divisor_image(self, exps: tuple, a: int, v: int) -> int:
         """divisor_action(exps, α) as a vector, for α packed as v."""

@@ -47,6 +47,7 @@ ZERO: Poly = ()
 ONE: Poly = (1,)
 
 _EDF_SEED = 271828182845  # fixed internal seed: splitting is reproducible
+_INT_DIGITS = 640  # int(s, p) takes this many digits under any digit limit
 
 
 def poly_trim(coeffs) -> Poly:
@@ -147,24 +148,51 @@ def coprime_residues(fq: SmallField, n: int) -> list[Poly]:
     return [ring.unpack(s) for s in residues if ring.degree(ring.gcd(xn1, s)) == 0]
 
 
+@functools.lru_cache(maxsize=None)
+def _chunks(p: int, bits: int) -> tuple:
+    """(p^c, packed, c·bits), c the most digits with p^c <= 256 (p <= 13) or
+    else 1: packed[v] is v < p^c packed in bits-wide slots (range(p) if c = 1)."""
+    c = 1
+    while p ** (c + 1) <= 256:
+        c += 1
+    if c == 1:
+        return p, range(p), bits
+    packed = [0]
+    for i in range(c):
+        packed = [t | d << i * bits for d in range(p) for t in packed]
+    return p**c, packed, c * bits
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_chars(p: int) -> bytes:
+    """The translate table from a byte v to the base-p digit character of v mod p."""
+    return bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[v % p] for v in range(256))
+
+
 def _pack(a: int, p: int, bits: int) -> int:
-    """The base-p digits of a, one per bits-wide slot, low digit lowest; for
-    p = 2, where sums are XORs, a itself."""
+    """The base-p digits of a, one per bits-wide slot, low digit lowest, read
+    a chunk of digits per divmod (see _chunks); for p = 2, where sums are
+    XORs, a itself."""
     if p == 2:
         return a
+    base, packed, step = _chunks(p, bits)
     out = shift = 0
     while a:
-        a, c = divmod(a, p)
-        out |= c << shift
-        shift += bits
+        a, c = divmod(a, base)
+        out |= packed[c] << shift
+        shift += step
     return out
 
 
 def _unpack(t: int, p: int, bits: int) -> int:
     """Inverse of _pack for slots holding any nonnegative value below
-    2^bits: each slot is reduced mod p once and becomes a base-p digit."""
+    2^bits: each slot is reduced mod p once and becomes a base-p digit.
+    8-bit slots (p <= 36, and few enough that int() takes their string) are
+    read by one translate to the digits int(..., p) reads."""
     if p == 2:
         return t
+    if bits == 8 and p <= 36 and t.bit_length() <= 8 * _INT_DIGITS:
+        return int(t.to_bytes((t.bit_length() + 7) // 8 or 1, "big").translate(_digit_chars(p)), p)
     mask = (1 << bits) - 1
     val, mult = 0, 1
     while t:
@@ -696,8 +724,10 @@ def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
     return PolyFactorization(fq=fq, entries=entries, value=x_pow_n_minus_1(fq, n))
 
 
+@functools.lru_cache(maxsize=None)
 def factor_x_n_minus_1(q: int, n: int) -> PolyFactorization:
-    """Factor x^n - 1 over the canonical F_q."""
+    """Factor x^n - 1 over the canonical F_q, once per (q, n): a factorization
+    only ever adds divisors to its lattice, so callers can share it."""
     return factor_x_n_minus_1_over(smallfield.canonical_field(q), n)
 
 
@@ -768,12 +798,6 @@ def poly_mobius(fact: PolyFactorization) -> int:
     if any(exp >= 2 for _, exp in fact.entries):
         return 0
     return -1 if len(fact.entries) % 2 else 1
-
-
-def monic_divisors(fact: PolyFactorization) -> list[Poly]:
-    """All monic divisors, sorted by (degree, coefficients): the whole lattice."""
-    divs = [fact.divisor(exps) for exps in fact.exponent_vectors()]
-    return sorted(divs, key=lambda f: (poly_deg(f), f))
 
 
 def poly_sigma(fact: PolyFactorization) -> int:

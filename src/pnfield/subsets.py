@@ -18,11 +18,6 @@ from .polyfq import Poly, poly_sub
 from .seeds import rng_for
 
 
-def hamming_weight(r: Poly) -> int:
-    """Number of nonzero coefficients."""
-    return sum(1 for c in r if c)
-
-
 def height(ctx: FieldCtx, r: Poly) -> int:
     """Max centered-representative magnitude over all F_p coordinates.
 

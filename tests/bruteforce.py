@@ -220,6 +220,27 @@ def linear_map_by_columns(cols: list, a: int, p: int) -> int:
     return total
 
 
+def pack_by_digits(a: int, p: int, bits: int) -> int:
+    """The base-p digits of a, one per bits-wide slot, low digit lowest,
+    one divmod per digit."""
+    out = i = 0
+    while a:
+        a, c = divmod(a, p)
+        out |= c << i * bits
+        i += 1
+    return out
+
+
+def unpack_by_slots(t: int, p: int, bits: int) -> int:
+    """Σ (slot_i mod p)·p^i over the bits-wide slots of t, one slot at a time."""
+    val = i = 0
+    while t:
+        val += (t & (1 << bits) - 1) % p * p**i
+        t >>= bits
+        i += 1
+    return val
+
+
 def frobenius_by_powering(ctx, a: int, i: int) -> int:
     """α^(q^i) by i rounds of raising to the q-th power, each by q - 1
     schoolbook multiplications."""
@@ -492,3 +513,87 @@ def indicator_normal_dd_per_term(ctx, a: int):
     value = Fraction(phi_full, ctx.order) * total
     assert value in (0, 1), value
     return int(value)
+
+
+# -- literal float forms of the indicators, and other test-only enumerations ------
+# The divisor-dependent indicators summed over every character, and the
+# divisor-free normal one over every coprime s, in complex floats; each value
+# must round to 0 or 1.
+
+
+def _rounded_indicator(value: complex, tol: float) -> int:
+    out = round(value.real)
+    assert abs(value.imag) <= tol and abs(value.real - out) <= tol and out in (0, 1), value
+    return out
+
+
+def indicator_primitive_dd_literal(ctx, a: int) -> int:
+    """Σ_{d|m} μ(d)/φ(d)·Σ_{ord χ = d} χ(α), scaled by φ(m)/m (m = q^n - 1),
+    with the characters enumerated as χ_b over b < m and grouped by order."""
+    m = ctx.order - 1
+    big_l = ctx.log_table[a]
+    zm = roots_of_unity(m)
+    by_order = {}
+    for b in range(m):
+        d = m // math.gcd(b, m)
+        by_order[d] = by_order.get(d, 0) + zm[b * big_l % m]
+    total = sum(mobius_by_trial(d) / phi_by_gcd_count(d) * inner for d, inner in by_order.items())
+    return _rounded_indicator(total * phi_by_gcd_count(m) / m, 1e-8)
+
+
+def indicator_normal_dd_literal(ctx, a: int):
+    """Σ_{d|x^n-1} μ_q(d)/Φ_q(d)·Σ_{Ord ψ = d} ψ(α), scaled by Φ_q(x^n-1)/q^n,
+    with every additive character ψ_c grouped by the additive order of c;
+    None when p | n (x^n - 1 not squarefree)."""
+    if ctx.n % ctx.p == 0:
+        return None
+    norms = [ctx.q ** (len(f) - 1) for f, _ in ctx.add_factorization.entries]
+    zp = roots_of_unity(ctx.p)
+    sums = {}
+    for c in range(ctx.order):
+        exps = ctx.additive_order_exponents(c)
+        sums[exps] = sums.get(exps, 0j) + zp[ctx.trace(ctx.mul(c, a))]
+    total = 0j
+    for exps, inner in sums.items():
+        phi_d = math.prod(nr - 1 for nr, j in zip(norms, exps) if j)
+        total += (-1) ** sum(exps) * inner / phi_d
+    return _rounded_indicator(total * math.prod(nr - 1 for nr in norms) / ctx.order, 1e-8)
+
+
+def indicator_normal_df_literal(ctx, a: int, eta: int) -> int:
+    """(1/q^n)·Σ_s Σ_t e((log(s∘η) - log α)·t/q^n) over the coprime s, for a
+    normal η."""
+    qn, log = ctx.order, ctx.log_table
+    total = 0j
+    for s in ctx.coprime_s_polys():
+        total += df_inner_per_term(ctx, (log[ctx.apply_linearized(s, eta)] - log[a]) % qn) / qn
+    return _rounded_indicator(total, 1e-6)
+
+
+def additive_order_census(ctx) -> dict:
+    """#{α : additive order d(x)} for every monic divisor d(x) of x^n - 1."""
+    census = {}
+    for a in range(ctx.order):
+        d = additive_order_by_division(ctx, a)
+        census[d] = census.get(d, 0) + 1
+    return census
+
+
+def monic_divisors(fact) -> list:
+    """All monic divisors of a factorization, sorted by (degree, coefficients):
+    the products of every choice of factor powers, multiplied out."""
+    from pnfield.polyfq import ONE, poly_mul
+
+    divs = []
+    for exps in product(*(range(e + 1) for _, e in fact.entries)):
+        d = ONE
+        for (factor, _), j in zip(fact.entries, exps):
+            for _ in range(j):
+                d = poly_mul(fact.fq, d, factor)
+        divs.append(d)
+    return sorted(divs, key=lambda f: (len(f), f))
+
+
+def hamming_weight(r) -> int:
+    """Number of nonzero coefficients."""
+    return sum(1 for c in r if c)

@@ -24,29 +24,8 @@ def test_discrete_log_examples():
         ch.discrete_log(f4, 0)
 
 
-def test_eval_char_examples():
-    f4 = get_field(2, 1, 2)
-    triv_add = ch.CharSpec(kind="additive", parameter=0)
-    assert ch.eval_char(f4, triv_add, 2).value == 1
-    triv_mult = ch.CharSpec(kind="multiplicative", parameter=0)
-    assert ch.eval_char(f4, triv_mult, 3).value == 1
-    psi1 = ch.CharSpec(kind="additive", parameter=1)
-    val = ch.eval_char(f4, psi1, 2)  # tr(α) = 1 so e(1/2) = -1
-    assert val.numerator == 1 and val.denominator == 2
-    assert val.value == pytest.approx(-1)
-    with pytest.raises(ValueError):
-        ch.eval_char(f4, triv_mult, 0)
-
-
-def test_unit_complex_invariants():
-    for num, den in [(0, 1), (1, 2), (3, 7), (5, 8), (12, 13)]:
-        u = ch.UnitComplex.from_exponent(num, den)
-        assert abs(abs(u.value) - 1) < 1e-12
-        assert abs(u.value - cmath.exp(2j * cmath.pi * u.numerator / u.denominator)) < 1e-9
-
-
 def test_additive_char_group_counts():
-    from pnfield.polyfq import monic_divisors, poly_deg, poly_divmod
+    from pnfield.polyfq import poly_deg, poly_divmod
 
     for p, k, n in [(2, 1, 3), (3, 1, 2), (2, 1, 4), (5, 1, 2), (2, 2, 2)]:
         ctx = get_field(p, k, n)
@@ -55,7 +34,7 @@ def test_additive_char_group_counts():
             d = ctx.additive_order(c)
             orders[d] = orders.get(d, 0) + 1
         assert sum(orders.values()) == ctx.order
-        for d in monic_divisors(ctx.add_factorization):
+        for d in bf.monic_divisors(ctx.add_factorization):
             covered = sum(
                 cnt for dd, cnt in orders.items() if not poly_divmod(ctx.fq, d, dd)[1]
             )
@@ -169,10 +148,10 @@ def test_indicator_literal_float_crosschecks():
         ctx = get_field(p, k, n)
         tau = ctx.reference_tau
         for a in range(1, ctx.order):
-            assert ch.indicator_primitive_dd_literal(ctx, a) == ch.indicator_primitive_dd(ctx, a)
+            assert bf.indicator_primitive_dd_literal(ctx, a) == ch.indicator_primitive_dd(ctx, a)
             assert ch.indicator_primitive_df_literal(ctx, a) == ch.indicator_primitive_df(ctx, a)
-            assert ch.indicator_normal_df_literal(ctx, a, tau) == ch.indicator_normal_df(ctx, a, tau)
-            lit = ch.indicator_normal_dd_literal(ctx, a)
+            assert bf.indicator_normal_df_literal(ctx, a, tau) == ch.indicator_normal_df(ctx, a, tau)
+            lit = bf.indicator_normal_dd_literal(ctx, a)
             assert lit == ch.indicator_normal_dd(ctx, a)
 
 

@@ -1,7 +1,9 @@
 """The claim-verification engine: statuses, known discrepancies, determinism."""
 
+import pytest
+
 from pnfield import claims
-from pnfield.field import get_field
+from pnfield.field import get_field, parse_field_spec
 
 
 def test_enumerate_field_specs():
@@ -113,3 +115,37 @@ def test_run_verify_full_range_under_five_minutes():
     report = claims.report_json(results, 7).encode()
     assert hashlib.sha256(report).hexdigest() == (
         "3c61fb62fd92d7207f29d6db16745dcaa2cd285ab8cf4f41b9fe410207a05717")
+
+
+# every per-field claim id in report order; phi-poly-loglog-lower-bound needs
+# q >= 8, phi-poly-prob-expansion n | q - 1, exercise-pn2-count n = 2
+FIELD_CLAIM_IDS = [
+    "frobenius-automorphism", "trace-norm", "linearized-module-action", "additive-order-minimal",
+    "normal-test-agreement", "marginal-counts", "pn-exists", "order-censuses",
+    "additive-character-counts", "exercise-order-r-char-sum", "indicator-equivalence",
+    "subsum-partition-total", "subsum-claimed-vanishing", "subsum-error-term",
+    "df-rotation-invariance", "fourier-identities", "mult-char-norm-reading", "gauss-sums",
+    "char-sum-product-bound", "char-sum-shifted-bound", "char-sum-units-bound",
+    "exp-sum-exact-value", "exp-sum-envelope-bound", "phi-poly-log-lower-bound",
+    "phi-poly-loglog-lower-bound", "phi-poly-prob-expansion", "metric-axioms", "exercise-pn2-count",
+]
+UP_TO_256 = {"df-rotation-invariance", "fourier-identities", "mult-char-norm-reading"}
+UP_TO_1024 = {"gauss-sums", "exp-sum-exact-value", "exp-sum-envelope-bound"}
+SMALL_Q = {"phi-poly-loglog-lower-bound", "phi-poly-prob-expansion"}
+
+
+@pytest.mark.parametrize("spec,absent", [
+    ("2^1:8", {"exercise-order-r-char-sum", "exercise-pn2-count"} | SMALL_Q),
+    ("17^1:2", UP_TO_256),
+    ("2^1:9", {"exercise-pn2-count"} | UP_TO_256 | SMALL_Q),
+    ("23^1:2", {"exercise-order-r-char-sum"} | UP_TO_256),
+    ("2^1:10", {"exercise-order-r-char-sum", "exercise-pn2-count"} | UP_TO_256 | SMALL_Q),
+    ("2^1:12", {"exercise-order-r-char-sum", "exercise-pn2-count"} | UP_TO_256 | UP_TO_1024 | SMALL_Q),
+    ("3^1:2", {"phi-poly-loglog-lower-bound"}),
+    ("3^1:3", {"exercise-order-r-char-sum", "exercise-pn2-count"} | SMALL_Q),
+])
+def test_field_claim_ids_on_the_gate_boundaries(spec, absent):
+    # q^n = 256 | 289, 512 | 529 and 1024 | 4096 straddle the size gates, and
+    # 3^1:2 | 3^1:3 the test p ∤ n of the order-r sum and the DD normal indicator
+    ids = [r.claim_id for r in claims.field_claims(parse_field_spec(spec), seed=1)]
+    assert ids == [i for i in FIELD_CLAIM_IDS if i not in absent]

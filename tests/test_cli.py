@@ -105,6 +105,13 @@ def test_sweep_budget(tmp_path):
     assert "budget" in proc.stderr
 
 
+def test_bad_budget_variable_is_named(monkeypatch, capsys):
+    monkeypatch.setenv("PNFIELD_BUDGET", "abc")
+    code, _ = run_cli(["verify", "--range", "4..8"])
+    assert code == 2
+    assert "error: PNFIELD_BUDGET must be an integer, got 'abc'" in capsys.readouterr().err
+
+
 def test_search_json(tmp_path):
     out_path = tmp_path / "search.json"
     code, _ = run_cli([

@@ -108,3 +108,53 @@ def test_packed_gcd_matches_poly_gcd(q):
         want = pf.poly_gcd(fq, f, g)
         # the packed gcd stops at the first nonzero constant
         assert got == want or pf.poly_deg(got) == pf.poly_deg(want) == 0, (f, g)
+
+
+# _pack reads a chunk of c digits per divmod, c the most with p^c <= 256;
+# _unpack reads 8-bit slots by translate
+CHUNK_DIGITS = {3: 5, 5: 3, 7: 2, 11: 2, 13: 2, 17: 1, 257: 1}
+PACK_PRIMES = tuple(CHUNK_DIGITS)
+PACK_WIDTHS = (8, 16, 24)
+# the widths that hold a digit of p (not 8 bits for p = 257)
+PACK_SLOTS = [(p, bits) for p in PACK_PRIMES for bits in PACK_WIDTHS if p - 1 < 1 << bits]
+
+
+def _pack_cases(p):
+    """0, and around the first three chunk boundaries each digit count with
+    all digits p - 1 and with a single top digit 1."""
+    c = CHUNK_DIGITS[p]
+    counts = sorted({d for j in (1, 2, 3) for d in (j * c - 1, j * c, j * c + 1) if d > 0})
+    return [0] + [p**d - 1 for d in counts] + [p ** (d - 1) for d in counts]
+
+
+@pytest.mark.parametrize("p,bits", PACK_SLOTS)
+def test_pack_matches_the_per_digit_definition(p, bits):
+    base, packed, step = pf._chunks(p, bits)
+    assert (base, step) == (p ** CHUNK_DIGITS[p], CHUNK_DIGITS[p] * bits)
+    # a table of at most 256 entries, or for one digit per chunk no table
+    assert packed == range(p) if step == bits else len(packed) == base <= 256
+    for a in _pack_cases(p):
+        assert pf._pack(a, p, bits) == bf.pack_by_digits(a, p, bits), a
+        assert pf._unpack(pf._pack(a, p, bits), p, bits) == a, a
+
+
+@pytest.mark.parametrize("bits", PACK_WIDTHS)
+@pytest.mark.parametrize("p", PACK_PRIMES)
+def test_unpack_matches_the_per_slot_definition(p, bits):
+    top = (1 << bits) - 1
+    # int() takes any 640 digits, and by default refuses more than 4300
+    for slots in (1, 2, 5, 6, 41, 640, 641, 4301):
+        for t in (0, int.from_bytes(bytes([255]) * (slots * bits // 8), "little"),
+                  sum((top - s % p) << s * bits for s in range(slots))):
+            assert pf._unpack(t, p, bits) == bf.unpack_by_slots(t, p, bits), (slots, t)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(PACK_PRIMES), st.sampled_from(PACK_WIDTHS), st.integers(0, 60), st.data())
+def test_pack_and_unpack_on_drawn_inputs(p, bits, digits, data):
+    a = data.draw(st.integers(0, p**digits - 1))
+    if p - 1 < 1 << bits:
+        assert pf._pack(a, p, bits) == bf.pack_by_digits(a, p, bits), a
+    t = data.draw(st.lists(st.integers(0, (1 << bits) - 1), max_size=digits))
+    t = sum(v << i * bits for i, v in enumerate(t))
+    assert pf._unpack(t, p, bits) == bf.unpack_by_slots(t, p, bits), t

@@ -6,14 +6,15 @@ import time
 
 import pytest
 
+import bruteforce as bf
 from pnfield import subsets as sb
 from pnfield.field import get_field
 
 
 def test_hamming_weight_examples():
-    assert sb.hamming_weight(()) == 0
-    assert sb.hamming_weight((1, 1, 0, 1)) == 3  # x³ + x + 1
-    assert sb.hamming_weight((0, 0, 0, 0, 0, 1)) == 1  # x⁵
+    assert bf.hamming_weight(()) == 0
+    assert bf.hamming_weight((1, 1, 0, 1)) == 3  # x³ + x + 1
+    assert bf.hamming_weight((0, 0, 0, 0, 0, 1)) == 1  # x⁵
 
 
 def test_height_examples():
@@ -204,7 +205,7 @@ def test_metric_axioms_exhaustive_tiny():
             for s in polys:
                 # the count of differing coefficients is the weight of s - r
                 assert (sb.poly_distance_weight(ctx, r, s)
-                        == sb.hamming_weight(poly_sub(ctx.fq, s, r)))
+                        == bf.hamming_weight(poly_sub(ctx.fq, s, r)))
         for dist in (sb.poly_distance_weight, sb.poly_distance_height):
             for r in polys:
                 for s in polys:
