@@ -13,9 +13,12 @@ and the rank method.  Each field is warmed up by one call of each operation
 first, so the Frobenius images and the maps of the cofactors built on first
 use are not counted; that first call is timed on its own, and its excess
 over one element (``build_us``: for the divisor test, building the cofactor
-maps) is printed next to the row.  A row holds the median over repeats of the mean
-time per element, the build, and two deterministic work counts: the charged
-``op_count`` and the number of elements the test accepts.
+maps) is printed next to the row.  A row holds the minimum over repeats of
+the mean time per element (the least disturbed repeat), the build, and
+three deterministic work counts: the charged ``op_count``, the polynomial
+products per element (calls of ``FieldCtx._product``, which every
+polynomial-path product goes through) and the number of elements the test
+accepts.
 
 With ``--build`` it times instead, on each field of FIELDS, the three parts
 of building a field with its default moduli, each separately:
@@ -85,8 +88,10 @@ def measure(seed: int, count: int, repeats: int) -> list:
             start = time.perf_counter()
             fn(elements[0])
             first = time.perf_counter() - start
-            before = ctx.op_count
+            before, products = ctx.op_count, [0]
+            _count_calls(ctx, "_product", products)  # for this pass only, untimed
             hits = sum(bool(fn(a)) for a in elements)
+            del ctx._product
             ops = ctx.op_count - before
             means = []
             for _ in range(repeats):
@@ -94,10 +99,10 @@ def measure(seed: int, count: int, repeats: int) -> list:
                 for a in elements:
                     fn(a)
                 means.append((time.perf_counter() - start) / count)
-            us = statistics.median(means) * 1e6
+            us = min(means) * 1e6
             rows.append({"field": "%d^%d:%d" % spec, "op": name, "us": us,
                          "runs_us": [t * 1e6 for t in means], "build_us": max(first * 1e6 - us, 0.0),
-                         "op_count": ops, "hits": hits})
+                         "op_count": ops, "products": products[0] / count, "hits": hits})
             print(f"{rows[-1]['field']:>7} {name:<18} {us:10.1f} us   build {rows[-1]['build_us']:10.1f} us",
                   file=sys.stderr)
     return rows
@@ -185,14 +190,16 @@ def compare(sides: dict, args) -> dict:
             joined.update(build_us=builds,
                           break_even=max(builds[1] - builds[0], 0.0) / (before - after) if before > after else None,
                           op_count=[parent0["op_count"], row["op_count"]],
+                          products=[parent0["products"], row["products"]],
                           hits=[parent0["hits"], row["hits"]],
                           same_work=(parent0["op_count"], parent0["hits"]) == (row["op_count"], row["hits"]))
         rows.append(joined)
-    unit = "microseconds per call" if args.build else "microseconds per element"
+    unit = ("microseconds per call, median over rounds of the median over repeats" if args.build
+            else "microseconds per element, median over rounds of the minimum over repeats")
     return {"command": "python3 scripts/bench_pn.py --parent PARENT --change CHANGE --seed "
                        f"{args.seed} --elements {args.elements} --repeats {args.repeats} "
                        f"--rounds {args.rounds}" + " --build" * args.build,
-            "unit": unit + ", median over rounds of the median over repeats",
+            "unit": unit,
             "rows": rows}
 
 

@@ -223,13 +223,9 @@ def _minimal_polynomial(ctx, alpha: int):
         # poly·(x - root): coefficient i is poly[i - 1] - root·poly[i]
         neg = ctx.neg(root)
         poly = [ctx.add(hi, ctx.mul(neg, lo)) for hi, lo in zip([0] + poly, poly + [0])]
-    coeffs = []
-    for c in poly:
-        vec = ctx.decode(c)
-        if any(vec[1:]):
-            raise ValueError("minimal polynomial has coefficients outside F_q")
-        coeffs.append(vec[0])
-    return tuple(coeffs), orbit
+    if any(c >= ctx.q for c in poly):  # a nonzero coordinate above the constant one
+        raise ValueError("minimal polynomial has coefficients outside F_q")
+    return tuple(poly), orbit
 
 
 def build_parser() -> argparse.ArgumentParser:

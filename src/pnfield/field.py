@@ -51,10 +51,12 @@ its digits d, result = Frob^w(result)·α^d, Frob^w a map of the layout, costs
 one application of it and at most one product per digit instead of about
 log2 Q squarings.  Each digit power α^d is built on demand by one product
 from α^(d-t) and α^t for the top bit t of d (a squaring when d = 2t), and is
-shared across the exponents of is_primitive and of the multiplicative order;
-for q > 16 only the digits that occur are built, never a table of q entries.
-The images of Frob^1 come from X = x^q by the same digit ladder, as
-Frob(c·x^j) = c·X^j, so they do not depend on the Horner routine they serve.
+shared across the exponents of one is_primitive or multiplicative-order
+call; for q > 16 only the digits that occur are built.  is_primitive takes
+α^((q^n-1)/r) as the norm to F_{q^d}, d = ord_r(q), of the short power
+α^((q^d-1)/r): Π_{j < n/d} Frob^(dj), by about 2·log2(n/d) products and
+maps Frob^(ds) of the layout (von zur Gathen and Shoup 1992).  The images
+of Frob^1 come from X = x^q by the digit ladder, as Frob(c·x^j) = c·X^j.
 """
 
 from __future__ import annotations
@@ -67,7 +69,7 @@ import sys
 from array import array
 
 from .errors import ConsistencyError, FieldSpecError, ResourceLimitError
-from .numtheory import Factorization, factorize, is_prime
+from .numtheory import Factorization, factorize, is_prime, multiplicative_order
 from .polyfq import (
     Poly,
     PolyFactorization,
@@ -76,6 +78,7 @@ from .polyfq import (
     _packed,
     _unpack,
     coprime_residues,
+    factor_x_n_minus_1,
     factor_x_n_minus_1_over,
     first_irreducible,
     format_poly,
@@ -85,7 +88,7 @@ from .polyfq import (
     poly_deg,
     poly_mod,
 )
-from .smallfield import SmallField, _add_digits
+from .smallfield import SmallField, _add_digits, canonical_field
 
 _TABLE_CAP = 2**20
 
@@ -130,10 +133,12 @@ class FieldCtx:
         self._cuts = [((1 << per * stride) - 1) << i * stride for i in range(0, n, per)] if self.p > 2 else []
         # the fold of a raw product (see _ensure_red), the number of its low
         # slots that are already digits of the result in their place, and
-        # Frob^w in the product layout (see _frob_step)
-        self._red, self._low, self._step = None, n if self.k == 1 else self.k, None
+        # the maps of Frob^i in the product layout by i (see _frob_layout)
+        self._red, self._low, self._frob_layouts = None, n if self.k == 1 else self.k, {}
         # _frob[i] holds the map of Frob^i, grown on first use
         self._frob = [None]
+        # (r, ord_r(q), (q^ord_r(q) - 1)/r) per prime r of q^n - 1 (see _primitive_plan)
+        self._plan = None
         # exponents are read in base Q = q^w, with w the largest w < n such
         # that q^w <= 16, and at least 1
         w = 1
@@ -372,7 +377,7 @@ class FieldCtx:
             digits.append(d)
         result = self._digit_power(powers, digits.pop())
         if digits:
-            step = self._frob_step()
+            step = self._step
             for d in reversed(digits):
                 result = self._fold(step, result)
                 if d:
@@ -424,7 +429,7 @@ class FieldCtx:
         α is non-normal iff (x^n - 1)/r kills it for some irreducible r, and
         that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
         Each image is one table (_span) of its generators independent of those
-        before them (_independent).  The powers of g are built each from the
+        before them (independent).  The powers of g are built each from the
         last by one index into the table of the F_p-linear map "times g" on
         the whole field (_span of its columns g·p^d), dropped once they are.
         """
@@ -439,8 +444,7 @@ class FieldCtx:
         for i in range(t):
             unit = tuple(int(j == i) for j in range(t))
             gens = [self.divisor_action(unit, p**d) for d in range(self.k * self.n)]
-            rows = (_pack(v, p, self._W) for v in gens)
-            for a in self._span(list(itertools.compress(gens, self._independent(rows)))):
+            for a in self._span(list(itertools.compress(gens, self.independent(gens)))):
                 norm[a] = 0
         g = next(a for a in range(1, order) if self.is_primitive(a))
         times_g = self._span([self._mul_poly(g, p**d) for d in range(self.k * self.n)])
@@ -548,18 +552,38 @@ class FieldCtx:
             frob.append(self._compose(frob[1], frob[-1]))
         return frob[i]
 
-    def _frob_step(self) -> list:
-        """Frob^w as a map of the product layout (see _fold), built on first
-        use: slot i(2k - 1) + t has the image of x^i·y^t, or 0 for t >= k; for
-        k = 1 that layout is the elements' own, and the map _frob_map(w)."""
-        if self._step is None:
-            step, k = self._frob_map(self._frob_w), self.k
-            if k > 1:
-                cols = iter(self._columns(step))
-                step = self._map([self._regroup(next(cols), k, 2 * k - 1) if t < k else 0
-                                  for _ in range(self.n) for t in range(2 * k - 1)])
-            self._step = step
-        return self._step
+    def _frob_layout(self, i: int) -> list:
+        """Frob^i, 1 <= i < n, as a map of the product layout, built on first
+        use: for i = 1 slot j(2k - 1) + t has the image of x^j·y^t from
+        _frob_map(1), or 0 for t >= k; otherwise Frob^(i - h)∘Frob^h with
+        h = i // 2, so that about log2 i maps precede it."""
+        m = self._frob_layouts.get(i)
+        if m is None:
+            if i > 1:
+                m = self._compose(self._frob_layout(i - i // 2), self._frob_layout(i // 2))
+            else:
+                cols, k = iter(self._columns(self._frob_map(1))), self.k
+                m = self._map([self._regroup(next(cols), k, 2 * k - 1) if t < k else 0
+                               for _ in range(self.n) for t in range(2 * k - 1)])
+            self._frob_layouts[i] = m
+        return m
+
+    @property
+    def _step(self) -> list:
+        """The Horner step of _pow_poly: Frob^w in the product layout."""
+        return self._frob_layout(self._frob_w)
+
+    def _subfield_norm(self, beta: int, d: int) -> int:
+        """N(β) = β^((q^n-1)/(q^d-1)) = Π_{j < n/d} Frob^(dj)(β) for d | n, in
+        the product layout, by doubling over the bits of n/d below the top
+        one: T_1 = β, T_2s = T_s·Frob^(ds)(T_s) and T_(s+1) = β·Frob^d(T_s)
+        (von zur Gathen and Shoup 1992)."""
+        t, s = beta, 1
+        for bit in bin(self.n // d)[3:]:
+            t, s = self._product(t, self._fold(self._frob_layout(d * s), t)), 2 * s
+            if bit == "1":
+                t, s = self._product(beta, self._fold(self._frob_layout(d), t)), s + 1
+        return t
 
     def _trace_slow(self, a: int) -> int:
         total, cur = 0, a
@@ -678,38 +702,56 @@ class FieldCtx:
 
     # -- orders and the two element tests -------------------------------------
 
-    def _power_test(self, a: int):
-        """e -> whether α^e = 1 for α != 0, charged as the one power it costs;
-        on the polynomial path one table of digit powers of α serves every e."""
-        if self._log is not None:
-            return lambda e: self.pow(a, e) == 1
-        powers = {1: self._to_layout(a)}
-
-        def is_one(e):
-            self.op_count += 1
-            return self._pow_poly(powers, e) == 1
-        return is_one
-
     def multiplicative_order(self, a: int) -> int:
+        """The least d with α^d = 1 by descent over the primes of q^n - 1, one charge per
+        power; on the polynomial path by Horner from one table of digit powers of α."""
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         d = self.order - 1
         if d == 0:
             raise ConsistencyError("trivial group")
-        is_one = self._power_test(a)
+        powers = {1: self._to_layout(a)} if self._log is None else None
         for r, e in self.mult_factorization.entries:
             for _ in range(e):
-                if not is_one(d // r):
+                if powers is None:
+                    one = self.pow(a, d // r) == 1
+                else:
+                    self.op_count += 1
+                    one = self._pow_poly(powers, d // r) == 1
+                if not one:
                     break
                 d //= r
         return d
 
+    def _primitive_plan(self) -> list:
+        """(r, d, (q^d - 1)/r) for each prime r of q^n - 1 in ascending order,
+        d = ord_r(q), so that r | q^d - 1 and d | n; built on first use."""
+        if self._plan is None:
+            plan = [(r, multiplicative_order(self.q % r, r)) for r in self.mult_factorization.primes()]
+            if any((self.q**d - 1) % r or self.n % d for r, d in plan):
+                raise ConsistencyError(f"an order ord_r({self.q}) in {plan} does not divide n = {self.n}")
+            self._plan = [(r, d, (self.q**d - 1) // r) for r, d in plan]
+        return self._plan
+
     def is_primitive(self, a: int) -> bool:
-        """α^((q^n-1)/r) != 1 for every prime r dividing q^n - 1."""
+        """α^((q^n-1)/r) != 1 for every prime r dividing q^n - 1, tested in
+        ascending r up to the first power that is 1, one charge per r.
+
+        On the polynomial path α^((q^n-1)/r) = N(α^((q^d-1)/r)) with d =
+        ord_r(q) and N the norm to F_{q^d} (_subfield_norm): an exponent
+        below q^d and about 2·log2(n/d) products in place of one below q^n;
+        one table of digit powers of α serves every r.
+        """
         if a == 0:
             raise ValueError("0 is never primitive")
-        is_one = self._power_test(a)
-        return not any(is_one((self.order - 1) // r) for r in self.mult_factorization.primes())
+        if self._log is not None:
+            return not any(self.pow(a, (self.order - 1) // r) == 1 for r in self.mult_factorization.primes())
+        powers = {1: self._to_layout(a)}
+        for _, d, e in self._primitive_plan():
+            self.op_count += 1
+            if self._subfield_norm(self._pow_poly(powers, e), d) == 1:
+                return False
+        return True
 
     def is_normal(self, a: int, method: str = "divisor") -> bool:
         """Normality test; 'divisor' applies the map of every cofactor
@@ -735,6 +777,10 @@ class FieldCtx:
             orbit.append(self.frobenius(orbit[-1], 1))
         planes = (plane for x in orbit[:-1] for plane in self._ring._planes(_pack(x, self.p, self._W)))
         return all(self._independent(planes))
+
+    def independent(self, elems):
+        """For each element, whether it is outside the F_p-span of those before it."""
+        return self._independent(_pack(a, self.p, self._W) for a in elems)
 
     def _independent(self, rows):
         """For each normalized packed row, whether it is outside the F_p-span of
@@ -827,7 +873,8 @@ def build_field(
         raise ValueError("k and n must be >= 1")
     if k * n * math.log2(p) > 63:
         raise ResourceLimitError(f"field F_{p}^{k * n} exceeds the 2^63 cap")
-    fq = SmallField(p, k, modulus=base_modulus)
+    # a default base modulus takes the cached F_q and factorization of x^n - 1
+    fq = canonical_field(p**k) if base_modulus is None else SmallField(p, k, modulus=base_modulus)
     if ext_modulus is None:
         ext_modulus = first_irreducible(fq, n)
     else:
@@ -842,7 +889,7 @@ def build_field(
             raise ValueError("extension modulus is reducible")
     order = fq.q**n
     mult_fact = factorize(order - 1) if order > 2 else Factorization(entries=(), value=1)
-    add_fact = factor_x_n_minus_1_over(fq, n)
+    add_fact = factor_x_n_minus_1(fq.q, n) if base_modulus is None else factor_x_n_minus_1_over(fq, n)
     return FieldCtx(fq, n, ext_modulus, mult_fact, add_fact)
 
 
@@ -885,8 +932,4 @@ def parse_field_spec(spec: str) -> FieldCtx:
 
 
 def format_field_moduli(ctx: FieldCtx) -> tuple[str, str]:
-    fp = SmallField(ctx.p, 1)
-    return (
-        format_poly(fp, ctx.base_modulus),
-        format_poly(ctx.fq, ctx.ext_modulus),
-    )
+    return format_poly(canonical_field(ctx.p), ctx.base_modulus), format_poly(ctx.fq, ctx.ext_modulus)

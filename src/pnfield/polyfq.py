@@ -62,11 +62,6 @@ def poly_deg(f: Poly) -> int:
     return len(f) - 1
 
 
-def poly_add(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    ring = _packed(fq)
-    return ring.unpack(ring.add(ring.pack(f), ring.pack(g)))
-
-
 def poly_sub(fq: SmallField, f: Poly, g: Poly) -> Poly:
     ring = _packed(fq)
     return ring.unpack(ring.sub(ring.pack(f), ring.pack(g)))
@@ -89,32 +84,12 @@ def poly_mod(fq: SmallField, f: Poly, g: Poly) -> Poly:
     return poly_divmod(fq, f, g)[1]
 
 
-def poly_monic(fq: SmallField, f: Poly) -> Poly:
-    if not f or f[-1] == 1:
-        return f
-    ring = _packed(fq)
-    return ring.unpack(ring.monic(ring.pack(f)))
-
-
 def poly_gcd(fq: SmallField, f: Poly, g: Poly) -> Poly:
     """Monic gcd via Euclid; gcd(0, 0) is a domain error."""
     if not f and not g:
         raise ValueError("gcd(0, 0) is undefined")
     ring = _packed(fq)
     return ring.unpack(ring.monic(ring.gcd(ring.pack(f), ring.pack(g))))
-
-
-def poly_pow_mod(fq: SmallField, base: Poly, e: int, mod: Poly) -> Poly:
-    if not mod:
-        raise ZeroDivisionError("polynomial division by zero")
-    ring = _packed(fq)
-    reduce = ring.reducer(ring.pack(mod))
-    return ring.unpack(ring.power(reduce(ring.pack(base)), e, reduce))
-
-
-def poly_pow(fq: SmallField, base: Poly, e: int) -> Poly:
-    ring = _packed(fq)
-    return ring.unpack(ring.power(ring.pack(base), e))
 
 
 def poly_eval(fq, f: Poly, c: int) -> int:

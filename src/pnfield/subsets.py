@@ -93,31 +93,24 @@ def is_structured(ctx: FieldCtx, elems) -> tuple[bool, str | None]:
 
     Singletons are never structured: a lone element must stay admissible for
     size-1 threshold draws.  Any larger set whose union with 0 is closed
-    under addition and F_p-scaling dodges the search the same way a subspace
-    does and is flagged.
+    under addition (so under F_p-scaling) dodges the search the same way a
+    subspace does and is flagged: A ∪ {0} is one iff it has p^rank elements,
+    the rank counted until p^rank passes its size.
     """
     elems = set(elems)
     if not elems:
         raise ValueError("subset must be nonempty")
     for d in range(1, ctx.n + 1):
-        if ctx.n % d:
-            continue
-        sub_order = ctx.q**d
-        if len(elems) != sub_order:
-            continue
-        if all(ctx.pow(a, sub_order) == a for a in elems):
+        if ctx.n % d == 0 and len(elems) == ctx.q**d and all(ctx.pow(a, ctx.q**d) == a for a in elems):
             return True, "subfield"
     if len(elems) == 1 and 0 not in elems:
         return False, None
-    padded = elems | {0}
-    for a in padded:
-        for c in range(ctx.p):
-            if ctx.mul(ctx.embed_base(c), a) not in padded:
-                return False, None
-        for b in padded:
-            if ctx.add(a, b) not in padded:
-                return False, None
-    return True, "subspace"
+    padded, rank = elems | {0}, 0
+    for new in ctx.independent(padded):
+        rank += new
+        if ctx.p**rank > len(padded):
+            return False, None
+    return (True, "subspace") if ctx.p**rank == len(padded) else (False, None)
 
 
 @dataclass(frozen=True)
@@ -167,13 +160,6 @@ class SubsetSpec:
         except KeyError as exc:
             raise ValueError(f"{kind} subset needs the key {exc.args[0]!r}") from None
         raise ValueError(f"unknown subset kind {kind!r}")
-
-    def to_json(self) -> str:
-        if self.kind == "hammingBall":
-            return json.dumps({"kind": self.kind, "center": self.center, "H": self.radius})
-        if self.kind == "heightBox":
-            return json.dumps({"kind": self.kind, "d": self.degree, "H": self.height})
-        return json.dumps({"kind": self.kind, "elements": list(self.elements)})
 
 
 def materialize(ctx: FieldCtx, spec: SubsetSpec, budget: int = DEFAULT_BUDGET) -> list[int]:

@@ -597,3 +597,25 @@ def monic_divisors(fact) -> list:
 def hamming_weight(r) -> int:
     """Number of nonzero coefficients."""
     return sum(1 for c in r if c)
+
+
+def structured_by_closure(ctx, elems) -> tuple:
+    """subsets.is_structured by the definition: the subfield test, then
+    whether A ∪ {0} is closed under F_p-scaling and addition, pair by pair."""
+    elems = set(elems)
+    if not elems:
+        raise ValueError("subset must be nonempty")
+    for d in range(1, ctx.n + 1):
+        if ctx.n % d == 0 and len(elems) == ctx.q**d and all(ctx.pow(a, ctx.q**d) == a for a in elems):
+            return True, "subfield"
+    if len(elems) == 1 and 0 not in elems:
+        return False, None
+    padded = elems | {0}
+    for a in padded:
+        for c in range(ctx.p):
+            if ctx.mul(ctx.embed_base(c), a) not in padded:
+                return False, None
+        for b in padded:
+            if ctx.add(a, b) not in padded:
+                return False, None
+    return True, "subspace"

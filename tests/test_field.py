@@ -14,7 +14,8 @@ from pnfield.counting import exact_counts
 from pnfield.errors import ConsistencyError, ResourceLimitError
 from pnfield.field import _pack, _unpack, build_field, get_field, parse_field_spec
 from pnfield.numtheory import euler_phi
-from pnfield.polyfq import poly_mul, poly_phi, poly_trim
+from pnfield.polyfq import factor_x_n_minus_1, poly_mul, poly_phi, poly_trim
+from pnfield.smallfield import canonical_field
 
 from bruteforce import (
     additive_order_by_division,
@@ -50,6 +51,19 @@ def test_build_field_validation():
         build_field(2, 1, 2, ext_modulus=(1, 0, 1))  # (x+1)^2 reducible
     with pytest.raises(ResourceLimitError):
         build_field(2, 1, 64)  # exceeds the 2^63 cap
+
+
+def test_default_base_modulus_shares_the_cached_factorization():
+    # one factorization of x^n - 1 per (q, n), over the one cached F_q, also
+    # with a user extension modulus; a user base modulus gets its own
+    ctx = build_field(3, 2, 4)
+    assert ctx.fq is canonical_field(9)
+    assert ctx.add_factorization is factor_x_n_minus_1(9, 4) is build_field(3, 2, 4).add_factorization
+    other = build_field(5, 1, 5, ext_modulus=(4, 4, 0, 0, 0, 1))
+    assert other.add_factorization is factor_x_n_minus_1(5, 5)
+    own = build_field(3, 2, 2, base_modulus=(2, 2, 1))  # x^2 + 2x + 2 over F_3
+    assert own.fq is not canonical_field(9) and own.add_factorization.fq is own.fq
+    assert own.fq.modulus == (2, 2, 1)
 
 
 def test_frobenius_examples():

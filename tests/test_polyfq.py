@@ -34,7 +34,7 @@ def test_poly_divmod_roundtrip():
         if not g:
             continue
         q, r = pf.poly_divmod(f5, f, g)
-        assert pf.poly_add(f5, pf.poly_mul(f5, q, g), r) == f
+        assert bf.poly_add_by_calls(f5, pf.poly_mul(f5, q, g), r) == f
         assert pf.poly_deg(r) < pf.poly_deg(g)
 
 
@@ -160,7 +160,8 @@ def test_divisor_lattice_entries_and_order(q, n):
     for exps, d in lattice.items():
         prod = pf.ONE
         for (factor, _), j in zip(fact.entries, exps):
-            prod = pf.poly_mul(fq, prod, pf.poly_pow(fq, factor, j))
+            for _ in range(j):
+                prod = pf.poly_mul(fq, prod, factor)
         assert d == prod
     assert lattice[fact.exponents()] == fact.value
     for e1, d1 in lattice.items():

@@ -161,15 +161,18 @@ def test_multiplicative_order_shares_one_table_of_digit_powers(ctx):
 
 @pytest.mark.parametrize("ctx", [ctx for ctx in FIELDS if ctx.n > 1], ids=repr)
 def test_frobenius_step_in_the_product_layout(ctx):
-    # the Horner step Frob^w, applied to a vector in the product layout and
-    # read back, against α^(q^w) by the ladder (by w rounds of q - 1
-    # schoolbook products where q is small); for n = 1 an exponent below
-    # q^n - 1 is one digit, so no power takes a step
-    for a in (1, ctx.q, ctx.order - 1, ctx.order // 3):
-        got = ctx._from_layout(ctx._fold(ctx._frob_step(), ctx._to_layout(a)))
-        if ctx.q <= 16:
-            assert got == frobenius_by_powering(ctx, a, ctx._frob_w), a
-        assert got == power_by_ladder(ctx, a, ctx.q ** ctx._frob_w), a
+    # Frob^i as a map of the product layout, for the Horner step i = w and
+    # the norm steps of is_primitive up to i = n - 1, applied to a vector in
+    # that layout and read back, against α^(q^i) by the ladder (by i rounds
+    # of q - 1 schoolbook products where q is small); for n = 1 an exponent
+    # below q^n - 1 is one digit, so no power takes a step
+    assert ctx._step is ctx._frob_layout(ctx._frob_w)
+    for i in sorted({1, ctx._frob_w, ctx.n // 2, ctx.n - 1} - {0}):
+        for a in (1, ctx.q, ctx.order - 1, ctx.order // 3):
+            got = ctx._from_layout(ctx._fold(ctx._frob_layout(i), ctx._to_layout(a)))
+            if ctx.q <= 16:
+                assert got == frobenius_by_powering(ctx, a, i), (i, a)
+            assert got == power_by_ladder(ctx, a, ctx.q**i), (i, a)
 
 
 @pytest.mark.parametrize("ctx", [ctx for ctx in FIELDS if ctx.p > 2], ids=repr)

@@ -1,5 +1,6 @@
 """Metrics, subset families, structure detection, and the subset search."""
 
+import json
 import math
 import random
 import time
@@ -83,6 +84,45 @@ def test_is_structured_examples():
     assert sb.is_structured(f25, [1, 2, 3, 4]) == (True, "subspace")
     with pytest.raises(ValueError):
         sb.is_structured(f4, [])
+
+
+def _span(ctx, gens) -> set:
+    span = {0}
+    for g in gens:
+        span = {ctx.add(s, ctx.mul(ctx.embed_base(c), g)) for s in span for c in range(ctx.p)}
+    return span
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 10), (2, 2, 5), (3, 1, 6), (5, 1, 4), (13, 1, 2), (2, 1, 4)], ids=str)
+def test_is_structured_matches_the_closure_oracle(spec):
+    # seeded subsets, spans of seeded generators (punctured, with 0, and
+    # with one element dropped or added), and the subfields, against the
+    # pair-by-pair closure of tests/bruteforce.py
+    ctx = get_field(*spec)
+    rng = random.Random(spec[0] * 100 + spec[2])
+    cases = [[a] for a in (0, 1, ctx.order - 1)]
+    cases += [rng.sample(range(ctx.order), rng.randrange(1, min(ctx.order, 40))) for _ in range(30)]
+    for _ in range(20):
+        span = _span(ctx, rng.sample(range(1, ctx.order), rng.randrange(1, 4)))
+        outside = next(a for a in range(ctx.order) if a not in span) if len(span) < ctx.order else None
+        cases += [sorted(span), sorted(span - {0}), sorted(span - {max(span)})]
+        cases += [sorted(span | {outside})] if outside is not None else []
+    for d in range(1, ctx.n + 1):
+        if ctx.n % d == 0:
+            cases.append([a for a in range(ctx.order) if ctx.pow(a, ctx.q**d) == a])
+    for elems in cases:
+        assert sb.is_structured(ctx, elems) == bf.structured_by_closure(ctx, elems), elems
+
+
+def test_is_structured_on_a_large_subspace_within_seconds():
+    # the 3^10 - 1 nonzero elements with support on x^0..x^9 in F_{3^12}, a
+    # punctured subspace, and the same set with one element moved outside
+    ctx = get_field(3, 1, 12)
+    box = list(range(1, 3**10))
+    start = time.perf_counter()
+    assert sb.is_structured(ctx, box) == (True, "subspace")
+    assert sb.is_structured(ctx, box[:-1] + [3**10]) == (False, None)
+    assert time.perf_counter() - start < 10
 
 
 def test_search_primitive_normal_examples():
@@ -183,12 +223,21 @@ def test_materialize_errors():
         sb.enumerate_hamming_ball(f4, 0, -1)
 
 
+def _spec_json(spec) -> str:
+    """The JSON object of a subset spec, with the keys from_json reads."""
+    if spec.kind == "hammingBall":
+        return json.dumps({"kind": spec.kind, "center": spec.center, "H": spec.radius})
+    if spec.kind == "heightBox":
+        return json.dumps({"kind": spec.kind, "d": spec.degree, "H": spec.height})
+    return json.dumps({"kind": spec.kind, "elements": list(spec.elements)})
+
+
 def test_subset_spec_json_roundtrip():
     spec = sb.SubsetSpec.from_json('{"kind":"heightBox","d":2,"H":1}')
     assert spec.kind == "heightBox" and spec.degree == 2 and spec.height == 1
-    text = spec.to_json()
-    spec2 = sb.SubsetSpec.from_json(text)
-    assert spec2 == spec
+    for spec in (spec, sb.SubsetSpec(kind="hammingBall", center=3, radius=1),
+                 sb.SubsetSpec(kind="explicit", elements=(1, 2))):
+        assert sb.SubsetSpec.from_json(_spec_json(spec)) == spec
     f4 = get_field(2, 1, 2)
     spec3 = sb.SubsetSpec.from_json('{"kind":"explicit","elements":["0,1","1,1"]}', f4)
     assert spec3.elements == (2, 3)
