@@ -1,8 +1,8 @@
 """Per-element cost of the primitive and normal tests on the polynomial path,
 and the set-up cost of the fields layer by layer.
 
-    python3 scripts/bench_pn.py [--seed 1] [--elements 20] [--repeats 5]
-    python3 scripts/bench_pn.py --build [--repeats 5]
+    python3 scripts/bench_pn.py [--seed 1] [--elements 20] [--repeats 5] [--field 2^1:24]
+    python3 scripts/bench_pn.py --build [--repeats 5] [--field 2^1:24]
     python3 scripts/bench_pn.py [--build] --parent ../parent --change . --rounds 3 --out BENCH.json
 
 On each field of FIELDS (the benchmark's big fields, then larger ones, all
@@ -32,9 +32,14 @@ checkout without it) and the gcds (calls of ``polyfq.poly_gcd`` and, where
 it exists, of the packed ``polyfq._Packed.gcd``, which a packed public gcd
 goes through as well), and a short digest of its result.
 
+``--field`` restricts either mode to one field of FIELDS.
+
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
-script runs itself in a fresh interpreter on each checkout's ``src``,
-alternating sides for ``--rounds`` rounds, and writes before/after rows with
+script runs itself in a fresh interpreter on each checkout's ``src``, one
+field at a time, for ``--rounds`` rounds: each field runs on both sides in
+turn before the next field starts, the side that goes first swapping with
+every field and every round, so that both sides of a row see the same host
+state.  It writes before/after rows with
 the speedup, each round's time per side (so that a row can be judged against
 the parent's own spread) and whether the work counts agree; a per-element
 row also joins both builds and, where the change is faster per element, the
@@ -75,12 +80,12 @@ def _op(ctx, name: str):
     return lambda a: ctx.is_normal(a, method=name.partition(".")[2])
 
 
-def measure(seed: int, count: int, repeats: int) -> list:
+def measure(seed: int, count: int, repeats: int, fields=FIELDS) -> list:
     """One row per field and operation, in this interpreter."""
     from pnfield.field import build_field
 
     rows = []
-    for spec in FIELDS:
+    for spec in fields:
         ctx = build_field(*spec)
         elements = random.Random(seed).sample(range(1, ctx.order), count)
         for name in OPS:
@@ -121,7 +126,7 @@ def _count_calls(owner, name: str, counter: list):
     return fn
 
 
-def measure_build(repeats: int) -> list:
+def measure_build(repeats: int, fields=FIELDS) -> list:
     """One row per field and set-up layer, in this interpreter."""
     from pnfield import polyfq
     from pnfield.numtheory import factorize
@@ -136,7 +141,7 @@ def measure_build(repeats: int) -> list:
         wrapped.append((polyfq._Packed, "gcd", gcds))
     originals = [(owner, name, _count_calls(owner, name, counter)) for owner, name, counter in wrapped]
     rows = []
-    for p, k, n in FIELDS:
+    for p, k, n in fields:
         fq = canonical_field(p**k)
         fq.inv(1)
         layers = {"first_irreducible": lambda: polyfq.first_irreducible(fq, n),
@@ -161,17 +166,19 @@ def measure_build(repeats: int) -> list:
 
 
 def compare(sides: dict, args) -> dict:
-    """Alternating fresh-interpreter runs on both checkouts, joined by row."""
-    runs = {"parent": [], "change": []}
+    """Fresh-interpreter runs on both checkouts, alternating field by field,
+    joined by row."""
+    runs = {"parent": [[] for _ in range(args.rounds)], "change": [[] for _ in range(args.rounds)]}
     for i in range(args.rounds):
-        for name in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
-            proc = subprocess.run(
-                [sys.executable, __file__, "--seed", str(args.seed), "--elements", str(args.elements),
-                 "--repeats", str(args.repeats)] + ["--build"] * args.build,
-                env=env, capture_output=True, text=True, check=True)
-            runs[name].append(json.loads(proc.stdout.strip().splitlines()[-1])["rows"])
-            print(f"round {i} {name} done", file=sys.stderr, flush=True)
+        for f, spec in enumerate(FIELDS):
+            for name in (("parent", "change") if (i + f) % 2 == 0 else ("change", "parent")):
+                env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
+                proc = subprocess.run(
+                    [sys.executable, __file__, "--seed", str(args.seed), "--elements", str(args.elements),
+                     "--repeats", str(args.repeats), "--field", "%d^%d:%d" % spec] + ["--build"] * args.build,
+                    env=env, capture_output=True, text=True, check=True)
+                runs[name][i] += json.loads(proc.stdout.strip().splitlines()[-1])["rows"]
+        print(f"round {i} done", file=sys.stderr, flush=True)
     rows = []
     for j, row in enumerate(runs["change"][0]):
         before = statistics.median(r[j]["us"] for r in runs["parent"])
@@ -203,6 +210,16 @@ def compare(sides: dict, args) -> dict:
             "rows": rows}
 
 
+def _field_spec(text: str) -> tuple:
+    """(p, k, n) of a field of FIELDS given as p^k:n."""
+    p, _, rest = text.partition("^")
+    k, _, n = rest.partition(":")
+    spec = (int(p), int(k), int(n))
+    if spec not in FIELDS:
+        raise argparse.ArgumentTypeError(f"{text} is not one of the fields of FIELDS")
+    return spec
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--seed", type=int, default=1)
@@ -213,14 +230,16 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--build", action="store_true", help="time the set-up layers of each field")
+    ap.add_argument("--field", type=_field_spec, help="only this field of FIELDS, as p^k:n")
     args = ap.parse_args(argv)
+    fields = FIELDS if args.field is None else (args.field,)
     if args.parent and args.change:
         result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()}, args)
     elif args.build:
-        result = {"rows": measure_build(args.repeats)}
+        result = {"rows": measure_build(args.repeats, fields)}
     else:
         result = {"seed": args.seed, "elements": args.elements,
-                  "rows": measure(args.seed, args.elements, args.repeats)}
+                  "rows": measure(args.seed, args.elements, args.repeats, fields)}
     if args.out:
         report = json.loads(args.out.read_text()) if args.out.exists() else {}
         report["build" if args.build else "per_element"] = result

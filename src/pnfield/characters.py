@@ -14,12 +14,17 @@ counts #{c : Ord ψ_c | d} = q^deg(d) come out right.
 
 The complex sums read their character values from integer tables indexed by
 exponents of τ, built once per field (up to the exp/log table cap) from the
-public log table, trace and add, and kept in ``FieldCtx.char_cache``:
+public log table, trace and add, and kept in ``FieldCtx.char_cache``; the
+two indexed by exponents hold each entry at i and i + m (m = q^n - 1), so a
+sum or difference of two logs needs no reduction mod m, and then zeros,
+read where the double sums take log 0 as 2m (tr_exp) or 3m (zech):
 
-- ``tr_exp[i] = tr(τ^i)``, so tr(c·α) = tr_exp[(log c + log α) mod m];
+- ``tr_exp[i] = tr(τ^i)``, so tr(c·α) = tr_exp[log c + log α], and
+  tr(c·u·0) = tr_exp[(log c + log u) mod m + 2m] = 0;
 - Zech logarithms ``zech[i] = log(1 + τ^i)``, None where 1 + τ^i = 0, so
-  log(u + v) = log u + zech[(log v - log u) mod m];
-- ``norm_dd``, the kernel data of the divisor-dependent normal indicator.
+  log(u + v) = log u + zech[log v - log u + m], and log(u + 0) = log u + 0;
+- ``norm_dd``, the kernel data of the divisor-dependent normal indicator and
+  its value per kernel class (the set of e with α in K_e^⊥) met so far.
 
 Tables that depend only on integers are cached once per argument by
 ``functools.lru_cache``, so fields of one size q^n share them: the roots of
@@ -39,6 +44,8 @@ import cmath
 import functools
 import itertools
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -62,18 +69,19 @@ def _log_table(ctx: FieldCtx) -> list[int]:
 
 
 def _tr_exp(ctx: FieldCtx) -> list[int]:
-    """tr_exp[i] = tr(τ^i) for i < q^n - 1."""
+    """tr_exp[i] = tr(τ^i) for i < 2m, m = q^n - 1, and 0 for 2m <= i < 3m."""
     if "tr_exp" not in ctx.char_cache:
         log = _log_table(ctx)
         tr_exp = [0] * (ctx.order - 1)
         for a in range(1, ctx.order):
             tr_exp[log[a]] = ctx.trace(a)
-        ctx.char_cache["tr_exp"] = tr_exp
+        ctx.char_cache["tr_exp"] = tr_exp * 2 + [0] * (ctx.order - 1)
     return ctx.char_cache["tr_exp"]
 
 
 def _zech(ctx: FieldCtx) -> list[int | None]:
-    """Zech logarithms: zech[i] = log(1 + τ^i), None where 1 + τ^i = 0."""
+    """Zech logarithms: zech[i] = log(1 + τ^i) for i < 2m, m = q^n - 1, None
+    where 1 + τ^i = 0, and 0 for 2m <= i <= 3m."""
     if "zech" not in ctx.char_cache:
         log = _log_table(ctx)
         zech: list[int | None] = [None] * (ctx.order - 1)
@@ -81,7 +89,7 @@ def _zech(ctx: FieldCtx) -> list[int | None]:
             w = ctx.add(1, a)
             if w:
                 zech[log[a]] = log[w]
-        ctx.char_cache["zech"] = zech
+        ctx.char_cache["zech"] = zech * 2 + [0] * ctx.order
     return ctx.char_cache["zech"]
 
 
@@ -122,36 +130,28 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
     if c == 0:
         # Σ χ_b(ρ) over ρ≠0: exponents b·log ρ hit every multiple of
         # gcd(b, m) uniformly; a uniform histogram sums to 0 exactly.
-        counts: dict[int, int] = {}
-        for a in range(1, ctx.order):
-            e = b * log[a] % m
-            counts[e] = counts.get(e, 0) + 1
+        counts = Counter(b * la % m for la in itertools.islice(log, 1, None))
         values = set(counts.values())
         if len(values) == 1 and len(counts) > 1:
             return complex(0)
         zm = _roots_of_unity(m)
         return sum(cnt * zm[e] for e, cnt in counts.items())
-    # tr(c·ρ) = tr_exp[(log c + log ρ) mod m], with ρ in enumeration order
+    # tr(c·ρ) = tr_exp[log c + log ρ], with ρ in enumeration order
     tr_exp = _tr_exp(ctx)
     lc = log[c]
     if b == 0:
         # Σ ψ_c(ρ) over ρ≠0: the histogram of tr(c·ρ) over the whole field
         # is uniform, so dropping ρ=0 leaves count_0 - count_j = -1 exactly.
-        counts = {}
-        for a in range(1, ctx.order):
-            t = tr_exp[(lc + log[a]) % m]
-            counts[t] = counts.get(t, 0) + 1
+        counts = Counter(tr_exp[lc + la] for la in itertools.islice(log, 1, None))
         nonzero = {counts.get(j, 0) for j in range(1, ctx.p)}
         if len(nonzero) == 1:
             return complex(counts.get(0, 0) - nonzero.pop())
         zp = _roots_of_unity(ctx.p)
         return sum(cnt * zp[t] for t, cnt in counts.items())
-    zm = _roots_of_unity(m)
-    zp = _roots_of_unity(ctx.p)
+    zm, zp = _roots_of_unity(m), _roots_of_unity(ctx.p)
     total = 0j
-    for a in range(1, ctx.order):
-        la = log[a]
-        total += zm[b * la % m] * zp[tr_exp[(lc + la) % m]]
+    for la in itertools.islice(log, 1, None):  # log ρ in enumeration order of ρ
+        total += zm[b * la % m] * zp[tr_exp[lc + la]]
     return total
 
 
@@ -247,11 +247,13 @@ def indicator_primitive_df_literal(ctx: FieldCtx, a: int, rotation: int = 0) -> 
 
 
 def _ensure_norm_dd_data(ctx: FieldCtx):
-    """Per-subset kernel data for the divisor-dependent normal indicator.
+    """Per-subset kernel data for the divisor-dependent normal indicator, and
+    its values by kernel class.
 
     For each subset E of the distinct irreducible factors of x^n - 1 (all
     squarefree since p does not divide n), caches Φ_q(e), q^deg(e) and an
-    F_p-spanning set of the kernel K_e = {c : e∘c = 0}.
+    F_p-spanning set of the kernel K_e = {c : e∘c = 0}; the second item is
+    the dict of indicator values by kernel class, filled on first use.
     """
     if "norm_dd" in ctx.char_cache:
         return ctx.char_cache["norm_dd"]
@@ -267,18 +269,10 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
         cof = tuple(1 - j for j in exps)
         images = (ctx.divisor_action(cof, p**d) for d in range(dim))
         span = [img for img in dict.fromkeys(images) if img]
-        bits = sum(exps)
-        subsets.append(
-            {
-                "mask": mask,
-                "mu": -1 if bits % 2 else 1,
-                "phi": phi_from_degrees(q, zip(degrees, exps)),
-                "span": span,
-                "kernel_size": q ** fact.degree(exps),
-            }
-        )
-    ctx.char_cache["norm_dd"] = subsets
-    return subsets
+        subsets.append({"mask": mask, "mu": (-1) ** sum(exps), "phi": phi_from_degrees(q, zip(degrees, exps)),
+                        "span": span, "kernel_size": q ** fact.degree(exps)})
+    ctx.char_cache["norm_dd"] = subsets, {}
+    return ctx.char_cache["norm_dd"]
 
 
 def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
@@ -288,41 +282,37 @@ def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
     evaluated exactly: for squarefree e, Σ_{Ord ψ_c | e} ψ_c(α) is q^deg(e)
     when tr(c·α) vanishes on the kernel K_e and 0 otherwise, and the
     order-exactly-d sums follow by Möbius inversion over the divisor lattice.
+    So the value depends on α only through its kernel class, the set of e
+    with α in K_e^⊥, and K_e is the direct sum of the K_r over the factors r
+    of e: the class is the set of factors r with α in K_r^⊥, and the Möbius
+    sum runs once per class that occurs.
 
     Applicable only when p does not divide n (x^n - 1 squarefree); returns
     None otherwise, a tagged not-applicable result rather than an error.
     """
     if ctx.n % ctx.p == 0:
         return None
-    subsets = _ensure_norm_dd_data(ctx)
-    t = len(ctx.add_factorization.entries)
-    # F[mask] = full kernel character sum over K_e for the subset e, where
-    # tr(c·α) = tr_exp[(log c + log α) mod m] for the nonzero c spanning K_e,
-    # and tr(c·0) = 0 (log[0] is a placeholder)
-    full_sums = [0] * (1 << t)
-    tr_exp, log, m = _tr_exp(ctx), _log_table(ctx), ctx.order - 1
+    subsets, values = _ensure_norm_dd_data(ctx)
+    # α ∈ K_r^⊥ iff tr(c·α) = tr_exp[log c + log α] vanishes on the c
+    # spanning K_r; tr(c·0) = 0 (log[0] is a placeholder)
+    tr_exp, log, t = _tr_exp(ctx), _log_table(ctx), len(ctx.add_factorization.entries)
     log_a = log[a]
-    for entry in subsets:
-        ok = a == 0 or all(tr_exp[(log[c] + log_a) % m] == 0 for c in entry["span"])
-        full_sums[entry["mask"]] = entry["kernel_size"] if ok else 0
-    total = Fraction(0)
-    for entry in subsets:
-        mask = entry["mask"]
-        s_d = 0
-        sub = mask
-        while True:
-            bits = bin(mask ^ sub).count("1")
-            s_d += (-1 if bits % 2 else 1) * full_sums[sub]
-            if sub == 0:
-                break
-            sub = (sub - 1) & mask
-        total += Fraction(entry["mu"] * s_d, entry["phi"])
-    value = Fraction(poly_phi(ctx.add_factorization), ctx.order) * total
-    if value == 1:
-        return 1
-    if value == 0:
-        return 0
-    raise ConsistencyError(f"normal indicator evaluated to {value}")
+    key = sum(1 << i for i in range(t)
+              if a == 0 or all(tr_exp[log[c] + log_a] == 0 for c in subsets[1 << i]["span"]))
+    if key not in values:
+        # F[mask] = q^deg(e) where α ∈ K_e^⊥ and 0 otherwise; the sum over
+        # the characters of order exactly e inverts F over the subsets of e
+        full_sums = [entry["kernel_size"] if mask & ~key == 0 else 0 for mask, entry in enumerate(subsets)]
+        total = Fraction(0)
+        for mask, entry in enumerate(subsets):
+            s_d = sum((-1) ** bin(mask ^ sub).count("1") * full_sums[sub]
+                      for sub in range(mask + 1) if sub & mask == sub)
+            total += Fraction(entry["mu"] * s_d, entry["phi"])
+        value = Fraction(poly_phi(ctx.add_factorization), ctx.order) * total
+        if value not in (0, 1):
+            raise ConsistencyError(f"normal indicator evaluated to {value}")
+        values[key] = int(value)
+    return values[key]
 
 
 def indicator_normal_df(ctx: FieldCtx, a: int, eta: int) -> int:
@@ -350,7 +340,7 @@ def double_product_sum_ratio(ctx: FieldCtx, c: int, u_set, v_set) -> float:
     log, tr_exp = _log_table(ctx), _tr_exp(ctx)
     m = ctx.order - 1
     zp = _roots_of_unity(ctx.p)
-    logs_v = [log[v] if v else None for v in v_set]
+    logs_v = [log[v] if v else 2 * m for v in v_set]  # log 0 read as 2m, where tr_exp is 0
     total = 0j
     for u in u_set:
         if u == 0:
@@ -358,27 +348,24 @@ def double_product_sum_ratio(ctx: FieldCtx, c: int, u_set, v_set) -> float:
                 total += zp[0]
             continue
         # ψ_c(u·v) = e(tr(τ^(log c + log u + log v))/p), and 1 where v = 0
-        lcu = log[c] + log[u]
+        lcu = (log[c] + log[u]) % m
         for lv in logs_v:
-            total += zp[0 if lv is None else tr_exp[(lcu + lv) % m]]
+            total += zp[tr_exp[lcu + lv]]
     bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
     return abs(total) / bound
 
 
-def units_sum_ratio(ctx: FieldCtx, c: int, eta: int | None = None) -> float:
+def units_sum_ratio(ctx: FieldCtx, c: int) -> float:
     """|Σ ψ_c(u)| / q^(n/2) with u ranging over the units of F_q[x]/(x^n-1)
-    carried into the field through a normal element (so over the normal
-    elements).  Reported only: the constant-1 bound fails in general."""
+    carried into the field through τ (so over the normal elements).
+    Reported only: the constant-1 bound fails in general."""
     if c == 0:
         raise ValueError("ψ must be nontrivial")
-    if eta is None:
-        eta = ctx.reference_tau
     log, tr_exp = _log_table(ctx), _tr_exp(ctx)
-    m = ctx.order - 1
-    zp = _roots_of_unity(ctx.p)
+    zp, lc = _roots_of_unity(ctx.p), log[c]
     total = 0j
-    for w in ctx.normal_image(eta):
-        total += zp[tr_exp[(log[c] + log[w]) % m]]
+    for w in ctx.normal_image(ctx.reference_tau):
+        total += zp[tr_exp[lc + log[w]]]
     return abs(total) / ctx.order**0.5
 
 
@@ -390,21 +377,20 @@ def shifted_sum_ratio(ctx: FieldCtx, b: int, u_set, v_set) -> float:
         raise ValueError("χ must be nontrivial")
     log, zech = _log_table(ctx), _zech(ctx)
     zm = _roots_of_unity(m)
-    logs_v = [log[v] if v else None for v in v_set]
+    # log v + m, so that log v - log u + m indexes the Zech table, and 3m
+    # for v = 0, where zech is 0
+    logs_v = [log[v] + m if v else 3 * m for v in v_set]
     total = 0j
     for u in u_set:
         if u == 0:
-            for lv in logs_v:
-                if lv is not None:
+            for v, lv in zip(v_set, logs_v):
+                if v:
                     total += zm[b * lv % m]
             continue
         lu = log[u]
         for lv in logs_v:
-            if lv is None:
-                total += zm[b * lu % m]
-                continue
             # log(u + v) = log u + zech[log v - log u]; u + v = 0 adds nothing
-            z = zech[(lv - lu) % m]
+            z = zech[lv - lu]
             if z is not None:
                 total += zm[b * (lu + z) % m]
     bound = ctx.order**0.5 * math.sqrt(len(u_set) * len(v_set))
@@ -533,7 +519,8 @@ def fourier_identity_max_residuals(ctx: FieldCtx, b: int, c: int) -> tuple[float
     χ_b(α) = (1/q^n)·Σ_ψ ψ(α)·G(χ_b, ψ̄)       (multiplicative identity)
 
     The Gauss-sum arrays are computed once, so the whole field costs
-    O(q^(2n)) complex operations.
+    O(q^(2n)) complex operations.  Each sum takes its terms in order of bb
+    and of cc.
     """
     qn = ctx.order
     m = qn - 1
@@ -545,12 +532,13 @@ def fourier_identity_max_residuals(ctx: FieldCtx, b: int, c: int) -> tuple[float
     res_add = 0.0
     res_mult = 0.0
     for a in range(1, qn):
-        # tr(c·α) = tr_exp[(log c + log α) mod m], and 0 where c = 0
+        # tr(c·α) = tr_exp[log c + log α], and 0 where c = 0
         la = log[a]
-        psi_val = zp[tr_exp[(log[c] + la) % m] if c else 0]
-        total = sum(zm[bb * la % m] * g_add[bb] for bb in range(m))
+        psi_val = zp[tr_exp[log[c] + la] if c else 0]
+        total = sum(map(operator.mul, [zm[bb * la % m] for bb in range(m)], g_add))
         res_add = max(res_add, abs(psi_val - total / m))
         chi_val = zm[b * la % m]
-        total = sum(zp[tr_exp[(log[cc] + la) % m] if cc else 0] * g_mult[cc] for cc in range(qn))
+        psi = [zp[0]] + [zp[tr_exp[lc + la]] for lc in itertools.islice(log, 1, None)]  # ψ_cc(α)
+        total = sum(map(operator.mul, psi, g_mult))
         res_mult = max(res_mult, abs(chi_val - total / qn))
     return res_add, res_mult

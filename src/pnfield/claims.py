@@ -126,6 +126,16 @@ def phi_of_product(m: int, n: int, lpf: list[int]) -> int:
     return out
 
 
+def totient_inverse_holds(n: int, divs: list[int], mus: list[int], phis: list[int]) -> bool:
+    """1/φ(n) = (1/n)·Σ_{d|n} μ²(d)/φ(d) over the divisors divs of n, with the
+    sum kept as num/den, never reduced or divided: n·den = φ(n)·num."""
+    num, den = 0, 1
+    for d in divs:
+        if mus[d]:
+            num, den = num * phis[d] + den, den * phis[d]
+    return n * den == phis[n] * num
+
+
 def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) -> list[ClaimResult]:
     out = []
     phis = phi_sieve(max(phi_limit, _PAIR_BOUND))
@@ -156,8 +166,7 @@ def integer_claims(seed: int, phi_limit: int = 10**4, pair_trials: int = 10**4) 
                        "φ(mn)·φ(d) = d·φ(m)·φ(n) with d = gcd(m, n)"))
 
     # inverse identity 1/φ(n) = (1/n)·Σ μ²(d)/φ(d)
-    ok = all(Fraction(1, phis[n]) == sum(Fraction(1, phis[d]) for d in divs[n] if mus[d]) / n
-             for n in range(1, min(phi_limit, 10**4) + 1))
+    ok = all(totient_inverse_holds(n, divs[n], mus, phis) for n in range(1, min(phi_limit, 10**4) + 1))
     out.append(_assert("totient-inverse-identity", f"n<={min(phi_limit, 10**4)}", ok,
                        "1/φ(n) = (1/n)·Σ_{d|n} μ²(d)/φ(d)"))
 
@@ -439,9 +448,10 @@ def _fourier_identities(f: _Field):
 
 def _mult_char_norm_reading(f: _Field):
     # e(N(cα)/(q^n-1)) takes at most p distinct values, an order-(q^n-1)
-    # character needs q^n-1 of them
+    # character needs q^n-1 of them; N(cα) is read from the field's norms
     ctx = f.ctx
-    distinct = max(len({ctx.norm(ctx.mul(c, a)) for a in range(1, f.qn)}) for c in range(1, min(f.qn, 16)))
+    norms = [ctx.norm(a) for a in range(f.qn)]
+    distinct = max(len({norms[ctx.mul(c, a)] for a in range(1, f.qn)}) for c in range(1, min(f.qn, 16)))
     yield _report("mult-char-norm-reading", f.subject,
                   f"norm-exponent values per character <= {distinct} "
                   f"(at most p = {ctx.p}) but a primitive character needs "

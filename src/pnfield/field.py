@@ -77,7 +77,6 @@ from .polyfq import (
     _pack,
     _packed,
     _unpack,
-    coprime_residues,
     factor_x_n_minus_1,
     factor_x_n_minus_1_over,
     first_irreducible,
@@ -651,19 +650,25 @@ class FieldCtx:
 
     def _divisor_map(self, exps: tuple) -> list:
         """The map d∘ of the divisor d of x^n - 1 with exponent vector exps: a
-        factor's by _module_map, r^j as r^(j - j//2)∘r^(j//2), and otherwise
-        its first factor's power composed with the rest."""
+        factor's by _module_map, r^j as r^(j - j//2)∘r^(j//2), a product as
+        head∘rest, the head the longest prefix where exps equals x^n - 1's
+        exponents (less its last factor if nothing follows), else the first
+        factor's power: the cofactors share prefix and suffix products."""
         m = self._divisor_maps.get(exps)
         if m is None:
+            t, top = len(exps), self.add_factorization.exponents()
             i = next((i for i, j in enumerate(exps) if j), 0)
-            j, tail, rest = exps[i], (0,) * (len(exps) - i - 1), (0,) * (i + 1) + exps[i + 1:]
-            if any(rest):
-                m = self._compose(self._divisor_map(exps[:i + 1] + tail), self._divisor_map(rest))
-            elif j > 1:
+            full = next((c for c in range(t) if exps[c] != top[c]), t)
+            if sum(map(bool, exps)) > 1:
+                c = (full if any(exps[full:]) else full - 1) if full else i + 1
+                m = self._compose(self._divisor_map(exps[:c] + (0,) * (t - c)),
+                                  self._divisor_map((0,) * c + exps[c:]))
+            elif exps[i] > 1:
+                j, tail = exps[i], (0,) * (t - i - 1)
                 m = self._compose(self._divisor_map(exps[:i] + (j - j // 2,) + tail),
                                   self._divisor_map(exps[:i] + (j // 2,) + tail))
             else:
-                m = self._module_map(self.add_factorization.entries[i][0] if j else (1,))
+                m = self._module_map(self.add_factorization.entries[i][0] if exps[i] else (1,))
             self._divisor_maps[exps] = m
         return m
 
@@ -804,21 +809,36 @@ class FieldCtx:
 
     # -- coprime residue polynomials and the normal image ----------------------
 
-    def coprime_s_polys(self) -> list[Poly]:
-        """Units of F_q[x]/(x^n - 1), as polynomials of degree < n."""
+    def _units(self) -> list[int]:
+        """The encodings of the units of F_q[x]/(x^n - 1), ascending: all but
+        the ideals (r) of the irreducible factors r of x^n - 1, each marked by
+        one _span of its F_p-basis y^t·x^j·r, t < k, j < n - deg r."""
         if self._coprime_s is None:
-            self._coprime_s = coprime_residues(self.fq, self.n)
+            unit = bytearray([1]) * self.order
+            for r, _ in self.add_factorization.entries:
+                for a in self._span([self.encode((0,) * j + tuple(self.fq.mul(self.p**t, c) for c in r))
+                                     for j in range(self.n - poly_deg(r)) for t in range(self.k)]):
+                    unit[a] = 0
+            self._coprime_s = list(itertools.compress(range(self.order), unit))
         return self._coprime_s
 
     def normal_image(self, eta: int) -> frozenset:
         """{s∘η : gcd(s, x^n-1) = 1} for a normal η, which is tested once
-        (ValueError if it is not); equals the set of normal elements."""
+        (ValueError if it is not); equals the set of normal elements.
+
+        s -> s∘η is F_p-linear with columns y^t·η^(q^i): one _span, read at
+        the units in encoding order, charged as apply_linearized(s, η): one
+        per s_i != 0 and per Frobenius image (i > 0) on the polynomial path;
+        x is a unit, so each i has as many units with s_i != 0 as i = 0."""
         if eta not in self._normal_image:
             if not self.is_normal(eta):
                 raise ValueError("η must be normal")
-            self._normal_image[eta] = frozenset(
-                self.apply_linearized(s, eta) for s in self.coprime_s_polys()
-            )
+            count, units = self.op_count, self._units()
+            images = self._span([self.mul(self.p**t, self.frobenius(eta, i))
+                                 for i in range(self.n) for t in range(self.k)])
+            nonzero = sum(1 for s in units if s % self.q)
+            self.op_count = count + nonzero * (self.n if self._log is not None else 2 * self.n - 1)
+            self._normal_image[eta] = frozenset(images[s] for s in units)
         return self._normal_image[eta]
 
     # -- text formats ----------------------------------------------------------

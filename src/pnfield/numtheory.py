@@ -282,7 +282,8 @@ def mertens_report(x: int) -> SummatoryReport:
     """Exact Σμ(n), Σμ(n)/n and Σμ(n){x/n} for n <= x.
 
     The three statistics satisfy Σμ(n){x/n} = x·Σμ(n)/n - 1 exactly; the
-    report computes both sides independently and stores the residual.
+    report computes both sides independently and stores the residual, each
+    summed in integers scaled by L = lcm(1..x), a product of prime powers.
     """
     if x < 1:
         raise ValueError(f"mertens_report requires x >= 1, got {x}")
@@ -290,29 +291,26 @@ def mertens_report(x: int) -> SummatoryReport:
         raise ResourceLimitError(f"x = {x} exceeds the 10^7 summation cap")
     mu = mobius_sieve(x)
     mertens = sum(mu[1:])
-    reciprocal = Fraction(0)
-    fractional = Fraction(0)
-    for n in range(1, x + 1):
-        m = mu[n]
-        if m == 0:
-            continue
-        reciprocal += Fraction(m, n)
-        fractional += Fraction(m * (x % n), n)
+    big_l = 1
+    for r, least in enumerate(least_prime_factor_sieve(x)):
+        if r > 1 and least == r:
+            power = r
+            while power * r <= x:
+                power *= r
+            big_l *= power
+    # n | L for every n <= x, so each L // n is exact
+    reciprocal = fractional = 0
+    for n, m in enumerate(mu):
+        if m:
+            scaled = m * (big_l // n)
+            reciprocal += scaled
+            fractional += x % n * scaled
+    reciprocal, fractional = Fraction(reciprocal, big_l), Fraction(fractional, big_l)
     residual = fractional - (x * reciprocal - 1)
     envelope = math.exp(-math.sqrt(math.log(x))) if x > 1 else 1.0
-    ratios = (
-        mertens / (x * envelope),
-        float(reciprocal) / envelope,
-        float(fractional + 1) / (x * envelope),
-    )
-    return SummatoryReport(
-        x=x,
-        mertens=mertens,
-        reciprocal_sum=reciprocal,
-        fractional_sum=fractional,
-        bound_ratios=ratios,
-        identity_residual=residual,
-    )
+    ratios = (mertens / (x * envelope), float(reciprocal) / envelope, float(fractional + 1) / (x * envelope))
+    return SummatoryReport(x=x, mertens=mertens, reciprocal_sum=reciprocal, fractional_sum=fractional,
+                           bound_ratios=ratios, identity_residual=residual)
 
 
 @dataclass(frozen=True)

@@ -62,11 +62,6 @@ def poly_deg(f: Poly) -> int:
     return len(f) - 1
 
 
-def poly_sub(fq: SmallField, f: Poly, g: Poly) -> Poly:
-    ring = _packed(fq)
-    return ring.unpack(ring.sub(ring.pack(f), ring.pack(g)))
-
-
 def poly_mul(fq: SmallField, f: Poly, g: Poly) -> Poly:
     ring = _packed(fq)
     return ring.unpack(ring.mul(ring.pack(f), ring.pack(g)))
@@ -112,15 +107,6 @@ def monic_polys(fq: SmallField, d: int):
     """Monic degree-d polynomials, low coefficients cycling fastest."""
     ring = _packed(fq)
     return map(ring.unpack, _monic_candidates(ring, d))
-
-
-def coprime_residues(fq: SmallField, n: int) -> list[Poly]:
-    """The units of F_q[x]/(x^n - 1) in the order of their base-q encodings:
-    an encoding, its base-p digits spread to slots, is the packed residue."""
-    ring = _packed(fq)
-    xn1, p, bits = ring.pack(x_pow_n_minus_1(fq, n)), fq.p, ring.W
-    residues = (_pack(enc, p, bits) for enc in range(1, fq.q**n))
-    return [ring.unpack(s) for s in residues if ring.degree(ring.gcd(xn1, s)) == 0]
 
 
 @functools.lru_cache(maxsize=None)

@@ -14,23 +14,8 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, ConsistencyError, ResourceLimitError
 from .field import FieldCtx
-from .polyfq import Poly, poly_sub
+from .polyfq import Poly
 from .seeds import rng_for
-
-
-def height(ctx: FieldCtx, r: Poly) -> int:
-    """Max centered-representative magnitude over all F_p coordinates.
-
-    Representatives live in (-p/2, p/2]: coordinate c maps to c when
-    c <= p/2 and c - p otherwise.
-    """
-    half = ctx.p // 2
-    best = 0
-    for coeff in r:
-        for d in ctx.fq.digits(coeff):
-            centered = d if d <= half else d - ctx.p
-            best = max(best, abs(centered))
-    return best
 
 
 def poly_distance_weight(ctx: FieldCtx, r: Poly, s: Poly) -> int:
@@ -39,7 +24,18 @@ def poly_distance_weight(ctx: FieldCtx, r: Poly, s: Poly) -> int:
 
 
 def poly_distance_height(ctx: FieldCtx, r: Poly, s: Poly) -> int:
-    return height(ctx, poly_sub(ctx.fq, s, r))
+    """Height of s - r: the largest centered magnitude min(c, p - c) of a
+    base-p digit difference c, coefficient by coefficient.  F_q adds digit
+    by digit, and (b - a) mod p is the difference of the low digits of a
+    and b, so each step reads it and then drops those digits."""
+    p, k, best = ctx.p, ctx.k, 0
+    for a, b in itertools.zip_longest(r, s, fillvalue=0):
+        for _ in range(k):
+            c = (b - a) % p
+            if c > best and p - c > best:
+                best = min(c, p - c)
+            a, b = a // p, b // p
+    return best
 
 
 def enumerate_hamming_ball(ctx: FieldCtx, center: int, radius: int) -> list[int]:

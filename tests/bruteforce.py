@@ -45,6 +45,18 @@ def mobius_by_trial(n: int) -> int:
     return -1 if len(fact) % 2 else 1
 
 
+def mertens_by_fractions(x: int) -> tuple:
+    """(Σμ(n), Σμ(n)/n, Σμ(n)·(x mod n)/n) over n <= x, one Fraction term at
+    a time, with μ by trial division."""
+    mertens, reciprocal, fractional = 0, Fraction(0), Fraction(0)
+    for n in range(1, x + 1):
+        mu = mobius_by_trial(n)
+        mertens += mu
+        reciprocal += Fraction(mu, n)
+        fractional += Fraction(mu * (x % n), n)
+    return mertens, reciprocal, fractional
+
+
 def order_by_powering(ctx, a: int) -> int:
     """Multiplicative order by naive repeated multiplication."""
     cur = a
@@ -489,7 +501,7 @@ def indicator_normal_dd_per_term(ctx, a: int):
 
     if ctx.n % ctx.p == 0:
         return None
-    subsets = _ensure_norm_dd_data(ctx)
+    subsets, _ = _ensure_norm_dd_data(ctx)
     t = len(ctx.add_factorization.entries)
     full_sums = [0] * (1 << t)
     for entry in subsets:
@@ -565,9 +577,27 @@ def indicator_normal_df_literal(ctx, a: int, eta: int) -> int:
     normal η."""
     qn, log = ctx.order, ctx.log_table
     total = 0j
-    for s in ctx.coprime_s_polys():
+    for s in coprime_residues_by_gcd(ctx.fq, ctx.n):
         total += df_inner_per_term(ctx, (log[ctx.apply_linearized(s, eta)] - log[a]) % qn) / qn
     return _rounded_indicator(total, 1e-6)
+
+
+def coprime_residues_by_gcd(fq, n: int) -> list:
+    """The units of F_q[x]/(x^n - 1) in the order of their base-q encodings,
+    one packed gcd with x^n - 1 per residue: an encoding, its base-p digits
+    spread to slots, is the packed residue."""
+    from pnfield.polyfq import _pack, _packed, x_pow_n_minus_1
+
+    ring = _packed(fq)
+    xn1, p, bits = ring.pack(x_pow_n_minus_1(fq, n)), fq.p, ring.W
+    residues = (_pack(enc, p, bits) for enc in range(1, fq.q**n))
+    return [ring.unpack(s) for s in residues if ring.degree(ring.gcd(xn1, s)) == 0]
+
+
+def normal_image_by_action(ctx, eta: int) -> frozenset:
+    """{s∘η} over the units s, one apply_linearized per unit, inserted in
+    the order of the units' encodings."""
+    return frozenset(ctx.apply_linearized(s, eta) for s in coprime_residues_by_gcd(ctx.fq, ctx.n))
 
 
 def additive_order_census(ctx) -> dict:
@@ -597,6 +627,21 @@ def monic_divisors(fact) -> list:
 def hamming_weight(r) -> int:
     """Number of nonzero coefficients."""
     return sum(1 for c in r if c)
+
+
+def height(ctx, r) -> int:
+    """Max centered-representative magnitude over all F_p coordinates.
+
+    Representatives live in (-p/2, p/2]: coordinate c maps to c when
+    c <= p/2 and c - p otherwise.
+    """
+    half = ctx.p // 2
+    best = 0
+    for coeff in r:
+        for d in ctx.fq.digits(coeff):
+            centered = d if d <= half else d - ctx.p
+            best = max(best, abs(centered))
+    return best
 
 
 def structured_by_closure(ctx, elems) -> tuple:

@@ -109,7 +109,7 @@ def test_indicator_normal_df_examples():
     # constructed witness: α = s∘η with gcd(s, x^n-1) = 1
     f9 = get_field(3, 1, 2)
     eta9 = f9.reference_tau
-    for s in f9.coprime_s_polys():
+    for s in bf.coprime_residues_by_gcd(f9.fq, 2):
         alpha = f9.apply_linearized(s, eta9)
         assert ch.indicator_normal_df(f9, alpha, eta9) == 1
     with pytest.raises(ValueError):
@@ -261,7 +261,7 @@ def test_subsum_partition_matches_literal_quadruple_sum():
         eta = ctx.reference_tau
         log = ctx.log_table
         s_ints = [s for s in range(1, qn) if math.gcd(s, m) == 1]
-        s_polys = ctx.coprime_s_polys()
+        s_polys = bf.coprime_residues_by_gcd(ctx.fq, n)
         parts = [0j, 0j, 0j, 0j]  # N00, N01, N10, N11
         for a in range(1, qn):
             la = log[a]
@@ -340,12 +340,36 @@ def test_trace_and_zech_tables_match_their_definitions(p, k, n):
     powers = _powers_of_tau(ctx)
     tr_exp, zech = ch._tr_exp(ctx), ch._zech(ctx)
     minus_one = ctx.neg(1)
-    assert len(tr_exp) == len(zech) == len(powers)
+    # each table holds its entries twice, at i and at i + m, then zeros
+    # where the double sums read log 0: tr_exp from 2m on, zech from 2m to 3m
+    m = len(powers)
+    assert len(tr_exp) == 3 * m and len(zech) == 3 * m + 1
+    assert tr_exp[m:2 * m] == tr_exp[:m] and zech[m:2 * m] == zech[:m]
+    assert tr_exp[2 * m:] == [0] * m and zech[2 * m:] == [0] * (m + 1)
     for i, a in enumerate(powers):
         assert tr_exp[i] == ctx._trace_slow(a)
         assert (zech[i] is None) == (a == minus_one)
         if zech[i] is not None:
             assert powers[zech[i]] == ctx.add(1, a)
+
+
+@pytest.mark.parametrize("p,k,n", TABLE_FIELDS)
+def test_shifted_and_product_sums_at_zero_and_opposite_terms(p, k, n):
+    # u = 0, v = 0 and u + v = 0 (v = -u != 0) all occur, in every position
+    ctx = build_field(p, k, n)
+    rng = random.Random(f"zero terms {p}^{k}:{n}")
+    for _ in range(10):
+        u_set = rng.sample(range(1, ctx.order), 6)
+        v_set = [ctx.neg(u) for u in u_set[:3]] + rng.sample(range(ctx.order), 4)
+        u_set.insert(rng.randrange(len(u_set) + 1), 0)
+        v_set.insert(rng.randrange(len(v_set) + 1), 0)
+        rng.shuffle(v_set)
+        assert any(u and ctx.add(u, v) == 0 for u in u_set for v in v_set)
+        b, c = rng.randrange(1, ctx.order - 1), rng.randrange(1, ctx.order)
+        assert (ch.shifted_sum_ratio(ctx, b, u_set, v_set)
+                == bf.shifted_sum_ratio_per_term(ctx, b, u_set, v_set))
+        assert (ch.double_product_sum_ratio(ctx, c, u_set, v_set)
+                == bf.double_product_sum_ratio_per_term(ctx, c, u_set, v_set))
 
 
 @pytest.mark.parametrize("p,k,n", TABLE_FIELDS)

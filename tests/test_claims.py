@@ -18,6 +18,29 @@ def test_enumerate_field_specs():
     assert claims.enumerate_field_specs(10, 8) == []
 
 
+def test_totient_inverse_identity_matches_the_fraction_form():
+    # the integer form with cleared denominators decides exactly as the
+    # Fraction form, on the true tables and on seeded corrupted ones
+    import random
+    from fractions import Fraction
+
+    from pnfield.numtheory import mobius_sieve, phi_sieve
+
+    limit = 600
+    divs = [[d for d in range(1, n + 1) if n % d == 0] for n in range(limit + 1)]
+    mus, rng = mobius_sieve(limit), random.Random(22)
+
+    def fraction_form(n, phis):
+        return Fraction(1, phis[n]) == sum(Fraction(1, phis[d]) for d in divs[n] if mus[d]) / n
+
+    true_phis = phi_sieve(limit)
+    for phis in [true_phis] + [[v + rng.choice((0, 0, 0, 1)) for v in true_phis] for _ in range(3)]:
+        phis[0] = 0
+        got = [claims.totient_inverse_holds(n, divs[n], mus, phis) for n in range(1, limit + 1)]
+        assert got == [fraction_form(n, phis) for n in range(1, limit + 1)]
+        assert all(got) == (phis == true_phis)
+
+
 def test_integer_claims_all_pass():
     results = claims.integer_claims(seed=5, phi_limit=2000, pair_trials=300)
     assert all(r.status != claims.FAIL for r in results)

@@ -19,11 +19,13 @@ from pnfield.smallfield import canonical_field
 
 from bruteforce import (
     additive_order_by_division,
+    coprime_residues_by_gcd,
     dlog_by_scan,
     frobenius_by_powering,
     linear_map_by_columns,
     normal_by_det_n2,
     normal_by_span,
+    normal_image_by_action,
     order_by_powering,
     poly_gcd_by_calls,
     power_by_ladder,
@@ -241,9 +243,39 @@ def test_coprime_s_polys_match_the_gcd_oracle(p, k, n):
     # tuple gcd that makes one SmallField call per coefficient
     ctx = get_field(p, k, n)
     xn1 = (ctx.fq.neg(1),) + (0,) * (n - 1) + (1,)
-    residues = (poly_trim(ctx.decode(enc)) for enc in range(1, ctx.order))
-    want = [s for s in residues if len(poly_gcd_by_calls(ctx.fq, s, xn1)) == 1]
-    assert ctx.coprime_s_polys() == want
+    residues = ((s, poly_trim(ctx.decode(s))) for s in range(1, ctx.order))
+    want = [s for s, poly in residues if len(poly_gcd_by_calls(ctx.fq, poly, xn1)) == 1]
+    assert ctx._units() == want
+
+
+UNIT_FIELDS = [(2, 1, 1), (2, 1, 4), (2, 1, 6), (2, 1, 7), (3, 1, 3), (3, 1, 4), (2, 2, 3),
+               (5, 1, 3), (3, 2, 2), (7, 1, 2), (2, 3, 3), (2, 1, 12)]
+
+
+@pytest.mark.parametrize("p,k,n", UNIT_FIELDS)
+def test_unit_sieve_matches_the_packed_gcd_oracle(p, k, n):
+    ctx = build_field(p, k, n)
+    assert [poly_trim(ctx.decode(s)) for s in ctx._units()] == coprime_residues_by_gcd(ctx.fq, n)
+
+
+@pytest.mark.parametrize("p,k,n", UNIT_FIELDS)
+@pytest.mark.parametrize("tables", [True, False], ids=["tables", "poly"])
+def test_normal_image_matches_the_action_loop(p, k, n, tables):
+    # as a set, in frozenset iteration order, and in op_count charge, with
+    # and without the exp/log tables, for the first two normal η
+    ctx, oracle = build_field(p, k, n), build_field(p, k, n)
+    if tables:
+        ctx.ensure_tables()
+        oracle.ensure_tables()
+    etas = [a for a in range(ctx.order) if ctx.is_normal(a)][:2]
+    for eta in etas:
+        before, oracle_before = ctx.op_count, oracle.op_count
+        got = ctx.normal_image(eta)
+        want = normal_image_by_action(oracle, eta)
+        assert oracle.is_normal(eta)  # normal_image charges its own is_normal test
+        assert got == want and list(got) == list(want)
+        assert ctx.op_count - before == oracle.op_count - oracle_before
+        assert got == {a for a in range(ctx.order) if ctx.is_normal(a)}
 
 
 def test_trace_zero_blocks_normality():

@@ -89,6 +89,15 @@ def test_mertens_report_examples():
         nt.mertens_report(10**7 + 1)
 
 
+@pytest.mark.parametrize("x", [1, 2, 30, 10**4])
+def test_mertens_report_matches_the_fraction_loop(x):
+    from bruteforce import mertens_by_fractions
+
+    rep = nt.mertens_report(x)
+    assert (rep.mertens, rep.reciprocal_sum, rep.fractional_sum) == mertens_by_fractions(x)
+    assert rep.identity_residual == 0
+
+
 def test_mobius_floor_identity():
     mus = nt.mobius_sieve(10**4)
     for x in range(1, 2001):

@@ -49,7 +49,7 @@ def test_kernels_match_the_per_coefficient_oracles(case):
     fq, f, g = case
     assert pf.poly_mul(fq, f, g) == bf.poly_mul_by_calls(fq, f, g)
     assert _ring_op(fq, "add", f, g) == bf.poly_add_by_calls(fq, f, g)
-    assert pf.poly_sub(fq, f, g) == bf.poly_add_by_calls(fq, f, g, sub=True)
+    assert _ring_op(fq, "sub", f, g) == bf.poly_add_by_calls(fq, f, g, sub=True)
     for c in (0, 1, fq.q - 1, len(f) % fq.q):
         assert pf.poly_eval(fq, f, c) == bf.poly_eval_by_calls(fq, f, c)
     if g:

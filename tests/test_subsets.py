@@ -21,11 +21,11 @@ def test_hamming_weight_examples():
 def test_height_examples():
     f19 = get_field(19, 1, 3)
     # x² - x + 1 over F_19: centered representatives 1, -1, 1
-    assert sb.height(f19, (1, 18, 1)) == 1
+    assert bf.height(f19, (1, 18, 1)) == 1
     f7 = get_field(7, 1, 2)
     # 3x + 5: centered 5 -> -2, 3 -> 3
-    assert sb.height(f7, (5, 3)) == 3
-    assert sb.height(f7, ()) == 0
+    assert bf.height(f7, (5, 3)) == 3
+    assert bf.height(f7, ()) == 0
 
 
 def test_hamming_ball_examples():
@@ -245,8 +245,16 @@ def test_subset_spec_json_roundtrip():
     assert ball.center == 1 and ball.radius == 1
 
 
+def _packed_sub(fq, f, g):
+    """f - g by the packed ring of F_q[x]."""
+    from pnfield.polyfq import _packed
+
+    ring = _packed(fq)
+    return ring.unpack(ring.sub(ring.pack(f), ring.pack(g)))
+
+
 def test_metric_axioms_exhaustive_tiny():
-    from pnfield.polyfq import poly_sub, poly_trim
+    from pnfield.polyfq import poly_trim
 
     for ctx in (get_field(3, 1, 2), get_field(2, 2, 2)):
         polys = [poly_trim((a, b)) for a in range(ctx.q) for b in range(ctx.q)]
@@ -254,7 +262,7 @@ def test_metric_axioms_exhaustive_tiny():
             for s in polys:
                 # the count of differing coefficients is the weight of s - r
                 assert (sb.poly_distance_weight(ctx, r, s)
-                        == bf.hamming_weight(poly_sub(ctx.fq, s, r)))
+                        == bf.hamming_weight(_packed_sub(ctx.fq, s, r)))
         for dist in (sb.poly_distance_weight, sb.poly_distance_height):
             for r in polys:
                 for s in polys:
@@ -264,3 +272,16 @@ def test_metric_axioms_exhaustive_tiny():
                     assert d == dist(ctx, s, r)
                     for u in polys:
                         assert dist(ctx, r, u) <= dist(ctx, r, s) + dist(ctx, s, u)
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 3), (3, 1, 2), (5, 1, 2), (2, 2, 2), (3, 2, 2)], ids=str)
+def test_height_distance_matches_packed_difference(spec):
+    # every pair of polynomials of degree < n, against the height of the
+    # packed difference s - r
+    from pnfield.polyfq import poly_trim
+
+    ctx = get_field(*spec)
+    polys = [poly_trim(ctx.decode(a)) for a in range(ctx.order)]
+    for r in polys:
+        for s in polys:
+            assert sb.poly_distance_height(ctx, r, s) == bf.height(ctx, _packed_sub(ctx.fq, s, r)), (r, s)
