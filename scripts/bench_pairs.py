@@ -13,8 +13,10 @@ median and quartiles per side, every run, and the number of pairs in which
 the change was better.  Layer rows come from traced jobs of repeat 0 only
 (perfbench/job.py --trace 1 on the seed itself), so both sides time the same
 inputs.  Each ``--cli`` command runs ``python3 -m pnfield.cli`` in both
-checkouts, alternating, and records its wall time, its peak RSS and whether
-the two outputs are byte-identical.  Every ``--layers`` name is checked on
+checkouts, alternating, and records its wall time, its CPU seconds (user plus
+system, of the process and of every child it reaped, so a run that forks
+workers shows their CPU too), its peak RSS and whether the two outputs are
+byte-identical.  Every ``--layers`` name is checked on
 one traced job of the change side before the first pair runs.  Runs go one
 at a time, never in parallel.  ``source_lines`` records the lines of
 src/pnfield/*.py in each checkout, the net source lines ROADMAP.md tracks.
@@ -144,8 +146,10 @@ def layer_rows(sides: dict, workload: str, seed: int, metrics: list, runs: int) 
 
 
 def cli_run(checkout: Path, command: str) -> tuple:
-    """One ``pnfield`` run: its stdout, wall seconds and peak RSS in MB, the
-    last read from the child's own rusage (os.wait4, ru_maxrss in KiB)."""
+    """One ``pnfield`` run: its stdout, wall seconds, CPU seconds and peak RSS
+    in MB, the last two read from the child's own rusage (os.wait4, which
+    includes the children it reaped; ru_maxrss in KiB, the largest one
+    process reached)."""
     args = [sys.executable, "-m", "pnfield.cli", *shlex.split(command)]
     with tempfile.TemporaryFile() as err:
         start = time.perf_counter()
@@ -158,21 +162,23 @@ def cli_run(checkout: Path, command: str) -> tuple:
         if proc.returncode:
             err.seek(0)
             raise subprocess.CalledProcessError(proc.returncode, args, out, err.read())
-    return out, wall, usage.ru_maxrss / 1024
+    return out, wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024
 
 
 def cli_rows(sides: dict, command: str, runs: int) -> dict:
-    walls, rss = {"parent": [], "change": []}, {"parent": [], "change": []}
+    walls, cpus, rss = ({"parent": [], "change": []} for _ in range(3))
     digests = {}
     for i in range(runs):
         for name, checkout in ordered(i, sides):
-            out, wall, peak = cli_run(checkout, command)
+            out, wall, cpu, peak = cli_run(checkout, command)
             walls[name].append(wall)
+            cpus[name].append(cpu)
             rss[name].append(peak)
             digests.setdefault(name, set()).add(hashlib.sha256(out).hexdigest())
     return {
         "command": f"pnfield {command}",
         "parent_wall_s": walls["parent"], "change_wall_s": walls["change"],
+        "parent_cpu_s": cpus["parent"], "change_cpu_s": cpus["change"],
         "parent_peak_rss_mb": rss["parent"], "change_peak_rss_mb": rss["change"],
         "byte_identical": len(digests["parent"] | digests["change"]) == 1,
         "sha256": sorted(digests["change"]),

@@ -24,7 +24,9 @@ read where the double sums take log 0 as 2m (tr_exp) or 3m (zech):
 - Zech logarithms ``zech[i] = log(1 + τ^i)``, None where 1 + τ^i = 0, so
   log(u + v) = log u + zech[log v - log u + m], and log(u + 0) = log u + 0;
 - ``norm_dd``, the kernel data of the divisor-dependent normal indicator and
-  its value per kernel class (the set of e with α in K_e^⊥) met so far.
+  its value per kernel class (the set of e with α in K_e^⊥) met so far;
+- ``prim_dd``, rad(q^n - 1) and the divisor-dependent primitive indicator's
+  value per class gcd(log α, rad(q^n - 1)) met so far.
 
 Tables that depend only on integers are cached once per argument by
 ``functools.lru_cache``, so fields of one size q^n share them: the roots of
@@ -180,7 +182,10 @@ def indicator_primitive_dd(ctx: FieldCtx, a: int) -> int:
     """Divisor-dependent characteristic function of primitive elements.
 
     Ψ(α) = (φ(m)/m)·Σ_{d|m} μ(d)/φ(d)·Σ_{ord χ = d} χ(α) with m = q^n - 1,
-    evaluated exactly: the inner sums are Ramanujan integers.
+    evaluated exactly: the inner sums are Ramanujan integers.  They read
+    log α only through which primes of m divide it, so the value depends on
+    α only through its class gcd(log α, rad m), and the divisor sum runs
+    once per class met (kept in ``char_cache["prim_dd"]``).
     """
     if a == 0:
         raise ValueError("indicator undefined at 0")
@@ -188,17 +193,24 @@ def indicator_primitive_dd(ctx: FieldCtx, a: int) -> int:
     m = ctx.order - 1
     if m == 1:
         return 1
-    rows = _squarefree_divisors(tuple(ctx.mult_factorization.primes()))
-    big_r = rows[-1][2]  # R = φ(rad m), a multiple of each φ(d): Ψ = φ(m)·S/(m·R)
-    total = 0
-    for d, mu, phi_d, primes in rows:
-        total += mu * ramanujan_sum(primes, big_l) * (big_r // phi_d)
-    phi_m = ctx.mult_factorization.totient
-    if phi_m * total == m * big_r:
-        return 1
-    if total == 0:
-        return 0
-    raise ConsistencyError(f"primitive indicator evaluated to {Fraction(phi_m * total, m * big_r)}")
+    if "prim_dd" not in ctx.char_cache:  # rad m, and the values by class
+        ctx.char_cache["prim_dd"] = math.prod(ctx.mult_factorization.primes()), {}
+    rad, values = ctx.char_cache["prim_dd"]
+    key = math.gcd(big_l, rad)
+    if key not in values:
+        rows = _squarefree_divisors(tuple(ctx.mult_factorization.primes()))
+        big_r = rows[-1][2]  # R = φ(rad m), a multiple of each φ(d): Ψ = φ(m)·S/(m·R)
+        total = 0
+        for d, mu, phi_d, primes in rows:
+            total += mu * ramanujan_sum(primes, key) * (big_r // phi_d)
+        phi_m = ctx.mult_factorization.totient
+        if phi_m * total == m * big_r:
+            values[key] = 1
+        elif total == 0:
+            values[key] = 0
+        else:
+            raise ConsistencyError(f"primitive indicator evaluated to {Fraction(phi_m * total, m * big_r)}")
+    return values[key]
 
 
 def indicator_primitive_df(ctx: FieldCtx, a: int) -> int:

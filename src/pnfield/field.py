@@ -164,9 +164,10 @@ class FieldCtx:
         self._coprime_s = None
         self._normal_image = {}
         # Data the characters layer derives once per field, by key: "tr_exp"
-        # (tr(τ^i) per exponent i), "zech" (Zech logarithms log(1 + τ^i)) and
+        # (tr(τ^i) per exponent i), "zech" (Zech logarithms log(1 + τ^i)),
         # "norm_dd" (the kernel data of the divisor-dependent normal
-        # indicator); its tables that depend on q^n alone are cached by q^n.
+        # indicator) and "prim_dd" (the primitive one's values by class); its
+        # tables that depend on q^n alone are cached by q^n.
         self.char_cache: dict = {}
 
     # -- encoding ---------------------------------------------------------
@@ -745,16 +746,23 @@ class FieldCtx:
         On the polynomial path α^((q^n-1)/r) = N(α^((q^d-1)/r)) with d =
         ord_r(q) and N the norm to F_{q^d} (_subfield_norm): an exponent
         below q^d and about 2·log2(n/d) products in place of one below q^n;
-        one table of digit powers of α serves every r.
+        one table of digit powers of α serves every r.  The primes r | q - 1
+        (d = 1) share one norm N(α) to F_q: α^((q^n-1)/r) = N(α)^((q-1)/r),
+        a power in F_q.
         """
         if a == 0:
             raise ValueError("0 is never primitive")
         if self._log is not None:
             return not any(self.pow(a, (self.order - 1) // r) == 1 for r in self.mult_factorization.primes())
-        powers = {1: self._to_layout(a)}
+        powers, norm = {1: self._to_layout(a)}, None
         for _, d, e in self._primitive_plan():
             self.op_count += 1
-            if self._subfield_norm(self._pow_poly(powers, e), d) == 1:
+            if d == 1:
+                if norm is None:
+                    norm = self._from_layout(self._subfield_norm(powers[1], 1))
+                if self.fq.pow(norm, e) == 1:
+                    return False
+            elif self._subfield_norm(self._pow_poly(powers, e), d) == 1:
                 return False
         return True
 

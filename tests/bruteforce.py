@@ -8,7 +8,7 @@ span enumeration, totients by literal gcd counting.
 import cmath
 import math
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 
 def phi_by_gcd_count(n: int) -> int:
@@ -492,6 +492,26 @@ def indicator_primitive_df_literal_per_term(ctx, a: int, rotation: int = 0) -> i
     out = round(total.real)
     assert abs(total.imag) <= 1e-6 and abs(total.real - out) <= 1e-6 and out in (0, 1)
     return out
+
+
+def indicator_primitive_dd_per_alpha(ctx, a: int) -> int:
+    """(φ(m)/m)·Σ_{d|m squarefree} μ(d)/φ(d)·c_d(log α), m = q^n - 1, with the
+    Ramanujan sum c_d(L) = Π_{r|d} (r - 1 if r | L else -1), in Fractions and
+    for each α on its own, as the divisor-dependent primitive indicator read
+    before it kept one value per class."""
+    m = ctx.order - 1
+    if m == 1:
+        return 1
+    big_l = ctx.log_table[a]
+    primes = [r for r, _ in factor_by_trial(m)]
+    total = Fraction(0)
+    for size in range(len(primes) + 1):
+        for sel in combinations(primes, size):
+            ramanujan = math.prod(r - 1 if big_l % r == 0 else -1 for r in sel)
+            total += Fraction((-1) ** size * ramanujan, math.prod(r - 1 for r in sel))
+    value = math.prod(Fraction(r - 1, r) for r in primes) * total  # φ(m)/m · Σ
+    assert value in (0, 1), value
+    return int(value)
 
 
 def indicator_normal_dd_per_term(ctx, a: int):

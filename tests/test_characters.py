@@ -8,6 +8,7 @@ import random
 import pytest
 
 from pnfield import characters as ch
+from pnfield.claims import enumerate_field_specs
 from pnfield.counting import exact_counts
 from pnfield.field import build_field, get_field
 from pnfield.numtheory import euler_phi
@@ -141,6 +142,18 @@ def test_normal_dd_on_tr_exp_equals_per_term_form(spec):
     values = [ch.indicator_normal_dd(ctx, a) for a in range(ctx.order)]
     assert values == [bf.indicator_normal_dd_per_term(oracle, a) for a in range(ctx.order)]
     assert values[0] == 0
+
+
+def test_primitive_dd_by_class_equals_the_per_alpha_sum():
+    # every α of every verify field up to q^n = 1024, on fresh contexts; the
+    # classes gcd(log α, rad m) number at most 2^ω(m)
+    for p, k, n in enumerate_field_specs(4, 1024):
+        ctx = build_field(p, k, n)
+        elements = range(1, ctx.order)
+        got = [ch.indicator_primitive_dd(ctx, a) for a in elements]
+        assert got == [bf.indicator_primitive_dd_per_alpha(ctx, a) for a in elements], (p, k, n)
+        assert sum(got) == euler_phi(ctx.order - 1)
+        assert len(ctx.char_cache["prim_dd"][1]) <= 2 ** len(ctx.mult_factorization.entries)
 
 
 def test_indicator_literal_float_crosschecks():
@@ -317,7 +330,7 @@ def test_character_caches_stay_in_the_context_cache():
     ch.fourier_identity_max_residuals(ctx, 1, 1)
     assert set(vars(ctx)) == before
     # the tables that depend on q^n alone are cached by q^n, outside the field
-    assert set(ctx.char_cache) == {"tr_exp", "zech", "norm_dd"}
+    assert set(ctx.char_cache) == {"tr_exp", "zech", "norm_dd", "prim_dd"}
 
 
 # -- the exponent-indexed tables against the per-term sums ---------------------
