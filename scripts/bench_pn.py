@@ -32,7 +32,8 @@ checkout without it) and the gcds (calls of ``polyfq.poly_gcd`` and, where
 it exists, of the packed ``polyfq._Packed.gcd``, which a packed public gcd
 goes through as well), and a short digest of its result.
 
-``--field`` restricts either mode to one field of FIELDS.
+``--field`` (repeatable) restricts any mode, the comparison too, to those
+fields of FIELDS.
 
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``, one
@@ -165,12 +166,12 @@ def measure_build(repeats: int, fields=FIELDS) -> list:
     return rows
 
 
-def compare(sides: dict, args) -> dict:
+def compare(sides: dict, args, fields) -> dict:
     """Fresh-interpreter runs on both checkouts, alternating field by field,
     joined by row."""
     runs = {"parent": [[] for _ in range(args.rounds)], "change": [[] for _ in range(args.rounds)]}
     for i in range(args.rounds):
-        for f, spec in enumerate(FIELDS):
+        for f, spec in enumerate(fields):
             for name in (("parent", "change") if (i + f) % 2 == 0 else ("change", "parent")):
                 env = dict(os.environ, PYTHONPATH=str(sides[name] / "src"))
                 proc = subprocess.run(
@@ -205,7 +206,8 @@ def compare(sides: dict, args) -> dict:
             else "microseconds per element, median over rounds of the minimum over repeats")
     return {"command": "python3 scripts/bench_pn.py --parent PARENT --change CHANGE --seed "
                        f"{args.seed} --elements {args.elements} --repeats {args.repeats} "
-                       f"--rounds {args.rounds}" + " --build" * args.build,
+                       f"--rounds {args.rounds}" + " --build" * args.build
+                       + ("" if fields == FIELDS else "".join(" --field %d^%d:%d" % spec for spec in fields)),
             "unit": unit,
             "rows": rows}
 
@@ -230,11 +232,12 @@ def main(argv=None) -> int:
     ap.add_argument("--rounds", type=int, default=3)
     ap.add_argument("--out", type=Path)
     ap.add_argument("--build", action="store_true", help="time the set-up layers of each field")
-    ap.add_argument("--field", type=_field_spec, help="only this field of FIELDS, as p^k:n")
+    ap.add_argument("--field", type=_field_spec, action="append",
+                    help="only this field of FIELDS, as p^k:n (repeatable)")
     args = ap.parse_args(argv)
-    fields = FIELDS if args.field is None else (args.field,)
+    fields = tuple(args.field) if args.field else FIELDS
     if args.parent and args.change:
-        result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()}, args)
+        result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()}, args, fields)
     elif args.build:
         result = {"rows": measure_build(args.repeats, fields)}
     else:

@@ -259,13 +259,14 @@ def indicator_primitive_df_literal(ctx: FieldCtx, a: int, rotation: int = 0) -> 
 
 
 def _ensure_norm_dd_data(ctx: FieldCtx):
-    """Per-subset kernel data for the divisor-dependent normal indicator, and
-    its values by kernel class.
+    """Kernel data for the divisor-dependent normal indicator, and its values
+    by kernel class.
 
     For each subset E of the distinct irreducible factors of x^n - 1 (all
-    squarefree since p does not divide n), caches Φ_q(e), q^deg(e) and an
-    F_p-spanning set of the kernel K_e = {c : e∘c = 0}; the second item is
-    the dict of indicator values by kernel class, filled on first use.
+    squarefree since p does not divide n), caches Φ_q(e), μ_q(e) and
+    q^deg(e); for each factor r an F_p-spanning set of the kernel
+    K_r = {c : r∘c = 0}, the only kernels the class key reads; the third item
+    is the dict of indicator values by kernel class, filled on first use.
     """
     if "norm_dd" in ctx.char_cache:
         return ctx.char_cache["norm_dd"]
@@ -273,17 +274,17 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
     degrees = [poly_deg(f) for f in fact.distinct_factors()]
     t = len(degrees)
     q, p, dim = ctx.q, ctx.p, ctx.k * ctx.n
-    subsets = []
+    subsets, spans = [], []
     for mask in range(1 << t):
         exps = tuple(mask >> i & 1 for i in range(t))
-        # K_e = image of the cofactor (x^n - 1)/e, spanned over F_p by the
-        # images of the base-p unit vectors under the cofactor's map
-        cof = tuple(1 - j for j in exps)
-        images = (ctx.divisor_action(cof, p**d) for d in range(dim))
-        span = [img for img in dict.fromkeys(images) if img]
         subsets.append({"mask": mask, "mu": (-1) ** sum(exps), "phi": phi_from_degrees(q, zip(degrees, exps)),
-                        "span": span, "kernel_size": q ** fact.degree(exps)})
-    ctx.char_cache["norm_dd"] = subsets, {}
+                        "kernel_size": q ** fact.degree(exps)})
+    for i in range(t):
+        # K_r = image of the cofactor (x^n - 1)/r, spanned over F_p by the
+        # images of the base-p unit vectors under the cofactor's map
+        images = (ctx.divisor_action(tuple(int(j != i) for j in range(t)), p**d) for d in range(dim))
+        spans.append([img for img in dict.fromkeys(images) if img])
+    ctx.char_cache["norm_dd"] = subsets, spans, {}
     return ctx.char_cache["norm_dd"]
 
 
@@ -304,13 +305,13 @@ def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
     """
     if ctx.n % ctx.p == 0:
         return None
-    subsets, values = _ensure_norm_dd_data(ctx)
+    subsets, spans, values = _ensure_norm_dd_data(ctx)
     # α ∈ K_r^⊥ iff tr(c·α) = tr_exp[log c + log α] vanishes on the c
     # spanning K_r; tr(c·0) = 0 (log[0] is a placeholder)
     tr_exp, log, t = _tr_exp(ctx), _log_table(ctx), len(ctx.add_factorization.entries)
     log_a = log[a]
     key = sum(1 << i for i in range(t)
-              if a == 0 or all(tr_exp[log[c] + log_a] == 0 for c in subsets[1 << i]["span"]))
+              if a == 0 or all(tr_exp[log[c] + log_a] == 0 for c in spans[i]))
     if key not in values:
         # F[mask] = q^deg(e) where α ∈ K_e^⊥ and 0 otherwise; the sum over
         # the characters of order exactly e inverts F over the subsets of e

@@ -291,18 +291,18 @@ def poly_claims(q: int, n: int) -> list[ClaimResult]:
 
 
 class _Field:
-    """The record the checks of one field read: is_primitive (False at 0) and
-    is_normal per element, the additive orders as exponent vectors over the
-    factors of x^n - 1 (so d | d' is componentwise), the exact counts, and the
-    stream that the first three checks draw from in turn."""
+    """The record the checks of one field read: the primitive and normal
+    masks of the whole-field pass (class_masks, 0 at 0), the additive orders
+    as exponent vectors over the factors of x^n - 1 (so d | d' is
+    componentwise), the exact counts, and the stream that the first three
+    checks draw from in turn."""
 
     def __init__(self, ctx: FieldCtx, seed: int):
         ctx.ensure_tables()
         self.ctx, self.seed, self.subject, self.qn = ctx, seed, ctx.spec_string(), ctx.order
         self.rng = rng_for(seed, "field", self.subject)
         self.add_orders = [ctx.additive_order_exponents(a) for a in range(self.qn)]
-        self.normal = [ctx.is_normal(a) for a in range(self.qn)]
-        self.primitive = [False] + [ctx.is_primitive(a) for a in range(1, self.qn)]
+        self.primitive, self.normal = ctx.class_masks()
         self.rec = ct.exact_counts(ctx)
 
 
@@ -361,7 +361,8 @@ def _additive_order_minimal(f: _Field):
 
 
 def _normal_test_agreement(f: _Field):
-    ok = all(f.normal[a] == f.ctx.is_normal(a, method="rank") for a in range(f.qn))
+    is_normal = f.ctx.is_normal
+    ok = all(f.normal[a] == is_normal(a) == is_normal(a, method="rank") for a in range(f.qn))
     yield _assert("normal-test-agreement", f.subject, ok, "divisor test ≡ rank test on all elements")
 
 

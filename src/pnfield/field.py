@@ -56,7 +56,8 @@ call; for q > 16 only the digits that occur are built.  is_primitive takes
 α^((q^n-1)/r) as the norm to F_{q^d}, d = ord_r(q), of the short power
 α^((q^d-1)/r): Π_{j < n/d} Frob^(dj), by about 2·log2(n/d) products and
 maps Frob^(ds) of the layout (von zur Gathen and Shoup 1992).  The images
-of Frob^1 come from X = x^q by the digit ladder, as Frob(c·x^j) = c·X^j.
+of Frob^1 come from X = x^q by the digit ladder, as Frob(c·x^j) = c·X^j,
+and each Frob^i has one map, of the layout, which frobenius applies too.
 """
 
 from __future__ import annotations
@@ -134,8 +135,6 @@ class FieldCtx:
         # slots that are already digits of the result in their place, and
         # the maps of Frob^i in the product layout by i (see _frob_layout)
         self._red, self._low, self._frob_layouts = None, n if self.k == 1 else self.k, {}
-        # _frob[i] holds the map of Frob^i, grown on first use
-        self._frob = [None]
         # (r, ord_r(q), (q^ord_r(q) - 1)/r) per prime r of q^n - 1 (see _primitive_plan)
         self._plan = None
         # exponents are read in base Q = q^w, with w the largest w < n such
@@ -499,11 +498,16 @@ class FieldCtx:
         self._exp = exp
         self._log = log
 
+    def class_masks(self) -> tuple[bytearray, bytearray]:
+        """The primitive and the normal mask of the whole-field pass, byte α 1
+        iff α is primitive (normal), so only up to the table cap; read only."""
+        self.find_reference_primitive_normal()
+        return self._prim_mask, self._norm_mask
+
     def class_counts(self) -> tuple[int, int, int]:
         """(#primitive, #normal, #primitive normal) over the whole field, read
-        off the masks of the whole-field pass, so only up to the table cap."""
-        self.find_reference_primitive_normal()
-        prim, norm = self._prim_mask, self._norm_mask
+        off class_masks."""
+        prim, norm = self.class_masks()
         both = _mask_int(prim) & _mask_int(norm)
         return prim.count(1), norm.count(1), both.bit_count()
 
@@ -518,8 +522,8 @@ class FieldCtx:
         """α^(q^i); the map fixes F_q pointwise and has order n.
 
         With tables it is one lookup.  On the polynomial path it applies the
-        precomputed F_p-linear map (see _frob_map), and it counts as the one
-        operation that the power it stands for would have counted.
+        map of Frob^i in the product layout (see _frob_layout), and it counts
+        as the one operation that the power it stands for would have counted.
         """
         i %= self.n
         if a == 0 or i == 0:
@@ -527,44 +531,26 @@ class FieldCtx:
         if self._log is not None:
             return self._exp[self._log[a] * self._qpow[i] % (self.order - 1)]
         self.op_count += 1
-        return self._apply_map(self._frob_map(i), a)
-
-    def _frob_map(self, i: int) -> list:
-        """The map of Frob^i, 1 <= i < n, from its images Frob^i(p^d) for
-        d < kn (see _map).
-
-        Frobenius fixes F_q, so Frob^1(c·x^j) = c·X^j with X = x^q, found by
-        the digit ladder alone: _pow_poly needs these images and cannot make
-        them, and _regroup takes them out of the product layout.  Frob^(i+1)
-        is Frob^1∘Frob^i; each power is built on first use.
-        """
-        frob, p, k = self._frob, self.p, self.k
-        if len(frob) == 1:
-            # the unit vector p^(jk+t) is the F_q constant y^t = p^t times x^j
-            big_x = self._digit_power({1: self._to_layout(self.q)}, self.q)
-            images, cur = [], 1
-            for j in range(self.n):
-                if j:
-                    cur = self._product(cur, big_x)
-                images += [cur] + [self._product(self._to_layout(p**t), cur) for t in range(1, k)]
-            frob.append(self._map([self._regroup(v, 2 * k - 1, k) for v in images]))
-        while len(frob) <= i:
-            frob.append(self._compose(frob[1], frob[-1]))
-        return frob[i]
+        return self._from_layout(self._fold(self._frob_layout(i), self._to_layout(a)))
 
     def _frob_layout(self, i: int) -> list:
         """Frob^i, 1 <= i < n, as a map of the product layout, built on first
-        use: for i = 1 slot j(2k - 1) + t has the image of x^j·y^t from
-        _frob_map(1), or 0 for t >= k; otherwise Frob^(i - h)∘Frob^h with
-        h = i // 2, so that about log2 i maps precede it."""
+        use.  Frobenius fixes F_q, so Frob^1(y^t·x^j) = y^t·X^j with X = x^q,
+        found by the digit ladder alone (_pow_poly needs this map and cannot
+        make X): slot j(2k - 1) + t has that image for t < k and 0 for t >= k,
+        where no vector it is applied to has a digit.  Frob^i for i > 1 is
+        Frob^(i - h)∘Frob^h with h = i // 2, so that about log2 i maps precede it."""
         m = self._frob_layouts.get(i)
         if m is None:
             if i > 1:
                 m = self._compose(self._frob_layout(i - i // 2), self._frob_layout(i // 2))
             else:
-                cols, k = iter(self._columns(self._frob_map(1))), self.k
-                m = self._map([self._regroup(next(cols), k, 2 * k - 1) if t < k else 0
-                               for _ in range(self.n) for t in range(2 * k - 1)])
+                big_x, cols, k = self._digit_power({1: self._to_layout(self.q)}, self.q), [], self.k
+                for j in range(self.n):
+                    cur = self._product(cur, big_x) if j else 1
+                    cols += [cur] + [self._product(self._to_layout(self.p**t), cur) for t in range(1, k)]
+                    cols += [0] * (k - 1)
+                m = self._map(cols)
             self._frob_layouts[i] = m
         return m
 

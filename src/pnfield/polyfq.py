@@ -661,6 +661,14 @@ def _split_equal_degree(ring: _Packed, g: int, d: int, rng) -> list[int]:
     return done
 
 
+def _split_p_part(n: int, p: int) -> tuple[int, int]:
+    """(m, v) with n = m·p^v and p not dividing m."""
+    v = 0
+    while n % p == 0:
+        n, v = n // p, v + 1
+    return n, v
+
+
 def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
     """Factor x^n - 1 over the given coefficient field.
 
@@ -671,17 +679,13 @@ def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    p = fq.p
-    m, pv = n, 1
-    while m % p == 0:
-        m //= p
-        pv *= p
+    m, v = _split_p_part(n, fq.p)
     ring, factors = _packed(fq), []
     for d, g in _distinct_degree(ring, ring.pack(x_pow_n_minus_1(fq, m))):
         rng = rng_for(_EDF_SEED, "edf", fq.q, ring.unpack(g), d) if ring.degree(g) > d else None
         factors.extend(map(ring.unpack, _split_equal_degree(ring, g, d, rng)))
     factors.sort(key=lambda f: (poly_deg(f), f))
-    entries = tuple((f, pv) for f in factors)
+    entries = tuple((f, fq.p**v) for f in factors)
     return PolyFactorization(fq=fq, entries=entries, value=x_pow_n_minus_1(fq, n))
 
 
@@ -723,11 +727,7 @@ class CyclotomicProfile:
 
 def cyclotomic_factor_counts(q: int, n: int) -> CyclotomicProfile:
     """Ω_q(x^n - 1) via Σ_{d|m} φ(d)/ord_d(q), with the p-part stripped."""
-    p, _ = is_prime_power(q)
-    m, pv = n, 0
-    while m % p == 0:
-        m //= p
-        pv += 1
+    m, pv = _split_p_part(n, is_prime_power(q)[0])
     rows = []
     for d in divisors(m):
         order = 1 if d == 1 else multiplicative_order(q, d)

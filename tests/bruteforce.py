@@ -516,16 +516,20 @@ def indicator_primitive_dd_per_alpha(ctx, a: int) -> int:
 
 def indicator_normal_dd_per_term(ctx, a: int):
     """The divisor-dependent normal indicator with one ctx.trace(ctx.mul(c, α))
-    per spanning vector c of each kernel K_e, as it read before tr_exp."""
+    per spanning vector c of each kernel K_e, every subset E of the factors
+    spanning its own K_e (the image of its cofactor), so that no class key
+    is taken on trust."""
     from pnfield.characters import _ensure_norm_dd_data
 
     if ctx.n % ctx.p == 0:
         return None
-    subsets, _ = _ensure_norm_dd_data(ctx)
-    t = len(ctx.add_factorization.entries)
+    subsets = _ensure_norm_dd_data(ctx)[0]
+    t, dim = len(ctx.add_factorization.entries), ctx.k * ctx.n
     full_sums = [0] * (1 << t)
     for entry in subsets:
-        ok = all(ctx.trace(ctx.mul(c, a)) == 0 for c in entry["span"])
+        cof = tuple(1 - (entry["mask"] >> i & 1) for i in range(t))
+        span = {ctx.divisor_action(cof, ctx.p**d) for d in range(dim)}
+        ok = all(ctx.trace(ctx.mul(c, a)) == 0 for c in span)
         full_sums[entry["mask"]] = entry["kernel_size"] if ok else 0
     total = Fraction(0)
     for entry in subsets:

@@ -398,11 +398,14 @@ def _assert_map(ctx, m):
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
 def test_maps_match_the_column_oracle(ctx):
     # each F_p-linear map of the one kernel (_map, applied by _fold), with
-    # columns from the schoolbook oracles: Frob^1, Frob^w and "times g"; and
-    # the fold of a raw product in the product layout, whose column for slot
-    # s(2k - 1) + u is x^s·y^u mod (f, m).  An input with every digit p - 1
-    # makes the largest slot sums, and the oracle packs its columns in slots
-    # wide enough for any sum, so a map whose slots overflow does not match.
+    # columns from the schoolbook oracles: Frob^1 and Frob^w (as the module
+    # maps of x and x^w) and "times g"; Frob^1 and Frob^w as maps of the
+    # product layout, whose column for slot j(2k - 1) + t is Frob(x^j·y^t)
+    # for t < k and 0 otherwise; and the fold of a raw product in the product
+    # layout, whose column for slot s(2k - 1) + u is x^s·y^u mod (f, m).  An
+    # input with every digit p - 1 makes the largest slot sums, and the
+    # oracle packs its columns in slots wide enough for any sum, so a map
+    # whose slots overflow does not match.
     p, k, n, W = ctx.p, ctx.k, ctx.n, ctx._W
     rng = random.Random(11)
     elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(30)]
@@ -422,13 +425,19 @@ def test_maps_match_the_column_oracle(ctx):
     for a in fold_inputs:
         want = _unpack(linear_map_by_columns(cols, a, p), p, wide)
         assert ctx._from_layout(ctx._fold(ctx._red, _pack(a, p, ctx._W))) == want, a
+    w = ctx._frob_w
+    frob = {i: [frobenius_by_powering(ctx, u, i) for u in units] for i in (1, w)}
+    for i, images in frob.items():
+        it = iter(images)
+        want = [ctx._to_layout(next(it)) if t < k else 0 for _ in range(n) for t in range(2 * k - 1)]
+        _assert_map(ctx, ctx._frob_layout(i))
+        assert ctx._columns(ctx._frob_layout(i)) == want, i
     # the worst case of the maps' slot sums: kn columns, each with every
     # digit p - 1
     worst = [ctx.order - 1] * (k * n)
     maps = [
-        (ctx._frob_map(1), [frobenius_by_powering(ctx, u, 1) for u in units], elements),
-        (ctx._frob_map(ctx._frob_w), [frobenius_by_powering(ctx, u, ctx._frob_w) for u in units],
-         elements),
+        (ctx._module_map((0, 1)), frob[1], elements),
+        (ctx._module_map((0,) * w + (1,)), frob[w], elements),
         (ctx._map([_pack(v, p, W) for v in times_g]), times_g, elements),
         (ctx._map([_pack(v, p, W) for v in worst]), worst, [p ** len(worst) - 1]),
     ]
@@ -508,7 +517,7 @@ def test_pow_and_is_primitive_match_the_ladder(spec):
                 assert got == power_by_ladder(ctx, a, e, schoolbook), (a, e)
     # every map built on the way is small; for q > 16 a q-entry table would
     # not fit at all
-    for m in ctx._frob[1:] + [ctx._red, ctx._step]:
+    for m in list(ctx._frob_layouts.values()) + [ctx._red, ctx._step]:
         _assert_map(ctx, m)
 
 
@@ -539,7 +548,7 @@ def check_field_with_p_near_2_to_31():
     a = 5 + 7 * p
     assert ctx._mul_poly(ctx.pow(a, ctx.order - 2), a) == 1
     assert ctx.is_primitive(a) == primitive_by_ladder(ctx, a)
-    for m in ctx._frob[1:] + [ctx._red]:
+    for m in list(ctx._frob_layouts.values()) + [ctx._red]:
         _assert_map(ctx, m)
 
 
@@ -559,7 +568,7 @@ def test_whole_field_pass_matches_per_element_tests():
         ctx = build_field(p, k, n)
         oracle = build_field(p, k, n)
         tau = ctx.reference_tau
-        prim, norm = ctx._prim_mask, ctx._norm_mask
+        prim, norm = ctx.class_masks()
         assert len(prim) == len(norm) == ctx.order
         assert prim[0] == norm[0] == 0
         first = None

@@ -89,7 +89,7 @@ def test_compose_applies_the_inner_map_first(ctx):
     g = rng.randrange(2, ctx.order)
     units = [p**d for d in range(ctx.k * ctx.n)]
     times_g = ctx._map([_pack(ctx._mul_poly(g, u), p, W) for u in units])
-    composed = ctx._compose(times_g, ctx._frob_map(1))
+    composed = ctx._compose(times_g, ctx._module_map((0, 1)))
     assert ctx._columns(composed) == [_pack(ctx._mul_poly(g, ctx.frobenius(u)), p, W) for u in units]
     for a in [1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(10)]:
         assert ctx._apply_map(composed, a) == ctx._mul_poly(g, ctx.frobenius(a)), a
