@@ -662,7 +662,9 @@ def _split_equal_degree(ring: _Packed, g: int, d: int, rng) -> list[int]:
 
 
 def _split_p_part(n: int, p: int) -> tuple[int, int]:
-    """(m, v) with n = m·p^v and p not dividing m."""
+    """(m, v) with n = m·p^v and p not dividing m, for n >= 1."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     v = 0
     while n % p == 0:
         n, v = n // p, v + 1
@@ -677,8 +679,6 @@ def factor_x_n_minus_1_over(fq: SmallField, n: int) -> PolyFactorization:
     exponent p^v.  The split of each degree draws from a stream seeded by
     the degree and the coefficients of the product it splits.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     m, v = _split_p_part(n, fq.p)
     ring, factors = _packed(fq), []
     for d, g in _distinct_degree(ring, ring.pack(x_pow_n_minus_1(fq, m))):

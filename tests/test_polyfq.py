@@ -77,6 +77,12 @@ def test_cyclotomic_profile_examples():
     prof = pf.cyclotomic_factor_counts(2, 5)
     assert prof.rows == ((1, 1, 1), (5, 4, 1))
     assert prof.omega == 2
+    # n = 0 has no p-part to strip (0 = 0·p), so both splits refuse it
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            pf.cyclotomic_factor_counts(4, n)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            pf.factor_x_n_minus_1_over(canonical_field(4), n)
 
 
 def test_omega_matches_factorization():
