@@ -11,7 +11,7 @@ and every check reads one record of its field (_Field), built once per field:
 the exact counts, the additive orders, one is_primitive and one is_normal
 flag per element, and the seeded stream the first three checks share.
 field_claims is the loop over the table, and run_verify deals the fields out
-to one process per CPU of the affinity mask.
+to one process per CPU of the affinity mask (_pool.map_fields).
 
 cmdVerify exits nonzero only on FAIL.
 """
@@ -22,9 +22,6 @@ import cmath
 import itertools
 import json
 import math
-import os
-import signal
-import threading
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,6 +29,7 @@ from fractions import Fraction
 from . import characters as ch
 from . import counting as ct
 from . import subsets as sb
+from ._pool import map_fields
 from .errors import DEFAULT_BUDGET
 from .field import FieldCtx, get_field
 from .numtheory import (
@@ -607,102 +605,17 @@ def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
 # -- the full verify run ---------------------------------------------------------
 
 
-def _verify_width(fields: int) -> int:
-    """The number of processes for the per-field claims: one per CPU of the
-    affinity mask and at most one per field; 1 where the platform has no
-    os.fork or no affinity mask, and while other threads run, since a fork
-    copies no thread but every lock one of them may hold."""
-    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
-        return 1
-    return max(1, min(len(os.sched_getaffinity(0)), fields))
-
-
-def _field_share(specs, seed: int):
-    """field_claims on each field of specs in turn: (done, error), done a list
-    of (claims, the op_count the field's context gained) and error the
-    exception that stopped the share, or None."""
-    done = []
-    try:
-        for spec in specs:
-            ctx = get_field(*spec)
-            before = ctx.op_count
-            done.append((field_claims(ctx, seed), ctx.op_count - before))
-    except Exception as exc:
-        return done, exc
-    return done, None
-
-
-def _fork_share(specs, seed: int):
-    """Fork a worker that runs _field_share(specs, seed) and pickles its
-    result into a pipe; return the worker's pid and the pipe's read end.  The
-    worker leaves by os._exit whatever happens, so it never returns into the
-    caller's stack.  An exception that does not pickle is sent as a
-    RuntimeError naming its type and message, and the worker's traceback
-    goes with it as a note where exceptions take notes (Python 3.11+)."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    status = 1
-    try:
-        import pickle
-
-        os.close(read_fd)
-        done, exc = _field_share(specs, seed)
-        if exc is not None:
-            import traceback
-
-            where = "".join(traceback.format_exception(exc))
-            try:
-                pickle.loads(pickle.dumps(exc))
-            except Exception:
-                exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-            if hasattr(exc, "add_note"):
-                exc.add_note(f"raised in a verify worker:\n{where}")
-        with os.fdopen(write_fd, "wb") as pipe:
-            pickle.dump((done, exc), pipe)
-        status = 0
-    finally:
-        os._exit(status)
-
-
-def _receive(workers: dict, pid: int):
-    """The (done, error) pair a worker sent, read to the end of its pipe once
-    it has exited; the worker is reaped and leaves workers."""
-    import pickle
-
-    with workers[pid] as pipe:
-        data = pipe.read()
-    _, status = os.waitpid(pid, 0)
-    del workers[pid]
-    if status or not data:
-        raise RuntimeError(f"verify worker {pid} exited with status {status} and no results")
-    return pickle.loads(data)
-
-
 def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> list[ClaimResult]:
-    """Run every claim suite over all fields with lo <= q^n <= hi.
-
-    The per-field claims run in W processes, W = _verify_width: the caller
-    forks W - 1 workers before its integer and polynomial claims, and field
-    i (in the order of enumerate_field_specs) goes to process i mod W, the
-    caller being process 0.  Every check draws from seeds labelled by its
-    field, so the claims do not depend on W.  The caller puts them back in
-    field order and adds the op_count each worker's context gained to its
-    own context of that field; the first field, in that order, whose claims
-    raised raises here.  Every worker is reaped before this returns or
-    raises, and killed first if its results are no longer wanted.
-    """
+    """Run every claim suite over all fields with lo <= q^n <= hi: the
+    per-field claims by _pool.map_fields, field i in process i mod W, whose
+    workers run while the caller runs the integer and polynomial claims.
+    Every check draws from seeds labelled by its field, so nothing depends
+    on W."""
     results: list[ClaimResult] = []
     specs = enumerate_field_specs(lo, hi)
     ct.check_budget(specs, budget)
-    width = _verify_width(len(specs))
-    workers = {}  # pid -> the read end of its pipe, until reaped
-    try:
-        for w in range(1, width):
-            pid, pipe = _fork_share(specs[w::width], seed)
-            workers[pid] = pipe
+
+    def global_claims():
         if lo <= hi and hi >= 4:
             small_phi = min(10**4, max(2000, hi * 4))
             results.extend(integer_claims(seed, phi_limit=small_phi))
@@ -715,21 +628,8 @@ def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> lis
                 f"the (q-1)^2 = 1 prediction holds only for odd q"))
         for p, k, n in specs:
             results.extend(poly_claims(p**k, n))
-        shares = [_field_share(specs[::width], seed)]
-        for pid in list(workers):
-            shares.append(_receive(workers, pid))
-    finally:
-        for pid, pipe in workers.items():
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    for i, spec in enumerate(specs):
-        done, exc = shares[i % width]
-        if i // width == len(done):
-            raise exc
-        field_results, gained = done[i // width]
-        if i % width:
-            get_field(*spec).op_count += gained
+
+    for field_results in map_fields(lambda ctx: field_claims(ctx, seed), specs, meanwhile=global_claims):
         results.extend(field_results)
     return results
 

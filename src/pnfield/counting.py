@@ -15,8 +15,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
+from ._pool import map_fields
 from .errors import DEFAULT_BUDGET, ConsistencyError, ResourceLimitError
-from .field import FieldCtx, get_field
+from .field import FieldCtx
 from .polyfq import factor_x_n_minus_1, poly_phi
 
 SWEEP_COLUMNS = ["q", "k", "n", "numPrimitive", "numNormal", "numPN", "predicted", "delta"]
@@ -161,12 +162,11 @@ def check_budget(specs, budget: int) -> None:
 
 
 def density_sweep(specs, budget: int = DEFAULT_BUDGET) -> list[DensityRecord]:
-    """Exact counts for every (p, k, n) in the list specs, sorted by (q, n, k)."""
+    """Exact counts for every (p, k, n) in the list specs, sorted by (q, n, k),
+    by _pool.map_fields, dealing the fields out largest q^n first."""
     check_budget(specs, budget)
-    records = []
-    for p, k, n in specs:
-        ctx = get_field(p, k, n)
-        records.append(exact_counts(ctx, budget=budget))
+    records = map_fields(lambda ctx: exact_counts(ctx, budget=budget), specs,
+                         key=lambda spec: (-((spec[0] ** spec[1]) ** spec[2]), *spec))
     records.sort(key=lambda r: (r.q, r.n, r.k))
     return records
 

@@ -770,12 +770,16 @@ class FieldCtx:
     def _is_normal_rank(self, a: int) -> bool:
         """Full F_p-rank kn of the rows y^t·α^(q^i), t < k, i < n, packed as
         polyfq packs F_q[x], where y^t·v is a digit plane of v; it stops at
-        the first dependent row."""
-        orbit = [a]
-        for _ in range(self.n):
-            orbit.append(self.frobenius(orbit[-1], 1))
-        planes = (plane for x in orbit[:-1] for plane in self._ring._planes(_pack(x, self.p, self._W)))
-        return all(self._independent(planes))
+        the first dependent row.  On the polynomial path the orbit stays in the
+        product layout (a fold of Frob^1 per image), charged as n frobenius calls."""
+        if self._log is not None:
+            rows = (_pack(self.frobenius(a, i), self.p, self._W) for i in range(self.n))
+        else:
+            self.op_count += self.n if a and self.n > 1 else 0
+            orbit = itertools.accumulate(range(1, self.n), lambda v, _: self._fold(self._frob_layout(1), v),
+                                         initial=self._to_layout(a))
+            rows = (self._regroup(v, 2 * self.k - 1, self.k) for v in orbit)
+        return all(self._independent(plane for v in rows for plane in self._ring._planes(v)))
 
     def independent(self, elems):
         """For each element, whether it is outside the F_p-span of those before it."""

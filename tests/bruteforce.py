@@ -688,3 +688,26 @@ def structured_by_closure(ctx, elems) -> tuple:
             if ctx.add(a, b) not in padded:
                 return False, None
     return True, "subspace"
+
+
+def normal_by_fq_rank(ctx, a: int) -> bool:
+    """α normal iff the coordinate vectors of α, α^q, ..., α^(q^(n-1)), each
+    power by a ladder of schoolbook products, have F_q-rank n: Gauss–Jordan
+    elimination with one SmallField call per entry."""
+    fq, rows, cur = ctx.fq, [], a
+    for _ in range(ctx.n):
+        rows.append(ctx.decode(cur))
+        cur = power_by_ladder(ctx, cur, ctx.q, mul=lambda x, y: schoolbook_mul(ctx, x, y))
+    rank = 0
+    for col in range(ctx.n):
+        pivot = next((r for r in range(rank, ctx.n) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = fq.inv(rows[rank][col])
+        for r in range(ctx.n):
+            if r != rank and rows[r][col]:
+                f = fq.mul(rows[r][col], inv)
+                rows[r] = [fq.sub(x, fq.mul(f, y)) for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank == ctx.n

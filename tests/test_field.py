@@ -24,6 +24,7 @@ from bruteforce import (
     frobenius_by_powering,
     linear_map_by_columns,
     normal_by_det_n2,
+    normal_by_fq_rank,
     normal_by_span,
     normal_image_by_action,
     order_by_powering,
@@ -359,6 +360,23 @@ def test_frobenius_matches_powering(ctx):
         for i in range(ctx.n + 1):
             assert ctx.frobenius(a, i) == cur, (a, i)
             cur = frobenius_by_powering(ctx, cur, 1)
+
+
+@pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
+def test_rank_test_matches_the_divisor_test_and_the_oracle(ctx):
+    # the rank test keeps the orbit in the product layout; it must agree with
+    # the divisor test and with elimination over F_q on the orbit by
+    # powering, and charge the n frobenius calls it stands for.  r∘β is
+    # never normal for a factor r of x^n - 1.
+    assert ctx._log is None
+    rng = random.Random(25)
+    elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(3)]
+    elements += [ctx.apply_linearized(r, rng.randrange(1, ctx.order)) for r, _ in ctx.add_factorization.entries[:2]]
+    for a in elements:
+        before = ctx.op_count
+        rank = ctx.is_normal(a, method="rank")
+        assert ctx.op_count - before == (ctx.n if a else 0), a
+        assert rank == ctx.is_normal(a) == normal_by_fq_rank(ctx, a), a
 
 
 @pytest.mark.parametrize("ctx", POLY_PATH_FIELDS, ids=repr)
