@@ -10,7 +10,14 @@
 workload, perfbench/run.py --trace 0 runs in both, one pair at a time, the
 side that goes first swapping on every pair; each end-to-end metric gets the
 median and quartiles per side, every run, and the number of pairs in which
-the change was better.  Layer rows come from traced jobs of repeat 0 only
+the change was better.  The times that run.py also prints as measured,
+before its host-speed correction (which comes from probes in the job
+process and so absorbs contention from other processes), get their median
+per side next to the corrected row.  For each metric one line on stderr says
+whether the change won at least 9 of 10 pairs with a median gain larger than
+the parent's interquartile range (what a claimed gain must show), and
+whether it is worse than the parent's median by more than its bound in
+BENCHMARK.json.  Layer rows come from traced jobs of repeat 0 only
 (perfbench/job.py --trace 1 on the seed itself), so both sides time the same
 inputs.  Each ``--cli`` command runs ``python3 -m pnfield.cli`` in both
 checkouts, alternating, and records its wall time, its CPU seconds (user plus
@@ -38,6 +45,7 @@ from pathlib import Path
 
 END_TO_END = {"wall_s": "lower", "cpu_s": "lower", "setup_s": "lower",
               "peak_rss_mb": "lower", "throughput": "higher"}
+MEASURED = " as measured, before speed correction"  # run.py's label for a raw median
 
 
 def _env(checkout: Path) -> dict:
@@ -54,11 +62,32 @@ def source_lines(checkout: Path) -> int:
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict:
+    """run.py's JSON record, with its as-measured medians under "measured"."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True)
-    return _last_json(proc.stdout)
+    record = _last_json(proc.stdout)
+    record["measured"] = {line.split()[0]: float(line.split()[-2])
+                          for line in proc.stdout.splitlines() if MEASURED in line}
+    return record
+
+
+def bounds(checkout: Path) -> dict:
+    """The end-to-end bounds of BENCHMARK.json, each a share of the parent's median."""
+    spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    return {m["name"]: m["bound"] for m in spec["end_to_end"]}
+
+
+def verdict(row: dict, better: str, bound: float) -> dict:
+    """Whether the change's gain would hold as a claim (better in at least 9
+    of 10 pairs, median gain above the parent's interquartile range) and
+    whether it is worse than the parent's median by more than bound."""
+    sign = 1 if better == "lower" else -1
+    gain = sign * (row["parent_median"] - row["change_median"])
+    q1, q3 = row["parent_quartiles"]
+    return {"claim_holds": 10 * row["change_better_pairs"] >= 9 * row["pairs"] and gain > q3 - q1,
+            "past_bound": -gain > bound * row["parent_median"]}
 
 
 def traced_job(checkout: Path, workload: str, seed: int) -> dict:
@@ -90,7 +119,8 @@ def ordered(i: int, sides: dict) -> list:
     return [(name, sides[name]) for name in names]
 
 
-def end_to_end_rows(sides: dict, workload: str, seed: int, pairs: int, seconds: int) -> dict:
+def end_to_end_rows(sides: dict, workload: str, seed: int, pairs: int, seconds: int,
+                    limits: dict) -> dict:
     runs = {"parent": [], "change": []}
     for i in range(pairs):
         for name, checkout in ordered(i, sides):
@@ -102,7 +132,7 @@ def end_to_end_rows(sides: dict, workload: str, seed: int, pairs: int, seconds: 
         vals = {name: [r["metrics"][metric]["value"] for r in recs] for name, recs in runs.items()}
         wins = sum((c < p) if better == "lower" else (c > p)
                    for p, c in zip(vals["parent"], vals["change"]))
-        rows.append({
+        row = {
             "metric": metric, "workload": workload, "seed": seed, "pairs": pairs,
             "parent_median": statistics.median(vals["parent"]),
             "parent_quartiles": quartiles(vals["parent"]),
@@ -110,7 +140,18 @@ def end_to_end_rows(sides: dict, workload: str, seed: int, pairs: int, seconds: 
             "change_quartiles": quartiles(vals["change"]),
             "change_better_pairs": wins,
             "parent_runs": vals["parent"], "change_runs": vals["change"],
-        })
+        }
+        if metric in runs["parent"][0]["measured"]:
+            for name, recs in runs.items():
+                row[f"{name}_measured_median"] = statistics.median(r["measured"][metric] for r in recs)
+        row.update(verdict(row, better, limits[metric]))
+        rows.append(row)
+        measured = (f", as measured {row['parent_measured_median']:.4g} -> "
+                    f"{row['change_measured_median']:.4g}") if "parent_measured_median" in row else ""
+        print(f"{workload} {metric}: {row['parent_median']:.4g} -> {row['change_median']:.4g}{measured}; "
+              f"better in {wins}/{pairs} pairs; a claimed gain {'holds' if row['claim_holds'] else 'fails'}; "
+              f"{'PAST' if row['past_bound'] else 'within'} the bound {limits[metric]}",
+              file=sys.stderr, flush=True)
     failed = {name: sum(r["failed"] for r in recs) for name, recs in runs.items()}
     return {"rows": rows, "failed_operations": failed}
 
@@ -219,7 +260,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     report = {
         "host": f"Python {sys.version.split()[0]}, {os.cpu_count()} cores; workload times are "
-                "perfbench's host-speed-corrected seconds, CLI times are measured",
+                "perfbench's host-speed-corrected seconds (*_measured_median: before the "
+                "correction), CLI times are measured",
         "command": " ".join(["python3", *(shlex.quote(_label(a, sides, args.out)) for a in sys.argv)]),
         "source_lines": {name: source_lines(path) for name, path in sides.items()},
         "end_to_end": {}, "layers": {}, "cli": [],
@@ -234,7 +276,7 @@ def main(argv=None) -> int:
         check_layers(traced_job(sides["change"], workload, args.seed), workload, names)
     for workload, pairs in _mapping(args.pairs, int).items():
         report["end_to_end"][workload] = end_to_end_rows(sides, workload, args.seed, pairs,
-                                                         args.seconds)
+                                                         args.seconds, bounds(sides["change"]))
         save()
     for workload, names in layers:
         report["layers"][workload] = layer_rows(sides, workload, args.seed, names, args.traced_runs)

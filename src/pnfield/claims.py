@@ -10,8 +10,9 @@ report order.  The gate is the only place a claim's size limit is written,
 and every check reads one record of its field (_Field), built once per field:
 the exact counts, the additive orders, one is_primitive and one is_normal
 flag per element, and the seeded stream the first three checks share.
-field_claims is the loop over the table, and run_verify deals the fields out
-to one process per CPU of the affinity mask (_pool.map_fields).
+field_claims is the loop over the table, and run_verify runs it in one
+process per CPU of the affinity mask, each taking the largest field left
+(_pool.map_fields).
 
 cmdVerify exits nonzero only on FAIL.
 """
@@ -607,24 +608,25 @@ def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
 
 def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> list[ClaimResult]:
     """Run every claim suite over all fields with lo <= q^n <= hi: the
-    per-field claims by _pool.map_fields, field i in process i mod W, whose
-    workers run while the caller runs the integer and polynomial claims.
-    Every check draws from seeds labelled by its field, so nothing depends
-    on W."""
+    per-field claims by _pool.map_fields, each process taking the largest
+    field left, while the caller first runs the integer and polynomial
+    claims.  Every check draws from seeds labelled by its field, so nothing
+    depends on which process runs it."""
     results: list[ClaimResult] = []
     specs = enumerate_field_specs(lo, hi)
     ct.check_budget(specs, budget)
+    # F4's counts before the fork, so that a worker running 2^1:2 reuses them
+    f4 = ct.exact_counts(get_field(2, 1, 2)) if lo <= hi and hi >= 4 else None
 
     def global_claims():
-        if lo <= hi and hi >= 4:
+        if f4 is not None:
             small_phi = min(10**4, max(2000, hi * 4))
             results.extend(integer_claims(seed, phi_limit=small_phi))
             # the F4 example discrepancy is a fixed global claim
             phi2 = poly_phi(factor_x_n_minus_1(2, 2))
-            rec = ct.exact_counts(get_field(2, 1, 2))
             results.append(_report(
                 "example-f4-normal-count", "q=2, n=2",
-                f"brute force finds {rec.num_normal} normal elements, Φ on (x+1)^2 gives {phi2}; "
+                f"brute force finds {f4.num_normal} normal elements, Φ on (x+1)^2 gives {phi2}; "
                 f"the (q-1)^2 = 1 prediction holds only for odd q"))
         for p, k, n in specs:
             results.extend(poly_claims(p**k, n))

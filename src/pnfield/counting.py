@@ -163,10 +163,9 @@ def check_budget(specs, budget: int) -> None:
 
 def density_sweep(specs, budget: int = DEFAULT_BUDGET) -> list[DensityRecord]:
     """Exact counts for every (p, k, n) in the list specs, sorted by (q, n, k),
-    by _pool.map_fields, dealing the fields out largest q^n first."""
+    by _pool.map_fields, each process taking the largest field left."""
     check_budget(specs, budget)
-    records = map_fields(lambda ctx: exact_counts(ctx, budget=budget), specs,
-                         key=lambda spec: (-((spec[0] ** spec[1]) ** spec[2]), *spec))
+    records = map_fields(lambda ctx: exact_counts(ctx, budget=budget), specs)
     records.sort(key=lambda r: (r.q, r.n, r.k))
     return records
 

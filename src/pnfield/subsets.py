@@ -175,8 +175,10 @@ def materialize(ctx: FieldCtx, spec: SubsetSpec, budget: int = DEFAULT_BUDGET) -
 
 
 def _threshold(ctx: FieldCtx, epsilon: float, multiplier: float) -> float:
-    """multiplier · log(q^n) · (loglog q^n)^(1+ε), unrounded."""
+    """multiplier · log(q^n) · (loglog q^n)^(1+ε), unrounded; q^n ≥ 3."""
     logqn = math.log(ctx.order)
+    if logqn <= 1:
+        raise ValueError(f"field {ctx.spec_string()}: the threshold needs q^n ≥ 3 (loglog q^n > 0)")
     return multiplier * logqn * math.log(logqn) ** (1.0 + epsilon)
 
 

@@ -157,6 +157,14 @@ def test_search_explicit_subset():
     assert payload["witnessTexts"] == ["0,1"]
 
 
+def test_search_on_f2_exits_2_naming_the_threshold_bound():
+    # log 2 < 1, so loglog 2 is not real; F_3 is the smallest field with a threshold
+    err = _cli_exit_2(["search", "--field", "2^1:1", "--subset", '{"kind":"explicit","elements":[1]}'])
+    assert err == "error: field 2^1:1: the threshold needs q^n ≥ 3 (loglog q^n > 0)\n"
+    code, out = run_cli(["search", "--field", "3^1:1", "--subset", '{"kind":"explicit","elements":[1,2]}'])
+    assert code == 0 and json.loads(out)["witnesses"] == [2]
+
+
 def test_conjecture_flags():
     code, out = run_cli([
         "conjecture", "--field", "3^1:2", "--element", "1,1",

@@ -158,6 +158,18 @@ def test_threshold_size():
     assert sb.threshold_size(f256, 0.1) == expected
 
 
+def test_threshold_needs_q_to_the_n_at_least_3():
+    f2 = get_field(2, 1, 1)
+    for call in (lambda: sb.threshold_size(f2, 0.1),
+                 lambda: sb.threshold_experiment(f2, "uniform", 0.1, 1, seed=1),
+                 lambda: sb.search_primitive_normal(f2, sb.SubsetSpec(kind="explicit", elements=(1,)))):
+        with pytest.raises(ValueError, match=r"field 2\^1:1: the threshold needs q\^n ≥ 3"):
+            call()
+    f3 = get_field(3, 1, 1)
+    assert sb.threshold_size(f3, 0.1) == 1
+    assert sb.search_primitive_normal(f3, sb.SubsetSpec(kind="explicit", elements=(1, 2))).witnesses == (2,)
+
+
 def test_threshold_experiment():
     f16 = get_field(2, 1, 4)
     with pytest.raises(ValueError):
