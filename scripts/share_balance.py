@@ -1,12 +1,12 @@
 """When each process of a cold run_verify finishes its fields.
 
-    python3 scripts/pull_balance.py --checkout . --runs 10 --range 4..256 --seed 1
+    python3 scripts/share_balance.py --checkout . --runs 10 --range 4..256 --seed 1
 
 Each run is a fresh interpreter that calls claims.run_verify once with a
-wrapper around the loop in which a process of _pool.map_fields runs its
-fields (_pull, or _share in checkouts from before the shared queue).  Every
-process appends its start and end times (CLOCK_MONOTONIC, one clock for all
-processes) and its field count to one file.  Prints one line of JSON: per
+wrapper around _pool._share, the loop in which each process of
+_pool.map_fields runs its fields.  Every process appends its start and end
+times (CLOCK_MONOTONIC, one clock for all processes) and its field count to
+one file.  Prints one line of JSON: per
 run, each process's [start, end, fields] in seconds from the first start
 (the caller first) and the gap between the first and the last process to
 finish, and the number of runs whose gap is at most 0.05 s.
@@ -25,17 +25,16 @@ from pathlib import Path
 JOB = """
 import os, sys, time
 from pnfield import _pool, claims
-name = "_pull" if hasattr(_pool, "_pull") else "_share"
-loop, log = getattr(_pool, name), sys.argv[1]
+share, log = _pool._share, sys.argv[1]
 
-def timed(fn, specs, *rest):
+def timed(fn, specs):
     start = time.monotonic()
-    out = loop(fn, specs, *rest)
+    out = share(fn, specs)
     with open(log, "a") as f:
-        f.write(f"{os.getpid()} {start} {time.monotonic()} {len(out[0] if name == '_share' else out)}\\n")
+        f.write(f"{os.getpid()} {start} {time.monotonic()} {len(out[0])}\\n")
     return out
 
-setattr(_pool, name, timed)
+_pool._share = timed
 claims.run_verify(int(sys.argv[2]), int(sys.argv[3]), int(sys.argv[4]))
 print(os.getpid())
 """

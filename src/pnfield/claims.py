@@ -11,8 +11,7 @@ and every check reads one record of its field (_Field), built once per field:
 the exact counts, the additive orders, one is_primitive and one is_normal
 flag per element, and the seeded stream the first three checks share.
 field_claims is the loop over the table, and run_verify runs it in one
-process per CPU of the affinity mask, each taking the largest field left
-(_pool.map_fields).
+process per CPU of the affinity mask (_pool.map_fields).
 
 cmdVerify exits nonzero only on FAIL.
 """
@@ -608,10 +607,9 @@ def subsum_partition_claims(ctx: FieldCtx) -> list[ClaimResult]:
 
 def run_verify(lo: int, hi: int, seed: int, budget: int = DEFAULT_BUDGET) -> list[ClaimResult]:
     """Run every claim suite over all fields with lo <= q^n <= hi: the
-    per-field claims by _pool.map_fields, each process taking the largest
-    field left, while the caller first runs the integer and polynomial
-    claims.  Every check draws from seeds labelled by its field, so nothing
-    depends on which process runs it."""
+    per-field claims by _pool.map_fields, whose workers run while the caller
+    runs the integer and polynomial claims.  Every check draws from seeds
+    labelled by its field, so nothing depends on which process runs it."""
     results: list[ClaimResult] = []
     specs = enumerate_field_specs(lo, hi)
     ct.check_budget(specs, budget)

@@ -163,7 +163,7 @@ def check_budget(specs, budget: int) -> None:
 
 def density_sweep(specs, budget: int = DEFAULT_BUDGET) -> list[DensityRecord]:
     """Exact counts for every (p, k, n) in the list specs, sorted by (q, n, k),
-    by _pool.map_fields, each process taking the largest field left."""
+    by _pool.map_fields."""
     check_budget(specs, budget)
     records = map_fields(lambda ctx: exact_counts(ctx, budget=budget), specs)
     records.sort(key=lambda r: (r.q, r.n, r.k))

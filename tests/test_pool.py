@@ -1,17 +1,15 @@
 """_pool.map_fields, the worker processes of run_verify and density_sweep:
-W = min(CPUs of the affinity mask, fields) processes, the caller among them,
-each taking the largest field left from one queue until it is empty.  Which
-process runs a field is not fixed, so a test that needs a field outside the
-caller makes the caller wait until a worker has started one (_WorkerFirst).
+W = min(CPUs of the affinity mask, fields) processes, the caller being
+process 0.  _pool._deal gives each field, largest q^n first, to the process
+with the fewest elements so far, the same way in every run, so a test that
+needs a field outside the caller asks the deal for one (_worker_specs).
 Outputs and op_count totals equal those of a one-CPU run, no worker outlives
 the call, and the first failing field in spec order raises as it would in
 one process."""
 
 import contextlib
 import os
-import select
 import threading
-import time
 
 import pytest
 
@@ -67,47 +65,10 @@ def _failing_check(monkeypatch, fail):
     monkeypatch.setattr(claims, "_FIELD_CHECKS", claims._FIELD_CHECKS + ((None, check),))
 
 
-class _WorkerFirst:
-    """A map_fields whose caller waits, after meanwhile(), until workers have
-    started `fields` fields, so that at least that many run outside the
-    caller.  worker_specs(specs) lists, once the run is over, the specs that
-    workers started, in spec order."""
-
-    def __init__(self, fields=1):
-        self.caller, self.fields, self.seen = os.getpid(), fields, b""
-        self.read_fd, self.write_fd = os.pipe()
-
-    def map_fields(self, fn, specs, meanwhile=lambda: None):
-        def started(ctx):
-            if os.getpid() != self.caller:
-                os.write(self.write_fd, f"{ctx.p} {ctx.k} {ctx.n}\n".encode())
-            return fn(ctx)
-
-        def held():
-            meanwhile()
-            while self.seen.count(b"\n") < self.fields:
-                assert select.select([self.read_fd], [], [], 60)[0], "no worker started a field"
-                self.seen += os.read(self.read_fd, 4096)
-
-        return _pool.map_fields(started, specs, held)
-
-    def worker_specs(self, specs) -> list:
-        os.close(self.write_fd)
-        with os.fdopen(self.read_fd, "rb") as pipe:
-            started = {tuple(map(int, line.split())) for line in (self.seen + pipe.read()).splitlines()}
-        return [spec for spec in specs if spec in started]
-
-
-def _outside_the_caller(action):
-    """A planted check body that calls action(f) on every field that runs
-    outside the calling process."""
-    caller = os.getpid()
-
-    def check(f):
-        if os.getpid() != caller:
-            action(f)
-
-    return check
+def _worker_specs(specs) -> list:
+    """The specs that _pool._deal gives to workers at this mask's width, in spec order."""
+    shares = _pool._deal(specs, min(CPUS, len(specs)))
+    return [specs[i] for i in sorted(i for share in shares[1:] for i in share)]
 
 
 def _run_with_ops(seed, lo=4, hi=256):
@@ -133,15 +94,14 @@ def test_one_cpu_and_every_cpu_give_the_same_ledger_and_op_count(seed, monkeypat
 @needs_masks
 @needs_two_cpus
 def test_a_worker_that_runs_f4_reuses_the_counts_made_before_the_fork(monkeypatch):
-    # the global claim example-f4-normal-count counts F4 in the caller; a
-    # worker that runs 2^1:2 must not count it again
-    specs = claims.enumerate_field_specs(4, 8)  # 2^1:2 and 2^1:3, both the worker's
+    # the global claim example-f4-normal-count counts F4 in the caller; with
+    # 2^1:2 and 2^1:3 both dealt to a worker, it must not count F4 again
     with _one_cpu(monkeypatch):
         serial, serial_ops = _run_with_ops(1, 4, 8)
-    pool = _WorkerFirst(fields=len(specs))
-    monkeypatch.setattr(claims, "map_fields", pool.map_fields)
+    monkeypatch.setattr(_pool, "_deal", lambda specs, width: [[]] * (width - 1) + [list(range(len(specs)))])
+    forks = _counted_forks(monkeypatch)
     parallel, parallel_ops = _run_with_ops(1, 4, 8)
-    assert pool.worker_specs(specs) == specs
+    assert len(forks) == 1
     assert parallel == serial
     assert parallel_ops == serial_ops
     _assert_no_child()
@@ -179,17 +139,17 @@ def test_workers_are_reaped_after_a_run(monkeypatch):
 
 @needs_two_cpus
 def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
-    def fail(f):
-        raise ConsistencyError(f"planted failure on {f.subject}")
+    target = _worker_specs(claims.enumerate_field_specs(4, 64))[0]
 
-    _failing_check(monkeypatch, _outside_the_caller(fail))
-    pool = _WorkerFirst()
-    monkeypatch.setattr(claims, "map_fields", pool.map_fields)
+    def fail(f):
+        if (f.ctx.p, f.ctx.k, f.ctx.n) == target:
+            raise ConsistencyError(f"planted failure on {f.subject}")
+
+    _failing_check(monkeypatch, fail)
     forks = _counted_forks(monkeypatch)
     with pytest.raises(ConsistencyError) as err:
         claims.run_verify(4, 64, 1)
-    first = pool.worker_specs(claims.enumerate_field_specs(4, 64))[0]
-    assert str(err.value) == f"planted failure on {get_field(*first).spec_string()}"
+    assert str(err.value) == f"planted failure on {get_field(*target).spec_string()}"
     if hasattr(err.value, "add_note"):  # the worker's traceback, as a note
         assert "in fail" in err.value.__notes__[-1]
     assert forks
@@ -198,18 +158,20 @@ def test_an_error_in_a_worker_reaches_the_caller(monkeypatch):
 
 @needs_two_cpus
 def test_the_first_failing_field_raises_as_in_a_serial_run(monkeypatch):
-    # fields 1 (worker 1) and 2 (the caller's share when W = 2, else another
-    # worker's) both fail; a serial run would stop at field 1
+    # the first worker field and the caller's first field after it both
+    # fail; a serial run would stop at the worker's
     specs = claims.enumerate_field_specs(4, 64)
+    first = _worker_specs(specs)[0]
+    later = next(spec for spec in specs[specs.index(first):] if spec not in _worker_specs(specs))
 
     def fail(f):
-        if (f.ctx.p, f.ctx.k, f.ctx.n) in specs[1:3]:
+        if (f.ctx.p, f.ctx.k, f.ctx.n) in (first, later):
             raise ConsistencyError(f"planted failure on {f.subject}")
 
     _failing_check(monkeypatch, fail)
     with pytest.raises(ConsistencyError, match="planted failure on") as err:
         claims.run_verify(4, 64, 1)
-    assert str(err.value).endswith(get_field(*specs[1]).spec_string())
+    assert str(err.value).endswith(get_field(*first).spec_string())
     _assert_no_child()
 
 
@@ -220,27 +182,30 @@ class _TwoArgError(Exception):
 
 @needs_two_cpus
 def test_an_unpicklable_worker_error_arrives_by_type_and_message(monkeypatch):
-    def fail(f):
-        raise _TwoArgError("planted", f.subject)
+    target = _worker_specs(claims.enumerate_field_specs(4, 64))[0]
 
-    _failing_check(monkeypatch, _outside_the_caller(fail))
-    pool = _WorkerFirst()
-    monkeypatch.setattr(claims, "map_fields", pool.map_fields)
+    def fail(f):
+        if (f.ctx.p, f.ctx.k, f.ctx.n) == target:
+            raise _TwoArgError("planted", f.subject)
+
+    _failing_check(monkeypatch, fail)
     with pytest.raises(RuntimeError) as err:
         claims.run_verify(4, 64, 1)
-    first = pool.worker_specs(claims.enumerate_field_specs(4, 64))[0]
-    assert str(err.value) == f"_TwoArgError: planted at {get_field(*first).spec_string()}"
+    assert str(err.value) == f"_TwoArgError: planted at {get_field(*target).spec_string()}"
     _assert_no_child()
 
 
 @needs_two_cpus
 def test_a_worker_that_dies_is_reported_and_reaped(monkeypatch):
-    _failing_check(monkeypatch, _outside_the_caller(lambda f: os._exit(3)))
-    pool = _WorkerFirst()
-    monkeypatch.setattr(claims, "map_fields", pool.map_fields)
+    caller, target = os.getpid(), _worker_specs(claims.enumerate_field_specs(4, 64))[0]
+
+    def die(f):
+        if os.getpid() != caller and (f.ctx.p, f.ctx.k, f.ctx.n) == target:
+            os._exit(3)
+
+    _failing_check(monkeypatch, die)
     with pytest.raises(RuntimeError, match="exited with status"):
         claims.run_verify(4, 64, 1)
-    assert pool.worker_specs(claims.enumerate_field_specs(4, 64))
     _assert_no_child()
 
 
@@ -269,25 +234,21 @@ def test_a_field_spec_error_round_trips_through_pickle():
 
 @needs_two_cpus
 def test_a_field_spec_error_from_a_worker_keeps_its_text_and_position():
-    caller = os.getpid()
-
     def fn(ctx):
-        if os.getpid() != caller:
-            raise FieldSpecError("planted", text=ctx.spec_string(), position=4)
+        if ctx.n == 3:  # 2^1:3, the larger field, goes to worker 1
+            raise FieldSpecError("planted", text="2^1:3", position=4)
         return ctx.n
 
-    pool, specs = _WorkerFirst(), [(2, 1, 2), (2, 1, 3)]
     with pytest.raises(FieldSpecError) as err:
-        pool.map_fields(fn, specs)
-    text = get_field(*pool.worker_specs(specs)[0]).spec_string()
+        _pool.map_fields(fn, [(2, 1, 2), (2, 1, 3)])
     assert (str(err.value), err.value.text, err.value.position) == \
-        (f"planted (at position 4 in '{text}')", text, 4)
+        ("planted (at position 4 in '2^1:3')", "2^1:3", 4)
     _assert_no_child()
 
 
 # -- density_sweep -------------------------------------------------------------
 
-# by q^n: 4096, 1024 twice, 729 twice, 625, 343
+# q^n: 729, 1024, 625, 1024, 343, 729, 4096
 SWEEP_SPECS = [(3, 1, 6), (2, 1, 10), (5, 1, 4), (2, 2, 5), (7, 1, 3), (3, 2, 3), (2, 1, 12)]
 
 
@@ -312,28 +273,57 @@ def test_sweep_on_one_cpu_and_every_cpu_gives_the_same_bytes_and_op_count(monkey
     _assert_no_child()
 
 
-@needs_masks
-def test_a_one_cpu_run_takes_the_largest_field_first(monkeypatch):
-    # q^n 9, 8, 16, 16, 5, 8: the ties go in spec order, not by (p, k, n)
-    specs, calls = [(3, 1, 2), (2, 3, 1), (2, 2, 2), (2, 1, 4), (5, 1, 1), (2, 1, 3)], []
-
-    def fn(ctx):
-        calls.append((ctx.p, ctx.k, ctx.n))
-        return ctx.order
-
-    with _one_cpu(monkeypatch):
-        orders = _pool.map_fields(fn, specs)
-    assert calls == [(2, 2, 2), (2, 1, 4), (3, 1, 2), (2, 3, 1), (2, 1, 3), (5, 1, 1)]
-    assert orders == [9, 8, 16, 16, 5, 8]
+def test_the_deal_gives_each_field_largest_first_to_the_process_with_the_fewest_elements():
+    assert _pool._deal(SWEEP_SPECS, 1) == [[0, 1, 2, 3, 4, 5, 6]]
+    # 4096 to process 1 (the caller is last among equals); 1024, 1024, 729,
+    # 729 and 625 to the caller, which holds 3506 < 4096 before the 625;
+    # then 343 to process 1, as 4096 < 4131
+    assert _pool._deal(SWEEP_SPECS, 2) == [[0, 1, 2, 3, 5], [4, 6]]
+    assert _pool._deal(SWEEP_SPECS, 3) == [[3, 4, 5], [6], [0, 1, 2]]
+    # sweep --range 2..2,14..20: 2^20 alone against 2^14..2^19
+    assert _pool._deal([(2, 1, n) for n in range(14, 21)], 2) == [[0, 1, 2, 3, 4, 5], [6]]
 
 
 @needs_two_cpus
-def test_every_field_of_a_long_queue_runs_exactly_once(monkeypatch):
-    # more indices than one pipe holds (16 384 four-byte records), all of one
-    # field, taken by two processes more than there are CPUs; each call of fn
-    # writes a byte to a pipe that the test counts
+def test_sweep_deals_its_fields_largest_first(monkeypatch):
+    # the process that ran each field, by a second map_fields on the same
+    # specs: one process per share of the deal, the caller's share its own
+    pids, real = {}, _pool.map_fields
+
+    def spy(fn, specs, **kwargs):
+        pids.update(zip(specs, real(lambda ctx: os.getpid(), specs, **kwargs)))
+        return real(fn, specs, **kwargs)
+
+    monkeypatch.setattr(ct, "map_fields", spy)
+    ct.density_sweep(SWEEP_SPECS)
+    shares = _pool._deal(SWEEP_SPECS, min(CPUS, len(SWEEP_SPECS)))
+    assert [pids[SWEEP_SPECS[i]] for i in shares[0]] == [os.getpid()] * len(shares[0])
+    assert len(set(pids.values())) == len(shares)
+    for share in shares:
+        assert len({pids[SWEEP_SPECS[i]] for i in share}) == 1
+    _assert_no_child()
+
+
+@needs_masks
+def test_a_one_cpu_run_stops_at_its_first_failing_field(monkeypatch):
+    specs, calls = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 4)], []
+
+    def fn(ctx):
+        calls.append((ctx.p, ctx.k, ctx.n))
+        if ctx.n == 3:
+            raise ConsistencyError("planted failure")
+        return ctx.order
+
+    with _one_cpu(monkeypatch), pytest.raises(ConsistencyError):
+        _pool.map_fields(fn, specs)
+    assert calls == specs[:2]
+
+
+@needs_two_cpus
+def test_every_field_runs_exactly_once_in_more_processes_than_cpus(monkeypatch):
+    # each call of fn writes a byte to a pipe that the test counts
     read_fd, write_fd = os.pipe()
-    copies, forks = 20_000, _counted_forks(monkeypatch)
+    specs, forks = [(2, 1, n) for n in range(2, 9)] * 3, _counted_forks(monkeypatch)
     monkeypatch.setattr(_pool, "_width", lambda fields: CPUS + 2)
 
     def fn(ctx):
@@ -341,39 +331,21 @@ def test_every_field_of_a_long_queue_runs_exactly_once(monkeypatch):
         return ctx.order
 
     try:
-        results = _pool.map_fields(fn, [(2, 1, 2)] * copies)
+        results = _pool.map_fields(fn, specs)
     finally:
         os.close(write_fd)
         with os.fdopen(read_fd, "rb") as pipe:
             calls = pipe.read()
-    assert results == [4] * copies
-    assert len(calls) == copies
+    assert results == [2**n for _, _, n in specs]
+    assert len(calls) == len(specs)
     assert len(forks) == CPUS + 1
-    _assert_no_child()
-
-
-@needs_two_cpus
-def test_while_one_process_holds_a_long_field_the_others_run_the_rest():
-    # 2^1:6 is the largest, so the first index taken; it sleeps for 1 s
-    specs = [(2, 1, 2), (2, 1, 3), (3, 1, 2), (2, 1, 6), (5, 1, 1), (2, 2, 2), (7, 1, 1)]
-    for spec in specs:  # built before the fork, so no process builds one
-        get_field(*spec)
-
-    def fn(ctx):
-        if ctx.order == 64:
-            time.sleep(1)
-        return os.getpid()
-
-    pids = _pool.map_fields(fn, specs)
-    held = pids[specs.index((2, 1, 6))]
-    assert [spec for spec, pid in zip(specs, pids) if pid == held] == [(2, 1, 6)]
     _assert_no_child()
 
 
 @needs_masks
 def test_sweep_raises_the_first_failing_field_as_a_serial_run(monkeypatch):
-    # 5^1:4 comes before the larger 2^1:12 in spec order and both fail; every
-    # field runs, in whichever process takes it, and 5^1:4's error is raised
+    # 5^1:4 comes before the larger 2^1:12 in spec order and both fail; dealt
+    # largest first, 2^1:12 is a worker's and 5^1:4 the caller's
     specs, real = [(3, 1, 6), (5, 1, 4), (2, 1, 10), (2, 1, 12)], ct.exact_counts
 
     def planted(ctx, budget):
@@ -395,7 +367,7 @@ def test_sweep_raises_the_first_failing_field_as_a_serial_run(monkeypatch):
 @needs_masks
 def test_sweep_above_the_cap_exits_2_with_the_serial_text(monkeypatch, capsys):
     # both fields are above the table cap; 2^1:21, the first in spec order,
-    # is the smaller and so the second taken
+    # is the caller's on two CPUs and 2^1:22 a worker's
     args = ["sweep", "--range", "2..2,21..22"]
     with _one_cpu(monkeypatch), pytest.raises(SystemExit) as serial:
         main(args)
