@@ -23,17 +23,20 @@ accepts.
 With ``--build`` it times instead, on each field of FIELDS, the three parts
 of building a field with its default moduli, each separately:
 ``first_irreducible`` (the extension modulus), ``factorize`` of q^n - 1 and
-``factor_x_n_minus_1_over``.
+``factor_x_n_minus_1_over``, and then on each field of SEARCH_FIELDS (towers
+outside FIELDS, most past the 2^63 cap of ``build_field``, which ``--build``
+never calls) only ``first_irreducible``.
 The coefficient field F_q is built and warmed up first.  A row holds the
 median over repeats of one call, two deterministic work counts made by the
 first call: the Ben-Or tests (calls of ``polyfq._ben_or``, which every
 irreducibility test goes through, or of ``polyfq.is_irreducible`` in a
 checkout without it) and the gcds (calls of ``polyfq.poly_gcd`` and, where
 it exists, of the packed ``polyfq._Packed.gcd``, which a packed public gcd
-goes through as well), and a short digest of its result.
+goes through as well; the Euclid of the parity screen, which runs by the
+packed remainder alone, is not one), and a short digest of its result.
 
 ``--field`` (repeatable) restricts any mode, the comparison too, to those
-fields of FIELDS.
+fields of FIELDS (or, with ``--build``, of SEARCH_FIELDS).
 
 With ``--parent`` and ``--change`` (two checkouts of the repository) the
 script runs itself in a fresh interpreter on each checkout's ``src``, one
@@ -66,6 +69,8 @@ from pathlib import Path
 
 FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8),
           (2, 1, 63), (3, 1, 39), (5, 1, 27), (2, 4, 15), (3, 2, 19), (7, 1, 22), (5, 2, 6), (7, 2, 11))
+# modulus searches only: where the screens of first_irreducible drop candidates
+SEARCH_FIELDS = ((2, 4, 16), (2, 4, 32), (2, 5, 16), (3, 3, 9), (3, 3, 19), (3, 2, 27), (5, 2, 30))
 OPS = ("product", "pow", "is_primitive", "is_normal.divisor", "is_normal.rank")
 BUILD_LAYERS = ("first_irreducible", "factorize", "factor_x_n_minus_1_over")
 
@@ -127,8 +132,9 @@ def _count_calls(owner, name: str, counter: list):
     return fn
 
 
-def measure_build(repeats: int, fields=FIELDS) -> list:
-    """One row per field and set-up layer, in this interpreter."""
+def measure_build(repeats: int, fields=FIELDS + SEARCH_FIELDS) -> list:
+    """One row per field and set-up layer (first_irreducible alone on the
+    fields of SEARCH_FIELDS), in this interpreter."""
     from pnfield import polyfq
     from pnfield.numtheory import factorize
     from pnfield.smallfield import canonical_field
@@ -148,7 +154,7 @@ def measure_build(repeats: int, fields=FIELDS) -> list:
         layers = {"first_irreducible": lambda: polyfq.first_irreducible(fq, n),
                   "factorize": lambda: factorize(fq.q**n - 1),
                   "factor_x_n_minus_1_over": lambda: polyfq.factor_x_n_minus_1_over(fq, n)}
-        for name in BUILD_LAYERS:
+        for name in BUILD_LAYERS[:1] if (p, k, n) in SEARCH_FIELDS else BUILD_LAYERS:
             ben_or[0] = gcds[0] = 0
             digest = hashlib.sha256(repr(layers[name]()).encode()).hexdigest()[:12]
             counts = {"ben_or": ben_or[0], "gcd": gcds[0]}
@@ -207,18 +213,23 @@ def compare(sides: dict, args, fields) -> dict:
     return {"command": "python3 scripts/bench_pn.py --parent PARENT --change CHANGE --seed "
                        f"{args.seed} --elements {args.elements} --repeats {args.repeats} "
                        f"--rounds {args.rounds}" + " --build" * args.build
-                       + ("" if fields == FIELDS else "".join(" --field %d^%d:%d" % spec for spec in fields)),
+                       + ("" if fields == _all_fields(args.build)
+                          else "".join(" --field %d^%d:%d" % spec for spec in fields)),
             "unit": unit,
             "rows": rows}
 
 
+def _all_fields(build: bool) -> tuple:
+    return FIELDS + SEARCH_FIELDS if build else FIELDS
+
+
 def _field_spec(text: str) -> tuple:
-    """(p, k, n) of a field of FIELDS given as p^k:n."""
+    """(p, k, n) of a field of FIELDS or SEARCH_FIELDS given as p^k:n."""
     p, _, rest = text.partition("^")
     k, _, n = rest.partition(":")
     spec = (int(p), int(k), int(n))
-    if spec not in FIELDS:
-        raise argparse.ArgumentTypeError(f"{text} is not one of the fields of FIELDS")
+    if spec not in FIELDS + SEARCH_FIELDS:
+        raise argparse.ArgumentTypeError(f"{text} is not one of the fields of FIELDS or SEARCH_FIELDS")
     return spec
 
 
@@ -233,9 +244,11 @@ def main(argv=None) -> int:
     ap.add_argument("--out", type=Path)
     ap.add_argument("--build", action="store_true", help="time the set-up layers of each field")
     ap.add_argument("--field", type=_field_spec, action="append",
-                    help="only this field of FIELDS, as p^k:n (repeatable)")
+                    help="only this field of FIELDS (or SEARCH_FIELDS with --build), as p^k:n (repeatable)")
     args = ap.parse_args(argv)
-    fields = tuple(args.field) if args.field else FIELDS
+    fields = tuple(args.field) if args.field else _all_fields(args.build)
+    if not args.build and set(fields) & set(SEARCH_FIELDS):
+        ap.error("the fields of SEARCH_FIELDS have --build rows only")
     if args.parent and args.change:
         result = compare({"parent": args.parent.resolve(), "change": args.change.resolve()}, args, fields)
     elif args.build:

@@ -879,10 +879,9 @@ def build_field(
     Omitted moduli default to the lexicographically smallest monic
     irreducibles of the right degrees (coefficients compared low-to-high as
     integers), so the construction is deterministic.  polyfq.first_irreducible
-    finds them by a root sieve and the Ben-Or test on packed polynomials;
-    that is most of the cost of a build (about 0.08 s for 2^4:8 on a 2-core
-    box; scripts/bench_pn.py --build times each part).  Supplied moduli are
-    certified irreducible.
+    finds them by screens for provably reducible candidates and the Ben-Or
+    test on packed polynomials (scripts/bench_pn.py --build times each part
+    of a build).  Supplied moduli are certified irreducible.
     The exact integer order arithmetic requires p^(k·n) <= 2^63.
     """
     if not is_prime(p):

@@ -17,11 +17,15 @@ every map of field.py) runs through one applier, _Packed._apply.
 
 Ben-Or's irreducibility test (1981) and the factorization of x^n - 1 (by
 degree, then within each degree by Cantor and Zassenhaus 1981) run packed
-from start to end.  first_irreducible drops candidates with a root in F_q
-first (the root sieve), so their Ben-Or test starts at j = 2; the public
-is_irreducible runs every j from 1.  Φ_q, μ_q, σ_q and the Ω_q factor counts
-operate on certified factorizations of x^n - 1.  tests/bruteforce.py keeps
-the tuple arithmetic, Q-matrix and Ben-Or test as oracles.
+from start to end.  first_irreducible drops provably reducible candidates
+before Ben-Or's test: those with a root in F_q (the root sieve, so the test
+starts at j = 2), the affine p-polynomials of degree p^e past a threshold
+(Lidl and Niederreiter ch. 3), and for odd q those whose discriminant has
+the wrong quadratic character (Stickelberger), by a packed Euclid for
+Res(f, f'); the public is_irreducible runs every j from 1.  Φ_q, μ_q, σ_q
+and the Ω_q factor counts operate on certified factorizations of x^n - 1.
+tests/bruteforce.py keeps the tuple arithmetic, Q-matrix and Ben-Or test as
+oracles.
 """
 
 from __future__ import annotations
@@ -313,9 +317,16 @@ class _Packed:
 
     def mul(self, a: int, b: int) -> int:
         """a·b: carry-less for F_2, otherwise Σ a_s·(y^t·b)·x^i over the slots
-        s = i·k + t of a, the F_p-linear map with those columns."""
+        s = i·k + t of a, the F_p-linear map with those columns; one digit-plane
+        sum, as in monic, when either factor is a constant."""
         if self.p == 2 and self.k == 1:
             return _clmul(a, b)
+        if b >> self.cw == 0:
+            a, b = b, a
+        if a >> self.cw == 0:
+            if self.k == 1:
+                return self.normalize(a * b)
+            return self.normalize(self._sum_planes(self._digits[self.coeff(a, 0)], self._planes(b)))
         planes, cw = self._planes(b), self.cw
         return self._apply(a, [plane << i * cw for i in range(self.degree(a) + 1) for plane in planes])
 
@@ -511,11 +522,13 @@ def _monic_candidates(ring: _Packed, d: int):
     return (_pack(enc, p, bits) for enc in range(ring.q**d, 2 * ring.q**d))
 
 
-def _rootless_monic_polys(ring: _Packed, d: int):
+def _rootless_monic_polys(ring: _Packed, d: int, affine: int | None = None):
     """_monic_candidates(ring, d) without those with a root in F_q: a block of
     q candidates h + c0 shares h = x·high, and has a root iff -c0 is a value
     of h.  The values, packed with h(c) as coefficient c, are Σ over the slots
-    of high of its digits times the digit planes y^t·(c^i)_c."""
+    of high of its digits times the digit planes y^t·(c^i)_c.  With the mask
+    of _affine_mask, a block whose candidates all leave its slots zero is
+    skipped unevaluated."""
     fq, q, cw, points = ring.fq, ring.q, ring.cw, range(ring.q)
     cols, powers = [], list(points)  # powers: c^i at every point c, i = 1..d
     for _ in range(d):
@@ -523,21 +536,97 @@ def _rootless_monic_polys(ring: _Packed, d: int):
         powers = list(map(fq.mul, powers, points))
     # the packed constant c0 of each block, and -c0
     consts = list(zip(ring._slots or points, map(fq.neg, points)))
+    skip = None if affine is None else affine >> cw
     for high in _monic_candidates(ring, d - 1):
+        if skip is not None and not high & skip:
+            continue
         values = set(ring.coefficients(ring._apply(high, cols), q))
         yield from (high << cw | c0 for c0, neg in consts if neg not in values)
 
 
+def _affine_mask(ring: _Packed, d: int) -> int | None:
+    """Screen (A) of first_irreducible: for d = p^e with e >= 3 (p = 2) or
+    e >= 2 (odd p), the slots of the exponents in [2, d) that are not powers
+    of p, all zero exactly in the affine p-polynomials of degree d; else None."""
+    p, powers = ring.p, [1]  # p^0 .. p^e
+    while powers[-1] < d:
+        powers.append(powers[-1] * p)
+    e = len(powers) - 1
+    if powers[-1] != d or e < (3 if p == 2 else 2):
+        return None
+    return sum(ring.cmask << i * ring.cw for i in range(2, d) if i not in powers)
+
+
+def _resultant(ring: _Packed, a: int, b: int) -> int:
+    """Res(a, b) in F_q, for a of degree >= 1, by Euclid:
+    Res(a, b) = (-1)^(deg a·deg b)·lc(b)^(deg a - deg r)·Res(b, r) for
+    r = a mod b, Res(a, c) = c^(deg a) for a constant c, and Res(a, 0) = 0."""
+    fq, res, da = ring.fq, 1, ring.degree(a)
+    while b:
+        db = ring.degree(b)
+        lead = ring.coeff(b, db)
+        if db == 0:
+            return fq.mul(res, fq.pow(lead, da))
+        r = ring._rem(a, db, ring._canceller(b, db))
+        res = fq.mul(res, fq.pow(lead, da - ring.degree(r)))
+        if da * db % 2:
+            res = fq.neg(res)
+        a, b, da = b, r, db
+    return 0
+
+
+def _parity_screen(ring: _Packed, d: int):
+    """Screen (B) of first_irreducible, for odd q: f -> whether the monic f of
+    degree d is squarefree with χ(disc f) = (-1)^(d-1), χ the quadratic
+    character, where disc f = (-1)^(d(d-1)/2)·Res(f, f')."""
+    fq, p, cw = ring.fq, ring.p, ring.cw
+    # f' = Σ_r r·(the coefficients at the exponents i ≡ r mod p), moved down a slot
+    classes = [(r, sum(ring.cmask << i * cw for i in range(r, d + 1, p))) for r in range(1, min(p, d + 1))]
+    sign, half, want = d * (d - 1) // 2 % 2, (fq.q - 1) // 2, 1 if d % 2 else fq.neg(1)
+
+    def passes(f: int) -> bool:
+        disc = _resultant(ring, f, ring.normalize(sum(r * (f & mask) for r, mask in classes)) >> cw)
+        return fq.pow(fq.neg(disc) if sign else disc, half) == want
+
+    return passes
+
+
 def first_irreducible(fq: SmallField, d: int) -> Poly:
     """First monic irreducible of degree d in monic_polys order: the
-    lexicographically smallest, coefficients compared low-to-high.  For
-    q <= 512 a root sieve drops candidates first (a block costs q·d steps, and
-    larger q find one early); Ben-Or's test certifies every one left, from
-    j = 2 on, as the sieve has settled j = 1."""
+    lexicographically smallest, coefficients compared low-to-high.
+
+    Ben-Or's test certifies the modulus returned.  Three screens before it
+    drop only candidates that are provably reducible, so the modulus is the
+    one a plain scan finds:
+    - for q <= 512, a root sieve drops the candidates with a root in F_q (a
+      block costs q·d steps, and larger q find one early); Ben-Or then starts
+      at j = 2, as the sieve has settled j = 1;
+    - (A) for d = p^e with e >= 3 (p = 2) or e >= 2 (odd p), the affine
+      p-polynomials x^(p^e) + Σ_(i<e) a_i·x^(p^i) + c, by one mask test (a
+      whole root-sieve block at a time).  If a_0 = 0, f is a p-th power.
+      Otherwise the roots are a coset β + V of the e-dimensional F_p-space V
+      of roots of L = f - c, and Frobenius acts on it as T(v) = Mv + w with
+      M F_p-linear (Lidl and Niederreiter, Finite Fields, ch. 3).  For f
+      irreducible, T is one p^e-cycle, so M has p-power order: M = I + N
+      with N^e = 0.  Then T^(p^j)(v) = v + N^(p^j - 1)·w = v as soon as
+      p^j > e, and past the thresholds such a p^j is below p^e;
+    - (B) for odd q, a squarefree f with r irreducible factors has
+      χ(disc f) = (-1)^(d-r), χ the quadratic character of F_q: Frobenius
+      permutes the roots with sign (-1)^(d-r) and moves the square root
+      Π_(i<j)(α_i - α_j) of disc f by that sign (Stickelberger 1897; Swan,
+      Pacific J. Math. 12, 1962).  So candidates with disc f = 0 or
+      χ(disc f) != (-1)^(d-1) are dropped, by one packed Euclid for Res(f, f').
+    """
     ring = _packed(fq)
     sieved = d >= 2 and fq.q <= 512
-    for f in (_rootless_monic_polys if sieved else _monic_candidates)(ring, d):
-        if _ben_or(ring, f, 2 if sieved else 1):
+    affine = _affine_mask(ring, d)
+    if sieved:
+        candidates = _rootless_monic_polys(ring, d, affine)
+    else:
+        candidates = (f for f in _monic_candidates(ring, d) if affine is None or f & affine)
+    parity = _parity_screen(ring, d) if fq.p > 2 else None
+    for f in candidates:
+        if (parity is None or parity(f)) and _ben_or(ring, f, 2 if sieved else 1):
             return ring.unpack(f)
     raise ConsistencyError(f"no irreducible of degree {d} over F_{fq.q}")
 

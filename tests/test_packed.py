@@ -72,6 +72,18 @@ def test_pack_unpack_round_trip_at_the_widest_slot(fq):
         assert all(ring.coeff(wide, i) == c for i, c in enumerate(f))
 
 
+@pytest.mark.parametrize("fq", [f for f in SLOT_FIELDS if f.k > 1 or f.p > 2], ids=repr)
+def test_products_with_a_constant_factor_match_the_tuple_oracle(fq):
+    # a constant on either side takes one digit-plane sum instead of the map
+    ring, rng = pf._packed(fq), random.Random(fq.q)
+    for _ in range(100):
+        c = pf.poly_trim([rng.randrange(fq.q)])
+        f = pf.poly_trim(rng.randrange(fq.q) for _ in range(rng.randrange(12)))
+        want = bf.poly_mul_by_calls(fq, c, f)
+        assert pf.poly_mul(fq, c, f) == pf.poly_mul(fq, f, c) == want, (c, f)
+        assert ring.mul(ring.pack(c), ring.pack(f)) == ring.pack(want)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 9, 16])
 def test_is_irreducible_rejects_a_linear_factor_with_nothing_between(q):
     # (x - c)·g with g irreducible of degree d - 1: for d = 2, 3 the loop

@@ -313,11 +313,101 @@ def test_first_irreducible_unchanged(spec):
 
 
 def test_sieved_first_irreducible_equals_the_plain_scan():
-    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27):
+    # d <= 5 everywhere, then degrees where the affine screen (A) or the
+    # parity screen (B) fires: d = 8, 16 over F_2, 8 over F_4 and 9 over F_3
+    # (A); 9 over F_3 and every degree over F_9, F_25 and F_27 (B)
+    grid = [(q, d) for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27) for d in range(1, 6)]
+    for q, d in grid + [(2, 8), (2, 16), (4, 8), (3, 9), (9, 6), (25, 4), (27, 5)]:
         fq = canonical_field(q)
-        for d in range(1, 6):
-            plain = next(f for f in pf.monic_polys(fq, d) if pf.is_irreducible(fq, f))
-            assert pf.first_irreducible(fq, d) == plain, (q, d)
+        plain = next(f for f in pf.monic_polys(fq, d) if pf.is_irreducible(fq, f))
+        assert pf.first_irreducible(fq, d) == plain, (q, d)
+
+
+def _affine_p_polys(fq, e):
+    """Every x^(p^e) + Σ_(i<e) a_i·x^(p^i) + c over fq, from its definition."""
+    p, d = fq.p, fq.p**e
+    for c, *a in itertools.product(range(fq.q), repeat=e + 1):
+        f = [c] + [0] * d
+        f[d] = 1
+        for i, ai in enumerate(a):
+            f[p**i] = ai
+        yield tuple(f)
+
+
+def _sympy_irreducible(p):
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    zz = pytest.importorskip("sympy.polys.domains").ZZ
+    return lambda fq, f: gt.gf_irreducible_p(list(reversed(f)), p, zz)
+
+
+# (q, e) past the threshold of screen (A): e >= 3 for p = 2, e >= 2 for odd p
+AFFINE_REDUCIBLE = [(2, 3), (2, 4), (3, 2), (5, 2), (4, 3), (9, 2)]
+
+
+@pytest.mark.parametrize("q,e", AFFINE_REDUCIBLE)
+def test_affine_p_polynomials_past_the_threshold_are_all_reducible(q, e):
+    fq = canonical_field(q)
+    irreducible = _sympy_irreducible(q) if fq.k == 1 else bf.is_irreducible_by_ben_or
+    polys = list(_affine_p_polys(fq, e))
+    assert len(polys) == q ** (e + 1)
+    assert not any(irreducible(fq, f) for f in polys)
+
+
+@pytest.mark.parametrize("q,e", [(2, 2), (4, 2), (3, 1), (5, 1), (9, 1)])
+def test_affine_p_polynomials_at_the_threshold_include_irreducibles(q, e):
+    # x^4 + x + 1 over F_2 and x^p - x - 1 over F_p are irreducible, so
+    # neither threshold of screen (A) can move down, and the screen is off
+    fq = canonical_field(q)
+    assert any(bf.is_irreducible_by_ben_or(fq, f) for f in _affine_p_polys(fq, e))
+    assert pf._affine_mask(pf._packed(fq), fq.p**e) is None
+
+
+@pytest.mark.parametrize("q,e", [(2, 3), (3, 2), (4, 3)])
+def test_affine_mask_marks_exactly_the_affine_p_polynomials(q, e):
+    fq = canonical_field(q)
+    ring = pf._packed(fq)
+    mask = pf._affine_mask(ring, fq.p**e)
+    marked = {f for f in pf.monic_polys(fq, fq.p**e) if not ring.pack(f) & mask}
+    assert marked == set(_affine_p_polys(fq, e))
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_stickelberger_parity_matches_the_factor_count(p):
+    # χ(disc f) = (-1)^(d - r) for squarefree f with r irreducible factors,
+    # with sympy's discriminant and factor count; the screen keeps f iff f
+    # is squarefree with r odd
+    gt = pytest.importorskip("sympy.polys.galoistools")
+    zz = pytest.importorskip("sympy.polys.domains").ZZ
+    sympy = pytest.importorskip("sympy")
+    fq, x = canonical_field(p), sympy.Symbol("x")
+    ring = pf._packed(fq)
+    for d in range(1, 6):
+        screen = pf._parity_screen(ring, d)
+        for f in pf.monic_polys(fq, d):
+            g = list(reversed(f))
+            squarefree = gt.gf_sqf_p(g, p, zz)
+            r = len(gt.gf_factor_sqf(g, p, zz)[1]) if squarefree else 0
+            assert screen(ring.pack(f)) == (squarefree and r % 2 == 1), f
+            if squarefree:
+                disc = int(sympy.Poly(g, x, modulus=p).discriminant()) % p
+                assert pow(disc, (p - 1) // 2, p) == (1 if (d - r) % 2 == 0 else p - 1), f
+
+
+@pytest.mark.parametrize("q", [9, 25])
+def test_every_irreducible_passes_the_parity_screen(q):
+    # the irreducibles of degree <= 4: the rootless polynomials of degree
+    # <= 3, and the rootless quartics that are no product of two rootless
+    # quadratics, counted against Gauss's formula
+    fq = canonical_field(q)
+    ring = pf._packed(fq)
+    quadratics = list(pf._rootless_monic_polys(ring, 2))
+    products = {ring.mul(a, b) for a, b in itertools.combinations_with_replacement(quadratics, 2)}
+    for d in range(1, 5):
+        irreducibles = [f for f in (pf._rootless_monic_polys(ring, d) if d > 1 else pf._monic_candidates(ring, 1))
+                        if d < 4 or f not in products]
+        assert len(irreducibles) == sum(mobius(d // e) * q**e for e in divisors(d)) // d
+        screen = pf._parity_screen(ring, d)
+        assert all(map(screen, irreducibles)), d
 
 
 @pytest.mark.parametrize("q,d", [(2, 4), (3, 3), (4, 3), (9, 2), (5, 3)])
