@@ -13,12 +13,18 @@ and the rank method.  Each field is warmed up by one call of each operation
 first, so the Frobenius images and the maps of the cofactors built on first
 use are not counted; that first call is timed on its own, and its excess
 over one element (``build_us``: for the divisor test, building the cofactor
-maps) is printed next to the row.  A row holds the minimum over repeats of
-the mean time per element (the least disturbed repeat), the build, and
-three deterministic work counts: the charged ``op_count``, the polynomial
-products per element (calls of ``FieldCtx._product``, which every
-polynomial-path product goes through) and the number of elements the test
-accepts.
+maps; for ``is_primitive``, the maps Frob^j that the first element's tests
+use) is printed next to the row.  The rest of the sample then runs once,
+untimed and uncounted, so that what only later elements use (the maps of a
+plan's later primes) is built outside the work counts.  A row holds the
+minimum over repeats of the mean time per element (the least disturbed
+repeat), the build, and four deterministic work counts: the charged
+``op_count``, the polynomial products per element (calls of
+``FieldCtx._product``, which every polynomial-path product goes through), the
+map applications per element outside products (calls of ``FieldCtx._fold``
+not made by ``_product``: for a power and ``is_primitive`` the Frobenius
+maps, for the divisor test the cofactor maps) and the number of elements the
+test accepts.
 
 With ``--build`` it times instead, on each field of FIELDS, the three parts
 of building a field with its default moduli, each separately:
@@ -99,10 +105,13 @@ def measure(seed: int, count: int, repeats: int, fields=FIELDS) -> list:
             start = time.perf_counter()
             fn(elements[0])
             first = time.perf_counter() - start
-            before, products = ctx.op_count, [0]
+            for a in elements[1:]:  # build what later elements use too, uncounted
+                fn(a)
+            before, products, folds = ctx.op_count, [0], [0]
             _count_calls(ctx, "_product", products)  # for this pass only, untimed
+            _count_calls(ctx, "_fold", folds)  # each _product makes one
             hits = sum(bool(fn(a)) for a in elements)
-            del ctx._product
+            del ctx._product, ctx._fold
             ops = ctx.op_count - before
             means = []
             for _ in range(repeats):
@@ -113,7 +122,8 @@ def measure(seed: int, count: int, repeats: int, fields=FIELDS) -> list:
             us = min(means) * 1e6
             rows.append({"field": "%d^%d:%d" % spec, "op": name, "us": us,
                          "runs_us": [t * 1e6 for t in means], "build_us": max(first * 1e6 - us, 0.0),
-                         "op_count": ops, "products": products[0] / count, "hits": hits})
+                         "op_count": ops, "products": products[0] / count,
+                         "maps": (folds[0] - products[0]) / count, "hits": hits})
             print(f"{rows[-1]['field']:>7} {name:<18} {us:10.1f} us   build {rows[-1]['build_us']:10.1f} us",
                   file=sys.stderr)
     return rows
@@ -205,6 +215,7 @@ def compare(sides: dict, args, fields) -> dict:
                           break_even=max(builds[1] - builds[0], 0.0) / (before - after) if before > after else None,
                           op_count=[parent0["op_count"], row["op_count"]],
                           products=[parent0["products"], row["products"]],
+                          maps=[parent0.get("maps"), row.get("maps")],
                           hits=[parent0["hits"], row["hits"]],
                           same_work=(parent0["op_count"], parent0["hits"]) == (row["op_count"], row["hits"]))
         rows.append(joined)

@@ -206,7 +206,7 @@ def _check_conjecture_hypotheses(ctx, alpha: int):
     if ctx.trace(alpha) == 0:
         raise ValueError("conjecture hypothesis violated: tr(α) = 0")
     for d in range(1, ctx.n):
-        if ctx.n % d == 0 and ctx.pow(alpha, ctx.q**d) == alpha:
+        if ctx.n % d == 0 and ctx.frobenius(alpha, d) == alpha:
             raise ValueError("conjecture hypothesis violated: α lies in a proper subfield")
 
 

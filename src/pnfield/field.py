@@ -51,13 +51,20 @@ its digits d, result = Frob^w(result)·α^d, Frob^w a map of the layout, costs
 one application of it and at most one product per digit instead of about
 log2 Q squarings.  Each digit power α^d is built on demand by one product
 from α^(d-t) and α^t for the top bit t of d (a squaring when d = 2t), and is
-shared across the exponents of one is_primitive or multiplicative-order
-call; for q > 16 only the digits that occur are built.  is_primitive takes
-α^((q^n-1)/r) as the norm to F_{q^d}, d = ord_r(q), of the short power
-α^((q^d-1)/r): Π_{j < n/d} Frob^(dj), by about 2·log2(n/d) products and
-maps Frob^(ds) of the layout (von zur Gathen and Shoup 1992).  The images
-of Frob^1 come from X = x^q by the digit ladder, as Frob(c·x^j) = c·X^j,
-and each Frob^i has one map, of the layout, which frobenius applies too.
+shared across the exponents of one multiplicative-order call, or of one
+norm in is_primitive; for q > 16 only the digits that occur are built.
+is_primitive takes α^((q^n-1)/r) as N(α)^((q^d-1)/r), N the norm to
+F_{q^d}, d = ord_r(q).  The norms of one call form one chain through the
+subfields: N to F_{q^d} is taken from the norm to the least F_{q^c}, d | c,
+already reached, one prime ℓ of c/d at a time, each step to F_{q^b}, b =
+c/ℓ, the product Π_{i < ℓ} Frob^(bi) by about 2·log2(ℓ) products and maps
+Frob^(bs) of the layout (von zur Gathen and Shoup 1992).  For a prime ℓ | d
+and j = d/ℓ, r does not divide q^j - 1, so N(α)^((q^d-1)/r) = γ^(q^j - 1)
+for γ = N(α)^u, u = (q^d-1)/((q^j-1)·r): the power is 1 exactly when Frob^j
+fixes γ, one map in place of the Horner steps of the factor q^j - 1, taken
+where it costs less than the plain power.  The images of Frob^1 come from
+X = x^q by the digit ladder, as Frob(c·x^j) = c·X^j, and each Frob^i has one
+map, of the layout, which frobenius applies too.
 """
 
 from __future__ import annotations
@@ -98,6 +105,24 @@ def _mask_int(mask: bytearray) -> int:
     return int.from_bytes(mask, "little")
 
 
+def _horner_work(e: int, base: int, built: set) -> tuple[int, set]:
+    """The work of _pow_poly(powers, e) with digits in base Q = base and the
+    digit powers in built: one per Horner map and two per product (a raw
+    product and a fold; on the fields of scripts/bench_pn.py a product takes
+    1.3 to 4.3 times a map), and the digit powers it adds.  For a digit d,
+    _digit_power builds the powers of two up to d and d's low parts
+    d mod 2^(b+1), b a set bit of d."""
+    digits, new = [], set()
+    while e:
+        e, d = divmod(e, base)
+        digits.append(d)
+    for d in filter(None, digits):
+        bits = range(d.bit_length())
+        new |= {1 << b for b in bits} | {d & ((2 << b) - 1) for b in bits if d >> b & 1}
+    new -= built
+    return len(digits) - 1 + 2 * (sum(map(bool, digits[:-1])) + len(new)), new
+
+
 class FieldCtx:
     """Immutable description of F_{q^n} with cached factorizations and tables.
 
@@ -135,7 +160,7 @@ class FieldCtx:
         # slots that are already digits of the result in their place, and
         # the maps of Frob^i in the product layout by i (see _frob_layout)
         self._red, self._low, self._frob_layouts = None, n if self.k == 1 else self.k, {}
-        # (r, ord_r(q), (q^ord_r(q) - 1)/r) per prime r of q^n - 1 (see _primitive_plan)
+        # the test of each prime r of q^n - 1 in is_primitive (see _primitive_plan)
         self._plan = None
         # exponents are read in base Q = q^w, with w the largest w < n such
         # that q^w <= 16, and at least 1
@@ -559,13 +584,14 @@ class FieldCtx:
         """The Horner step of _pow_poly: Frob^w in the product layout."""
         return self._frob_layout(self._frob_w)
 
-    def _subfield_norm(self, beta: int, d: int) -> int:
-        """N(β) = β^((q^n-1)/(q^d-1)) = Π_{j < n/d} Frob^(dj)(β) for d | n, in
-        the product layout, by doubling over the bits of n/d below the top
-        one: T_1 = β, T_2s = T_s·Frob^(ds)(T_s) and T_(s+1) = β·Frob^d(T_s)
-        (von zur Gathen and Shoup 1992)."""
+    def _subfield_norm(self, beta: int, d: int, c: int) -> int:
+        """N(β) = β^((q^c-1)/(q^d-1)) = Π_{j < c/d} Frob^(dj)(β), the norm from
+        F_{q^c} to F_{q^d} for d | c | n and β in F_{q^c}, in the product
+        layout, by doubling over the bits of c/d below the top one: T_1 = β,
+        T_2s = T_s·Frob^(ds)(T_s) and T_(s+1) = β·Frob^d(T_s) (von zur Gathen
+        and Shoup 1992)."""
         t, s = beta, 1
-        for bit in bin(self.n // d)[3:]:
+        for bit in bin(c // d)[3:]:
             t, s = self._product(t, self._fold(self._frob_layout(d * s), t)), 2 * s
             if bit == "1":
                 t, s = self._product(beta, self._fold(self._frob_layout(d), t)), s + 1
@@ -716,39 +742,79 @@ class FieldCtx:
         return d
 
     def _primitive_plan(self) -> list:
-        """(r, d, (q^d - 1)/r) for each prime r of q^n - 1 in ascending order,
-        d = ord_r(q), so that r | q^d - 1 and d | n; built on first use."""
+        """(r, d, steps, j, e) for each prime r of q^n - 1 in ascending order,
+        d = ord_r(q), so that r | q^d - 1 and d | n; built on first use.
+
+        steps are the norms (c, c/ℓ) that r's test takes first (see _is_one):
+        from the least multiple c of d among n and the degrees reached for the
+        primes before r, one prime ℓ of c/d at a time, the largest first.
+        For d > 1 let j = d/ℓ for the least prime ℓ | d; then r ∤ q^j - 1, and
+        u = (q^d - 1)/((q^j - 1)·r) is the least such exponent.  The entry
+        has j and e = u where the power to u and the one fixed-point map cost
+        less than the plain power (_horner_work, with the digit powers of the
+        primes before r of the same d); otherwise, and for d = 1, j = 0 and
+        e = (q^d - 1)/r."""
         if self._plan is None:
-            plan = [(r, multiplicative_order(self.q % r, r)) for r in self.mult_factorization.primes()]
-            if any((self.q**d - 1) % r or self.n % d for r, d in plan):
-                raise ConsistencyError(f"an order ord_r({self.q}) in {plan} does not divide n = {self.n}")
-            self._plan = [(r, d, (self.q**d - 1) // r) for r, d in plan]
+            q, n, plan, reached, built = self.q, self.n, [], {self.n}, {}
+            for r in self.mult_factorization.primes():
+                d = multiplicative_order(q % r, r)
+                if (q**d - 1) % r or n % d:
+                    raise ConsistencyError(f"ord_{r}({q}) = {d} does not divide n = {n}")
+                c, steps = min(c for c in reached if c % d == 0), []
+                while c != d:
+                    steps.append((c, c // max(factorize(c // d).primes())))
+                    c = steps[-1][1]
+                    reached.add(c)
+                e, digits = (q**d - 1) // r, built.setdefault(d, {1})
+                j = d // min(factorize(d).primes()) if d > 1 else 0
+                u = e // (q**j - 1) if j else e
+                (plain, new), (fixed, new_u) = (_horner_work(x, self._digit_base, digits) for x in (e, u))
+                if j and fixed + 1 < plain:
+                    e, new = u, new_u
+                else:
+                    j = 0
+                digits |= new
+                plan.append((r, d, tuple(steps), j, e))
+            self._plan = plan
         return self._plan
+
+    def _is_one(self, entry: tuple, norms: dict, powers: dict) -> bool:
+        """Whether α^((q^n-1)/r) = 1 on the polynomial path, for the plan
+        entry (r, d, steps, j, e): norms holds N(α) to F_{q^c} by c, in the
+        product layout, from {n: α}, and gains the entry's steps; powers holds
+        the digit powers of each norm by degree.
+
+        α^((q^n-1)/r) = N(α)^((q^d-1)/r) for N the norm to F_{q^d}.  For d = 1
+        that is a power in F_q.  For j > 0 it is γ^(q^j - 1) with γ = N(α)^e,
+        which is 1 exactly when Frob^j fixes γ; for j = 0 it is N(α)^e."""
+        _, d, steps, j, e = entry
+        for c, b in steps:
+            norms[b] = self._subfield_norm(norms[c], b, c)
+        if d == 1:
+            return self.fq.pow(self._from_layout(norms[1]), e) == 1
+        gamma = self._pow_poly(powers.setdefault(d, {1: norms[d]}), e)
+        return self._fold(self._frob_layout(j), gamma) == gamma if j else gamma == 1
 
     def is_primitive(self, a: int) -> bool:
         """α^((q^n-1)/r) != 1 for every prime r dividing q^n - 1, tested in
         ascending r up to the first power that is 1, one charge per r.
 
-        On the polynomial path α^((q^n-1)/r) = N(α^((q^d-1)/r)) with d =
-        ord_r(q) and N the norm to F_{q^d} (_subfield_norm): an exponent
-        below q^d and about 2·log2(n/d) products in place of one below q^n;
-        one table of digit powers of α serves every r.  The primes r | q - 1
-        (d = 1) share one norm N(α) to F_q: α^((q^n-1)/r) = N(α)^((q-1)/r),
-        a power in F_q.
+        On the polynomial path each test reads a norm of α to F_{q^d}, d =
+        ord_r(q), and raises it to an exponent below q^d (_is_one).  The
+        norms of one call form one chain through the subfields
+        (_primitive_plan): each comes from a norm already taken, as N to
+        F_{q^d} is N from F_{q^c} to F_{q^d} after N to F_{q^c} for d | c.
+        For d > 1 a Frobenius fixed point takes the place of most of the
+        power where that costs less.
         """
         if a == 0:
             raise ValueError("0 is never primitive")
         if self._log is not None:
             return not any(self.pow(a, (self.order - 1) // r) == 1 for r in self.mult_factorization.primes())
-        powers, norm = {1: self._to_layout(a)}, None
-        for _, d, e in self._primitive_plan():
+        norms, powers = {self.n: self._to_layout(a)}, {}
+        for entry in self._primitive_plan():
             self.op_count += 1
-            if d == 1:
-                if norm is None:
-                    norm = self._from_layout(self._subfield_norm(powers[1], 1))
-                if self.fq.pow(norm, e) == 1:
-                    return False
-            elif self._subfield_norm(self._pow_poly(powers, e), d) == 1:
+            if self._is_one(entry, norms, powers):
                 return False
         return True
 

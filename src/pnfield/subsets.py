@@ -97,7 +97,7 @@ def is_structured(ctx: FieldCtx, elems) -> tuple[bool, str | None]:
     if not elems:
         raise ValueError("subset must be nonempty")
     for d in range(1, ctx.n + 1):
-        if ctx.n % d == 0 and len(elems) == ctx.q**d and all(ctx.pow(a, ctx.q**d) == a for a in elems):
+        if ctx.n % d == 0 and len(elems) == ctx.q**d and all(ctx.frobenius(a, d) == a for a in elems):
             return True, "subfield"
     if len(elems) == 1 and 0 not in elems:
         return False, None
