@@ -49,14 +49,19 @@ script runs itself in a fresh interpreter on each checkout's ``src``, one
 field at a time, for ``--rounds`` rounds: each field runs on both sides in
 turn before the next field starts, the side that goes first swapping with
 every field and every round, so that both sides of a row see the same host
-state.  It writes before/after rows with
-the speedup, each round's time per side (so that a row can be judged against
-the parent's own spread) and whether the work counts agree; a per-element
-row also joins both builds and, where the change is faster per element, the
-number of elements after which its build has paid for itself.  ``--out`` adds
-them as the key "per_element" to that JSON file, keeping what else it holds
-(such as the output of scripts/bench_pairs.py, which must run first: it
-writes its file anew).  Human-readable lines go to stderr; the last line of
+state.  It writes before/after rows with the speedup of the medians, each
+round's time per side (so that a row can be judged against the parent's own
+spread), the paired ratios change/parent of each round with their median and
+the number of rounds in which the change was faster, and whether the work
+counts agree.  Host load that outlasts one field's run moves the medians of
+the two sides apart (by up to 1.6× on operations a change does not touch) but
+not the two sides of one round, which run back to back; so a "no slower per
+element" reading uses the paired median ratio, not the speedup.  A
+per-element row also joins both builds and, where the change is faster per
+element, the number of elements after which its build has paid for itself.
+``--out`` adds them as the key "per_element" to that JSON file, keeping what
+else it holds (such as the output of scripts/bench_pairs.py, which must run
+first: it writes its file anew).  Human-readable lines go to stderr; the last line of
 stdout is the JSON result.
 """
 
@@ -201,10 +206,13 @@ def compare(sides: dict, args, fields) -> dict:
         before = statistics.median(r[j]["us"] for r in runs["parent"])
         after = statistics.median(r[j]["us"] for r in runs["change"])
         parent0 = runs["parent"][0][j]
+        ratios = [c[j]["us"] / p[j]["us"] for p, c in zip(runs["parent"], runs["change"])]
         joined = {"field": row["field"], "op": row["op"], "parent_us": before, "change_us": after,
                   "speedup": before / after,
                   "parent_rounds_us": [r[j]["us"] for r in runs["parent"]],
-                  "change_rounds_us": [r[j]["us"] for r in runs["change"]]}
+                  "change_rounds_us": [r[j]["us"] for r in runs["change"]],
+                  "round_ratios": ratios, "median_ratio": statistics.median(ratios),
+                  "change_faster_rounds": sum(r < 1 for r in ratios)}
         if args.build:
             joined.update(ben_or=[parent0["ben_or"], row["ben_or"]],
                           gcd=[parent0["gcd"], row["gcd"]],

@@ -13,11 +13,12 @@ Additive characters ψ_c(α) = e(tr(c·α)/p) are indexed by c, and the order of
 counts #{c : Ord ψ_c | d} = q^deg(d) come out right.
 
 The complex sums read their character values from integer tables indexed by
-exponents of τ, built once per field (up to the exp/log table cap) from the
-public log table, trace and add, and kept in ``FieldCtx.char_cache``; the
-two indexed by exponents hold each entry at i and i + m (m = q^n - 1), so a
-sum or difference of two logs needs no reduction mod m, and then zeros,
-read where the double sums take log 0 as 2m (tr_exp) or 3m (zech):
+exponents of τ, built once per field from ``FieldCtx.log_table`` (which
+raises ResourceLimitError above the table cap), trace and add, and kept in
+``FieldCtx.char_cache``; the two indexed by exponents hold each entry at i
+and i + m (m = q^n - 1), so a sum or difference of two logs needs no
+reduction mod m, and then zeros, read where the double sums take log 0 as 2m
+(tr_exp) or 3m (zech):
 
 - ``tr_exp[i] = tr(τ^i)``, so tr(c·α) = tr_exp[log c + log α], and
   tr(c·u·0) = tr_exp[(log c + log u) mod m + 2m] = 0;
@@ -63,17 +64,10 @@ def _roots_of_unity(order: int) -> list[complex]:
     return [cmath.exp(2j * cmath.pi * j / order) for j in range(order)]
 
 
-def _log_table(ctx: FieldCtx) -> list[int]:
-    log = ctx.log_table
-    if log is None:
-        raise ResourceLimitError("character tables need the exp/log tables of the field")
-    return log
-
-
 def _tr_exp(ctx: FieldCtx) -> list[int]:
     """tr_exp[i] = tr(τ^i) for i < 2m, m = q^n - 1, and 0 for 2m <= i < 3m."""
     if "tr_exp" not in ctx.char_cache:
-        log = _log_table(ctx)
+        log = ctx.log_table
         tr_exp = [0] * (ctx.order - 1)
         for a in range(1, ctx.order):
             tr_exp[log[a]] = ctx.trace(a)
@@ -85,7 +79,7 @@ def _zech(ctx: FieldCtx) -> list[int | None]:
     """Zech logarithms: zech[i] = log(1 + τ^i) for i < 2m, m = q^n - 1, None
     where 1 + τ^i = 0, and 0 for 2m <= i <= 3m."""
     if "zech" not in ctx.char_cache:
-        log = _log_table(ctx)
+        log = ctx.log_table
         zech: list[int | None] = [None] * (ctx.order - 1)
         for a in range(1, ctx.order):
             w = ctx.add(1, a)
@@ -111,7 +105,7 @@ def discrete_log(ctx: FieldCtx, a: int) -> int:
     only up to the table cap."""
     if a == 0:
         raise ValueError("discrete log of 0 is undefined")
-    return _log_table(ctx)[a]
+    return ctx.log_table[a]
 
 
 # -- Gauss sums ----------------------------------------------------------------
@@ -128,7 +122,7 @@ def gauss_sum(ctx: FieldCtx, b: int, c: int) -> complex:
     b %= m
     if b == 0 and c == 0:
         return complex(m)
-    log = _log_table(ctx)
+    log = ctx.log_table
     if c == 0:
         # Σ χ_b(ρ) over ρ≠0: exponents b·log ρ hit every multiple of
         # gcd(b, m) uniformly; a uniform histogram sums to 0 exactly.
@@ -308,7 +302,7 @@ def indicator_normal_dd(ctx: FieldCtx, a: int) -> int | None:
     subsets, spans, values = _ensure_norm_dd_data(ctx)
     # α ∈ K_r^⊥ iff tr(c·α) = tr_exp[log c + log α] vanishes on the c
     # spanning K_r; tr(c·0) = 0 (log[0] is a placeholder)
-    tr_exp, log, t = _tr_exp(ctx), _log_table(ctx), len(ctx.add_factorization.entries)
+    tr_exp, log, t = _tr_exp(ctx), ctx.log_table, len(ctx.add_factorization.entries)
     log_a = log[a]
     key = sum(1 << i for i in range(t)
               if a == 0 or all(tr_exp[log[c] + log_a] == 0 for c in spans[i]))
@@ -350,7 +344,7 @@ def double_product_sum_ratio(ctx: FieldCtx, c: int, u_set, v_set) -> float:
     """
     if c == 0:
         raise ValueError("ψ must be nontrivial")
-    log, tr_exp = _log_table(ctx), _tr_exp(ctx)
+    log, tr_exp = ctx.log_table, _tr_exp(ctx)
     m = ctx.order - 1
     zp = _roots_of_unity(ctx.p)
     logs_v = [log[v] if v else 2 * m for v in v_set]  # log 0 read as 2m, where tr_exp is 0
@@ -374,7 +368,7 @@ def units_sum_ratio(ctx: FieldCtx, c: int) -> float:
     Reported only: the constant-1 bound fails in general."""
     if c == 0:
         raise ValueError("ψ must be nontrivial")
-    log, tr_exp = _log_table(ctx), _tr_exp(ctx)
+    log, tr_exp = ctx.log_table, _tr_exp(ctx)
     zp, lc = _roots_of_unity(ctx.p), log[c]
     total = 0j
     for w in ctx.normal_image(ctx.reference_tau):
@@ -388,7 +382,7 @@ def shifted_sum_ratio(ctx: FieldCtx, b: int, u_set, v_set) -> float:
     m = ctx.order - 1
     if b % m == 0:
         raise ValueError("χ must be nontrivial")
-    log, zech = _log_table(ctx), _zech(ctx)
+    log, zech = ctx.log_table, _zech(ctx)
     zm = _roots_of_unity(m)
     # log v + m, so that log v - log u + m indexes the Zech table, and 3m
     # for v = 0, where zech is 0
@@ -537,7 +531,7 @@ def fourier_identity_max_residuals(ctx: FieldCtx, b: int, c: int) -> tuple[float
     """
     qn = ctx.order
     m = qn - 1
-    log, tr_exp = _log_table(ctx), _tr_exp(ctx)
+    log, tr_exp = ctx.log_table, _tr_exp(ctx)
     zm = _roots_of_unity(m)
     zp = _roots_of_unity(ctx.p)
     g_add = [gauss_sum(ctx, -bb, c) for bb in range(m)]

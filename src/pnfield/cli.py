@@ -153,8 +153,8 @@ def cmd_conjecture(args) -> int:
             # the roots in the home field itself are the Frobenius orbit of α
             root = min(orbit)
         else:
-            # the first root in enumeration order, evaluated with the ops of F_{q^n}
-            root = next((a for a in target.elements() if poly_eval(target, min_poly, a) == 0), None)
+            # any root serves: they are Frobenius conjugates, and each gives every row alike
+            root = _root_in_subfield(target, min_poly, home.n)
         if root is None:
             raise ValueError("the element does not embed in the target field")
         ops_before = target.op_count
@@ -185,6 +185,19 @@ def cmd_conjecture(args) -> int:
                                    "primitiveNormal", "opCount")))
         _emit("\n".join(lines) + "\n", args.out)
     return 0
+
+
+def _root_in_subfield(target, min_poly, n: int):
+    """A root in F_{q^N} of α's minimal polynomial, α of degree n over F_q, or
+    None, among the powers of h = g^((q^N - 1)/(q^n - 1)), the subfield of
+    order q^n without 0, for the first primitive g of F_{q^N}."""
+    g = next(a for a in range(1, target.order) if target.is_primitive(a))
+    h = root = target.pow(g, (target.order - 1) // (target.q**n - 1))
+    for _ in range(target.q**n - 1):
+        if poly_eval(target, min_poly, root) == 0:
+            return root
+        root = target.mul(root, h)
+    return None
 
 
 def _check_conjecture_hypotheses(ctx, alpha: int):

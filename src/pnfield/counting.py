@@ -20,7 +20,11 @@ from .errors import DEFAULT_BUDGET, ConsistencyError, ResourceLimitError
 from .field import FieldCtx
 from .polyfq import factor_x_n_minus_1, poly_phi
 
-SWEEP_COLUMNS = ["q", "k", "n", "numPrimitive", "numNormal", "numPN", "predicted", "delta"]
+# (sweep column, DensityRecord field); JSON adds densityQ2n, CSV writes floats by repr
+_SWEEP_SCHEMA = (("q", "q"), ("k", "k"), ("n", "n"), ("numPrimitive", "num_primitive"),
+                 ("numNormal", "num_normal"), ("numPN", "num_primitive_normal"),
+                 ("predicted", "predicted"), ("delta", "delta"))
+SWEEP_COLUMNS = [column for column, _ in _SWEEP_SCHEMA]
 
 
 @dataclass(frozen=True)
@@ -47,29 +51,12 @@ class DensityRecord:
             raise ConsistencyError("primitive-normal count outside its marginals")
 
     def csv_row(self) -> list:
-        return [
-            self.q,
-            self.k,
-            self.n,
-            self.num_primitive,
-            self.num_normal,
-            self.num_primitive_normal,
-            repr(self.predicted),
-            repr(self.delta),
-        ]
+        values = [getattr(self, attr) for _, attr in _SWEEP_SCHEMA]
+        return [repr(v) if isinstance(v, float) else v for v in values]
 
     def json_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "k": self.k,
-            "n": self.n,
-            "numPrimitive": self.num_primitive,
-            "numNormal": self.num_normal,
-            "numPN": self.num_primitive_normal,
-            "predicted": self.predicted,
-            "delta": self.delta,
-            "densityQ2n": self.density_q2n,
-        }
+        return {**{column: getattr(self, attr) for column, attr in _SWEEP_SCHEMA},
+                "densityQ2n": self.density_q2n}
 
 
 def exact_counts(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> DensityRecord:
@@ -108,8 +95,12 @@ def exact_counts(ctx: FieldCtx, budget: int = DEFAULT_BUDGET) -> DensityRecord:
 
 
 def multiplicative_order_census(ctx: FieldCtx) -> dict[int, int]:
-    """#{α : multiplicative order d} for every divisor d of q^n - 1."""
-    return Counter(ctx.multiplicative_order(a) for a in range(1, ctx.order))
+    """#{α : multiplicative order d} for every divisor d of q^n - 1, read off
+    the log table as ord(τ^i) = m/gcd(i, m), m = q^n - 1: no field operation
+    is charged, and above the table cap, like the table itself, it raises
+    ResourceLimitError."""
+    m = ctx.order - 1
+    return Counter(m // math.gcd(i, m) for i in ctx.log_table[1:])
 
 
 @dataclass(frozen=True)

@@ -43,9 +43,10 @@ bytes.translate for 8-bit slots).  The fold adds back every slot that is not
 yet a digit of the result in its place, by the map whose columns are the
 slots' monomials x^s·y^u reduced mod (f, m).
 
-Powers (pow, and through it inv and norm, the multiplicative order and
-is_primitive) stay in the product layout from α, converted on entry, to the
-result, converted on exit or only compared with 1.  The exponent is read in
+Powers (pow, and through it inv and norm; the multiplicative order and
+is_primitive, which run on this path with or without the tables) stay in the
+product layout from α, converted on entry, to the result, converted on exit
+or only compared with 1.  The exponent is read in
 base Q = q^w, w the largest w < n with q^w <= 16 and at least 1: Horner over
 its digits d, result = Frob^w(result)·α^d, Frob^w a map of the layout, costs
 one application of it and at most one product per digit instead of about
@@ -537,7 +538,10 @@ class FieldCtx:
         return prim.count(1), norm.count(1), both.bit_count()
 
     @property
-    def log_table(self):
+    def log_table(self) -> list:
+        """log[τ^i] = i (see ensure_tables), log[0] = 0; above the table cap
+        the whole-field pass raises ResourceLimitError."""
+        self.find_reference_primitive_normal()
         self.ensure_tables()
         return self._log
 
@@ -721,22 +725,19 @@ class FieldCtx:
     # -- orders and the two element tests -------------------------------------
 
     def multiplicative_order(self, a: int) -> int:
-        """The least d with α^d = 1 by descent over the primes of q^n - 1, one charge per
-        power; on the polynomial path by Horner from one table of digit powers of α."""
+        """The least d with α^d = 1, by descent over the primes of q^n - 1, one
+        charge per power, on the polynomial path with or without the tables:
+        by Horner from one table of the digit powers of α."""
         if a == 0:
             raise ValueError("0 has no multiplicative order")
         d = self.order - 1
         if d == 0:
             raise ConsistencyError("trivial group")
-        powers = {1: self._to_layout(a)} if self._log is None else None
+        powers = {1: self._to_layout(a)}
         for r, e in self.mult_factorization.entries:
             for _ in range(e):
-                if powers is None:
-                    one = self.pow(a, d // r) == 1
-                else:
-                    self.op_count += 1
-                    one = self._pow_poly(powers, d // r) == 1
-                if not one:
+                self.op_count += 1
+                if self._pow_poly(powers, d // r) != 1:
                     break
                 d //= r
         return d
@@ -799,18 +800,16 @@ class FieldCtx:
         """α^((q^n-1)/r) != 1 for every prime r dividing q^n - 1, tested in
         ascending r up to the first power that is 1, one charge per r.
 
-        On the polynomial path each test reads a norm of α to F_{q^d}, d =
-        ord_r(q), and raises it to an exponent below q^d (_is_one).  The
-        norms of one call form one chain through the subfields
-        (_primitive_plan): each comes from a norm already taken, as N to
-        F_{q^d} is N from F_{q^c} to F_{q^d} after N to F_{q^c} for d | c.
-        For d > 1 a Frobenius fixed point takes the place of most of the
-        power where that costs less.
+        It runs on the polynomial path with or without the tables: each test
+        reads a norm of α to F_{q^d}, d = ord_r(q), and raises it to an
+        exponent below q^d (_is_one).  The norms of one call form one chain
+        through the subfields (_primitive_plan): each comes from a norm
+        already taken, as N to F_{q^d} is N from F_{q^c} to F_{q^d} after N to
+        F_{q^c} for d | c.  For d > 1 a Frobenius fixed point takes the place
+        of most of the power where that costs less.
         """
         if a == 0:
             raise ValueError("0 is never primitive")
-        if self._log is not None:
-            return not any(self.pow(a, (self.order - 1) // r) == 1 for r in self.mult_factorization.primes())
         norms, powers = {self.n: self._to_layout(a)}, {}
         for entry in self._primitive_plan():
             self.op_count += 1

@@ -93,6 +93,20 @@ def primitive_by_ladder(ctx, a: int) -> bool:
     return all(power_by_ladder(ctx, a, m // r) != 1 for r in ctx.mult_factorization.primes())
 
 
+def order_by_ladder(ctx, a: int) -> int:
+    """The least divisor d of q^n - 1 with α^d = 1, each power by its own
+    square-and-multiply ladder on the polynomial path."""
+    return next(d for d in divisors_by_scan(ctx.order - 1) if power_by_ladder(ctx, a, d) == 1)
+
+
+def first_root_by_scan(ctx, f) -> int | None:
+    """The first root of the polynomial f over F_q in F_{q^n} in integer
+    order, one Horner evaluation with ctx's ops per element, or None."""
+    from pnfield.polyfq import poly_eval
+
+    return next((a for a in ctx.elements() if poly_eval(ctx, f, a) == 0), None)
+
+
 def additive_order_by_division(ctx, a: int):
     """Ord(α) by stripping the irreducible factors of x^n - 1 with polynomial
     division: each factor is divided out while the quotient still kills α,

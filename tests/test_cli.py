@@ -228,6 +228,71 @@ def test_conjecture_home_row_above_the_table_cap():
     assert proc.stdout.splitlines()[1] == "10,True,True,True,True,43"
 
 
+# home fields with the ranges that the first-root scan can still walk, one
+# with a user extension modulus (its home-degree row runs on the default field)
+CONJECTURE_HOMES = [("2^1:3", "3..12"), ("3^1:2", "2..8"), ("2^1:4", "4..12"), ("2^2:2", "2..6"),
+                    ("5^1:2", "2..6"), ("7^1:2", "2..4"), ("3^1:3", "3..9"), ("2^1:4::1,0,0,1,1", "4..8")]
+
+
+def _admissible_elements(spec):
+    """The first and the last element that meets the conjecture's hypotheses,
+    found on a context of their own."""
+    from pnfield.cli import _check_conjecture_hypotheses
+    from pnfield.field import build_field, parse_field_spec
+
+    home = parse_field_spec(spec)
+    ctx = build_field(home.p, home.k, home.n, home.base_modulus, home.ext_modulus)
+    found = []
+    for a in range(ctx.order):
+        try:
+            _check_conjecture_hypotheses(ctx, a)
+        except ValueError:
+            continue
+        found.append(ctx.format_element(a))
+    return found[0], found[-1]
+
+
+@pytest.mark.parametrize("field,rng", CONJECTURE_HOMES)
+def test_conjecture_rows_match_the_first_root_scan(monkeypatch, field, rng):
+    # the rows from the root in the home field's copy equal those from the
+    # first root of the whole target field, op counts included; each run
+    # gets fresh field contexts, as a fresh interpreter would
+    import functools
+
+    from bruteforce import first_root_by_scan
+    from pnfield import cli
+    from pnfield import field as field_module
+
+    def run(element):
+        fresh = functools.lru_cache(maxsize=None)(field_module.build_field)
+        monkeypatch.setattr(field_module, "get_field", fresh)
+        monkeypatch.setattr(cli, "get_field", fresh)
+        code, out = run_cli(["conjecture", "--field", field, "--element", element, "--range", rng])
+        assert code == 0
+        return out
+
+    for element in _admissible_elements(field):
+        rows = run(element)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "_root_in_subfield", lambda target, min_poly, n: first_root_by_scan(target, min_poly))
+            assert run(element) == rows, element
+        assert sum(",True," in line for line in rows.splitlines()) > 1
+
+
+def test_conjecture_past_the_home_field_runs_in_seconds():
+    # the n = 10 row walks the 5^5 - 1 powers of h in F_{5^10}, not the 5^10
+    # elements of the field
+    proc = subprocess.run(
+        [sys.executable, "-m", "pnfield.cli", "conjecture", "--field", "5^1:5",
+         "--element", "1,0,0,0,1", "--range", "5..10"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[1] == "5,True,True,True,True,8"
+    assert lines[-1].startswith("10,True,False,")  # α lies in a proper subfield of F_{5^10}
+
+
 @pytest.mark.parametrize("command,rng,form", [
     ("conjecture", "5", "range must be LO..HI"),
     ("conjecture", "2..x", "range must be LO..HI"),
