@@ -31,7 +31,14 @@ of building a field with its default moduli, each separately:
 ``first_irreducible`` (the extension modulus), ``factorize`` of q^n - 1 and
 ``factor_x_n_minus_1_over``, and then on each field of SEARCH_FIELDS (towers
 outside FIELDS, most past the 2^63 cap of ``build_field``, which ``--build``
-never calls) only ``first_irreducible``.
+never calls) only ``first_irreducible``.  On each field of FIELDS it also
+times the maps a fresh context builds on first use (FIRST_USE): the fold of
+a raw product (``first_use.red``), the maps Frob^i that the first element's
+``is_primitive`` builds (``first_use.frob``, with the fold already built) and
+the maps of every cofactor of the divisor test (``first_use.cofactors``, with
+the fold and those Frobenius maps already built); each such row holds the
+minimum over repeats, each repeat on a new context, and its result digests
+the maps' columns.
 The coefficient field F_q is built and warmed up first.  A row holds the
 median over repeats of one call, two deterministic work counts made by the
 first call: the Ben-Or tests (calls of ``polyfq._ben_or``, which every
@@ -84,6 +91,7 @@ FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8),
 SEARCH_FIELDS = ((2, 4, 16), (2, 4, 32), (2, 5, 16), (3, 3, 9), (3, 3, 19), (3, 2, 27), (5, 2, 30))
 OPS = ("product", "pow", "is_primitive", "is_normal.divisor", "is_normal.rank")
 BUILD_LAYERS = ("first_irreducible", "factorize", "factor_x_n_minus_1_over")
+FIRST_USE = ("first_use.red", "first_use.frob", "first_use.cofactors")
 
 
 def _op(ctx, name: str):
@@ -184,6 +192,40 @@ def measure_build(repeats: int, fields=FIELDS + SEARCH_FIELDS) -> list:
                   f" {counts['gcd']:6d} gcd", file=sys.stderr)
     for owner, name, fn in originals:
         setattr(owner, name, fn)
+    return rows + [row for spec in fields if spec in FIELDS for row in measure_first_use(spec, repeats)]
+
+
+def measure_first_use(spec, repeats: int) -> list:
+    """The rows of FIRST_USE on one field, each the minimum over repeats."""
+    from pnfield.field import build_field
+
+    def fresh(upto: int):
+        ctx = build_field(*spec)
+        steps = [ctx._ensure_red, lambda: [ctx._frob_layout(i) for i in frob]]
+        for step in steps[:upto]:
+            step()
+        return ctx
+
+    probe = fresh(1)
+    probe.is_primitive(random.Random(1).randrange(1, probe.order))
+    frob = sorted(probe._frob_layouts)
+    top = probe.add_factorization.exponents()
+    cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
+    parts = {"first_use.red": (0, lambda ctx: [ctx._ensure_red() or ctx._red]),
+             "first_use.frob": (1, lambda ctx: [ctx._frob_layout(i) for i in frob]),
+             "first_use.cofactors": (2, lambda ctx: [ctx._divisor_map(cof) for cof in cofactors])}
+    rows = []
+    for name, (upto, build) in parts.items():
+        runs, maps = [], None
+        for _ in range(repeats):
+            ctx = fresh(upto)
+            start = time.perf_counter()
+            maps = build(ctx)
+            runs.append(time.perf_counter() - start)
+        digest = hashlib.sha256(repr([ctx._columns(m) for m in maps]).encode()).hexdigest()[:12]
+        rows.append({"field": "%d^%d:%d" % spec, "op": name, "us": min(runs) * 1e6,
+                     "runs_us": [t * 1e6 for t in runs], "ben_or": 0, "gcd": 0, "result": digest})
+        print(f"{rows[-1]['field']:>7} {name:<24} {rows[-1]['us']:12.1f} us", file=sys.stderr)
     return rows
 
 

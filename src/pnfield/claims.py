@@ -378,6 +378,13 @@ def _order_censuses(f: _Field):
     ok = ok and all(census_m.get(d, 0) == euler_phi(d) for d in divisors(m))
     ok = ok and sum(census_a.values()) == f.qn
     ok = ok and census_a.get(f.ctx.add_factorization.exponents(), 0) == f.rec.num_normal
+    # any bijection of the logs gives these censuses: 8 α of the check's own stream test log α
+    ctx, log, count, rng = f.ctx, f.ctx.log_table, f.ctx.op_count, rng_for(f.seed, "order-censuses", f.subject)
+    for a, b in ((rng.randrange(1, f.qn), rng.randrange(1, f.qn)) for _ in range(8)):
+        ok = ok and ctx.multiplicative_order(a) == m // math.gcd(log[a], m)
+        ok = ok and ctx.pow(ctx.reference_tau, log[a]) == a
+        ok = ok and log[ctx._mul_poly(a, b)] == (log[a] + log[b]) % m
+    ctx.op_count = count
     yield _assert("order-censuses", f.subject, ok,
                   "order class sizes: φ(d) per divisor, Φ for the maximal class")
 

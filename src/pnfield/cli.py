@@ -20,9 +20,10 @@ from . import claims
 from . import counting as ct
 from . import subsets as sb
 from .errors import DEFAULT_BUDGET, FieldSpecError, ResourceLimitError
-from .field import format_field_moduli, get_field, parse_field_spec
+from .field import build_field, format_field_moduli, get_field, parse_field_spec
 from .numtheory import is_prime_power
 from .polyfq import cyclotomic_factor_counts, format_poly, poly_eval, poly_phi
+from .smallfield import canonical_field
 
 
 def _budget(args) -> int:
@@ -148,12 +149,14 @@ def cmd_conjecture(args) -> int:
             rows.append({"n": n, "present": False, "primitive": None,
                          "normal": None, "primitiveNormal": None, "opCount": None})
             continue
-        target = get_field(home.p, home.k, n)
-        if target is home:
+        if n == home.n:
             # the roots in the home field itself are the Frobenius orbit of α
-            root = min(orbit)
+            target, root = home, min(orbit)
         else:
-            # any root serves: they are Frobenius conjugates, and each gives every row alike
+            # over the home's F_q, which holds α's minimal polynomial; any root
+            # serves: they are Frobenius conjugates, and each gives every row alike
+            target = (get_field(home.p, home.k, n) if home.fq is canonical_field(home.q)
+                      else build_field(home.p, home.k, n, base_modulus=home.base_modulus))
             root = _root_in_subfield(target, min_poly, home.n)
         if root is None:
             raise ValueError("the element does not embed in the target field")

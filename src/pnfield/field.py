@@ -24,11 +24,13 @@ the powers of g.  The cap is the one boundary for data about the whole field:
 above it there is no τ, no class count and no table, and asking for them
 raises ResourceLimitError.
 
-The module action r∘α = Σ r_i·α^(q^i) is such a map for each fixed r.  Each
-divisor d of x^n - 1 that the whole-field pass, is_normal (the cofactors) or
-the additive orders apply gets its map on first use, keyed by exponent vector:
-a factor's from its Horner images r∘p^d (apply_linearized, which serves any
-other r), a power's by squaring, a product's by composing two maps.
+The module action r∘α = Σ r_i·α^(q^i) is such a map for each fixed r, its
+column d read off the Frobenius orbit of p^d (_orbit_map).  The divisors of
+x^n - 1 get their maps on first use, keyed by exponent vector.  With n = c·p^e,
+p ∤ c and F = x^c - 1, x^n - 1 = F^(p^e) = F·Σ_{j < p^e} x^(cj), so a cofactor
+(x^n - 1)/r is the trace to F_{q^c} followed by F/r, of degree below c (for
+n = p^e, Perlis 1942: α is normal iff Tr(α) != 0); the other divisors' maps
+are composed from those of the factors.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path
@@ -94,7 +96,7 @@ from .polyfq import (
     parse_coeff,
     parse_poly,
     poly_deg,
-    poly_mod,
+    x_pow_n_minus_1,
 )
 from .smallfield import SmallField, _add_digits, canonical_field
 
@@ -183,9 +185,11 @@ class FieldCtx:
         self._trace_map = None
         m = max(self.order - 1, 1)
         self._qpow = [pow(self.q, i, m) for i in range(n)]
-        self._cofactors = None
-        # maps and charges of divisors of x^n - 1 by exponent vector
-        self._divisor_maps, self._divisor_charges = {}, {}
+        top = add_factorization.exponents()
+        self._cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
+        # maps and charges of divisors of x^n - 1 by exponent vector, and the
+        # orbits that the maps of the factors and cofactors read (_orbit_map)
+        self._divisor_maps, self._divisor_charges, self._orbits = {}, {}, {}
         self._coprime_s = None
         self._normal_image = {}
         # Data the characters layer derives once per field, by key: "tr_exp"
@@ -338,17 +342,16 @@ class FieldCtx:
         return _unpack(self._regroup(v, 2 * self.k - 1, self.k), self.p, self._W)
 
     def _ensure_red(self):
-        # the fold: the map whose column for each slot of a raw product from
-        # _low on is the slot's monomial x^s·y^u reduced mod (f, m) in the
-        # product layout, y being the element p of F_q (u = 0 when k = 1)
-        fq = self.fq
-        y_powers = [fq.pow(fq.p, u) for u in range(2 * self.k - 1)]
-        rows, cur = [], (1,)  # cur is x^s mod f
+        """The fold: the map whose column for slot s(2k - 1) + u >= _low of a raw
+        product is x^s·y^u mod (f, m) in the product layout, y the element p of
+        F_q: x^s mod f by shifts and a reducer of polyfq's ring, y^u by planes."""
+        ring, cols, cur = self._ring, [], 1
+        reduce = ring.reducer(ring.pack(self.ext_modulus))
         for _ in range(2 * self.n - 1):
-            rows += [[fq.mul(y, c) for c in cur] for y in y_powers]
-            cur = (0,) + cur if len(cur) < self.n else poly_mod(fq, (0,) + cur, self.ext_modulus)
-        cols = [self._to_layout(self.encode(row)) for row in rows[self._low:]]
-        self._red = self._map(cols)
+            planes = ring._planes(cur)
+            cols += planes + ring._planes(planes[-1])[1:]
+            cur = reduce(cur << ring.cw)
+        self._red = self._map([self._regroup(v, self.k, 2 * self.k - 1) for v in cols[self._low:]])
 
     def _product(self, a: int, b: int) -> int:
         """a·b for normalized a, b in the product layout, in that layout: one
@@ -588,17 +591,17 @@ class FieldCtx:
         """The Horner step of _pow_poly: Frob^w in the product layout."""
         return self._frob_layout(self._frob_w)
 
-    def _subfield_norm(self, beta: int, d: int, c: int) -> int:
+    def _subfield_norm(self, beta: int, d: int, c: int, combine=None) -> int:
         """N(β) = β^((q^c-1)/(q^d-1)) = Π_{j < c/d} Frob^(dj)(β), the norm from
         F_{q^c} to F_{q^d} for d | c | n and β in F_{q^c}, in the product
         layout, by doubling over the bits of c/d below the top one: T_1 = β,
         T_2s = T_s·Frob^(ds)(T_s) and T_(s+1) = β·Frob^d(T_s) (von zur Gathen
-        and Shoup 1992)."""
-        t, s = beta, 1
+        and Shoup 1992); with combine the sum, the trace Σ_{j < c/d} Frob^(dj)(β)."""
+        combine, t, s = combine or self._product, beta, 1
         for bit in bin(c // d)[3:]:
-            t, s = self._product(t, self._fold(self._frob_layout(d * s), t)), 2 * s
+            t, s = combine(t, self._fold(self._frob_layout(d * s), t)), 2 * s
             if bit == "1":
-                t, s = self._product(beta, self._fold(self._frob_layout(d), t)), s + 1
+                t, s = combine(beta, self._fold(self._frob_layout(d), t)), s + 1
         return t
 
     def _trace_slow(self, a: int) -> int:
@@ -653,11 +656,24 @@ class FieldCtx:
         return total
 
     def _module_map(self, r: Poly) -> list:
-        """r∘ as a map (see _map) from its images r∘p^d, uncounted."""
-        count, units = self.op_count, [self.p**d for d in range(self.k * self.n)]
-        m = self._map([_pack(self.apply_linearized(r, u), self.p, self._W) for u in units])
-        self.op_count = count
-        return m
+        """r∘ as a map (see _map), uncounted: r mod x^n - 1 on the orbit of p^d."""
+        chunks = (self._ring.pack(r[i:i + self.n]) for i in range(0, len(r), self.n))
+        return self._orbit_map(functools.reduce(self._ring.add, chunks, 0), self.n)
+
+    def _orbit_map(self, h: int, c: int) -> list:
+        """α -> Σ h_i·Frob^i(T(α)) as a map (see _map), h packed of degree below
+        c | n, T the trace Σ_{j < n/c} Frob^(cj) to F_{q^c}: column d is one
+        _apply of h to the planes y^t·Frob^i(T(p^d)), t < k, of an orbit kept
+        by c and grown as far as h reaches (so never for n = 1)."""
+        ring, k, orbit = self._ring, self.k, self._orbits.setdefault(c, [])
+        to, back = (lambda v: self._regroup(v, k, 2 * k - 1)), (lambda v: self._regroup(v, 2 * k - 1, k))
+        if not orbit:
+            orbit += [ring._planes(back(self._subfield_norm(self._to_layout(self.p**d), c, self.n, ring.add)))
+                      for d in range(k * self.n)]
+        while len(orbit[0]) <= k * ring.degree(h):
+            for cols in orbit:
+                cols += ring._planes(back(self._fold(self._frob_layout(1), to(cols[-k]))))
+        return self._map([ring._apply(h, cols) for cols in orbit])
 
     def _module_charge(self, r: Poly, a: int) -> int:
         """What apply_linearized(r, α) charges: one per nonzero coefficient,
@@ -667,16 +683,19 @@ class FieldCtx:
 
     def _divisor_map(self, exps: tuple) -> list:
         """The map d∘ of the divisor d of x^n - 1 with exponent vector exps: a
-        factor's by _module_map, r^j as r^(j - j//2)∘r^(j//2), a product as
-        head∘rest, the head the longest prefix where exps equals x^n - 1's
-        exponents (less its last factor if nothing follows), else the first
-        factor's power: the cofactors share prefix and suffix products."""
+        cofactor's as (F/r)∘Tr to F_{q^c} (see above), a factor's by
+        _module_map, r^j as r^(j - j//2)∘r^(j//2), a product as head∘rest, the
+        head the longest prefix where exps equals x^n - 1's exponents (less its
+        last factor if nothing follows), else the first factor's power."""
         m = self._divisor_maps.get(exps)
         if m is None:
             t, top = len(exps), self.add_factorization.exponents()
             i = next((i for i, j in enumerate(exps) if j), 0)
             full = next((c for c in range(t) if exps[c] != top[c]), t)
-            if sum(map(bool, exps)) > 1:
+            if sum(top) - sum(exps) == 1:  # the cofactor of factor number full
+                ring, c, (r, _) = self._ring, self.n // top[0], self.add_factorization.entries[full]
+                m = self._orbit_map(ring.divmod(ring.pack(x_pow_n_minus_1(self.fq, c)), ring.pack(r))[0], c)
+            elif sum(map(bool, exps)) > 1:
                 c = (full if any(exps[full:]) else full - 1) if full else i + 1
                 m = self._compose(self._divisor_map(exps[:c] + (0,) * (t - c)),
                                   self._divisor_map((0,) * c + exps[c:]))
@@ -818,14 +837,10 @@ class FieldCtx:
         return True
 
     def is_normal(self, a: int, method: str = "divisor") -> bool:
-        """Normality test; 'divisor' applies the map of every cofactor
-        (x^n-1)/r(x), 'rank' checks that the Frobenius orbit has full F_q-rank."""
+        """Normality test; 'divisor' applies the map of each cofactor (x^n-1)/r(x),
+        a trace and a polynomial of lower degree, until one kills α; 'rank'
+        checks that the Frobenius orbit has full F_q-rank."""
         if method == "divisor":
-            if self._cofactors is None:  # the exponent vectors, and every map
-                top = self.add_factorization.exponents()
-                self._cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
-                for cof in self._cofactors:
-                    self._divisor_map(cof)
             v = _pack(a, self.p, self._W)
             return a != 0 and all(self._divisor_image(cof, a, v) != 0 for cof in self._cofactors)
         if method == "rank":
