@@ -199,11 +199,14 @@ def measure_first_use(spec, repeats: int) -> list:
     """The rows of FIRST_USE on one field, each the minimum over repeats."""
     from pnfield.field import build_field
 
-    def fresh(upto: int):
+    builds = [("first_use.red", lambda ctx: [ctx._ensure_red() or ctx._red]),
+              ("first_use.frob", lambda ctx: [ctx._frob_layout(i) for i in frob]),
+              ("first_use.cofactors", lambda ctx: [ctx._divisor_map(cof) for cof in cofactors])]
+
+    def fresh(upto: int):  # a new context with the maps of the parts before upto built
         ctx = build_field(*spec)
-        steps = [ctx._ensure_red, lambda: [ctx._frob_layout(i) for i in frob]]
-        for step in steps[:upto]:
-            step()
+        for _, build in builds[:upto]:
+            build(ctx)
         return ctx
 
     probe = fresh(1)
@@ -211,11 +214,8 @@ def measure_first_use(spec, repeats: int) -> list:
     frob = sorted(probe._frob_layouts)
     top = probe.add_factorization.exponents()
     cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
-    parts = {"first_use.red": (0, lambda ctx: [ctx._ensure_red() or ctx._red]),
-             "first_use.frob": (1, lambda ctx: [ctx._frob_layout(i) for i in frob]),
-             "first_use.cofactors": (2, lambda ctx: [ctx._divisor_map(cof) for cof in cofactors])}
     rows = []
-    for name, (upto, build) in parts.items():
+    for upto, (name, build) in enumerate(builds):
         runs, maps = [], None
         for _ in range(repeats):
             ctx = fresh(upto)
