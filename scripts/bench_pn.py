@@ -34,11 +34,13 @@ outside FIELDS, most past the 2^63 cap of ``build_field``, which ``--build``
 never calls) only ``first_irreducible``.  On each field of FIELDS it also
 times the maps a fresh context builds on first use (FIRST_USE): the fold of
 a raw product (``first_use.red``), the maps Frob^i that the first element's
-``is_primitive`` builds (``first_use.frob``, with the fold already built) and
+``is_primitive`` builds (``first_use.frob``, with the fold already built),
 the maps of every cofactor of the divisor test (``first_use.cofactors``, with
-the fold and those Frobenius maps already built); each such row holds the
-minimum over repeats, each repeat on a new context, and its result digests
-the maps' columns.
+the fold and those Frobenius maps already built) and the map of the absolute
+trace that the first ``trace`` builds (``first_use.trace``, with the fold and
+those Frobenius maps built, as one ``is_primitive`` leaves them); each such
+row holds the minimum over repeats, each repeat on a new context, and its
+result digests the maps' columns.
 The coefficient field F_q is built and warmed up first.  A row holds the
 median over repeats of one call, two deterministic work counts made by the
 first call: the Ben-Or tests (calls of ``polyfq._ben_or``, which every
@@ -91,7 +93,7 @@ FIELDS = ((2, 1, 24), (2, 1, 40), (3, 1, 14), (5, 1, 10), (2, 4, 8), (7, 1, 8),
 SEARCH_FIELDS = ((2, 4, 16), (2, 4, 32), (2, 5, 16), (3, 3, 9), (3, 3, 19), (3, 2, 27), (5, 2, 30))
 OPS = ("product", "pow", "is_primitive", "is_normal.divisor", "is_normal.rank")
 BUILD_LAYERS = ("first_irreducible", "factorize", "factor_x_n_minus_1_over")
-FIRST_USE = ("first_use.red", "first_use.frob", "first_use.cofactors")
+FIRST_USE = ("first_use.red", "first_use.frob", "first_use.cofactors", "first_use.trace")
 
 
 def _op(ctx, name: str):
@@ -199,13 +201,15 @@ def measure_first_use(spec, repeats: int) -> list:
     """The rows of FIRST_USE on one field, each the minimum over repeats."""
     from pnfield.field import build_field
 
-    builds = [("first_use.red", lambda ctx: [ctx._ensure_red() or ctx._red]),
-              ("first_use.frob", lambda ctx: [ctx._frob_layout(i) for i in frob]),
-              ("first_use.cofactors", lambda ctx: [ctx._divisor_map(cof) for cof in cofactors])]
+    # each part with the number of parts before it that are built first
+    builds = [("first_use.red", lambda ctx: [ctx._ensure_red() or ctx._red], 0),
+              ("first_use.frob", lambda ctx: [ctx._frob_layout(i) for i in frob], 1),
+              ("first_use.cofactors", lambda ctx: [ctx._divisor_map(cof) for cof in cofactors], 2),
+              ("first_use.trace", lambda ctx: [ctx._trace_map for _ in [ctx.trace(1)]], 2)]
 
     def fresh(upto: int):  # a new context with the maps of the parts before upto built
         ctx = build_field(*spec)
-        for _, build in builds[:upto]:
+        for _, build, _ in builds[:upto]:
             build(ctx)
         return ctx
 
@@ -215,7 +219,7 @@ def measure_first_use(spec, repeats: int) -> list:
     top = probe.add_factorization.exponents()
     cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
     rows = []
-    for upto, (name, build) in enumerate(builds):
+    for name, build, upto in builds:
         runs, maps = [], None
         for _ in range(repeats):
             ctx = fresh(upto)

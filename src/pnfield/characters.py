@@ -258,7 +258,7 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
 
     For each subset E of the distinct irreducible factors of x^n - 1 (all
     squarefree since p does not divide n), caches Φ_q(e), μ_q(e) and
-    q^deg(e); for each factor r an F_p-spanning set of the kernel
+    q^deg(e); for each factor r an F_p-basis of the kernel
     K_r = {c : r∘c = 0}, the only kernels the class key reads; the third item
     is the dict of indicator values by kernel class, filled on first use.
     """
@@ -267,17 +267,15 @@ def _ensure_norm_dd_data(ctx: FieldCtx):
     fact = ctx.add_factorization
     degrees = [poly_deg(f) for f in fact.distinct_factors()]
     t = len(degrees)
-    q, p, dim = ctx.q, ctx.p, ctx.k * ctx.n
+    q = ctx.q
     subsets, spans = [], []
     for mask in range(1 << t):
         exps = tuple(mask >> i & 1 for i in range(t))
         subsets.append({"mask": mask, "mu": (-1) ** sum(exps), "phi": phi_from_degrees(q, zip(degrees, exps)),
                         "kernel_size": q ** fact.degree(exps)})
     for i in range(t):
-        # K_r = image of the cofactor (x^n - 1)/r, spanned over F_p by the
-        # images of the base-p unit vectors under the cofactor's map
-        images = (ctx.divisor_action(tuple(int(j != i) for j in range(t)), p**d) for d in range(dim))
-        spans.append([img for img in dict.fromkeys(images) if img])
+        # K_r = image of the cofactor (x^n - 1)/r
+        spans.append(ctx.image_basis(tuple(int(j != i) for j in range(t))))
     ctx.char_cache["norm_dd"] = subsets, spans, {}
     return ctx.char_cache["norm_dd"]
 

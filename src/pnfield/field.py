@@ -24,13 +24,14 @@ the powers of g.  The cap is the one boundary for data about the whole field:
 above it there is no τ, no class count and no table, and asking for them
 raises ResourceLimitError.
 
-The module action r∘α = Σ r_i·α^(q^i) is such a map for each fixed r, its
-column d read off the Frobenius orbit of p^d (_orbit_map).  The divisors of
-x^n - 1 get their maps on first use, keyed by exponent vector.  With n = c·p^e,
-p ∤ c and F = x^c - 1, x^n - 1 = F^(p^e) = F·Σ_{j < p^e} x^(cj), so a cofactor
-(x^n - 1)/r is the trace to F_{q^c} followed by F/r, of degree below c (for
-n = p^e, Perlis 1942: α is normal iff Tr(α) != 0); the other divisors' maps
-are composed from those of the factors.
+The module action r∘α = Σ r_i·α^(q^i) is such a map for each fixed r, and
+every such map takes one route (_module_map): with n = c·p^e, p ∤ c, the
+trace to F_{q^c} is S∘, S = Σ_{j < p^e} x^(cj) = (x^c - 1)^(p^e - 1), so r mod
+x^n - 1 is read as r/S, of degree below c, on the Frobenius orbit of the
+traces of the p^d where S divides it, as every cofactor (x^n - 1)/r (for
+n = p^e, Perlis 1942: α is normal iff Tr(α) != 0), else as itself on the
+orbit of the p^d (_orbit_map).  The divisors of x^n - 1 get their maps on
+first use, keyed by exponent vector; the absolute trace reads the orbit of 1.
 
 Multiplication runs through the exp/log tables of τ once the context is warmed
 up.  Before that, and above the table cap, products run on the polynomial path
@@ -87,6 +88,7 @@ from .polyfq import (
     _clmul,
     _pack,
     _packed,
+    _split_p_part,
     _unpack,
     factor_x_n_minus_1,
     factor_x_n_minus_1_over,
@@ -96,7 +98,6 @@ from .polyfq import (
     parse_coeff,
     parse_poly,
     poly_deg,
-    x_pow_n_minus_1,
 )
 from .smallfield import SmallField, _add_digits, canonical_field
 
@@ -187,8 +188,7 @@ class FieldCtx:
         self._qpow = [pow(self.q, i, m) for i in range(n)]
         top = add_factorization.exponents()
         self._cofactors = [top[:i] + (e - 1,) + top[i + 1:] for i, e in enumerate(top)]
-        # maps and charges of divisors of x^n - 1 by exponent vector, and the
-        # orbits that the maps of the factors and cofactors read (_orbit_map)
+        # maps and charges of divisors of x^n - 1 by exponent vector; orbits by c
         self._divisor_maps, self._divisor_charges, self._orbits = {}, {}, {}
         self._coprime_s = None
         self._normal_image = {}
@@ -455,11 +455,10 @@ class FieldCtx:
         raise ResourceLimitError.
 
         α is non-normal iff (x^n - 1)/r kills it for some irreducible r, and
-        that kernel is the image r∘F, spanned over F_p by r∘p^d for d < kn.
-        Each image is one table (_span) of its generators independent of those
-        before them (independent).  The powers of g are built each from the
-        last by one index into the table of the F_p-linear map "times g" on
-        the whole field (_span of its columns g·p^d), dropped once they are.
+        that kernel is the image r∘F, one table (_span) of its F_p-basis
+        (image_basis).  The powers of g are built each from the last by one
+        index into the table of the F_p-linear map "times g" on the whole
+        field (_span of its columns g·p^d), dropped once they are.
         """
         if self.order > _TABLE_CAP:
             raise ResourceLimitError(
@@ -470,9 +469,7 @@ class FieldCtx:
         p, t = self.p, len(self.add_factorization.entries)
         norm = bytearray([1]) * order
         for i in range(t):
-            unit = tuple(int(j == i) for j in range(t))
-            gens = [self.divisor_action(unit, p**d) for d in range(self.k * self.n)]
-            for a in self._span(list(itertools.compress(gens, self.independent(gens)))):
+            for a in self._span(self.image_basis(tuple(int(j == i) for j in range(t)))):
                 norm[a] = 0
         g = next(a for a in range(1, order) if self.is_primitive(a))
         times_g = self._span([self._mul_poly(g, p**d) for d in range(self.k * self.n)])
@@ -604,20 +601,17 @@ class FieldCtx:
                 t, s = combine(beta, self._fold(self._frob_layout(d), t)), s + 1
         return t
 
-    def _trace_slow(self, a: int) -> int:
-        total, cur = 0, a
-        for _ in range(self.k * self.n):
-            total = self.add(total, cur)
-            cur = self.pow(cur, self.p)
-        coords = self.decode(total)
-        if any(coords[1:]) or coords[0] >= self.p:
-            raise ConsistencyError(f"trace of {a} landed outside F_p")
-        return coords[0]
-
     def trace(self, a: int) -> int:
-        """Absolute trace Σ α^(p^j) over j < kn, landing in F_p."""
+        """Absolute trace Σ α^(p^j) over j < kn, landing in F_p, by a map built
+        on first use, uncounted: Tr_{F_q/F_p} of each column of _orbit_map(1, 1)."""
         if self._trace_map is None:
-            self._trace_map = self._map([self._trace_slow(self.p**d) for d in range(self.k * self.n)])
+            fq, p, cols = self.fq, self.p, []
+            for d, v in enumerate(self._columns(self._orbit_map(1, 1))):
+                coords = self.decode(_unpack(v, p, self._W))
+                cols.append(functools.reduce(fq.add, (fq.pow(coords[0], p**j) for j in range(self.k)), 0))
+                if any(coords[1:]) or cols[-1] >= p:
+                    raise ConsistencyError(f"trace of {p**d} landed outside F_p")
+            self._trace_map = self._map(cols)
         return self._apply_map(self._trace_map, a)
 
     def norm(self, a: int) -> int:
@@ -656,9 +650,13 @@ class FieldCtx:
         return total
 
     def _module_map(self, r: Poly) -> list:
-        """r∘ as a map (see _map), uncounted: r mod x^n - 1 on the orbit of p^d."""
-        chunks = (self._ring.pack(r[i:i + self.n]) for i in range(0, len(r), self.n))
-        return self._orbit_map(functools.reduce(self._ring.add, chunks, 0), self.n)
+        """r∘ as a map (see _map), uncounted: r mod x^n - 1 as r/S on the orbit
+        of c where S = Σ_{j < p^e} x^(cj) divides it (n = c·p^e, p ∤ c; S is the
+        divisor with exponents e_i - 1, 1 for p ∤ n), else as itself on that of n."""
+        ring, c = self._ring, _split_p_part(self.n, self.p)[0]
+        r = functools.reduce(ring.add, (ring.pack(r[i:i + self.n]) for i in range(0, len(r), self.n)), 0)
+        h, rest = ring.divmod(r, ring.pack([int(i % c == 0) for i in range(self.n - c + 1)]))
+        return self._orbit_map(r, self.n) if rest else self._orbit_map(h, c)
 
     def _orbit_map(self, h: int, c: int) -> list:
         """α -> Σ h_i·Frob^i(T(α)) as a map (see _map), h packed of degree below
@@ -682,31 +680,17 @@ class FieldCtx:
         return sum(map(bool, r)) + frob
 
     def _divisor_map(self, exps: tuple) -> list:
-        """The map d∘ of the divisor d of x^n - 1 with exponent vector exps: a
-        cofactor's as (F/r)∘Tr to F_{q^c} (see above), a factor's by
-        _module_map, r^j as r^(j - j//2)∘r^(j//2), a product as head∘rest, the
-        head the longest prefix where exps equals x^n - 1's exponents (less its
-        last factor if nothing follows), else the first factor's power."""
+        """d∘ for the divisor d of x^n - 1 with exponent vector exps, cached."""
         m = self._divisor_maps.get(exps)
         if m is None:
-            t, top = len(exps), self.add_factorization.exponents()
-            i = next((i for i, j in enumerate(exps) if j), 0)
-            full = next((c for c in range(t) if exps[c] != top[c]), t)
-            if sum(top) - sum(exps) == 1:  # the cofactor of factor number full
-                ring, c, (r, _) = self._ring, self.n // top[0], self.add_factorization.entries[full]
-                m = self._orbit_map(ring.divmod(ring.pack(x_pow_n_minus_1(self.fq, c)), ring.pack(r))[0], c)
-            elif sum(map(bool, exps)) > 1:
-                c = (full if any(exps[full:]) else full - 1) if full else i + 1
-                m = self._compose(self._divisor_map(exps[:c] + (0,) * (t - c)),
-                                  self._divisor_map((0,) * c + exps[c:]))
-            elif exps[i] > 1:
-                j, tail = exps[i], (0,) * (t - i - 1)
-                m = self._compose(self._divisor_map(exps[:i] + (j - j // 2,) + tail),
-                                  self._divisor_map(exps[:i] + (j // 2,) + tail))
-            else:
-                m = self._module_map(self.add_factorization.entries[i][0] if exps[i] else (1,))
-            self._divisor_maps[exps] = m
+            m = self._divisor_maps[exps] = self._module_map(self.add_factorization.divisor(exps))
         return m
+
+    def image_basis(self, exps: tuple) -> list:
+        """An F_p-basis of d∘F_{q^n}, k·(n - deg d) elements, uncounted: the
+        columns of d's map (_divisor_map(exps)) independent of those before them."""
+        cols = self._columns(self._divisor_map(exps))
+        return [_unpack(v, self.p, self._W) for v in itertools.compress(cols, self._independent(cols))]
 
     def divisor_action(self, exps: tuple, a: int) -> int:
         """d∘α for the divisor d of x^n - 1 with exponent vector exps, by its
@@ -851,15 +835,20 @@ class FieldCtx:
         """Full F_p-rank kn of the rows y^t·α^(q^i), t < k, i < n, packed as
         polyfq packs F_q[x], where y^t·v is a digit plane of v; it stops at
         the first dependent row.  On the polynomial path the orbit stays in the
-        product layout (a fold of Frob^1 per image), charged as n frobenius calls."""
-        if self._log is not None:
-            rows = (_pack(self.frobenius(a, i), self.p, self._W) for i in range(self.n))
-        else:
+        product layout (_orbit_rows), charged as n frobenius calls."""
+        if self._log is None:
             self.op_count += self.n if a and self.n > 1 else 0
-            orbit = itertools.accumulate(range(1, self.n), lambda v, _: self._fold(self._frob_layout(1), v),
-                                         initial=self._to_layout(a))
-            rows = (self._regroup(v, 2 * self.k - 1, self.k) for v in orbit)
-        return all(self._independent(plane for v in rows for plane in self._ring._planes(v)))
+        return all(self._independent(self._orbit_rows(a)))
+
+    def _orbit_rows(self, a: int):
+        """The rows y^t·α^(q^i), t < k, i < n, packed, uncounted: the orbit off
+        the tables, else in the product layout by a fold of Frob^1 per image."""
+        if self._log is not None:
+            orbit = (_pack(self.frobenius(a, i), self.p, self._W) for i in range(self.n))
+        else:
+            orbit = (self._regroup(v, 2 * self.k - 1, self.k) for v in itertools.accumulate(
+                range(1, self.n), lambda v, _: self._fold(self._frob_layout(1), v), initial=self._to_layout(a)))
+        return (plane for v in orbit for plane in self._ring._planes(v))
 
     def independent(self, elems):
         """For each element, whether it is outside the F_p-span of those before it."""
@@ -911,11 +900,10 @@ class FieldCtx:
         if eta not in self._normal_image:
             if not self.is_normal(eta):
                 raise ValueError("η must be normal")
-            count, units = self.op_count, self._units()
-            images = self._span([self.mul(self.p**t, self.frobenius(eta, i))
-                                 for i in range(self.n) for t in range(self.k)])
+            units = self._units()
+            images = self._span([_unpack(v, self.p, self._W) for v in self._orbit_rows(eta)])
             nonzero = sum(1 for s in units if s % self.q)
-            self.op_count = count + nonzero * (self.n if self._log is not None else 2 * self.n - 1)
+            self.op_count += nonzero * (self.n if self._log is not None else 2 * self.n - 1)
             self._normal_image[eta] = frozenset(images[s] for s in units)
         return self._normal_image[eta]
 
@@ -1009,6 +997,8 @@ def parse_field_spec(spec: str) -> FieldCtx:
         raise FieldSpecError("p and k must be integers", text=spec, position=0) from None
     if len(parts) < 2:
         raise FieldSpecError("missing extension degree n", text=spec, position=len(head))
+    if len(parts) > 4:
+        raise FieldSpecError("too many ':' sections", text=spec, position=len(":".join(parts[:4])) + 1)
     try:
         n = int(parts[1])
     except ValueError:
@@ -1021,8 +1011,6 @@ def parse_field_spec(spec: str) -> FieldCtx:
     if len(parts) >= 4 and parts[3]:
         fq = SmallField(p, k, modulus=base_modulus)
         ext_modulus = parse_poly(fq, parts[3])
-    if len(parts) > 4:
-        raise FieldSpecError("too many ':' sections", text=spec, position=4)
     if base_modulus is None and ext_modulus is None:
         return get_field(p, k, n)
     return build_field(p, k, n, base_modulus=base_modulus, ext_modulus=ext_modulus)

@@ -278,6 +278,21 @@ def frobenius_by_powering(ctx, a: int, i: int) -> int:
     return a
 
 
+
+def trace_by_powering(ctx, a: int) -> int:
+    """Σ α^(p^j) over j < kn by kn charged powers, landing in F_p."""
+    from pnfield.errors import ConsistencyError
+
+    total, cur = 0, a
+    for _ in range(ctx.k * ctx.n):
+        total = ctx.add(total, cur)
+        cur = ctx.pow(cur, ctx.p)
+    coords = ctx.decode(total)
+    if any(coords[1:]) or coords[0] >= ctx.p:
+        raise ConsistencyError(f"trace of {a} landed outside F_p")
+    return coords[0]
+
+
 # -- polynomials over F_q, one SmallField call per coefficient --------------------
 # polyfq's products and division as they read before the kernels bound the
 # coefficient arithmetic once per call; gcd, powers and evaluation are built

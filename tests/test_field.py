@@ -33,6 +33,7 @@ from bruteforce import (
     primitive_by_ladder,
     primitive_by_powering,
     schoolbook_mul,
+    trace_by_powering,
 )
 
 SMALL_FIELDS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (5, 1, 2), (2, 2, 2)]
@@ -113,9 +114,9 @@ def test_trace_table_matches_definition(spec):
     # the trace map against Σ α^(p^j) summed element by element, on the
     # polynomial path and again once the exp/log tables exist
     ctx = build_field(*spec)
-    assert all(ctx.trace(a) == ctx._trace_slow(a) for a in range(ctx.order))
+    assert all(ctx.trace(a) == trace_by_powering(ctx, a) for a in range(ctx.order))
     ctx.ensure_tables()
-    assert all(ctx.trace(a) == ctx._trace_slow(a) for a in range(ctx.order))
+    assert all(ctx.trace(a) == trace_by_powering(ctx, a) for a in range(ctx.order))
 
 
 def test_apply_linearized_examples():
@@ -705,6 +706,19 @@ def test_parse_field_spec():
         parse_field_spec("2^1")  # missing n
     with pytest.raises(FieldSpecError):
         parse_field_spec("2^1:x")
+
+
+@pytest.mark.parametrize("spec,position", [("2^1:3::1,1,0,1:9", 15), ("2^1:3:0,1:1,1,0,1:", 18),
+                                           ("2^1:3:banana:1,1,0,1:9:9", 21)])
+def test_too_many_sections_point_at_the_fifth(spec, position):
+    # a character offset like every other position, found before any
+    # modulus is parsed
+    from pnfield.errors import FieldSpecError
+
+    with pytest.raises(FieldSpecError, match="too many ':' sections") as err:
+        parse_field_spec(spec)
+    assert err.value.position == position
+    assert spec[position - 1] == ":"
 
 
 def test_parse_element_errors():

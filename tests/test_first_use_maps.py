@@ -1,8 +1,11 @@
 """The maps FieldCtx builds on first use: the cofactor maps through the trace
-to the p'-subfield, the module maps read off Frobenius orbits and the fold of
-a raw product, against the Horner form apply_linearized; the conjecture rows
-of home fields over a user F_q; and the per-element witness of the
+to the p'-subfield, the module maps read off Frobenius orbits, the absolute
+trace, the bases of the images of the divisors and the fold of a raw product,
+against the Horner form apply_linearized and powering; the conjecture rows of
+home fields over a user F_q; and the per-element witness of the
 order-censuses claim."""
+
+import random
 
 import pytest
 
@@ -11,7 +14,7 @@ from pnfield.claims import ASSERTED_PASS, FAIL, enumerate_field_specs
 from pnfield.field import _pack, build_field, parse_field_spec
 from pnfield.polyfq import _split_p_part, factor_x_n_minus_1, poly_divmod, poly_mul, x_pow_n_minus_1
 
-from bruteforce import first_root_by_scan
+from bruteforce import first_root_by_scan, trace_by_powering
 from test_cli import run_cli
 from test_field import LARGE_Q_FIELDS, POLY_PATH_FIELDS
 
@@ -49,6 +52,43 @@ def test_cofactor_is_the_trace_times_a_lower_polynomial():
             g, rem = poly_divmod(fq, big_f, r)
             assert not rem
             assert fact.divisor(top[:i] + (top[i] - 1,) + top[i + 1:]) == poly_mul(fq, g, trace), (p, k, n, r)
+
+
+# the polynomial path for p = 2 with k = 1 and k > 1, odd p with p | n and
+# p ∤ n, and a user F_9
+TRACE_FIELDS = [pytest.param((2, 1, 40), None, id="2^1:40"), pytest.param((2, 4, 8), None, id="2^4:8"),
+                pytest.param((3, 1, 30), None, id="3^1:30"), pytest.param((7, 1, 8), None, id="7^1:8"),
+                pytest.param((3, 2, 2), (2, 1, 1), id="3^2:2:2,1,1")]
+
+
+@pytest.mark.parametrize("spec,base", TRACE_FIELDS)
+def test_trace_equals_the_sum_of_powers(spec, base):
+    ctx = build_field(*spec, base_modulus=base)
+    for a in random.Random(32).sample(range(ctx.order), 64):
+        assert ctx.trace(a) == trace_by_powering(ctx, a), a
+
+
+@pytest.mark.parametrize("spec,base", TRACE_FIELDS)
+def test_first_trace_is_uncounted(spec, base):
+    # the map is built from the orbit of the trace to F_q, which charges
+    # nothing; only the powers it stands for would
+    ctx = build_field(*spec, base_modulus=base)
+    ctx.trace(ctx.order - 1)
+    assert ctx.op_count == 0
+
+
+@pytest.mark.parametrize("spec", enumerate_field_specs(4, 2**12), ids=lambda s: "%d^%d:%d" % s)
+def test_image_basis_spans_the_kernel_of_the_cofactor(spec):
+    # d∘F is the kernel of ((x^n - 1)/d)∘, of F_p-dimension k·(n - deg d)
+    ctx = build_field(*spec)
+    fact, top = ctx.add_factorization, ctx.add_factorization.exponents()
+    for exps in fact.exponent_vectors():
+        before = ctx.op_count
+        basis = ctx.image_basis(exps)
+        assert ctx.op_count == before
+        assert len(basis) == ctx.k * (ctx.n - fact.degree(exps)) and all(ctx.independent(basis))
+        cofactor = fact.divisor(tuple(e - j for e, j in zip(top, exps)))
+        assert all(ctx.apply_linearized(cofactor, b) == 0 for b in basis), exps
 
 
 # homes over a user F_q: F_9 with y^2 + y + 2, F_8 with y^3 + y^2 + 1, and

@@ -1,15 +1,17 @@
-"""The F_q[x]-module action as maps: r∘ of a fixed r, and the maps of the
-divisors of x^n - 1 built by squaring and composition, against the Horner
-form apply_linearized, in value and in op_count charge; and the rank test of
-normality against the divisor test."""
+"""The F_q[x]-module action as maps: r∘ of a fixed r, by its one route
+(the quotient by S = Σ_{j < p^e} x^(cj) after the trace to F_{q^c} where S
+divides r mod x^n - 1, else r itself), and the maps of the divisors of
+x^n - 1, against the Horner form apply_linearized, in value and in op_count
+charge; and the rank test of normality against the divisor test."""
 
 import random
 
 import pytest
 
 from pnfield import characters as ch
+from pnfield.claims import enumerate_field_specs
 from pnfield.field import _pack, build_field
-from pnfield.polyfq import x_pow_n_minus_1
+from pnfield.polyfq import _split_p_part, poly_mul, x_pow_n_minus_1
 from test_field import LARGE_Q_FIELDS, POLY_PATH_FIELDS
 
 pytest.importorskip("hypothesis")
@@ -56,6 +58,50 @@ def test_module_map_equals_horner(case):
     assert ctx.op_count == before + charged  # building the map is uncounted
     assert ctx._apply_map(m, a) == want
     assert ctx._module_charge(r, a) == charged
+
+
+def _spec_id(spec):
+    return "%d^%d:%d" % spec
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 4), (2, 1, 8), (3, 1, 6), (3, 1, 9), (2, 2, 4), (5, 1, 5), (2, 1, 24)],
+                         ids=_spec_id)
+def test_module_map_of_a_multiple_of_the_trace_equals_horner(spec):
+    # r = S·h with deg h < c takes the quotient route: h on the orbit of c
+    ctx = build_field(*spec)
+    rng = random.Random(32)
+    c = _split_p_part(ctx.n, ctx.p)[0]
+    s = tuple(int(i % c == 0) for i in range(ctx.n - c + 1))
+    elements = [0, 1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(8)]
+    for _ in range(8):
+        r = poly_mul(ctx.fq, s, tuple(rng.randrange(ctx.q) for _ in range(c)))
+        m = ctx._module_map(r)
+        assert [ctx._apply_map(m, a) for a in elements] == [ctx.apply_linearized(r, a) for a in elements], r
+
+
+@pytest.mark.parametrize("spec", [(2, 1, 8), (3, 1, 6), (2, 1, 5), (5, 1, 10), (3, 2, 3), (2, 1, 1)], ids=_spec_id)
+def test_module_map_grows_no_orbit_past_its_period(spec):
+    # r is reduced mod x^n - 1 first, so the orbit of c holds at most c
+    # images of each unit vector, however far r reaches
+    ctx = build_field(*spec)
+    rng = random.Random(33)
+    for deg in (ctx.n, 2 * ctx.n + 1, 3 * ctx.n):
+        r = tuple(rng.randrange(ctx.q) for _ in range(deg)) + (1,)
+        m = ctx._module_map(r)
+        for a in [1, ctx.order - 1] + [rng.randrange(ctx.order) for _ in range(6)]:
+            assert ctx._apply_map(m, a) == ctx.apply_linearized(r, a), (r, a)
+    assert ctx._orbits
+    assert all(len(cols) <= ctx.k * c for c, orbit in ctx._orbits.items() for cols in orbit)
+
+
+@pytest.mark.parametrize("spec", enumerate_field_specs(4, 2**10), ids=_spec_id)
+def test_every_divisor_map_has_the_columns_of_horner(spec):
+    ctx = build_field(*spec)
+    p, W, fact = ctx.p, ctx._W, ctx.add_factorization
+    for exps in fact.exponent_vectors():
+        d = fact.divisor(exps)
+        want = [_pack(ctx.apply_linearized(d, p**e), p, W) for e in range(ctx.k * ctx.n)]
+        assert ctx._columns(ctx._divisor_map(exps)) == want, exps
 
 
 @st.composite
